@@ -133,23 +133,11 @@ void BatchPointerChasingStrategy::run_machine(mpc::MachineIo& io, hash::Counting
         w.write_uint(inst, kInstBits);
         w.write_bits(body.slice(0, consumed));
         util::BitString exact = w.take();
-        std::uint64_t key = exact.hash();
-        std::shared_ptr<const BlockSet> parsed;
-        {
-          // The decode already happened above; only the cache lookup and
-          // first-wins insert need the lock (machines of a parallel round
-          // share the strategy object).
-          std::lock_guard<std::mutex> lock(parse_cache_mu_);
-          auto it = parse_cache_.find(key);
-          if (it != parse_cache_.end()) {
-            parsed = it->second;
-          } else {
-            parsed = parse_cache_
-                         .emplace(key, std::make_shared<const BlockSet>(std::move(set)))
-                         .first->second;
-          }
-        }
-        blocks[inst] = {std::move(exact), parsed};
+        // The decode already happened above (it sizes the record); the cache
+        // only shares one parse per distinct record across machines.
+        std::shared_ptr<const BlockSet> parsed =
+            block_cache_.find_or_decode(exact, [&] { return std::move(set); });
+        blocks[inst] = {std::move(exact), std::move(parsed)};
         rest = body.slice(consumed, body.size() - consumed);
         continue;
       }

@@ -14,9 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
-#include <unordered_map>
 
 #include "analysis/protocol_spec.hpp"
 #include "core/line.hpp"
@@ -63,9 +60,7 @@ class BatchPointerChasingStrategy final : public mpc::MpcAlgorithm,
   core::LineCodec codec_;
   OwnershipPlan plan_;
   std::uint64_t instances_;
-  // Mutex-guarded: machines of a parallel round share the strategy object.
-  std::mutex parse_cache_mu_;
-  std::unordered_map<std::uint64_t, std::shared_ptr<const BlockSet>> parse_cache_;
+  BlockSetCache block_cache_;
 };
 
 }  // namespace mpch::strategies

@@ -53,6 +53,29 @@ BlockSet BlockSet::decode(const core::LineParams& params, const util::BitString&
   return out;
 }
 
+std::shared_ptr<const BlockSet> BlockSetCache::find(const util::BitString& payload) {
+  std::lock_guard<std::mutex> lock(mu_);
+  return find_locked(payload.hash(), payload);
+}
+
+std::shared_ptr<const BlockSet> BlockSetCache::insert(const util::BitString& payload,
+                                                      std::shared_ptr<const BlockSet> parsed) {
+  std::lock_guard<std::mutex> lock(mu_);
+  const std::uint64_t key = payload.hash();
+  if (auto winner = find_locked(key, payload)) return winner;
+  entries_.emplace(key, std::make_pair(payload, parsed));
+  return parsed;
+}
+
+std::shared_ptr<const BlockSet> BlockSetCache::find_locked(std::uint64_t key,
+                                                           const util::BitString& payload) const {
+  auto [it, end] = entries_.equal_range(key);
+  for (; it != end; ++it) {
+    if (it->second.first == payload) return it->second.second;
+  }
+  return nullptr;
+}
+
 std::uint64_t BlockSet::encoded_bits(const core::LineParams& params, std::uint64_t count) {
   return 32 + count * (params.ell_bits + params.u);
 }

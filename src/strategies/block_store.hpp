@@ -14,8 +14,11 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/params.hpp"
@@ -49,6 +52,36 @@ class BlockSet {
  private:
   core::LineParams params_;
   std::unordered_map<std::uint64_t, util::BitString> blocks_;
+};
+
+/// Memoised BlockSet parses of immutable block payloads, shared by the
+/// machines of a parallel round (mutex-guarded). A pure function of the
+/// payload, not cross-round state: it only keeps long simulations fast.
+/// Entries are found by payload.hash() and a hit is confirmed by comparing
+/// the full payload bits, so a hash collision decodes afresh instead of
+/// handing a machine another payload's blocks.
+class BlockSetCache {
+ public:
+  /// The parse of `payload`: a cached one, or `decode()` (returning a
+  /// BlockSet) run outside the lock. If two machines race on the same
+  /// payload, the first insert wins and both get the winner's parse.
+  template <typename Decode>
+  std::shared_ptr<const BlockSet> find_or_decode(const util::BitString& payload, Decode&& decode) {
+    if (auto hit = find(payload)) return hit;
+    return insert(payload, std::make_shared<const BlockSet>(decode()));
+  }
+
+ private:
+  std::shared_ptr<const BlockSet> find(const util::BitString& payload);
+  std::shared_ptr<const BlockSet> insert(const util::BitString& payload,
+                                         std::shared_ptr<const BlockSet> parsed);
+  std::shared_ptr<const BlockSet> find_locked(std::uint64_t key,
+                                              const util::BitString& payload) const;
+
+  std::mutex mu_;
+  std::unordered_multimap<std::uint64_t,
+                          std::pair<util::BitString, std::shared_ptr<const BlockSet>>>
+      entries_;
 };
 
 /// The walk frontier: "we have evaluated the chain through node i-1 and the

@@ -12,9 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
-#include <unordered_map>
 
 #include "analysis/protocol_spec.hpp"
 #include "core/line.hpp"
@@ -57,9 +54,7 @@ class ColludingStrategy final : public mpc::MpcAlgorithm,
   core::LineCodec codec_;
   OwnershipPlan plan_;
   std::uint64_t machines_;
-  // Mutex-guarded: machines of a parallel round share the strategy object.
-  std::mutex parse_cache_mu_;
-  std::unordered_map<std::uint64_t, std::shared_ptr<const BlockSet>> parse_cache_;
+  BlockSetCache block_cache_;
 };
 
 }  // namespace mpch::strategies

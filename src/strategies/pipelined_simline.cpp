@@ -103,22 +103,9 @@ PipelinedSimLineStrategy::ParsedInbox PipelinedSimLineStrategy::parse_inbox(
     auto tag = static_cast<PayloadTag>(r.read_uint(kTagBits));
     if (tag == PayloadTag::kBlocks) {
       out.blocks_payload = msg.payload;
-      std::uint64_t key = msg.payload.hash();
-      std::shared_ptr<const BlockSet> parsed;
-      {
-        std::lock_guard<std::mutex> lock(parse_cache_mu_);
-        auto it = parse_cache_.find(key);
-        if (it != parse_cache_.end()) parsed = it->second;
-      }
-      if (!parsed) {
-        // Decode outside the lock; if two machines race on the same payload
-        // the first emplace wins and both use the winner's parse.
-        util::BitString body = msg.payload.slice(kTagBits, msg.payload.size() - kTagBits);
-        parsed = std::make_shared<const BlockSet>(BlockSet::decode(params_, body));
-        std::lock_guard<std::mutex> lock(parse_cache_mu_);
-        parsed = parse_cache_.emplace(key, std::move(parsed)).first->second;
-      }
-      out.blocks = std::move(parsed);
+      out.blocks = block_cache_.find_or_decode(msg.payload, [&] {
+        return BlockSet::decode(params_, msg.payload.slice(kTagBits, msg.payload.size() - kTagBits));
+      });
     } else if (tag == PayloadTag::kFrontier) {
       util::BitString body = msg.payload.slice(kTagBits, msg.payload.size() - kTagBits);
       out.frontier = Frontier::decode(params_, body);

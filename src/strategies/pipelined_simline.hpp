@@ -11,9 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
-#include <unordered_map>
 
 #include "analysis/protocol_spec.hpp"
 #include "core/simline.hpp"
@@ -64,9 +61,7 @@ class PipelinedSimLineStrategy final : public mpc::MpcAlgorithm,
   core::LineParams params_;
   core::SimLineCodec codec_;
   OwnershipPlan plan_;
-  // Mutex-guarded: machines of a parallel round share the strategy object.
-  std::mutex parse_cache_mu_;
-  std::unordered_map<std::uint64_t, std::shared_ptr<const BlockSet>> parse_cache_;
+  BlockSetCache block_cache_;
 };
 
 }  // namespace mpch::strategies

@@ -16,9 +16,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
-#include <unordered_map>
 
 #include "analysis/protocol_spec.hpp"
 #include "core/line.hpp"
@@ -72,11 +69,7 @@ class PointerChasingStrategy final : public mpc::MpcAlgorithm,
   core::LineParams params_;
   core::LineCodec codec_;
   OwnershipPlan plan_;
-  // Memoised parse of immutable block payloads (pure function of payload —
-  // not cross-round state, just a cache to keep long simulations fast).
-  // Mutex-guarded: machines of a parallel round share the strategy object.
-  std::mutex parse_cache_mu_;
-  std::unordered_map<std::uint64_t, std::shared_ptr<const BlockSet>> parse_cache_;
+  BlockSetCache block_cache_;
 };
 
 }  // namespace mpch::strategies

@@ -21,7 +21,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <mutex>
 
 #include "analysis/protocol_spec.hpp"
 #include "core/input.hpp"
@@ -77,9 +76,7 @@ class SpeculativeStrategy final : public mpc::MpcAlgorithm,
   const core::LineInput* truth_;
   // Incremented by machines of a parallel round; relaxed is fine (counter).
   std::atomic<std::uint64_t> lucky_escapes_{0};
-  // Mutex-guarded: machines of a parallel round share the strategy object.
-  std::mutex parse_cache_mu_;
-  std::unordered_map<std::uint64_t, std::shared_ptr<const BlockSet>> parse_cache_;
+  BlockSetCache block_cache_;
 };
 
 }  // namespace mpch::strategies

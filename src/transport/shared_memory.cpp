@@ -27,9 +27,12 @@ void ByteRing::write(const std::uint8_t* bytes, std::size_t size) {
 
 std::vector<std::uint8_t> ByteRing::drain() {
   std::vector<std::uint8_t> out(size_);
-  const std::size_t run = std::min(size_, data_.size() - head_);
-  std::memcpy(out.data(), data_.data() + head_, run);
-  std::memcpy(out.data() + run, data_.data(), size_ - run);
+  // An empty ring may never have allocated: memcpy must not see its null data().
+  if (size_ != 0) {
+    const std::size_t run = std::min(size_, data_.size() - head_);
+    std::memcpy(out.data(), data_.data() + head_, run);
+    std::memcpy(out.data() + run, data_.data(), size_ - run);
+  }
   head_ = 0;
   size_ = 0;
   return out;

@@ -2,15 +2,89 @@
 
 #include <algorithm>
 #include <bit>
-#include <cassert>
+#include <cstring>
 #include <stdexcept>
 
 namespace mpch::util {
 
 namespace {
 constexpr std::size_t kByteBits = 8;
+constexpr std::size_t kWordBits = 64;
+constexpr std::size_t kWordBytes = 8;
 
 std::size_t bytes_for(std::size_t nbits) { return (nbits + kByteBits - 1) / kByteBits; }
+
+// The n <= 8 bytes at p as a big-endian word, left-aligned: p[0] lands in the
+// top byte and missing bytes read as zero. Only the n bytes are touched.
+std::uint64_t load_be(const std::uint8_t* p, std::size_t n) {
+  std::uint64_t w = 0;
+  if (n == kWordBytes) {
+    std::memcpy(&w, p, kWordBytes);
+    if constexpr (std::endian::native == std::endian::little) w = __builtin_bswap64(w);
+    return w;
+  }
+  for (std::size_t i = 0; i < n; ++i) w |= std::uint64_t{p[i]} << (56 - kByteBits * i);
+  return w;
+}
+
+// Inverse of load_be: write the top n bytes of w to p[0..n).
+void store_be(std::uint8_t* p, std::size_t n, std::uint64_t w) {
+  if (n == kWordBytes) {
+    if constexpr (std::endian::native == std::endian::little) w = __builtin_bswap64(w);
+    std::memcpy(p, &w, kWordBytes);
+    return;
+  }
+  for (std::size_t i = 0; i < n; ++i) p[i] = static_cast<std::uint8_t>(w >> (56 - kByteBits * i));
+}
+
+// Bits [pos, pos+len) of the packed buffer `src`, right-aligned. Requires
+// 1 <= len <= 64 and the range inside the buffer; the window spans at most
+// nine bytes, of which only those holding range bits are read.
+std::uint64_t read_bits(const std::uint8_t* src, std::size_t pos, std::size_t len) {
+  const std::uint8_t* p = src + pos / kByteBits;
+  const std::size_t off = pos % kByteBits;
+  const std::size_t nbytes = bytes_for(off + len);
+  std::uint64_t w = load_be(p, std::min(nbytes, kWordBytes)) << off;
+  // A ninth byte only occurs with off >= 1, so the shift is in [1, 7].
+  if (nbytes > kWordBytes) w |= std::uint64_t{p[kWordBytes]} >> (kByteBits - off);
+  return w >> (kWordBits - len);
+}
+
+// Overwrite bits [pos, pos+len) of `dst` with the low len bits of `value`,
+// leaving every other bit as it was. Same requirements as read_bits.
+void write_bits(std::uint8_t* dst, std::size_t pos, std::size_t len, std::uint64_t value) {
+  std::uint8_t* p = dst + pos / kByteBits;
+  const std::size_t off = pos % kByteBits;
+  const std::size_t nbytes = bytes_for(off + len);
+  const std::size_t head = std::min(nbytes, kWordBytes);
+  const std::uint64_t mask = ~std::uint64_t{0} << (kWordBits - len);  // len left-aligned ones
+  const std::uint64_t bits = value << (kWordBits - len);
+  std::uint64_t w = load_be(p, head);
+  w = (w & ~(mask >> off)) | (bits >> off);
+  store_be(p, head, w);
+  if (nbytes > kWordBytes) {
+    // The low `off` bits of the window spill into the top of the ninth byte.
+    const std::size_t spill = kByteBits - off;
+    p[kWordBytes] = static_cast<std::uint8_t>((p[kWordBytes] & ~(mask << spill)) | (bits << spill));
+  }
+}
+
+// Copy len bits from src at spos to dst at dpos, 64 at a time. The ranges may
+// share a buffer only if they do not overlap or coincide exactly.
+void copy_bits(std::uint8_t* dst, std::size_t dpos, const std::uint8_t* src, std::size_t spos,
+               std::size_t len) {
+  if (dpos % kByteBits == 0 && spos % kByteBits == 0 && len >= kByteBits) {
+    const std::size_t whole = len / kByteBits;
+    std::memmove(dst + dpos / kByteBits, src + spos / kByteBits, whole);
+    dpos += whole * kByteBits;
+    spos += whole * kByteBits;
+    len -= whole * kByteBits;
+  }
+  for (; len >= kWordBits; len -= kWordBits, dpos += kWordBits, spos += kWordBits) {
+    write_bits(dst, dpos, kWordBits, read_bits(src, spos, kWordBits));
+  }
+  if (len != 0) write_bits(dst, dpos, len, read_bits(src, spos, len));
+}
 }  // namespace
 
 BitString::BitString(std::size_t nbits) : bytes_(bytes_for(nbits), 0), nbits_(nbits) {}
@@ -40,7 +114,7 @@ BitString BitString::from_bytes(const std::vector<std::uint8_t>& bytes) {
   return out;
 }
 
-void BitString::assert_range(std::size_t pos, std::size_t len) const {
+void BitString::check_range(std::size_t pos, std::size_t len) const {
   if (pos + len > nbits_ || pos + len < pos) {
     throw std::out_of_range("BitString: range [" + std::to_string(pos) + ", " +
                             std::to_string(pos + len) + ") exceeds size " +
@@ -49,12 +123,12 @@ void BitString::assert_range(std::size_t pos, std::size_t len) const {
 }
 
 bool BitString::get(std::size_t i) const {
-  assert_range(i, 1);
+  check_range(i, 1);
   return (bytes_[i / kByteBits] >> (kByteBits - 1 - i % kByteBits)) & 1U;
 }
 
 void BitString::set(std::size_t i, bool v) {
-  assert_range(i, 1);
+  check_range(i, 1);
   std::uint8_t mask = static_cast<std::uint8_t>(1U << (kByteBits - 1 - i % kByteBits));
   if (v) {
     bytes_[i / kByteBits] |= mask;
@@ -65,80 +139,48 @@ void BitString::set(std::size_t i, bool v) {
 
 std::uint64_t BitString::get_uint(std::size_t pos, std::size_t len) const {
   if (len > 64) throw std::invalid_argument("BitString::get_uint: len > 64");
-  assert_range(pos, len);
-  std::uint64_t out = 0;
-  // Byte-at-a-time fast path; bit loop only at the unaligned edges.
-  std::size_t i = pos;
-  std::size_t end = pos + len;
-  while (i < end && (i % kByteBits) != 0) {
-    out = (out << 1) | static_cast<std::uint64_t>(get(i));
-    ++i;
-  }
-  while (i + kByteBits <= end) {
-    out = (out << kByteBits) | bytes_[i / kByteBits];
-    i += kByteBits;
-  }
-  while (i < end) {
-    out = (out << 1) | static_cast<std::uint64_t>(get(i));
-    ++i;
-  }
-  return out;
+  check_range(pos, len);
+  return len == 0 ? 0 : read_bits(bytes_.data(), pos, len);
 }
 
 void BitString::set_uint(std::size_t pos, std::size_t len, std::uint64_t value) {
   if (len > 64) throw std::invalid_argument("BitString::set_uint: len > 64");
-  assert_range(pos, len);
-  for (std::size_t i = 0; i < len; ++i) {
-    bool bit = (value >> (len - 1 - i)) & 1ULL;
-    set(pos + i, bit);
-  }
+  check_range(pos, len);
+  if (len != 0) write_bits(bytes_.data(), pos, len, value);
 }
 
 BitString BitString::slice(std::size_t pos, std::size_t len) const {
-  assert_range(pos, len);
+  check_range(pos, len);
   BitString out(len);
-  if (pos % kByteBits == 0) {
-    // Aligned fast path: straight byte copy then mask the tail.
-    std::size_t nb = bytes_for(len);
-    std::copy_n(bytes_.begin() + static_cast<std::ptrdiff_t>(pos / kByteBits), nb,
-                out.bytes_.begin());
-    out.clear_tail_slack();
-  } else {
-    for (std::size_t i = 0; i < len; ++i) out.set(i, get(pos + i));
-  }
+  copy_bits(out.bytes_.data(), 0, bytes_.data(), pos, len);
   return out;
 }
 
 void BitString::splice(std::size_t pos, const BitString& other) {
-  assert_range(pos, other.size());
-  for (std::size_t i = 0; i < other.size(); ++i) set(pos + i, other.get(i));
+  check_range(pos, other.size());
+  // With other == *this the range check leaves only pos == 0: an exact overlap.
+  copy_bits(bytes_.data(), pos, other.bytes_.data(), 0, other.nbits_);
 }
 
 BitString BitString::operator+(const BitString& rhs) const {
   BitString out(nbits_ + rhs.nbits_);
-  if (nbits_ % kByteBits == 0) {
-    std::copy(bytes_.begin(), bytes_.end(), out.bytes_.begin());
-    for (std::size_t i = 0; i < rhs.nbits_; ++i) out.set(nbits_ + i, rhs.get(i));
-  } else {
-    for (std::size_t i = 0; i < nbits_; ++i) out.set(i, get(i));
-    for (std::size_t i = 0; i < rhs.nbits_; ++i) out.set(nbits_ + i, rhs.get(i));
-  }
+  // Tail slack is zero, so whole bytes carry the left operand exactly.
+  std::copy(bytes_.begin(), bytes_.end(), out.bytes_.begin());
+  copy_bits(out.bytes_.data(), nbits_, rhs.bytes_.data(), 0, rhs.nbits_);
   return out;
 }
 
 BitString& BitString::operator+=(const BitString& rhs) {
   // In-place append: O(|rhs|), not O(|this| + |rhs|) — BitWriter relies on
-  // this when assembling large encodings (e.g. full oracle tables).
-  std::size_t old_bits = nbits_;
-  nbits_ += rhs.nbits_;
+  // this when assembling large encodings (e.g. full oracle tables). Read
+  // rhs's size before resizing: rhs may be *this (x += x). Its bytes are read
+  // only after the resize, so a reallocation cannot leave them dangling, and
+  // the source bits [0, added) stay clear of the bits being written.
+  const std::size_t old_bits = nbits_;
+  const std::size_t added = rhs.nbits_;
+  nbits_ += added;
   bytes_.resize(bytes_for(nbits_), 0);
-  if (old_bits % kByteBits == 0) {
-    std::copy(rhs.bytes_.begin(), rhs.bytes_.end(),
-              bytes_.begin() + static_cast<std::ptrdiff_t>(old_bits / kByteBits));
-    clear_tail_slack();
-  } else {
-    for (std::size_t i = 0; i < rhs.nbits_; ++i) set(old_bits + i, rhs.get(i));
-  }
+  copy_bits(bytes_.data(), old_bits, rhs.bytes_.data(), 0, added);
   return *this;
 }
 

@@ -16,11 +16,19 @@ namespace mpch::util {
 
 /// A dynamically sized string of bits.
 ///
-/// Storage is byte-packed. All operations are bounds-checked in debug builds
-/// (assert) and rely on callers passing valid ranges in release builds, like
-/// the rest of the library. Equality, hashing, and lexicographic comparison
-/// treat the value as the exact bit sequence (two BitStrings of different
-/// length are never equal even if one is a zero-padded version of the other).
+/// Storage is byte-packed, MSB-first, with the final byte's unused low bits
+/// kept zero. Multi-bit operations (get_uint, set_uint, slice, splice, +, +=)
+/// move up to 64 bits per step with shift/mask over the packed bytes.
+///
+/// Range contract: every accessor checks its range once per call and throws
+/// in all build types — std::out_of_range when [pos, pos+len) leaves the
+/// string (including when pos+len wraps around SIZE_MAX), and
+/// std::invalid_argument when a uint width exceeds 64 (checked first). A
+/// zero-length range at pos == size() is valid.
+///
+/// Equality, hashing, and lexicographic comparison treat the value as the
+/// exact bit sequence (two BitStrings of different length are never equal
+/// even if one is a zero-padded version of the other).
 class BitString {
  public:
   BitString() = default;
@@ -68,10 +76,11 @@ class BitString {
   /// Copy of bits [pos, pos+len).
   BitString slice(std::size_t pos, std::size_t len) const;
 
-  /// Overwrite bits [pos, pos+other.size()) with `other`.
+  /// Overwrite bits [pos, pos+other.size()) with `other` (which may be
+  /// *this, making the only in-range call, pos == 0, a no-op).
   void splice(std::size_t pos, const BitString& other);
 
-  /// Concatenation.
+  /// Concatenation. `x += x` doubles x.
   BitString operator+(const BitString& rhs) const;
   BitString& operator+=(const BitString& rhs);
 
@@ -105,7 +114,7 @@ class BitString {
   const std::vector<std::uint8_t>& bytes() const { return bytes_; }
 
  private:
-  void assert_range(std::size_t pos, std::size_t len) const;
+  void check_range(std::size_t pos, std::size_t len) const;
   // Invariant: bits beyond nbits_ in the final byte are zero; this makes
   // operator== and hash() well-defined on the byte buffer.
   void clear_tail_slack();

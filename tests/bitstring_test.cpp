@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <vector>
+
+#include "bitstring_differential.hpp"
+#include "reference_bitstring.hpp"
 #include "util/rng.hpp"
 
 namespace mpch::util {
@@ -199,6 +205,162 @@ TEST_P(BitStringWidthTest, SliceConcatIdentity) {
 
 INSTANTIATE_TEST_SUITE_P(Widths, BitStringWidthTest,
                          ::testing::Values(1, 2, 3, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64));
+
+// ---------------------------------------------------------------------------
+// Range contract: checked once per call, throws in every build type.
+
+constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+
+TEST(BitStringRange, ZeroLengthAtEndIsValid) {
+  BitString b = BitString::from_binary_string("10110");
+  EXPECT_EQ(b.slice(5, 0).size(), 0u);
+  EXPECT_EQ(b.get_uint(5, 0), 0u);
+  EXPECT_NO_THROW(b.set_uint(5, 0, ~0ULL));
+  EXPECT_NO_THROW(b.splice(5, BitString()));
+  EXPECT_EQ(b.to_binary_string(), "10110");
+  BitString empty;
+  EXPECT_EQ(empty.slice(0, 0).size(), 0u);
+  EXPECT_EQ(empty.get_uint(0, 0), 0u);
+  // One past the end is out of range even for zero bits.
+  EXPECT_THROW((void)b.slice(6, 0), std::out_of_range);
+  EXPECT_THROW((void)b.get_uint(6, 0), std::out_of_range);
+  EXPECT_THROW(b.set_uint(6, 0, 0), std::out_of_range);
+  EXPECT_THROW(b.splice(6, BitString()), std::out_of_range);
+}
+
+TEST(BitStringRange, WrappingRangesAreRejected) {
+  // pos + len wraps past SIZE_MAX to a small number that a naive
+  // `pos + len > size()` check would accept.
+  BitString b(100);
+  EXPECT_THROW((void)b.slice(kMax, 2), std::out_of_range);
+  EXPECT_THROW((void)b.slice(2, kMax), std::out_of_range);
+  EXPECT_THROW((void)b.get_uint(kMax, 2), std::out_of_range);
+  EXPECT_THROW((void)b.get_uint(kMax - 1, 64), std::out_of_range);
+  EXPECT_THROW(b.set_uint(kMax, 2, 3), std::out_of_range);
+  EXPECT_THROW(b.set_uint(kMax - 1, 64, 3), std::out_of_range);
+  EXPECT_THROW(b.splice(kMax, BitString(2)), std::out_of_range);
+  EXPECT_EQ(b, BitString(100));
+}
+
+TEST(BitStringRange, OutOfRangeMessageNamesTheRange) {
+  BitString b(10);
+  try {
+    (void)b.slice(4, 7);
+    FAIL() << "slice past the end did not throw";
+  } catch (const std::out_of_range& e) {
+    EXPECT_STREQ(e.what(), "BitString: range [4, 11) exceeds size 10");
+  }
+}
+
+TEST(BitStringRange, UintWidthSixtyFourAcceptedSixtyFiveRejected) {
+  BitString b(200);
+  EXPECT_NO_THROW(b.set_uint(7, 64, 0x0123456789ABCDEFULL));
+  EXPECT_EQ(b.get_uint(7, 64), 0x0123456789ABCDEFULL);
+  EXPECT_THROW(b.set_uint(7, 65, 0), std::invalid_argument);
+  EXPECT_THROW((void)b.get_uint(7, 65), std::invalid_argument);
+  // The width check comes before the range check.
+  EXPECT_THROW((void)b.get_uint(kMax, 65), std::invalid_argument);
+  EXPECT_THROW(b.set_uint(300, 65, 0), std::invalid_argument);
+}
+
+// ---------------------------------------------------------------------------
+// Self-aliasing: the operand may be the string being modified.
+
+class BitStringAliasTest : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(BitStringAliasTest, AppendSelfDoubles) {
+  const std::size_t n = GetParam();
+  Rng rng(n + 5);
+  BitString x = BitString::random(n, [&] { return rng.next_u64(); });
+  const BitString before = x;
+  x += x;
+  EXPECT_EQ(x, before + before);
+  EXPECT_EQ(x.slice(0, n), before);
+  EXPECT_EQ(x.slice(n, n), before);
+}
+
+TEST_P(BitStringAliasTest, SpliceSelfAtZeroIsNoOp) {
+  const std::size_t n = GetParam();
+  Rng rng(n + 9);
+  BitString x = BitString::random(n, [&] { return rng.next_u64(); });
+  const BitString before = x;
+  x.splice(0, x);
+  EXPECT_EQ(x, before);
+  if (n != 0) {
+    EXPECT_THROW(x.splice(1, x), std::out_of_range);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AlignedAndUnaligned, BitStringAliasTest,
+                         ::testing::Values(0, 1, 5, 8, 13, 64, 67, 128, 131, 300));
+
+// ---------------------------------------------------------------------------
+// Differential property tests against the bit-at-a-time reference.
+
+ReferenceBitString to_reference(const BitString& b) {
+  ReferenceBitString r = ReferenceBitString::from_bytes(b.bytes());
+  r.truncate(b.size());
+  return r;
+}
+
+void expect_same(const BitString& fast, const ReferenceBitString& ref, const std::string& what) {
+  ASSERT_EQ(fast.size(), ref.size()) << what;
+  ASSERT_EQ(fast.bytes(), ref.bytes()) << what;
+  ASSERT_EQ(fast.hash(), ref.hash()) << what;
+}
+
+TEST(BitStringDifferential, EveryOffsetAndLength) {
+  // Each multi-bit operation at every bit offset 0..63 and every length
+  // 0..300, on random contents with a random amount of trailing room.
+  Rng rng(20080655);
+  auto next = [&] { return rng.next_u64(); };
+  for (std::size_t offset = 0; offset < 64; ++offset) {
+    for (std::size_t len = 0; len <= 300; ++len) {
+      const std::string where = "offset=" + std::to_string(offset) + " len=" + std::to_string(len);
+      const BitString base = BitString::random(offset + len + rng.next_below(70), next);
+      const BitString other = BitString::random(len, next);
+      const ReferenceBitString base_ref = to_reference(base);
+      const ReferenceBitString other_ref = to_reference(other);
+      const std::size_t width = std::min<std::size_t>(len, 64);
+      const std::uint64_t value = rng.next_u64();
+
+      ASSERT_EQ(base.get_uint(offset, width), base_ref.get_uint(offset, width)) << where;
+      expect_same(base.slice(offset, len), base_ref.slice(offset, len), "slice " + where);
+
+      BitString set = base;
+      ReferenceBitString set_ref = base_ref;
+      set.set_uint(offset, width, value);
+      set_ref.set_uint(offset, width, value);
+      expect_same(set, set_ref, "set_uint " + where);
+
+      BitString spliced = base;
+      ReferenceBitString spliced_ref = base_ref;
+      spliced.splice(offset, other);
+      spliced_ref.splice(offset, other_ref);
+      expect_same(spliced, spliced_ref, "splice " + where);
+
+      const BitString prefix = base.slice(0, offset);
+      const ReferenceBitString prefix_ref = base_ref.slice(0, offset);
+      expect_same(prefix + other, prefix_ref + other_ref, "operator+ " + where);
+      BitString appended = prefix;
+      ReferenceBitString appended_ref = prefix_ref;
+      appended += other;
+      appended_ref += other_ref;
+      expect_same(appended, appended_ref, "operator+= " + where);
+    }
+  }
+}
+
+TEST(BitStringDifferential, SeededRandomOpSequences) {
+  // Random byte strings decoded as op sequences by the fuzz harness's driver.
+  for (std::uint64_t seed = 1; seed <= 400; ++seed) {
+    Rng rng(seed);
+    std::vector<std::uint8_t> bytes(64 + rng.next_below(960));
+    for (auto& b : bytes) b = static_cast<std::uint8_t>(rng.next_u64());
+    const std::optional<std::string> diff = run_bitstring_differential(bytes.data(), bytes.size());
+    ASSERT_FALSE(diff.has_value()) << "seed " << seed << ": " << *diff;
+  }
+}
 
 }  // namespace
 }  // namespace mpch::util

@@ -63,6 +63,33 @@ TEST(BlockSet, IndicesSorted) {
   EXPECT_EQ(set.indices(), (std::vector<std::uint64_t>{1, 4, 6}));
 }
 
+TEST(BlockSetCache, DecodesEachDistinctPayloadOnce) {
+  core::LineParams p = params();
+  BlockSet a(p);
+  a.add(1, BitString::from_uint(0x1111, 16));
+  BlockSet b(p);
+  b.add(2, BitString::from_uint(0x2222, 16));
+  const BitString wire_a = a.encode();
+  const BitString wire_b = b.encode();
+  BlockSetCache cache;
+  int decodes = 0;
+  auto decoder = [&](const BitString& wire) {
+    return [&decodes, &p, wire] {
+      ++decodes;
+      return BlockSet::decode(p, wire);
+    };
+  };
+  auto first = cache.find_or_decode(wire_a, decoder(wire_a));
+  auto again = cache.find_or_decode(BitString(wire_a), decoder(wire_a));
+  EXPECT_EQ(first, again);
+  EXPECT_EQ(decodes, 1);
+  auto other = cache.find_or_decode(wire_b, decoder(wire_b));
+  EXPECT_NE(other, first);
+  EXPECT_EQ(decodes, 2);
+  EXPECT_TRUE(other->contains(2));
+  EXPECT_FALSE(other->contains(1));
+}
+
 TEST(Frontier, EncodeDecodeRoundTrip) {
   core::LineParams p = params();
   util::Rng rng(2);

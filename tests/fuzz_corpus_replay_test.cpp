@@ -10,10 +10,12 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "bitstring_differential.hpp"
 #include "check/explorer.hpp"
 #include "check/models.hpp"
 #include "check/trace.hpp"
@@ -40,6 +42,21 @@ std::vector<std::uint8_t> read_file(const std::filesystem::path& path) {
   std::ifstream in(path, std::ios::binary);
   EXPECT_TRUE(in) << "cannot open corpus file " << path;
   return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+TEST(FuzzCorpusReplay, BitStringCorpusMatchesReference) {
+  // Mirrors fuzz/fuzz_bitstring.cpp: every seed op sequence must leave the
+  // word-level BitString and the bit-at-a-time reference in agreement.
+  std::size_t replayed = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(corpus_root() / "bitstring")) {
+    SCOPED_TRACE(entry.path().string());
+    std::vector<std::uint8_t> bytes = read_file(entry.path());
+    const std::optional<std::string> diff =
+        mpch::util::run_bitstring_differential(bytes.data(), bytes.size());
+    EXPECT_FALSE(diff.has_value()) << *diff;
+    ++replayed;
+  }
+  EXPECT_GE(replayed, 10u) << "bitstring corpus went missing — check fuzz/corpus/bitstring";
 }
 
 TEST(FuzzCorpusReplay, CheckpointCorpusRejectsOrParsesTyped) {
