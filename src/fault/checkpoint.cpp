@@ -13,17 +13,12 @@ constexpr std::uint8_t kMagic[8] = {'M', 'P', 'C', 'H', 'K', 'P', 'T', 0x01};
 std::uint64_t payload_checksum(const util::BitString& payload) {
   // SHA-256-derived 64-bit digest over (bit length, packed bytes); domain
   // separated from every other sha256_expand use in the tree.
-  std::vector<std::uint8_t> prefix;
-  const auto& bytes = payload.bytes();
-  prefix.reserve(4 + 8 + bytes.size());
-  prefix.push_back('C');
-  prefix.push_back('K');
-  prefix.push_back('P');
-  prefix.push_back('T');
-  std::uint64_t len = payload.size();
-  for (int i = 0; i < 8; ++i) prefix.push_back(static_cast<std::uint8_t>(len >> (i * 8)));
-  prefix.insert(prefix.end(), bytes.begin(), bytes.end());
-  return hash::sha256_expand(prefix, 64).get_uint(0, 64);
+  std::uint8_t header[4 + 8] = {'C', 'K', 'P', 'T'};
+  hash::store_le64(header + 4, payload.size());
+  hash::Sha256 h;
+  h.update(header, sizeof header);
+  h.update(payload.bytes());
+  return hash::sha256_expand_u64(h);
 }
 
 void write_peak(util::BitWriter& w, const mpc::Peak& p) {

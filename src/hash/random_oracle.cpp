@@ -1,9 +1,9 @@
 #include "hash/random_oracle.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <stdexcept>
-
-#include "hash/sha256.hpp"
+#include <utility>
 
 namespace mpch::hash {
 
@@ -15,22 +15,43 @@ void RandomOracle::check_input(const util::BitString& input) const {
 }
 
 util::BitString sha256_expand(const std::vector<std::uint8_t>& prefix, std::size_t out_bits) {
-  util::BitString out;
+  Sha256 h;
+  h.update(prefix);
+  return sha256_expand(h, out_bits);
+}
+
+namespace {
+
+Sha256::Digest expand_block(Sha256 h, std::uint32_t counter) {
+  const std::uint8_t ctr_bytes[4] = {
+      static_cast<std::uint8_t>(counter >> 24), static_cast<std::uint8_t>(counter >> 16),
+      static_cast<std::uint8_t>(counter >> 8), static_cast<std::uint8_t>(counter)};
+  h.update(ctr_bytes, 4);
+  return h.digest();
+}
+
+}  // namespace
+
+util::BitString sha256_expand(const Sha256& prefix, std::size_t out_bits) {
+  // Each counter block's digest lands straight in the output bytes; the
+  // last one is cut to the bytes still needed and truncate() clears the
+  // bits past out_bits.
+  std::vector<std::uint8_t> bytes((out_bits + 7) / 8);
   std::uint32_t counter = 0;
-  while (out.size() < out_bits) {
-    Sha256 h;
-    h.update(prefix);
-    std::uint8_t ctr_bytes[4] = {static_cast<std::uint8_t>(counter >> 24),
-                                 static_cast<std::uint8_t>(counter >> 16),
-                                 static_cast<std::uint8_t>(counter >> 8),
-                                 static_cast<std::uint8_t>(counter)};
-    h.update(ctr_bytes, 4);
-    Sha256::Digest d = h.digest();
-    out += util::BitString::from_bytes(std::vector<std::uint8_t>(d.begin(), d.end()));
-    ++counter;
+  for (std::size_t pos = 0; pos < bytes.size(); pos += Sha256::kDigestBytes, ++counter) {
+    const Sha256::Digest d = expand_block(prefix, counter);
+    std::memcpy(bytes.data() + pos, d.data(), std::min(d.size(), bytes.size() - pos));
   }
+  util::BitString out = util::BitString::from_bytes(std::move(bytes));
   out.truncate(out_bits);
   return out;
+}
+
+std::uint64_t sha256_expand_u64(const Sha256& prefix) {
+  const Sha256::Digest d = expand_block(prefix, 0);
+  std::uint64_t v = 0;
+  for (int i = 0; i < 8; ++i) v = (v << 8) | d[i];
+  return v;
 }
 
 // ---------------------------------------------------------- shared memo
@@ -81,17 +102,15 @@ LazyRandomOracle::LazyRandomOracle(std::size_t in_bits, std::size_t out_bits, st
 
 util::BitString LazyRandomOracle::derive(const util::BitString& input) const {
   // PRF(seed, input): prefix = "LRO" || seed || input-bytes || input-bitlen.
-  std::vector<std::uint8_t> prefix;
-  prefix.reserve(3 + 8 + input.bytes().size() + 8);
-  prefix.push_back('L');
-  prefix.push_back('R');
-  prefix.push_back('O');
-  for (int i = 0; i < 8; ++i) prefix.push_back(static_cast<std::uint8_t>(seed_ >> (i * 8)));
-  const auto& bytes = input.bytes();
-  prefix.insert(prefix.end(), bytes.begin(), bytes.end());
-  std::uint64_t len = input.size();
-  for (int i = 0; i < 8; ++i) prefix.push_back(static_cast<std::uint8_t>(len >> (i * 8)));
-  return sha256_expand(prefix, out_bits_);
+  std::uint8_t header[3 + 8] = {'L', 'R', 'O'};
+  store_le64(header + 3, seed_);
+  std::uint8_t len[8];
+  store_le64(len, input.size());
+  Sha256 h;
+  h.update(header, sizeof header);
+  h.update(input.bytes());
+  h.update(len, sizeof len);
+  return sha256_expand(h, out_bits_);
 }
 
 util::BitString LazyRandomOracle::query(const util::BitString& input) {
@@ -245,16 +264,15 @@ Sha256Oracle::Sha256Oracle(std::size_t in_bits, std::size_t out_bits)
 util::BitString Sha256Oracle::query(const util::BitString& input) {
   check_input(input);
   total_queries_.fetch_add(1, std::memory_order_relaxed);
-  std::vector<std::uint8_t> prefix;
-  prefix.reserve(3 + input.bytes().size() + 8);
-  prefix.push_back('S');
-  prefix.push_back('H');
-  prefix.push_back('A');
-  const auto& bytes = input.bytes();
-  prefix.insert(prefix.end(), bytes.begin(), bytes.end());
-  std::uint64_t len = input.size();
-  for (int i = 0; i < 8; ++i) prefix.push_back(static_cast<std::uint8_t>(len >> (i * 8)));
-  return sha256_expand(prefix, out_bits_);
+  // prefix = "SHA" || input-bytes || input-bitlen.
+  const std::uint8_t header[3] = {'S', 'H', 'A'};
+  std::uint8_t len[8];
+  store_le64(len, input.size());
+  Sha256 h;
+  h.update(header, sizeof header);
+  h.update(input.bytes());
+  h.update(len, sizeof len);
+  return sha256_expand(h, out_bits_);
 }
 
 }  // namespace mpch::hash

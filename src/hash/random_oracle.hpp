@@ -34,6 +34,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "hash/sha256.hpp"
 #include "util/bitstring.hpp"
 #include "util/rng.hpp"
 
@@ -265,6 +266,21 @@ class Sha256Oracle final : public RandomOracle {
 
 /// Expand (domain-separated) SHA-256 output to an arbitrary number of bits by
 /// counter mode: out = SHA(prefix||0) || SHA(prefix||1) || ... truncated.
+/// The counter is 4 bytes, big-endian.
 util::BitString sha256_expand(const std::vector<std::uint8_t>& prefix, std::size_t out_bits);
+
+/// The same expansion over a prefix already fed to `prefix` with update():
+/// callers hash their domain header and payload in place instead of
+/// concatenating them into one buffer first.
+util::BitString sha256_expand(const Sha256& prefix, std::size_t out_bits);
+
+/// The first 64 bits of sha256_expand(prefix, 64), MSB-first, as an integer.
+std::uint64_t sha256_expand_u64(const Sha256& prefix);
+
+/// Write `v` as 8 little-endian bytes, the layout of every integer field in
+/// the tree's domain-separated hash prefixes.
+inline void store_le64(std::uint8_t* out, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) out[i] = static_cast<std::uint8_t>(v >> (i * 8));
+}
 
 }  // namespace mpch::hash

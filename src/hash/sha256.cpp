@@ -1,7 +1,14 @@
 #include "hash/sha256.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
+
+#include "hash/sha256_compress.hpp"
+
+#ifdef MPCH_SHA256_HAVE_SHANI
+#include <immintrin.h>
+#endif
 
 namespace mpch::hash {
 
@@ -37,6 +44,126 @@ inline std::uint32_t maj(std::uint32_t x, std::uint32_t y, std::uint32_t z) {
 
 }  // namespace
 
+namespace detail {
+
+void compress_scalar(std::uint32_t* state, const std::uint8_t* blocks, std::size_t nblocks) {
+  for (; nblocks > 0; --nblocks, blocks += 64) {
+    std::array<std::uint32_t, 64> w{};
+    for (int i = 0; i < 16; ++i) {
+      w[i] = (static_cast<std::uint32_t>(blocks[i * 4]) << 24) |
+             (static_cast<std::uint32_t>(blocks[i * 4 + 1]) << 16) |
+             (static_cast<std::uint32_t>(blocks[i * 4 + 2]) << 8) |
+             static_cast<std::uint32_t>(blocks[i * 4 + 3]);
+    }
+    for (int i = 16; i < 64; ++i) {
+      w[i] = small_sigma1(w[i - 2]) + w[i - 7] + small_sigma0(w[i - 15]) + w[i - 16];
+    }
+
+    std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+    std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+
+    for (int i = 0; i < 64; ++i) {
+      std::uint32_t t1 = h + big_sigma1(e) + ch(e, f, g) + kRoundConstants[i] + w[i];
+      std::uint32_t t2 = big_sigma0(a) + maj(a, b, c);
+      h = g;
+      g = f;
+      f = e;
+      e = d + t1;
+      d = c;
+      c = b;
+      b = a;
+      a = t1 + t2;
+    }
+
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+    state[4] += e;
+    state[5] += f;
+    state[6] += g;
+    state[7] += h;
+  }
+}
+
+#ifdef MPCH_SHA256_HAVE_SHANI
+// The SHA extensions keep the working words as two vectors, ABEF and CDGH.
+// sha256rnds2 runs two rounds from the low two words of its third operand
+// (message word + round constant); each 4-round group calls it twice. The
+// message schedule lives in four vectors msg[g % 4], each holding the four
+// words W[4g..4g+3]; for g >= 4, sha256msg1/msg2 derive a group from the
+// four before it, with the W[t-7] term taken from an alignr of the two
+// most recent groups.
+__attribute__((target("sha,sse4.1,ssse3"))) void compress_shani(std::uint32_t* state,
+                                                                 const std::uint8_t* blocks,
+                                                                 std::size_t nblocks) {
+  // Big-endian message words: byte-swap each 32-bit lane.
+  const __m128i byte_swap = _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
+  // H0..H7 are the words A..H; vector names list lanes high to low.
+  const __m128i cdab =
+      _mm_shuffle_epi32(_mm_loadu_si128(reinterpret_cast<const __m128i*>(state)), 0xB1);
+  const __m128i efgh =
+      _mm_shuffle_epi32(_mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4)), 0x1B);
+  __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+  __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
+
+  for (; nblocks > 0; --nblocks, blocks += 64) {
+    const __m128i abef_in = abef;
+    const __m128i cdgh_in = cdgh;
+    __m128i msg[4];
+    // Fully unrolled, msg[] lives in registers; as a loop it spills.
+#pragma GCC unroll 16
+    for (std::size_t g = 0; g < 16; ++g) {
+      __m128i& w = msg[g & 3];
+      if (g < 4) {
+        w = _mm_shuffle_epi8(
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(blocks + 16 * g)), byte_swap);
+      } else {
+        const __m128i prev = msg[(g + 3) & 3];
+        w = _mm_sha256msg1_epu32(w, msg[(g + 1) & 3]);
+        w = _mm_add_epi32(w, _mm_alignr_epi8(prev, msg[(g + 2) & 3], 4));
+        w = _mm_sha256msg2_epu32(w, prev);
+      }
+      const __m128i wk = _mm_add_epi32(
+          w, _mm_loadu_si128(reinterpret_cast<const __m128i*>(&kRoundConstants[4 * g])));
+      cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+      abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  }
+
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1B);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state), _mm_blend_epi16(feba, dchg, 0xF0));  // DCBA
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4), _mm_alignr_epi8(dchg, feba, 8));  // HGFE
+}
+#endif
+
+bool shani_supported() {
+#ifdef MPCH_SHA256_HAVE_SHANI
+  static const bool supported = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("sha") && __builtin_cpu_supports("sse4.1") &&
+           __builtin_cpu_supports("ssse3");
+  }();
+  return supported;
+#else
+  return false;
+#endif
+}
+
+void compress(std::uint32_t* state, const std::uint8_t* blocks, std::size_t nblocks) {
+#ifdef MPCH_SHA256_HAVE_SHANI
+  static const CompressFn selected = shani_supported() ? compress_shani : compress_scalar;
+  selected(state, blocks, nblocks);
+#else
+  compress_scalar(state, blocks, nblocks);
+#endif
+}
+
+}  // namespace detail
+
 void Sha256::reset() {
   state_ = kInitState;
   buffer_len_ = 0;
@@ -46,56 +173,28 @@ void Sha256::reset() {
 
 void Sha256::update(const std::uint8_t* data, std::size_t len) {
   if (finalized_) throw std::logic_error("Sha256::update after digest(); call reset() first");
+  if (len == 0) return;
   total_bytes_ += len;
-  while (len > 0) {
-    std::size_t take = std::min<std::size_t>(64 - buffer_len_, len);
+  if (buffer_len_ > 0) {
+    const std::size_t take = std::min<std::size_t>(64 - buffer_len_, len);
     std::memcpy(buffer_.data() + buffer_len_, data, take);
     buffer_len_ += take;
     data += take;
     len -= take;
-    if (buffer_len_ == 64) {
-      process_block(buffer_.data());
-      buffer_len_ = 0;
-    }
+    if (buffer_len_ < 64) return;
+    detail::compress(state_.data(), buffer_.data(), 1);
+    buffer_len_ = 0;
   }
-}
-
-void Sha256::process_block(const std::uint8_t* block) {
-  std::array<std::uint32_t, 64> w{};
-  for (int i = 0; i < 16; ++i) {
-    w[i] = (static_cast<std::uint32_t>(block[i * 4]) << 24) |
-           (static_cast<std::uint32_t>(block[i * 4 + 1]) << 16) |
-           (static_cast<std::uint32_t>(block[i * 4 + 2]) << 8) |
-           static_cast<std::uint32_t>(block[i * 4 + 3]);
+  // Whole blocks are hashed straight from the input, without the buffer.
+  if (const std::size_t blocks = len / 64; blocks > 0) {
+    detail::compress(state_.data(), data, blocks);
+    data += blocks * 64;
+    len -= blocks * 64;
   }
-  for (int i = 16; i < 64; ++i) {
-    w[i] = small_sigma1(w[i - 2]) + w[i - 7] + small_sigma0(w[i - 15]) + w[i - 16];
+  if (len > 0) {
+    std::memcpy(buffer_.data(), data, len);
+    buffer_len_ = len;
   }
-
-  std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  std::uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
-
-  for (int i = 0; i < 64; ++i) {
-    std::uint32_t t1 = h + big_sigma1(e) + ch(e, f, g) + kRoundConstants[i] + w[i];
-    std::uint32_t t2 = big_sigma0(a) + maj(a, b, c);
-    h = g;
-    g = f;
-    f = e;
-    e = d + t1;
-    d = c;
-    c = b;
-    b = a;
-    a = t1 + t2;
-  }
-
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
 }
 
 Sha256::Digest Sha256::digest() {
@@ -104,19 +203,18 @@ Sha256::Digest Sha256::digest() {
 
   std::uint64_t bit_len = total_bytes_ * 8;
   // Padding: 0x80, zeros, then 64-bit big-endian length.
-  std::uint8_t pad = 0x80;
   std::size_t blen = buffer_len_;
-  buffer_[blen++] = pad;
+  buffer_[blen++] = 0x80;
   if (blen > 56) {
-    while (blen < 64) buffer_[blen++] = 0;
-    process_block(buffer_.data());
+    std::memset(buffer_.data() + blen, 0, 64 - blen);
+    detail::compress(state_.data(), buffer_.data(), 1);
     blen = 0;
   }
-  while (blen < 56) buffer_[blen++] = 0;
+  std::memset(buffer_.data() + blen, 0, 56 - blen);
   for (int i = 0; i < 8; ++i) {
     buffer_[56 + i] = static_cast<std::uint8_t>(bit_len >> (56 - i * 8));
   }
-  process_block(buffer_.data());
+  detail::compress(state_.data(), buffer_.data(), 1);
 
   Digest out{};
   for (int i = 0; i < 8; ++i) {

@@ -4,7 +4,9 @@
 // methodology* — replace RO by "a good cryptographic hash function h" to get
 // a concrete hard function f^h. Sha256 is that h. It is implemented from
 // scratch (no external crypto dependency) and validated against the FIPS
-// 180-4 test vectors in tests/hash_test.cpp.
+// 180-4 test vectors in tests/sha256_test.cpp. Blocks are compressed by the
+// CPU's SHA extensions when it has them and by the scalar FIPS 180-4 rounds
+// otherwise (see sha256_compress.hpp); both give the same digest.
 #pragma once
 
 #include <array>
@@ -46,8 +48,6 @@ class Sha256 {
   static std::string to_hex(const Digest& d);
 
  private:
-  void process_block(const std::uint8_t* block);
-
   std::array<std::uint32_t, 8> state_{};
   std::array<std::uint8_t, 64> buffer_{};
   std::size_t buffer_len_ = 0;

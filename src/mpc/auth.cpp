@@ -6,16 +6,20 @@ namespace mpch::mpc {
 
 namespace {
 
-void append_u64(std::vector<std::uint8_t>& buf, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) buf.push_back(static_cast<std::uint8_t>(v >> (i * 8)));
-}
-
-void append_message(std::vector<std::uint8_t>& buf, const Message& msg) {
-  append_u64(buf, msg.from);
-  append_u64(buf, msg.to);
-  append_u64(buf, msg.payload.size());
-  const auto& bytes = msg.payload.bytes();
-  buf.insert(buf.end(), bytes.begin(), bytes.end());
+// The MAC's hash state after "MMAC" || seed || round || from || to ||
+// body_bits (integer fields little-endian): the caller feeds the body's
+// packed bytes next.
+hash::Sha256 mac_state(std::uint64_t tape_seed, std::uint64_t round, std::uint64_t from,
+                       std::uint64_t to, std::uint64_t body_bits) {
+  std::uint8_t header[4 + 8 * 5] = {'M', 'M', 'A', 'C'};
+  hash::store_le64(header + 4, tape_seed);
+  hash::store_le64(header + 12, round);
+  hash::store_le64(header + 20, from);
+  hash::store_le64(header + 28, to);
+  hash::store_le64(header + 36, body_bits);
+  hash::Sha256 h;
+  h.update(header, sizeof header);
+  return h;
 }
 
 }  // namespace
@@ -25,35 +29,30 @@ util::BitString message_tag(std::uint64_t tape_seed, std::uint64_t round, std::u
   // PRF(seed, round || from || to || payload), domain-separated by "MMAC"
   // from every other sha256_expand use (tape "TAPE", oracle "LRO",
   // checkpoint checksum "CKPT", attestation "ATST").
-  std::vector<std::uint8_t> prefix;
-  prefix.reserve(4 + 8 * 5 + payload.bytes().size());
-  prefix.push_back('M');
-  prefix.push_back('M');
-  prefix.push_back('A');
-  prefix.push_back('C');
-  append_u64(prefix, tape_seed);
-  append_u64(prefix, round);
-  append_u64(prefix, from);
-  append_u64(prefix, to);
-  append_u64(prefix, payload.size());
-  const auto& bytes = payload.bytes();
-  prefix.insert(prefix.end(), bytes.begin(), bytes.end());
-  return hash::sha256_expand(prefix, kMessageTagBits);
+  hash::Sha256 h = mac_state(tape_seed, round, from, to, payload.size());
+  h.update(payload.bytes());
+  return util::BitString::from_uint(hash::sha256_expand_u64(h), kMessageTagBits);
 }
 
 std::uint64_t attestation_digest(std::uint64_t tape_seed, std::uint64_t round,
                                  std::uint64_t machine, const std::vector<Message>& inbox) {
-  std::vector<std::uint8_t> prefix;
-  prefix.reserve(4 + 8 * 3 + inbox.size() * 24);
-  prefix.push_back('A');
-  prefix.push_back('T');
-  prefix.push_back('S');
-  prefix.push_back('T');
-  append_u64(prefix, tape_seed);
-  append_u64(prefix, round);
-  append_u64(prefix, machine);
-  for (const auto& msg : inbox) append_message(prefix, msg);
-  return hash::sha256_expand(prefix, 64).get_uint(0, 64);
+  // "ATST" || seed || round || machine, then per message from || to ||
+  // payload bits || payload bytes.
+  std::uint8_t header[4 + 8 * 3] = {'A', 'T', 'S', 'T'};
+  hash::store_le64(header + 4, tape_seed);
+  hash::store_le64(header + 12, round);
+  hash::store_le64(header + 20, machine);
+  hash::Sha256 h;
+  h.update(header, sizeof header);
+  for (const auto& msg : inbox) {
+    std::uint8_t fields[8 * 3];
+    hash::store_le64(fields, msg.from);
+    hash::store_le64(fields + 8, msg.to);
+    hash::store_le64(fields + 16, msg.payload.size());
+    h.update(fields, sizeof fields);
+    h.update(msg.payload.bytes());
+  }
+  return hash::sha256_expand_u64(h);
 }
 
 std::vector<std::uint64_t> attestation_digests(std::uint64_t tape_seed, std::uint64_t round,
@@ -81,10 +80,18 @@ void verify_inbox_tags(std::uint64_t tape_seed, std::uint64_t round, std::uint64
                                 std::to_string(msg.payload.size()) +
                                 " bits, too short to carry a tag");
     }
+    // The tag over the payload's first body_bits, hashed in place: the
+    // whole body bytes, then — when the body ends mid-byte — its last byte
+    // with the tag bits that share it masked out.
     const std::size_t body_bits = msg.payload.size() - kMessageTagBits;
-    util::BitString body = msg.payload.slice(0, body_bits);
-    util::BitString tag = msg.payload.slice(body_bits, kMessageTagBits);
-    if (tag != message_tag(tape_seed, round, msg.from, msg.to, body)) {
+    const std::uint8_t* bytes = msg.payload.bytes().data();
+    hash::Sha256 h = mac_state(tape_seed, round, msg.from, msg.to, body_bits);
+    h.update(bytes, body_bits / 8);
+    if (const std::size_t rem = body_bits % 8; rem != 0) {
+      const auto last = static_cast<std::uint8_t>(bytes[body_bits / 8] & (0xFFU << (8 - rem)));
+      h.update(&last, 1);
+    }
+    if (msg.payload.get_uint(body_bits, kMessageTagBits) != hash::sha256_expand_u64(h)) {
       throw TamperViolation(machine, round, idx, byte_offset,
                             "authentication failed: message " + std::to_string(idx) +
                                 " delivered to machine " + std::to_string(machine) +

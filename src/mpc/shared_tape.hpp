@@ -8,7 +8,6 @@
 #include <cstdint>
 
 #include "hash/random_oracle.hpp"
-#include "util/bitstring.hpp"
 
 namespace mpch::mpc {
 
@@ -16,29 +15,15 @@ class SharedTape {
  public:
   explicit SharedTape(std::uint64_t seed) : seed_(seed) {}
 
-  /// Bit at absolute tape position `index`.
-  bool bit(std::uint64_t index) const { return word(index / 64) >> (index % 64) & 1ULL; }
-
   /// 64 random bits at word-granular position `word_index`.
   std::uint64_t word(std::uint64_t word_index) const {
-    std::vector<std::uint8_t> prefix;
-    prefix.reserve(4 + 16);
-    prefix.push_back('T');
-    prefix.push_back('A');
-    prefix.push_back('P');
-    prefix.push_back('E');
-    for (int i = 0; i < 8; ++i) prefix.push_back(static_cast<std::uint8_t>(seed_ >> (i * 8)));
-    for (int i = 0; i < 8; ++i) prefix.push_back(static_cast<std::uint8_t>(word_index >> (i * 8)));
-    util::BitString bits = hash::sha256_expand(prefix, 64);
-    return bits.get_uint(0, 64);
-  }
-
-  /// `len` tape bits starting at position `pos` as a BitString (len-agnostic
-  /// convenience used by randomised strategies).
-  util::BitString bits(std::uint64_t pos, std::uint64_t len) const {
-    util::BitString out(len);
-    for (std::uint64_t i = 0; i < len; ++i) out.set(i, bit(pos + i));
-    return out;
+    // "TAPE" || seed || word_index, integer fields little-endian.
+    std::uint8_t prefix[4 + 8 + 8] = {'T', 'A', 'P', 'E'};
+    hash::store_le64(prefix + 4, seed_);
+    hash::store_le64(prefix + 12, word_index);
+    hash::Sha256 h;
+    h.update(prefix, sizeof prefix);
+    return hash::sha256_expand_u64(h);
   }
 
   std::uint64_t seed() const { return seed_; }

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cstring>
 #include <stdexcept>
+#include <utility>
 
 namespace mpch::util {
 
@@ -108,9 +109,10 @@ BitString BitString::from_binary_string(const std::string& bits) {
   return out;
 }
 
-BitString BitString::from_bytes(const std::vector<std::uint8_t>& bytes) {
-  BitString out(bytes.size() * kByteBits);
-  out.bytes_ = bytes;
+BitString BitString::from_bytes(std::vector<std::uint8_t> bytes) {
+  BitString out;
+  out.nbits_ = bytes.size() * kByteBits;
+  out.bytes_ = std::move(bytes);
   return out;
 }
 

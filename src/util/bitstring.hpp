@@ -42,8 +42,9 @@ class BitString {
   /// Parse a string of '0'/'1' characters.
   static BitString from_binary_string(const std::string& bits);
 
-  /// Wrap a full byte buffer (length = 8 * bytes.size() bits).
-  static BitString from_bytes(const std::vector<std::uint8_t>& bytes);
+  /// Wrap a full byte buffer (length = 8 * bytes.size() bits). Pass an
+  /// rvalue to hand the buffer over without a copy.
+  static BitString from_bytes(std::vector<std::uint8_t> bytes);
 
   /// A uniformly random string of `nbits` bits drawn from `next_u64`,
   /// a callable returning fresh 64-bit words.

@@ -373,7 +373,8 @@ TEST(StaticCheckerIntervalEdges, ExactBudgetBoundaryAfterSpaceScale) {
   over.steady.memory_bits = 26;  // scales to 104 > 100
   const ProtocolSpec over_scaled =
       reduce::apply_term(reduce::Term::space_scale(4), over).spec;
-  const Diagnostic* d = find(check_spec(over_scaled, c), ViolationKind::kMemory);
+  const AnalysisReport report = check_spec(over_scaled, c);
+  const Diagnostic* d = find(report, ViolationKind::kMemory);
   ASSERT_NE(d, nullptr);
   EXPECT_EQ(d->value, 104u);
   EXPECT_EQ(d->limit, 100u);
@@ -413,7 +414,8 @@ TEST(StaticCheckerIntervalEdges, OverflowSaturatesInsteadOfWrapping) {
   c.machines = 4;
   c.max_rounds = 2;
   c.local_memory_bits = 1 << 20;
-  const Diagnostic* d = find(check_spec(scaled.spec, c), ViolationKind::kMemory);
+  const AnalysisReport report = check_spec(scaled.spec, c);
+  const Diagnostic* d = find(report, ViolationKind::kMemory);
   ASSERT_NE(d, nullptr) << "a wrapped (tiny) bound would have been admitted";
   EXPECT_EQ(d->value, kMax);
 }

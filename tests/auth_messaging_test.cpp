@@ -13,6 +13,8 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "fault/checkpoint.hpp"
@@ -20,8 +22,10 @@
 #include "fault/injector.hpp"
 #include "fault/recovery.hpp"
 #include "hash/random_oracle.hpp"
+#include "hash_reference.hpp"
 #include "mpc/simulation.hpp"
 #include "transport/socket.hpp"
+#include "util/rng.hpp"
 #include "util/serialize.hpp"
 
 namespace mpch::mpc {
@@ -123,6 +127,129 @@ TEST(MessageTag, TamperViolationCarriesProvenance) {
   // A payload shorter than one tag cannot be authentic at all.
   std::vector<Message> runt = {{0, 1, BitString::from_uint(1, 8)}};
   EXPECT_THROW(verify_inbox_tags(9, 2, 1, runt), TamperViolation);
+}
+
+/// A fixed bit pattern of `n` bits; `k` varies it between messages. The
+/// golden values below were recorded on exactly these payloads.
+BitString pattern(std::size_t n, unsigned k) {
+  BitString b(n);
+  for (std::size_t i = 0; i < n; ++i) b.set(i, ((i * k + 3) % 5) < 2);
+  return b;
+}
+
+TEST(MessageTag, MatchesPrefixBuildingReferenceForEveryBodyLength) {
+  // Bodies of 0..300 bits cover every offset of the body's end inside a
+  // byte, so verify's mid-byte masking runs for seven in every eight.
+  util::SplitMix64 rng(300);
+  const auto paths = hash::reference::compress_paths();
+  for (std::size_t body_bits = 0; body_bits <= 300; ++body_bits) {
+    SCOPED_TRACE("body_bits=" + std::to_string(body_bits));
+    const BitString body = BitString::random(body_bits, [&] { return rng.next(); });
+    const BitString tag = message_tag(9, 5, 2, 0, body);
+    for (const auto& path : paths) {
+      ASSERT_EQ(tag, hash::reference::reference_message_tag(9, 5, 2, 0, body, path.fn))
+          << path.name;
+    }
+    const std::vector<Message> inbox = {{2, 0, body + tag}};
+    ASSERT_NO_THROW(verify_inbox_tags(9, 5, 0, inbox));
+    ASSERT_EQ(strip_tags(inbox)[0].payload, body);
+  }
+}
+
+TEST(MessageTag, GoldenValues) {
+  // Recorded before the MAC hashed in place; every tag on the wire depends
+  // on these bytes, so they must never move.
+  const std::vector<std::pair<std::size_t, std::uint64_t>> golden = {
+      {0, 0x55577a274da6fe1bULL},
+      {13, 0x9ac6945f86eb5486ULL},
+      {16, 0x9e5dde5cb2094b7dULL},
+      {64, 0xdf3d5ca63bdaf8aaULL},
+      {300, 0xdcaa735477deca3bULL}};
+  for (const auto& [bits, value] : golden) {
+    const BitString body = pattern(bits, 7);
+    EXPECT_EQ(message_tag(7, 3, 1, 2, body).get_uint(0, 64), value) << bits << " body bits";
+    for (const auto& path : hash::reference::compress_paths()) {
+      EXPECT_EQ(hash::reference::reference_message_tag(7, 3, 1, 2, body, path.fn).get_uint(0, 64),
+                value)
+          << path.name << ", " << bits << " body bits";
+    }
+  }
+}
+
+TEST(Attestation, GoldenValuesAndReference) {
+  const std::vector<Message> inbox = {{0, 2, pattern(77, 3)}, {1, 2, pattern(128, 11)}};
+  EXPECT_EQ(attestation_digest(7, 3, 2, inbox), 0x255f612c7b2dad9dULL);
+  EXPECT_EQ(attestation_digest(7, 3, 2, {}), 0x98de5be38b1e25d0ULL);
+  for (const auto& path : hash::reference::compress_paths()) {
+    EXPECT_EQ(hash::reference::reference_attestation_digest(7, 3, 2, inbox, path.fn),
+              0x255f612c7b2dad9dULL)
+        << path.name;
+    EXPECT_EQ(hash::reference::reference_attestation_digest(7, 3, 2, {}, path.fn),
+              0x98de5be38b1e25d0ULL)
+        << path.name;
+  }
+}
+
+/// Two tagged messages to machine 1 in round 2 whose 13-bit bodies end
+/// mid-byte: each body's last byte also carries the first three tag bits.
+/// Message 0 takes 77 bits, so message 1 starts at byte offset 9.
+std::vector<Message> mid_byte_inbox() {
+  const BitString a = pattern(13, 3);
+  const BitString b = pattern(13, 7);
+  return {{0, 1, a + message_tag(9, 2, 0, 1, a)}, {2, 1, b + message_tag(9, 2, 2, 1, b)}};
+}
+
+void expect_mismatch_in_message_1(const std::vector<Message>& inbox) {
+  try {
+    verify_inbox_tags(9, 2, 1, inbox);
+    FAIL() << "tampered inbox verified";
+  } catch (const TamperViolation& tv) {
+    EXPECT_EQ(tv.machine(), 1u);
+    EXPECT_EQ(tv.round(), 2u);
+    EXPECT_EQ(tv.message_index(), 1u);
+    EXPECT_EQ(tv.byte_offset(), 9u);
+    EXPECT_STREQ(tv.what(),
+                 "authentication failed: message 1 delivered to machine 1 after round 2 "
+                 "(claimed sender 2, byte offset 9 in the inbox) does not match its MAC tag");
+  }
+}
+
+TEST(MessageTag, MidByteBodyVerifies) {
+  EXPECT_NO_THROW(verify_inbox_tags(9, 2, 1, mid_byte_inbox()));
+}
+
+TEST(MessageTag, FlippedLastBodyBitInSharedByteIsCaught) {
+  std::vector<Message> inbox = mid_byte_inbox();
+  inbox[1].payload.set(12, !inbox[1].payload.get(12));
+  expect_mismatch_in_message_1(inbox);
+}
+
+TEST(MessageTag, FlippedFirstTagBitInSharedByteIsCaught) {
+  std::vector<Message> inbox = mid_byte_inbox();
+  inbox[1].payload.set(13, !inbox[1].payload.get(13));
+  expect_mismatch_in_message_1(inbox);
+}
+
+TEST(MessageTag, EmptyBodyVerifiesAndRuntIsRejected) {
+  // A bare 64-bit tag is a valid message with an empty body.
+  const std::vector<Message> empty = {{0, 1, message_tag(9, 2, 0, 1, BitString())}};
+  ASSERT_EQ(empty[0].payload.size(), kMessageTagBits);
+  EXPECT_NO_THROW(verify_inbox_tags(9, 2, 1, empty));
+  EXPECT_EQ(strip_tags(empty)[0].payload, BitString());
+
+  // One bit short of a tag: rejected before any hashing, as a runt.
+  BitString runt = empty[0].payload;
+  runt.truncate(kMessageTagBits - 1);
+  try {
+    verify_inbox_tags(9, 2, 1, {{0, 1, runt}});
+    FAIL() << "63-bit payload verified";
+  } catch (const TamperViolation& tv) {
+    EXPECT_EQ(tv.message_index(), 0u);
+    EXPECT_EQ(tv.byte_offset(), 0u);
+    EXPECT_STREQ(tv.what(),
+                 "authentication failed: message 0 delivered to machine 1 after round 2 "
+                 "(byte offset 0 in the inbox) is 63 bits, too short to carry a tag");
+  }
 }
 
 TEST(Attestation, DigestsAreDeterministicAndContentBound) {

@@ -8,10 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "hash/random_oracle.hpp"
+#include "hash_reference.hpp"
 #include "util/serialize.hpp"
 
 namespace mpch {
@@ -103,6 +107,27 @@ TEST(Checkpoint, FlippedPayloadBitIsRejectedByChecksum) {
     FAIL() << "corrupted payload accepted";
   } catch (const CheckpointError& e) {
     EXPECT_NE(std::string(e.what()).find("checksum mismatch"), std::string::npos) << e.what();
+  }
+}
+
+TEST(Checkpoint, PayloadChecksumGoldenValues) {
+  // The checksum sits after the 8 magic bytes, the version and the payload
+  // length. Recorded before the checksum hashed in place; every checked-in
+  // snapshot depends on these bytes.
+  const std::vector<std::pair<std::size_t, std::uint64_t>> golden = {
+      {0, 0x5a4ac262a7dd5a14ULL},
+      {100, 0xb9c8100d005eec70ULL},
+      {1000, 0x8b9f9b3d6844f849ULL},
+      {69600, 0xd7623c5b77671bb4ULL}};
+  for (const auto& [bits, value] : golden) {
+    BitString payload(bits);
+    for (std::size_t i = 0; i < bits; ++i) payload.set(i, ((i * 13 + 3) % 5) < 2);
+    EXPECT_EQ(fault::frame_checkpoint_payload(payload).get_uint(192, 64), value)
+        << bits << " payload bits";
+    for (const auto& path : hash::reference::compress_paths()) {
+      EXPECT_EQ(hash::reference::reference_payload_checksum(payload, path.fn), value)
+          << path.name << ", " << bits << " payload bits";
+    }
   }
 }
 

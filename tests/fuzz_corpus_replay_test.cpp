@@ -24,6 +24,7 @@
 #include "ram/machine.hpp"
 #include "reduce/reduction_file.hpp"
 #include "serve/job_spec.hpp"
+#include "sha256_differential.hpp"
 #include "transport/wire.hpp"
 #include "util/bitstring.hpp"
 #include "verify/program_decoder.hpp"
@@ -57,6 +58,21 @@ TEST(FuzzCorpusReplay, BitStringCorpusMatchesReference) {
     ++replayed;
   }
   EXPECT_GE(replayed, 10u) << "bitstring corpus went missing — check fuzz/corpus/bitstring";
+}
+
+TEST(FuzzCorpusReplay, Sha256CorpusMatchesScalarReference) {
+  // Mirrors fuzz/fuzz_sha256.cpp: every seed message, fed to the dispatched
+  // Sha256 in its split pieces, must hash like the scalar one-shot.
+  std::size_t replayed = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(corpus_root() / "sha256")) {
+    SCOPED_TRACE(entry.path().string());
+    std::vector<std::uint8_t> bytes = read_file(entry.path());
+    const std::optional<std::string> diff =
+        mpch::hash::run_sha256_differential(bytes.data(), bytes.size());
+    EXPECT_FALSE(diff.has_value()) << *diff;
+    ++replayed;
+  }
+  EXPECT_GE(replayed, 8u) << "sha256 corpus went missing — check fuzz/corpus/sha256";
 }
 
 TEST(FuzzCorpusReplay, CheckpointCorpusRejectsOrParsesTyped) {

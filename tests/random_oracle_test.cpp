@@ -144,5 +144,36 @@ TEST(Sha256Expand, ProducesRequestedBitsDeterministically) {
   EXPECT_EQ(a.slice(0, 100), d);
 }
 
+BitString pattern(std::size_t n, unsigned k) {
+  BitString b(n);
+  for (std::size_t i = 0; i < n; ++i) b.set(i, ((i * k + 3) % 5) < 2);
+  return b;
+}
+
+TEST(Sha256Expand, GoldenValues) {
+  // Recorded before the expansion and the oracles hashed in place: a
+  // 513-bit expansion spans three counter blocks and ends mid-byte.
+  EXPECT_EQ(sha256_expand({1, 2, 3}, 0).size(), 0u);
+  EXPECT_EQ(sha256_expand({1, 2, 3}, 513).to_hex_string(),
+            "33039fca04699df0cbf328f37d8fd61eeac2612d2d2cddb89d4c6fc4a4a1a3de6d0d07a7d8f116124cf"
+            "7dc8817849be15168935f3a61991db4effbc3e7bdb8c68");
+  LazyRandomOracle lazy(40, 300, 5);
+  EXPECT_EQ(lazy.query(pattern(40, 3)).to_hex_string(),
+            "9081479aab5de966ae0f9cb5a033324be324790fadd7f9ed7099245ff6451dbf6d657c7d0f8");
+  Sha256Oracle pub(40, 77);
+  EXPECT_EQ(pub.query(pattern(40, 3)).to_hex_string(), "3c077491c76943fe77d0");
+}
+
+TEST(Sha256Expand, InPlacePrefixMatchesByteVector) {
+  // Feeding the prefix through update() in pieces gives the same expansion
+  // as the concatenated byte vector.
+  const std::vector<std::uint8_t> prefix = {9, 8, 7, 6, 5, 4, 3, 2, 1};
+  Sha256 h;
+  h.update(prefix.data(), 4);
+  h.update(prefix.data() + 4, prefix.size() - 4);
+  EXPECT_EQ(sha256_expand(h, 600), sha256_expand(prefix, 600));
+  EXPECT_EQ(sha256_expand_u64(h), sha256_expand(prefix, 64).get_uint(0, 64));
+}
+
 }  // namespace
 }  // namespace mpch::hash

@@ -2,7 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
 #include <string>
+#include <utility>
+#include <vector>
+
+#include "hash/sha256_compress.hpp"
+#include "hash_reference.hpp"
+#include "util/rng.hpp"
 
 namespace mpch::hash {
 namespace {
@@ -80,6 +88,99 @@ TEST(Sha256, LengthExtensionDistinctFromConcat) {
   auto a = Sha256::hash(std::string("a"));
   auto ab = Sha256::hash(std::string("ab"));
   EXPECT_NE(a, ab);
+}
+
+std::vector<std::uint8_t> random_bytes(util::SplitMix64& rng, std::size_t n) {
+  std::vector<std::uint8_t> out(n);
+  for (auto& b : out) b = static_cast<std::uint8_t>(rng.next());
+  return out;
+}
+
+std::vector<std::uint8_t> bytes_of(const std::string& s) { return {s.begin(), s.end()}; }
+
+TEST(Sha256, FipsVectorsOnEveryCompressionPath) {
+  const std::vector<std::pair<std::string, std::string>> vectors = {
+      {"", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+      {"abc", "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"},
+      {"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+       "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"},
+      {std::string(1000000, 'a'),
+       "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"}};
+  for (const auto& path : reference::compress_paths()) {
+    for (const auto& [msg, hex] : vectors) {
+      EXPECT_EQ(Sha256::to_hex(reference::sha256(path.fn, bytes_of(msg))), hex)
+          << path.name << ", message of " << msg.size() << " bytes";
+    }
+  }
+}
+
+TEST(Sha256Compress, ShaNiMatchesScalarOnRandomStatesAndBlocks) {
+#ifdef MPCH_SHA256_HAVE_SHANI
+  if (!detail::shani_supported()) {
+    GTEST_SKIP() << "this CPU has no SHA-NI: only the scalar compression path can run here";
+  }
+  util::SplitMix64 rng(0x5a256);
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::array<std::uint32_t, 8> scalar{};
+    for (auto& w : scalar) w = static_cast<std::uint32_t>(rng.next());
+    std::array<std::uint32_t, 8> shani = scalar;
+    const std::size_t nblocks = 1 + trial % 4;
+    const std::vector<std::uint8_t> blocks = random_bytes(rng, 64 * nblocks);
+    detail::compress_scalar(scalar.data(), blocks.data(), nblocks);
+    detail::compress_shani(shani.data(), blocks.data(), nblocks);
+    ASSERT_EQ(shani, scalar) << "trial " << trial << ", " << nblocks << " blocks";
+  }
+#else
+  GTEST_SKIP() << "not an x86 build: there is no SHA-NI compression path";
+#endif
+}
+
+TEST(Sha256Compress, DispatchedCompressMatchesScalar) {
+  // Whatever the dispatch picks, it must give the scalar result.
+  util::SplitMix64 rng(17);
+  std::array<std::uint32_t, 8> scalar{};
+  for (auto& w : scalar) w = static_cast<std::uint32_t>(rng.next());
+  std::array<std::uint32_t, 8> dispatched = scalar;
+  const std::vector<std::uint8_t> blocks = random_bytes(rng, 64 * 3);
+  detail::compress_scalar(scalar.data(), blocks.data(), 3);
+  detail::compress(dispatched.data(), blocks.data(), 3);
+  EXPECT_EQ(dispatched, scalar);
+  const std::size_t paths = reference::compress_paths().size();
+  EXPECT_EQ(paths, detail::shani_supported() ? 2u : 1u);
+}
+
+TEST(Sha256, DigestsMatchReferenceForLengthsUpTo1000) {
+  util::SplitMix64 rng(1000);
+  const std::vector<std::uint8_t> data = random_bytes(rng, 1000);
+  for (std::size_t len = 0; len <= data.size(); ++len) {
+    const Sha256::Digest got = Sha256::hash(data.data(), len);
+    for (const auto& path : reference::compress_paths()) {
+      ASSERT_EQ(got, reference::sha256(path.fn, data.data(), len))
+          << path.name << ", length " << len;
+    }
+  }
+}
+
+TEST(Sha256, EveryTwoPieceSplitUpTo130Bytes) {
+  util::SplitMix64 rng(130);
+  const std::vector<std::uint8_t> data = random_bytes(rng, 130);
+  for (std::size_t len = 0; len <= data.size(); ++len) {
+    const Sha256::Digest want = reference::sha256(detail::compress_scalar, data.data(), len);
+    for (std::size_t split = 0; split <= len; ++split) {
+      Sha256 h;
+      h.update(data.data(), split);
+      h.update(data.data() + split, len - split);
+      ASSERT_EQ(h.digest(), want) << "length " << len << ", split " << split;
+    }
+  }
+}
+
+TEST(Sha256, ByteAtATimeMatchesOneShot) {
+  util::SplitMix64 rng(7);
+  const std::vector<std::uint8_t> data = random_bytes(rng, 300);
+  Sha256 h;
+  for (std::uint8_t b : data) h.update(&b, 1);
+  EXPECT_EQ(h.digest(), reference::sha256(detail::compress_scalar, data));
 }
 
 }  // namespace
