@@ -139,7 +139,7 @@ util::BitString blake2s_expand(const std::vector<std::uint8_t>& prefix, std::siz
                            static_cast<std::uint8_t>(counter)};
     b.update(ctr, 4);
     Blake2s::Digest d = b.digest();
-    out += util::BitString::from_bytes(std::vector<std::uint8_t>(d.begin(), d.end()));
+    out += util::BitString::from_bytes(d);
     ++counter;
   }
   out.truncate(out_bits);

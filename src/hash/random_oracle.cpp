@@ -33,18 +33,16 @@ Sha256::Digest expand_block(Sha256 h, std::uint32_t counter) {
 }  // namespace
 
 util::BitString sha256_expand(const Sha256& prefix, std::size_t out_bits) {
-  // Each counter block's digest lands straight in the output bytes; the
-  // last one is cut to the bytes still needed and truncate() clears the
+  // Each counter block's digest lands straight in the output's bytes; the
+  // last one is cut to the bytes still needed and with_bytes() clears the
   // bits past out_bits.
-  std::vector<std::uint8_t> bytes((out_bits + 7) / 8);
-  std::uint32_t counter = 0;
-  for (std::size_t pos = 0; pos < bytes.size(); pos += Sha256::kDigestBytes, ++counter) {
-    const Sha256::Digest d = expand_block(prefix, counter);
-    std::memcpy(bytes.data() + pos, d.data(), std::min(d.size(), bytes.size() - pos));
-  }
-  util::BitString out = util::BitString::from_bytes(std::move(bytes));
-  out.truncate(out_bits);
-  return out;
+  return util::BitString::with_bytes(out_bits, [&](std::uint8_t* bytes, std::size_t nbytes) {
+    std::uint32_t counter = 0;
+    for (std::size_t pos = 0; pos < nbytes; pos += Sha256::kDigestBytes, ++counter) {
+      const Sha256::Digest d = expand_block(prefix, counter);
+      std::memcpy(bytes + pos, d.data(), std::min(d.size(), nbytes - pos));
+    }
+  });
 }
 
 std::uint64_t sha256_expand_u64(const Sha256& prefix) {

@@ -12,8 +12,8 @@
 #include <array>
 #include <cstdint>
 #include <cstddef>
+#include <span>
 #include <string>
-#include <vector>
 
 namespace mpch::hash {
 
@@ -28,7 +28,9 @@ class Sha256 {
 
   void reset();
   void update(const std::uint8_t* data, std::size_t len);
-  void update(const std::vector<std::uint8_t>& data) { update(data.data(), data.size()); }
+  /// Takes any contiguous byte range: a std::vector, a std::array, or a
+  /// BitString's bytes() view.
+  void update(std::span<const std::uint8_t> data) { update(data.data(), data.size()); }
   void update(const std::string& data) {
     update(reinterpret_cast<const std::uint8_t*>(data.data()), data.size());
   }
@@ -38,7 +40,7 @@ class Sha256 {
 
   /// One-shot convenience.
   static Digest hash(const std::uint8_t* data, std::size_t len);
-  static Digest hash(const std::vector<std::uint8_t>& data) {
+  static Digest hash(std::span<const std::uint8_t> data) {
     return hash(data.data(), data.size());
   }
   static Digest hash(const std::string& data) {

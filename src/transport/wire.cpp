@@ -124,8 +124,7 @@ std::optional<WireFrame> FrameDecoder::next() {
     frame.fanout.emplace_back(to, seq);
     pos += 16;
   }
-  std::vector<std::uint8_t> payload(p + pos, p + total);
-  frame.payload = util::BitString::from_bytes(payload);
+  frame.payload = util::BitString::from_bytes({p + pos, p + total});
   frame.payload.truncate(static_cast<std::size_t>(payload_bits));
 
   buffer_.erase(buffer_.begin(), buffer_.begin() + static_cast<std::ptrdiff_t>(total));

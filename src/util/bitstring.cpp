@@ -88,7 +88,38 @@ void copy_bits(std::uint8_t* dst, std::size_t dpos, const std::uint8_t* src, std
 }
 }  // namespace
 
-BitString::BitString(std::size_t nbits) : bytes_(bytes_for(nbits), 0), nbits_(nbits) {}
+BitString& BitString::assign_heap(const BitString& rhs) {
+  const std::size_t n = rhs.byte_size();
+  if (n > capacity()) {
+    // The old contents are dead: allocate exactly n, as a vector copy does.
+    release();
+    data_ = new std::uint8_t[n];
+    capacity_ = n;
+  }
+  std::memcpy(data_, rhs.data_, n);
+  nbits_ = rhs.nbits_;
+  return *this;
+}
+
+void BitString::reserve(std::size_t nbytes) {
+  if (nbytes <= capacity()) return;
+  // std::vector's growth rule, so appends reallocate no more often than the
+  // vector this storage replaced.
+  const std::size_t cap = std::max(nbytes, 2 * byte_size());
+  auto* grown = new std::uint8_t[cap];
+  std::memcpy(grown, data_, byte_size());
+  release();
+  data_ = grown;
+  capacity_ = cap;
+}
+
+void BitString::grow(std::size_t nbits) {
+  const std::size_t old_bytes = byte_size();
+  const std::size_t new_bytes = bytes_for(nbits);
+  reserve(new_bytes);
+  std::memset(data_ + old_bytes, 0, new_bytes - old_bytes);
+  nbits_ = nbits;
+}
 
 BitString BitString::from_uint(std::uint64_t value, std::size_t nbits) {
   if (nbits > 64) throw std::invalid_argument("BitString::from_uint: nbits > 64");
@@ -109,11 +140,10 @@ BitString BitString::from_binary_string(const std::string& bits) {
   return out;
 }
 
-BitString BitString::from_bytes(std::vector<std::uint8_t> bytes) {
-  BitString out;
-  out.nbits_ = bytes.size() * kByteBits;
-  out.bytes_ = std::move(bytes);
-  return out;
+BitString BitString::from_bytes(ByteView bytes) {
+  return with_bytes(bytes.size() * kByteBits, [&](std::uint8_t* data, std::size_t) {
+    if (!bytes.empty()) std::memcpy(data, bytes.data(), bytes.size());
+  });
 }
 
 void BitString::check_range(std::size_t pos, std::size_t len) const {
@@ -126,97 +156,94 @@ void BitString::check_range(std::size_t pos, std::size_t len) const {
 
 bool BitString::get(std::size_t i) const {
   check_range(i, 1);
-  return (bytes_[i / kByteBits] >> (kByteBits - 1 - i % kByteBits)) & 1U;
+  return (data_[i / kByteBits] >> (kByteBits - 1 - i % kByteBits)) & 1U;
 }
 
 void BitString::set(std::size_t i, bool v) {
   check_range(i, 1);
   std::uint8_t mask = static_cast<std::uint8_t>(1U << (kByteBits - 1 - i % kByteBits));
   if (v) {
-    bytes_[i / kByteBits] |= mask;
+    data_[i / kByteBits] |= mask;
   } else {
-    bytes_[i / kByteBits] &= static_cast<std::uint8_t>(~mask);
+    data_[i / kByteBits] &= static_cast<std::uint8_t>(~mask);
   }
 }
 
 std::uint64_t BitString::get_uint(std::size_t pos, std::size_t len) const {
   if (len > 64) throw std::invalid_argument("BitString::get_uint: len > 64");
   check_range(pos, len);
-  return len == 0 ? 0 : read_bits(bytes_.data(), pos, len);
+  return len == 0 ? 0 : read_bits(data_, pos, len);
 }
 
 void BitString::set_uint(std::size_t pos, std::size_t len, std::uint64_t value) {
   if (len > 64) throw std::invalid_argument("BitString::set_uint: len > 64");
   check_range(pos, len);
-  if (len != 0) write_bits(bytes_.data(), pos, len, value);
+  if (len != 0) write_bits(data_, pos, len, value);
 }
 
 BitString BitString::slice(std::size_t pos, std::size_t len) const {
   check_range(pos, len);
   BitString out(len);
-  copy_bits(out.bytes_.data(), 0, bytes_.data(), pos, len);
+  copy_bits(out.data_, 0, data_, pos, len);
   return out;
 }
 
 void BitString::splice(std::size_t pos, const BitString& other) {
   check_range(pos, other.size());
   // With other == *this the range check leaves only pos == 0: an exact overlap.
-  copy_bits(bytes_.data(), pos, other.bytes_.data(), 0, other.nbits_);
+  copy_bits(data_, pos, other.data_, 0, other.nbits_);
 }
 
 BitString BitString::operator+(const BitString& rhs) const {
   BitString out(nbits_ + rhs.nbits_);
   // Tail slack is zero, so whole bytes carry the left operand exactly.
-  std::copy(bytes_.begin(), bytes_.end(), out.bytes_.begin());
-  copy_bits(out.bytes_.data(), nbits_, rhs.bytes_.data(), 0, rhs.nbits_);
+  std::memcpy(out.data_, data_, byte_size());
+  copy_bits(out.data_, nbits_, rhs.data_, 0, rhs.nbits_);
   return out;
 }
 
 BitString& BitString::operator+=(const BitString& rhs) {
   // In-place append: O(|rhs|), not O(|this| + |rhs|) — BitWriter relies on
   // this when assembling large encodings (e.g. full oracle tables). Read
-  // rhs's size before resizing: rhs may be *this (x += x). Its bytes are read
-  // only after the resize, so a reallocation cannot leave them dangling, and
+  // rhs's size before growing: rhs may be *this (x += x). Its bytes are read
+  // only after the growth, so a reallocation cannot leave them dangling, and
   // the source bits [0, added) stay clear of the bits being written.
   const std::size_t old_bits = nbits_;
   const std::size_t added = rhs.nbits_;
-  nbits_ += added;
-  bytes_.resize(bytes_for(nbits_), 0);
-  copy_bits(bytes_.data(), old_bits, rhs.bytes_.data(), 0, added);
+  grow(old_bits + added);
+  copy_bits(data_, old_bits, rhs.data_, 0, added);
   return *this;
 }
 
-void BitString::pad_zeros(std::size_t len) {
-  nbits_ += len;
-  bytes_.resize(bytes_for(nbits_), 0);
-}
+void BitString::pad_zeros(std::size_t len) { grow(nbits_ + len); }
 
 void BitString::truncate(std::size_t len) {
   if (len > nbits_) throw std::out_of_range("BitString::truncate: len > size()");
+  // The buffer keeps its capacity; a later grow() zeroes the dropped bytes.
   nbits_ = len;
-  bytes_.resize(bytes_for(nbits_));
   clear_tail_slack();
 }
 
 BitString BitString::operator^(const BitString& rhs) const {
   if (nbits_ != rhs.nbits_) throw std::invalid_argument("BitString::operator^: length mismatch");
   BitString out(nbits_);
-  for (std::size_t i = 0; i < bytes_.size(); ++i) out.bytes_[i] = bytes_[i] ^ rhs.bytes_[i];
+  for (std::size_t i = 0; i < byte_size(); ++i) out.data_[i] = data_[i] ^ rhs.data_[i];
   return out;
 }
 
 bool BitString::operator==(const BitString& rhs) const {
-  return nbits_ == rhs.nbits_ && bytes_ == rhs.bytes_;
+  return nbits_ == rhs.nbits_ && std::memcmp(data_, rhs.data_, byte_size()) == 0;
 }
 
 bool BitString::operator<(const BitString& rhs) const {
   if (nbits_ != rhs.nbits_) return nbits_ < rhs.nbits_;
-  return bytes_ < rhs.bytes_;
+  // memcmp orders bytes as unsigned char, as std::vector<uint8_t>'s < did.
+  return std::memcmp(data_, rhs.data_, byte_size()) < 0;
 }
 
 std::size_t BitString::popcount() const {
   std::size_t count = 0;
-  for (std::uint8_t b : bytes_) count += static_cast<std::size_t>(std::popcount(b));
+  for (std::uint8_t b : bytes()) count += static_cast<std::size_t>(std::popcount(b));
   return count;
 }
 
@@ -250,15 +277,15 @@ std::uint64_t BitString::hash() const {
     h *= 1099511628211ULL;
   };
   for (int i = 0; i < 8; ++i) mix(static_cast<std::uint8_t>(nbits_ >> (i * 8)));
-  for (std::uint8_t b : bytes_) mix(b);
+  for (std::uint8_t b : bytes()) mix(b);
   return h;
 }
 
 void BitString::clear_tail_slack() {
-  if (nbits_ % kByteBits != 0 && !bytes_.empty()) {
+  if (nbits_ % kByteBits != 0) {
     std::size_t used = nbits_ % kByteBits;
     std::uint8_t mask = static_cast<std::uint8_t>(0xFFU << (kByteBits - used));
-    bytes_.back() &= mask;
+    data_[byte_size() - 1] &= mask;
   }
 }
 

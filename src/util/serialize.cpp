@@ -16,8 +16,8 @@ BitString read_bitstring_field(BitReader& r) {
 
 void write_string_field(BitWriter& w, const std::string& s) {
   w.write_uint(s.size(), 64);
-  std::vector<std::uint8_t> bytes(s.begin(), s.end());
-  w.write_bits(BitString::from_bytes(bytes));
+  w.write_bits(BitString::from_bytes(
+      {reinterpret_cast<const std::uint8_t*>(s.data()), s.size()}));
 }
 
 std::string read_string_field(BitReader& r) {

@@ -9,7 +9,10 @@
 // arguments from the next input bytes; reading past the end yields zeros.
 // After every op the two sides must agree on the op's result or on the type
 // and message of the exception it threw, and every register must agree on
-// size, packed bytes (tail slack included) and hash().
+// size, packed bytes (tail slack included) and hash(). Opcode byte 255 copy-
+// or move-assigns one register to another, which moves strings between
+// BitString's inline and heap storage and checks that a moved-from string
+// reads as empty.
 #pragma once
 
 #include <algorithm>
@@ -20,6 +23,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "reference_bitstring.hpp"
@@ -92,7 +96,10 @@ inline std::optional<std::string> run_bitstring_differential(const std::uint8_t*
   };
 
   for (std::size_t step = 0; !in.exhausted(); ++step) {
-    const std::uint64_t opcode = in.take(1) % 10;
+    // Opcode bytes 0..254 keep their original `% 10` mapping, so the
+    // checked-in corpus decodes as it always did; 255 selects assignment.
+    const std::uint64_t raw = in.take(1);
+    const std::uint64_t opcode = raw == 255 ? 10 : raw % 10;
     std::string got;
     std::string want;
     std::string what;
@@ -181,6 +188,25 @@ inline std::optional<std::string> run_bitstring_differential(const std::uint8_t*
         what = "truncate(" + std::to_string(len) + ")";
         got = outcome([&] { fast[r].truncate(len); return std::string(); });
         want = outcome([&] { ref[r].truncate(len); return std::string(); });
+        break;
+      }
+      case 10: {  // copy- or move-assign r_s to r_d, self-assignment included
+        const std::size_t d = reg();
+        const std::size_t s = reg();
+        const std::string regs = " r" + std::to_string(d) + " = r" + std::to_string(s);
+        if (in.take(1) % 2 == 0) {
+          what = "copy-assign" + regs;
+          fast[d] = fast[s];
+          ref[d] = ref[s];
+        } else {
+          // A moved-from BitString is empty; a self-move keeps its value.
+          what = "move-assign" + regs;
+          fast[d] = std::move(fast[s]);
+          if (d != s) {
+            ref[d] = ref[s];
+            ref[s] = ReferenceBitString();
+          }
+        }
         break;
       }
       default: {

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
+#include <iterator>
 #include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "bitstring_differential.hpp"
@@ -174,7 +178,7 @@ TEST(BitString, RandomHasRequestedLengthAndVariation) {
 }
 
 TEST(BitString, FromBytes) {
-  BitString b = BitString::from_bytes({0xFF, 0x00, 0xA5});
+  BitString b = BitString::from_bytes(std::vector<std::uint8_t>{0xFF, 0x00, 0xA5});
   EXPECT_EQ(b.size(), 24u);
   EXPECT_EQ(b.get_uint(0, 8), 0xFFu);
   EXPECT_EQ(b.get_uint(16, 8), 0xA5u);
@@ -348,6 +352,168 @@ TEST(BitStringDifferential, EveryOffsetAndLength) {
       appended_ref += other_ref;
       expect_same(appended, appended_ref, "operator+= " + where);
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The inline/heap switch: strings of up to BitString::kInlineBytes bytes (128
+// bits) live inside the object, longer ones on the heap. Every operation
+// that crosses the boundary must agree with the reference.
+
+constexpr std::size_t kInlineBits = BitString::kInlineBytes * 8;
+
+BitString random_bits(std::size_t n, Rng& rng) {
+  return BitString::random(n, [&] { return rng.next_u64(); });
+}
+
+TEST(BitStringStorage, BoundarySizesMatchReference) {
+  Rng rng(128);
+  for (std::size_t n : {0, 127, 128, 129, 255}) {
+    const std::string where = "n=" + std::to_string(n);
+    BitString x = random_bits(n, rng);
+    ReferenceBitString ref = to_reference(x);
+    expect_same(x, ref, where);
+    expect_same(BitString(n), ReferenceBitString(n), where + " zeros");
+    if (n >= 64) {
+      x.set_uint(n - 64, 64, 0x0123456789ABCDEFULL);
+      ref.set_uint(n - 64, 64, 0x0123456789ABCDEFULL);
+      expect_same(x, ref, where + " set_uint at the end");
+      EXPECT_EQ(x.get_uint(n - 64, 64), 0x0123456789ABCDEFULL) << where;
+    }
+    expect_same(x.slice(0, n), ref.slice(0, n), where + " whole slice");
+    const BitString copy = x;
+    EXPECT_EQ(copy, x) << where;
+    EXPECT_EQ(copy.hash(), x.hash()) << where;
+  }
+}
+
+TEST(BitStringStorage, AppendAcrossTheBoundary) {
+  Rng rng(129);
+  // (left, right) pairs that stay inline, land exactly on 128 bits, or spill
+  // to the heap from an inline or a heap left operand.
+  const std::pair<std::size_t, std::size_t> cases[] = {
+      {60, 60}, {64, 64}, {100, 28}, {100, 29}, {127, 1}, {128, 1}, {121, 13}, {129, 130}};
+  for (const auto& [left, right] : cases) {
+    const std::string where = std::to_string(left) + " += " + std::to_string(right);
+    BitString x = random_bits(left, rng);
+    const BitString y = random_bits(right, rng);
+    ReferenceBitString ref = to_reference(x);
+    x += y;
+    ref += to_reference(y);
+    expect_same(x, ref, where);
+  }
+}
+
+TEST(BitStringStorage, AppendSelfFromSixtyFourAndOneTwentyEight) {
+  Rng rng(130);
+  for (std::size_t n : {64, 128}) {
+    BitString x = random_bits(n, rng);
+    ReferenceBitString ref = to_reference(x);
+    x += x;
+    ref += ref;
+    expect_same(x, ref, "x += x from " + std::to_string(n));
+    x += x;
+    ref += ref;
+    expect_same(x, ref, "x += x twice from " + std::to_string(n));
+  }
+}
+
+TEST(BitStringStorage, PadZerosAcrossTheBoundary) {
+  Rng rng(131);
+  for (std::size_t start : {0, 100, 127, 128}) {
+    for (std::size_t pad : {1, 20, 28, 29, 200}) {
+      const std::string where = std::to_string(start) + " pad " + std::to_string(pad);
+      BitString x = random_bits(start, rng);
+      ReferenceBitString ref = to_reference(x);
+      x.pad_zeros(pad);
+      ref.pad_zeros(pad);
+      expect_same(x, ref, where);
+      EXPECT_EQ(x.slice(start, pad).popcount(), 0u) << where;
+    }
+  }
+}
+
+TEST(BitStringStorage, TruncateFromHeapThenRegrowReadsZero) {
+  // A heap string cut back under 128 bits keeps its buffer; growing it again
+  // must not resurface the bits that were cut.
+  Rng rng(132);
+  for (std::size_t cut : {0, 1, 64, 100, 127, 128}) {
+    const std::string where = "cut to " + std::to_string(cut);
+    BitString x(300);
+    for (std::size_t pos = 0; pos + 64 <= 300; pos += 64) x.set_uint(pos, 64, ~0ULL);
+    x.set_uint(236, 64, ~0ULL);
+    ReferenceBitString ref = to_reference(x);
+    x.truncate(cut);
+    ref.truncate(cut);
+    expect_same(x, ref, where);
+    x.pad_zeros(300 - cut);
+    ref.pad_zeros(300 - cut);
+    expect_same(x, ref, where + " then padded");
+    EXPECT_EQ(x.popcount(), cut) << where;
+    x.truncate(cut);
+    ref.truncate(cut);
+    const BitString tail = random_bits(250, rng);
+    x += tail;
+    ref += to_reference(tail);
+    expect_same(x, ref, where + " then appended");
+  }
+}
+
+TEST(BitStringStorage, CopyAndMoveAcrossInlineAndHeap) {
+  // 0, 8 and 128 bits are inline, 129 and 500 on the heap. The last case is
+  // a 400-bit heap string cut to 40 bits: short, but it keeps its heap
+  // buffer. build(k) is deterministic and returns without a copy, so every
+  // case below starts from the storage its size names (a copy of the last
+  // one would be inline).
+  constexpr std::size_t kSizes[] = {0, 8, 128, 129, 500, 40};
+  constexpr std::size_t kCases = std::size(kSizes);
+  auto build = [&](std::size_t k) {
+    Rng rng(133 + k);
+    BitString x = random_bits(k + 1 == kCases ? 400 : kSizes[k], rng);
+    x.truncate(kSizes[k]);
+    return x;
+  };
+  for (std::size_t s = 0; s < kCases; ++s) {
+    for (std::size_t d = 0; d < kCases; ++d) {
+      const std::string where = std::to_string(kSizes[d]) + " <- " + std::to_string(kSizes[s]);
+      const BitString src = build(s);
+      BitString copy_constructed(src);
+      EXPECT_EQ(copy_constructed, src) << where;
+
+      BitString copy_assigned = build(d);
+      copy_assigned = src;
+      EXPECT_EQ(copy_assigned, src) << where;
+      EXPECT_EQ(copy_assigned.hash(), src.hash()) << where;
+
+      // The sources of the moves live in an array and are read back by
+      // element: a moved-from string must be empty and fully usable.
+      std::array<BitString, 2> moved = {build(s), build(s)};
+      const BitString move_constructed(std::move(moved[0]));
+      EXPECT_EQ(move_constructed, src) << where;
+      BitString move_assigned = build(d);
+      move_assigned = std::move(moved[1]);
+      EXPECT_EQ(move_assigned, src) << where;
+      for (BitString& m : moved) {
+        EXPECT_TRUE(m.empty()) << where;
+        EXPECT_EQ(m, BitString()) << where;
+        m += src;
+        m.pad_zeros(3);
+        EXPECT_EQ(m, src + BitString(3)) << where;
+      }
+    }
+  }
+}
+
+TEST(BitStringStorage, SelfAssignmentKeepsTheValue) {
+  Rng rng(134);
+  for (std::size_t n : {0, 64, 128, 129, 300}) {
+    BitString x = random_bits(n, rng);
+    const BitString before = x;
+    BitString& alias = x;
+    x = alias;
+    EXPECT_EQ(x, before) << n;
+    x = std::move(alias);
+    EXPECT_EQ(x, before) << n;
   }
 }
 
