@@ -1,12 +1,12 @@
 // E19 — what moving real bytes costs: transport backends compared.
 //
 // The conformance matrix (tests/transport_conformance_test.cpp) proves the
-// three backends are bit-identical; this experiment prices them. The same
-// two workloads — ram-emulation (many tiny CPU<->server messages per round,
-// the chatty extreme) and pointer-chasing (few larger block transfers, the
-// bulky extreme) — run over in-process (zero-copy reference), shared-memory
-// (every payload round-trips through MPCF frames in a byte ring), and socket
-// (every payload crosses an OS process boundary through forked routers).
+// two backends are bit-identical; this experiment prices them. The same two
+// workloads — ram-emulation (many tiny CPU<->server messages per round, the
+// chatty extreme) and pointer-chasing (few larger block transfers, the bulky
+// extreme) — run over in-process (zero-copy reference) and socket (every
+// payload crosses an OS process boundary as MPCF frames through forked
+// routers).
 // The measured gap is the simulator-side answer to "how much of an MPC
 // round is computation vs moving the bytes": Definition 2.1 charges rounds,
 // not transport, so the backends differ in wall clock only — rounds, stats,
@@ -66,13 +66,12 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  bench::header("E19", "Transport backends: in-process vs shared-memory vs socket",
+  bench::header("E19", "Transport backends: in-process vs socket",
                 "bit-identical results over any backend; the backends differ only in the "
                 "wall-clock cost of moving the round's bytes");
 
   const transport::TransportKind kKinds[] = {
       transport::TransportKind::kInProcess,
-      transport::TransportKind::kSharedMemory,
       transport::TransportKind::kSocket,
   };
 
@@ -183,10 +182,10 @@ int main(int argc, char** argv) {
 
   std::cout << "\ninterpretation: rounds are identical by construction (the conformance\n"
                "matrix pins the whole execution, not just the output). The wall-clock\n"
-               "ordering in-process <= shared-memory <= socket prices frame encoding and\n"
-               "process hops; the chatty workload (ram-emulation) pays the per-message\n"
-               "overhead most, the bulky one (pointer-chasing) amortises it over payload\n"
-               "bits. Definition 2.1 charges neither — which is exactly why lower bounds\n"
+               "ordering in-process <= socket prices frame encoding and process hops;\n"
+               "the chatty workload (ram-emulation) pays the per-message overhead most,\n"
+               "the bulky one (pointer-chasing) amortises it over payload bits.\n"
+               "Definition 2.1 charges neither — which is exactly why lower bounds\n"
                "measured in-process carry to deployments where the bytes are real.\n";
   return 0;
 }

@@ -21,9 +21,7 @@ struct MpcSimulation::MachineSlot {
   MachineIo io;
   RoundTrace scratch;                    ///< per-machine annotation buffer
   hash::CountingOracle* oracle = nullptr;
-  transport::Transport* transport = nullptr;
   bool crashed = false;  ///< fault injection: consume the inbox, run nothing
-  bool staged = false;   ///< the transport took the outbox bytes in phase A
   std::exception_ptr error;
 
   /// Run this slot's machine. Exceptions are captured, not thrown: the round
@@ -34,14 +32,6 @@ struct MpcSimulation::MachineSlot {
       if (oracle != nullptr) oracle->begin_round(io.round);
       if (crashed) return;
       algo.run_machine(io, oracle, tape, scratch);
-      // Byte-moving transports serialise the outbox here, on the worker
-      // thread, while other machines are still running (the shared-memory
-      // backend's rings see genuinely concurrent traffic); the barrier
-      // collects it back with collect_staged() before the merge.
-      if (transport != nullptr) {
-        staged = transport->stage(io.round, io.machine, io.outbox);
-        if (staged) io.outbox.clear();
-      }
     } catch (...) {
       error = std::current_exception();
     }
@@ -215,9 +205,7 @@ MpcRunResult MpcSimulation::run_rounds(MpcAlgorithm& algo, std::uint64_t start_r
       slot.io.output.reset();
       slot.scratch = RoundTrace{};
       slot.oracle = oracle_ ? oracles[i].get() : nullptr;
-      slot.transport = transport.get();
       slot.crashed = observer != nullptr && !observer->machine_runs(round, i);
-      slot.staged = false;
       slot.error = nullptr;
       slot.scratch.begin_round(round);
     }
@@ -243,12 +231,9 @@ MpcRunResult MpcSimulation::run_rounds(MpcAlgorithm& algo, std::uint64_t start_r
         outputs.push_back(std::move(*slot.io.output));
         any_output = true;
       }
-      // The outbox to meter: either still in the slot, or — for byte-moving
-      // backends — staged as wire frames in phase A and decoded back here.
-      // Validation and metering always run on the barrier thread, against
-      // the exact payloads the transport will carry.
-      std::vector<Message> outbox =
-          slot.staged ? transport->collect_staged(round, i) : std::move(slot.io.outbox);
+      // Validation and metering run on the barrier thread, against the
+      // exact payloads the transport will carry.
+      std::vector<Message> outbox = std::move(slot.io.outbox);
       std::uint64_t sent_bits = 0;
       result.trace.current().peak_fan_out.observe(outbox.size(), i);
       for (auto& msg : outbox) {

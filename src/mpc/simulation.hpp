@@ -92,11 +92,10 @@ struct MpcConfig {
   /// checkpoints — because deliveries arrive in the canonical (sender index,
   /// send order) merge order and every transport is quiescent at each round
   /// barrier. The default moves messages in-process with zero copies;
-  /// kSharedMemory round-trips every payload through per-machine byte rings
-  /// (staged by the worker threads); kSocket forks router processes and
-  /// moves every message over AF_UNIX sockets with binomial-tree broadcast
-  /// dissemination. tests/transport_conformance_test.cpp pins the
-  /// equivalence for every strategy in the tree.
+  /// kSocket forks router processes and moves every message over AF_UNIX
+  /// sockets with binomial-tree broadcast dissemination.
+  /// tests/transport_conformance_test.cpp pins the equivalence for every
+  /// strategy in the tree.
   transport::TransportKind transport = transport::TransportKind::kInProcess;
   /// Socket backend: shard-group router process count. 0 = auto (2 for
   /// m > 1); clamped to [1, machines]. Ignored by the other backends.

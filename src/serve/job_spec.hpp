@@ -14,7 +14,7 @@
 //
 //   verb     : simulate | chaos | verify
 //   common   : strategy=<name> (required)  seed=N  threads=N  repeat=N
-//              transport=in-process|shared-memory|socket  transport-procs=N
+//              transport=in-process|socket  transport-procs=N
 //              authenticate=true|false  budget-bits=N
 //   chaos    : plan=<FaultPlan spec>  policy=restart|replicate|quarantine
 //              every=N

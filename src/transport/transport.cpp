@@ -1,25 +1,20 @@
 #include "transport/transport.hpp"
 
 #include "transport/inprocess.hpp"
-#include "transport/shared_memory.hpp"
 #include "transport/socket.hpp"
 
 namespace mpch::transport {
 
 TransportKind parse_transport_kind(const std::string& name) {
   if (name == "in-process" || name == "inprocess") return TransportKind::kInProcess;
-  if (name == "shared-memory" || name == "shm") return TransportKind::kSharedMemory;
   if (name == "socket") return TransportKind::kSocket;
-  throw std::invalid_argument("unknown transport '" + name +
-                              "' (expected in-process, shared-memory, or socket)");
+  throw std::invalid_argument("unknown transport '" + name + "' (expected in-process or socket)");
 }
 
 std::string to_string(TransportKind kind) {
   switch (kind) {
     case TransportKind::kInProcess:
       return "in-process";
-    case TransportKind::kSharedMemory:
-      return "shared-memory";
     case TransportKind::kSocket:
       return "socket";
   }
@@ -30,8 +25,6 @@ std::unique_ptr<Transport> make_transport(TransportKind kind, const TransportOpt
   switch (kind) {
     case TransportKind::kInProcess:
       return std::make_unique<InProcessTransport>();
-    case TransportKind::kSharedMemory:
-      return std::make_unique<SharedMemoryTransport>(options);
     case TransportKind::kSocket:
       return std::make_unique<SocketTransport>(options);
   }

@@ -3,18 +3,13 @@
 // Definition 2.1 says nothing about *how* the s-bit messages move between
 // rounds, only that machine i's round-(k+1) memory is exactly the union of
 // messages addressed to it in round k. MpcSimulation therefore routes every
-// delivery through this interface, and the three backends differ only in
-// how bytes travel:
+// delivery through this interface, and the two backends differ only in how
+// bytes travel:
 //
-//   * InProcessTransport    — messages move by std::move; zero-copy. The
+//   * InProcessTransport — messages move by std::move; zero-copy. The
 //     behaviour the tree has always had, and the serial reference every
 //     other backend is conformance-tested against.
-//   * SharedMemoryTransport — each machine owns a byte ring buffer; the
-//     worker thread that ran the machine serialises its outbox into the ring
-//     as MPCF frames (transport/wire.hpp) before the barrier, and the
-//     barrier thread decodes them back. Every payload round-trips through
-//     bytes, concurrently, without the thread pool's determinism changing.
-//   * SocketTransport       — machines are partitioned into shard groups,
+//   * SocketTransport    — machines are partitioned into shard groups,
 //     one forked router OS process per group; frames travel over AF_UNIX
 //     stream sockets, broadcasts coalesce into single frames fanned out
 //     along a binomial tree of inter-router channels.
@@ -56,11 +51,10 @@ class TransportError : public std::runtime_error {
 /// Backend selector, routed through MpcConfig::transport.
 enum class TransportKind : std::uint8_t {
   kInProcess = 0,
-  kSharedMemory = 1,
   kSocket = 2,
 };
 
-/// Parse "in-process"/"inprocess", "shared-memory"/"shm", "socket".
+/// Parse "in-process"/"inprocess", "socket".
 /// Throws std::invalid_argument on anything else (CLI flags fail loudly).
 TransportKind parse_transport_kind(const std::string& name);
 std::string to_string(TransportKind kind);
@@ -86,22 +80,19 @@ class Transport {
   virtual std::string name() const = 0;
 
   /// Bind to an execution: called once before the first barrier of a
-  /// run/resume with the machine count. Backends allocate rings / spawn
+  /// run/resume with the machine count. The socket backend spawns its
   /// router processes here (never lazily mid-round).
   virtual void start(std::uint64_t machines) = 0;
 
-  /// Phase-A hook, called from the worker thread that ran `machine` (at
-  /// most once per (round, machine), concurrently across machines): offer
-  /// the outbox for early wire encoding. Return true to take the bytes —
-  /// the barrier will then call collect_staged() to get them back — or
-  /// false to leave the outbox with the caller. Default: not staged.
+  // No backend stages an outbox and the simulation never calls stage() or
+  // collect_staged(). They are kept only so perfbench's TimedTransport
+  // decorator, which overrides them, still compiles; they go with the
+  // benchmark change that retires SharedOracleMemo.
   virtual bool stage(std::uint64_t /*round*/, std::uint64_t /*machine*/,
                      const std::vector<mpc::Message>& /*outbox*/) {
     return false;
   }
 
-  /// Decode a staged outbox back at the barrier, in original send order.
-  /// Only called when stage() returned true for this (round, machine).
   virtual std::vector<mpc::Message> collect_staged(std::uint64_t /*round*/,
                                                    std::uint64_t /*machine*/) {
     throw TransportError(name() + ": collect_staged without a staged outbox");

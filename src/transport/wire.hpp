@@ -1,10 +1,10 @@
-// wire.hpp — the framed message format of the byte-moving transports.
+// wire.hpp — the framed message format of the byte-moving transport.
 //
 // The in-process backend hands Message objects across the round barrier by
-// move; the shared-memory and socket backends move *bytes*, and this file is
-// the single definition of what those bytes look like. One frame carries one
-// model message (or one coalesced broadcast, or a control token), with
-// enough addressing — round, sender, per-sender sequence number, receiver —
+// move; the socket backend moves *bytes*, and this file is the single
+// definition of what those bytes look like. One frame carries one model
+// message (or one coalesced broadcast, or a control token), with enough
+// addressing — round, sender, per-sender sequence number, receiver —
 // for the receiving side to rebuild the exact inbox order the in-process
 // merge would have produced: messages sorted by (sender index, send order).
 // That canonical order is what makes every backend bit-identical to the

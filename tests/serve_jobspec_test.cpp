@@ -42,13 +42,13 @@ TEST(JobSpec, ParsesMinimalSimulate) {
 
 TEST(JobSpec, ParsesAllCommonKeys) {
   auto jobs = parse_jobfile(
-      "verify strategy=ram-emulation seed=7 threads=4 transport=shared-memory "
+      "verify strategy=ram-emulation seed=7 threads=4 transport=socket "
       "transport-procs=2 authenticate=true budget-bits=4096\n");
   ASSERT_EQ(jobs.size(), 1u);
   EXPECT_EQ(jobs[0].verb, JobVerb::kVerify);
   EXPECT_EQ(jobs[0].seed, 7u);
   EXPECT_EQ(jobs[0].threads, 4u);
-  EXPECT_EQ(jobs[0].transport, mpch::transport::TransportKind::kSharedMemory);
+  EXPECT_EQ(jobs[0].transport, mpch::transport::TransportKind::kSocket);
   EXPECT_EQ(jobs[0].transport_processes, 2u);
   EXPECT_TRUE(jobs[0].authenticate);
   EXPECT_EQ(jobs[0].budget_bits, 4096u);
@@ -115,6 +115,7 @@ TEST(JobSpec, RejectsNonNumericAndOverflow) {
 
 TEST(JobSpec, RejectsBadTransportAndBool) {
   expect_rejected("simulate strategy=x transport=carrier-pigeon\n", 1);
+  expect_rejected("simulate strategy=x transport=shared-memory\n", 1);
   expect_rejected("simulate strategy=x authenticate=maybe\n", 1);
 }
 

@@ -6,9 +6,10 @@
 // bad magic, unknown frame type, oversized length prefix (rejected before any
 // allocation sized from it), oversized broadcast fanout, truncated frame,
 // duplicated frame, reordered frame. Alongside the hostile cases: codec
-// round-trips, the incremental decoder under pathological chunking, the
-// shared-memory byte ring, and direct end-to-end exercises of both byte
-// backends including the wire-tamper hook the Byzantine tests build on.
+// round-trips, the incremental decoder under pathological chunking, and
+// direct end-to-end exercises of both backends — the in-process reference's
+// canonical merge order and the socket backend, including the wire-tamper
+// hook the Byzantine tests build on.
 // fuzz/fuzz_wire_frame.cpp drives the same entry points with coverage
 // feedback; this file keeps the intent readable and the diagnostics pinned.
 #include "transport/wire.hpp"
@@ -20,7 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "transport/shared_memory.hpp"
 #include "transport/socket.hpp"
 #include "transport/transport.hpp"
 #include "util/bitstring.hpp"
@@ -336,43 +336,11 @@ TEST(WireHostile, BroadcastFanoutCapIsStrictlyGreaterThan) {
   expect_wire_error(over_cap, "broadcast fanout");
 }
 
-// ---- the shared-memory byte ring ----
-
-TEST(ByteRing, PreservesOrderAcrossWraparoundAndGrowth) {
-  transport::ByteRing ring(/*capacity=*/8);
-  std::vector<std::uint8_t> a = {1, 2, 3, 4, 5};
-  ring.write(a.data(), a.size());
-  EXPECT_EQ(ring.drain(), a);
-  EXPECT_EQ(ring.size(), 0u);
-
-  // Head is now mid-buffer: the next writes wrap, then force growth.
-  std::vector<std::uint8_t> b(20);
-  for (std::size_t i = 0; i < b.size(); ++i) b[i] = static_cast<std::uint8_t>(100 + i);
-  ring.write(b.data(), 6);
-  ring.write(b.data() + 6, b.size() - 6);
-  EXPECT_EQ(ring.size(), b.size());
-  EXPECT_EQ(ring.drain(), b);
-}
-
 // ---- direct backend exercises ----
 
-TEST(SharedMemoryTransportTest, StagedOutboxRoundTripsThroughWireBytes) {
-  transport::SharedMemoryTransport t;
-  t.start(3);
-  std::vector<mpc::Message> outbox = {
-      {1, 0, BitString::from_uint(0xAA, 8)},
-      {1, 2, BitString::from_uint(0x1B5, 9)},  // non-byte-aligned survives
-      {1, 2, BitString::from_uint(0xCC, 8)},
-  };
-  ASSERT_TRUE(t.stage(/*round=*/0, /*machine=*/1, outbox));
-  auto back = t.collect_staged(0, 1);
-  EXPECT_EQ(back, outbox);
-  // Collecting twice is out of protocol: the ring was drained.
-  EXPECT_THROW(t.collect_staged(0, 1), transport::TransportError);
-}
-
-TEST(SharedMemoryTransportTest, SendFlushReceiveMatchesCanonicalOrder) {
-  transport::SharedMemoryTransport t;
+TEST(InProcessTransportTest, SendFlushReceiveMatchesCanonicalOrder) {
+  auto backend = transport::make_transport(transport::TransportKind::kInProcess);
+  transport::Transport& t = *backend;
   t.start(3);
   EXPECT_TRUE(t.idle());
   t.send(0, 0, {{0, 2, BitString::from_uint(1, 4)}, {0, 2, BitString::from_uint(2, 4)}});
@@ -395,7 +363,7 @@ TEST(SharedMemoryTransportTest, SendFlushReceiveMatchesCanonicalOrder) {
 }
 
 // TSan cannot follow fork()ed routers; MPCH_SKIP_SOCKET_TRANSPORT=1 skips
-// the socket-path tests so the codec and ring suites still run under it.
+// the socket-path tests so the codec and in-process suites still run under it.
 bool skip_socket_backend() {
   const char* v = std::getenv("MPCH_SKIP_SOCKET_TRANSPORT");
   return v != nullptr && v[0] != '\0' && v[0] != '0';

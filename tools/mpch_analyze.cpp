@@ -91,7 +91,7 @@ int main(int argc, char** argv) {
            "                   MAC-tagged messaging; specs are lifted via\n"
            "                   ProtocolSpec::with_authentication so per-message tag\n"
            "                   overhead is part of the declared envelope\n"
-           "  --transport  : in-process|shared-memory|socket — backend for --soundness\n"
+           "  --transport  : in-process|socket — backend for --soundness\n"
            "                 runs (--transport-procs N for socket router count). The\n"
            "                 measured envelope is transport-invariant; running the\n"
            "                 soundness pass over a byte backend demonstrates it\n";

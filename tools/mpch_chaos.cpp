@@ -2,7 +2,7 @@
 //
 //   mpch-chaos --plan crash:machine=2,round=3 --policy restart --every 2
 //   mpch-chaos --strategy colluding --plan kill:round=4 --policy replicate
-//   mpch-chaos --strategy ram-emulation --plan "drop:round=2,to=0,index=0" \
+//   mpch-chaos --strategy ram-emulation --plan "drop:round=2,to=0,index=0"
 //              --policy restart --every 1 --threads 8
 //   mpch-chaos --plan crash:machine=1,round=2 --policy none   # unprotected
 //   mpch-chaos --plan kill:round=4 --policy restart --format json
@@ -189,7 +189,7 @@ int main(int argc, char** argv) {
                  "                  [--policy restart|replicate|quarantine|none]\n"
                  "                  [--every N] [--retries N] [--strikes N] [--authenticate]\n"
                  "                  [--threads N] [--seed N] [--checkpoint-file PATH] [--list]\n"
-                 "                  [--transport in-process|shared-memory|socket] [--transport-procs N]\n"
+                 "                  [--transport in-process|socket] [--transport-procs N]\n"
                  "                  [--format text|json]\n"
                  "  plan grammar : semicolon-separated events —\n"
                  "                 crash:machine=M,round=R | drop:round=R,to=M,index=I\n"

@@ -191,7 +191,7 @@ int main(int argc, char** argv) {
                  "                  [--format text|json] [--list]\n"
                  "  jobfile grammar (one job per line, '#' comments):\n"
                  "    <verb> strategy=NAME [seed=N] [repeat=N] [threads=N]\n"
-                 "           [transport=in-process|shared-memory|socket] [transport-procs=N]\n"
+                 "           [transport=in-process|socket] [transport-procs=N]\n"
                  "           [authenticate=true] [budget-bits=N]\n"
                  "    verb = simulate | verify | chaos\n"
                  "    chaos adds: plan=SPEC [policy=restart|replicate|quarantine] [every=N]\n"
