@@ -1,6 +1,6 @@
 // E20 — mpch-serve throughput: the job-queue service as a measurement.
 //
-// Three sections, all through the real ServeService (the same engine behind
+// Two sections, both through the real ServeService (the same engine behind
 // the mpch-serve CLI):
 //
 //  1. ram-sweep — 200 independent ram-emulation jobs (seeds 1..200) on a
@@ -9,12 +9,7 @@
 //     service amortises setup and parallelises across jobs instead of just
 //     queueing them.
 //
-//  2. memo-delta — a repeated-seed pointer-chasing sweep (every job the same
-//     oracle family) run twice: shared memo ON vs OFF. With sharing, job 2..N
-//     hit the process-wide memo instead of re-deriving SHA-256-CTR outputs,
-//     so per-job latency drops while every output bit stays identical.
-//
-//  3. mixed — all eight strategies x several seeds, reporting per-strategy
+//  2. mixed — all eight strategies x several seeds, reporting per-strategy
 //     p50/p99 latency under the pool.
 //
 // Writes BENCH_e20.json (the machine-readable mirror) to the working
@@ -55,15 +50,14 @@ int main(int argc, char** argv) {
   util::CliArgs args(argc, argv);
   const std::uint64_t workers = args.get_u64("workers", 4);
   const std::uint64_t sweep_jobs = args.get_u64("sweep-jobs", 200);
-  const std::uint64_t memo_jobs = args.get_u64("memo-jobs", 64);
   if (!args.unused().empty()) {
     std::cerr << "unknown flag --" << args.unused().front()
-              << " (supported: --workers, --sweep-jobs, --memo-jobs)\n";
+              << " (supported: --workers, --sweep-jobs)\n";
     return 2;
   }
 
   bench::header("E20", "mpch-serve job-queue throughput",
-                "a worker pool with shared oracle memo + buffer reuse beats N x single-run "
+                "a worker pool with buffer reuse beats N x single-run "
                 "time on N-job sweeps without changing one output bit");
   std::cout << "workers: " << workers
             << " (hardware threads: " << std::thread::hardware_concurrency() << ")\n";
@@ -79,7 +73,7 @@ int main(int argc, char** argv) {
     ram_jobs[i].strategy = "ram-emulation";
     ram_jobs[i].seed = i + 1;
   }
-  serve::ServeService ram_service(serve::ServeOptions{workers, 64, true, true});
+  serve::ServeService ram_service(serve::ServeOptions{workers, 64, true});
   auto ram_results = ram_service.run_jobs(ram_jobs);
   std::uint64_t ram_ok = ram_service.stats().ok;
   auto ram_walls = executed_walls(ram_results);
@@ -106,52 +100,7 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // --- 2. memo on/off delta ---------------------------------------------
-  // Same seed on purpose: every job queries the same oracle sub-function, so
-  // with sharing only the first derives — the steady state of a sweep that
-  // re-examines one instance (parameter studies, fault matrices).
-  std::vector<serve::JobSpec> memo_sweep(memo_jobs);
-  for (auto& spec : memo_sweep) {
-    spec.verb = serve::JobVerb::kSimulate;
-    spec.strategy = "pointer-chasing";
-    spec.seed = 11;
-  }
-  serve::ServeService memo_on(serve::ServeOptions{workers, 64, /*share_memo=*/true, true});
-  auto on_results = memo_on.run_jobs(memo_sweep);
-  serve::ServeService memo_off(serve::ServeOptions{workers, 64, /*share_memo=*/false, true});
-  auto off_results = memo_off.run_jobs(memo_sweep);
-  const auto on_walls = executed_walls(on_results);
-  const auto off_walls = executed_walls(off_results);
-  const double on_p50 = percentile(on_walls, 0.50), off_p50 = percentile(off_walls, 0.50);
-  bool identical = on_results.size() == off_results.size();
-  for (std::size_t i = 0; identical && i < on_results.size(); ++i) {
-    identical = on_results[i].run.output == off_results[i].run.output &&
-                on_results[i].run.rounds_used == off_results[i].run.rounds_used;
-  }
-  std::cout << "\nmemo-delta (" << memo_jobs << " repeated-seed pointer-chasing jobs):\n"
-            << "  memo on:  " << util::format_double(memo_on.stats().wall_ms, 1) << " ms total, "
-            << "p50 " << util::format_double(on_p50, 3) << " ms/job ("
-            << memo_on.stats().memo_hits << " hits, " << memo_on.stats().memo_misses
-            << " misses)\n"
-            << "  memo off: " << util::format_double(memo_off.stats().wall_ms, 1)
-            << " ms total, p50 " << util::format_double(off_p50, 3) << " ms/job\n"
-            << "  outputs identical on/off: " << (identical ? "yes" : "NO") << "\n";
-  json.key("memo_delta").begin_object();
-  json.member("jobs", memo_jobs);
-  json.member_double("on_wall_ms", memo_on.stats().wall_ms);
-  json.member_double("off_wall_ms", memo_off.stats().wall_ms);
-  json.member_double("on_p50_ms", on_p50);
-  json.member_double("off_p50_ms", off_p50);
-  json.member("memo_hits", memo_on.stats().memo_hits);
-  json.member("memo_misses", memo_on.stats().memo_misses);
-  json.member("outputs_identical", identical);
-  json.end_object();
-  if (!identical) {
-    std::cerr << "memo sharing changed an output — determinism broken\n";
-    return 1;
-  }
-
-  // --- 3. mixed per-strategy latency ------------------------------------
+  // --- 2. mixed per-strategy latency ------------------------------------
   std::vector<serve::JobSpec> mixed;
   for (const std::string& name : serve::strategy_names()) {
     for (std::uint64_t seed = 1; seed <= 4; ++seed) {
@@ -162,7 +111,7 @@ int main(int argc, char** argv) {
       mixed.push_back(spec);
     }
   }
-  serve::ServeService mixed_service(serve::ServeOptions{workers, 64, true, true});
+  serve::ServeService mixed_service(serve::ServeOptions{workers, 64, true});
   auto mixed_results = mixed_service.run_jobs(mixed);
   util::Table t({"strategy", "jobs", "p50_ms", "p99_ms"});
   json.key("strategies").begin_array();
@@ -192,11 +141,8 @@ int main(int argc, char** argv) {
 
   std::ofstream out("BENCH_e20.json");
   out << json.str() << "\n";
-  std::cout << "\nwrote BENCH_e20.json (ram_sweep, memo_delta, per-strategy latency)\n"
+  std::cout << "\nwrote BENCH_e20.json (ram_sweep, per-strategy latency)\n"
             << "\ninterpretation: the sweep's wall time is what a cluster operator buys with\n"
-               "the service — Theorem 3.1 caps per-run rounds, not jobs/second. Sharing the\n"
-               "oracle memo is safe precisely because H is one fixed random function per\n"
-               "(width, seed) family: caching its graph across jobs is invisible to every\n"
-               "observable surface, and the memo-delta section measures what it saves.\n";
+               "the service — Theorem 3.1 caps per-run rounds, not jobs/second.\n";
   return 0;
 }

@@ -1,33 +1,38 @@
 #include "hash/oracle_transcript.hpp"
 
 #include <algorithm>
-#include <tuple>
+#include <functional>
 #include <unordered_set>
 
 namespace mpch::hash {
 
 void OracleTranscript::sort_canonical() {
   std::lock_guard<std::mutex> lock(mu_);
-  std::sort(records_.begin(), records_.end(), [](const QueryRecord& a, const QueryRecord& b) {
-    return std::tie(a.round, a.machine, a.seq) < std::tie(b.round, b.machine, b.seq);
-  });
+  if (canonical_) return;
+  std::sort(records_.begin(), records_.end(), canonical_less);
+  // A log with equal keys (CountingOracle never writes one) stays
+  // non-canonical, so every later call still sorts it.
+  canonical_ = std::adjacent_find(records_.begin(), records_.end(),
+                                 std::not_fn(canonical_less)) == records_.end();
 }
 
 std::vector<QueryRecord> OracleTranscript::canonical_records() const {
   std::vector<QueryRecord> out;
+  bool canonical = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
     out = records_;
+    canonical = canonical_;
   }
-  std::sort(out.begin(), out.end(), [](const QueryRecord& a, const QueryRecord& b) {
-    return std::tie(a.round, a.machine, a.seq) < std::tie(b.round, b.machine, b.seq);
-  });
+  if (!canonical) std::sort(out.begin(), out.end(), canonical_less);
   return out;
 }
 
 void OracleTranscript::restore(std::vector<QueryRecord> records) {
   std::lock_guard<std::mutex> lock(mu_);
   records_ = std::move(records);
+  canonical_ = std::adjacent_find(records_.begin(), records_.end(),
+                                 std::not_fn(canonical_less)) == records_.end();
 }
 
 std::vector<util::BitString> OracleTranscript::queries_of(std::uint64_t machine,

@@ -12,6 +12,7 @@
 #include <memory>
 #include <mutex>
 #include <stdexcept>
+#include <tuple>
 #include <vector>
 
 #include "hash/random_oracle.hpp"
@@ -34,16 +35,26 @@ struct QueryRecord {
   bool operator==(const QueryRecord&) const = default;
 };
 
+/// The canonical order: strictly by (round, machine, seq).
+inline bool canonical_less(const QueryRecord& a, const QueryRecord& b) {
+  return std::tie(a.round, a.machine, a.seq) < std::tie(b.round, b.machine, b.seq);
+}
+
 /// Append-only log of queries across an entire MPC execution. Appends are
 /// mutex-serialised so machines of a parallel round can share one log;
 /// `sort_canonical()` restores the deterministic (round, machine, seq) order
-/// after the interleaved appends.
+/// after the interleaved appends. The log tracks whether every append kept
+/// the keys strictly increasing, so a serially built log is never sorted.
 class OracleTranscript {
  public:
   void record(std::uint64_t round, std::uint64_t machine, const util::BitString& input,
               const util::BitString& output, std::uint64_t seq = 0) {
     std::lock_guard<std::mutex> lock(mu_);
     records_.push_back({round, machine, seq, input, output});
+    const std::size_t n = records_.size();
+    if (canonical_ && n > 1 && !canonical_less(records_[n - 2], records_[n - 1])) {
+      canonical_ = false;
+    }
   }
 
   const std::vector<QueryRecord>& records() const { return records_; }
@@ -54,11 +65,19 @@ class OracleTranscript {
   void clear() {
     std::lock_guard<std::mutex> lock(mu_);
     records_.clear();
+    canonical_ = true;
   }
 
-  /// Sort records by (round, machine, seq) — a no-op on serially-built logs,
-  /// and the canonicalisation step after a parallel round. The key is unique
-  /// per record, so the result is a single deterministic order.
+  /// True when the live log is known to be in strictly increasing
+  /// (round, machine, seq) order, i.e. sorting it would change nothing.
+  bool canonical() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return canonical_;
+  }
+
+  /// Sort records by (round, machine, seq) unless the log is already
+  /// canonical (every serially built one is). The key is unique per record,
+  /// so the result is a single deterministic order.
   void sort_canonical();
 
   /// A copy of the log in canonical (round, machine, seq) order, leaving the
@@ -84,6 +103,7 @@ class OracleTranscript {
  private:
   mutable std::mutex mu_;
   std::vector<QueryRecord> records_;
+  bool canonical_ = true;  ///< records_ strictly increasing by canonical_less
 };
 
 /// Thrown when a machine exceeds its per-round query budget q.

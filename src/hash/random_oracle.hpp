@@ -60,10 +60,10 @@ class RandomOracle {
 
 /// Cross-oracle memo of one oracle *family* (in_bits, out_bits, seed): the
 /// derived answers of every input any attached oracle has ever queried.
-/// Multiple LazyRandomOracle instances — e.g. the per-job oracles of an
-/// mpch-serve sweep, which rebuild the same (family, seed) oracle for every
-/// job — attach one shared memo so each distinct sub-query pays its SHA-256
-/// derivation once per process instead of once per job.
+/// Oracles of one family that attach it pay each distinct sub-query's SHA-256
+/// derivation once per process instead of once per oracle. mpch-serve no
+/// longer attaches one (the locked lookup and publish cost more than they
+/// save); the class stays only because the benchmark under perfbench/ does.
 ///
 /// Determinism is preserved by construction: the memo only ever stores
 /// derive(seed, input), a pure function, and attaching it never changes an
@@ -71,8 +71,8 @@ class RandomOracle {
 /// only short-circuits re-derivation. The family key is checked at attach
 /// time so a memo can never leak answers across domains or seeds.
 ///
-/// Thread-safe: sharded behind per-shard mutexes (concurrent serve workers
-/// hit it from independent jobs), hit/miss counters are atomic.
+/// Thread-safe: sharded behind per-shard mutexes (concurrent workers hit it
+/// from independent jobs), hit/miss counters are atomic.
 class SharedOracleMemo {
  public:
   SharedOracleMemo(std::size_t in_bits, std::size_t out_bits, std::uint64_t seed);
@@ -169,8 +169,6 @@ class LazyRandomOracle final : public RandomOracle {
   /// stay local and are never published. Throws std::invalid_argument when
   /// the memo's (in_bits, out_bits, seed) does not match this oracle's.
   void attach_shared_memo(std::shared_ptr<SharedOracleMemo> memo);
-
-  bool has_shared_memo() const { return shared_memo_ != nullptr; }
 
  private:
   static constexpr std::size_t kShards = 16;

@@ -8,11 +8,9 @@
 // all: there is one construction, not two copies drifting apart.
 //
 // Scenarios are built fresh per execution (strategy-internal counters must
-// never leak between runs), and the oracle is created through make_oracle so
-// a caller may attach a process-wide SharedOracleMemo: sharing only
-// short-circuits the pure derive() step, so every observable surface (local
-// memo contents, transcript, query counts) is unchanged — see
-// hash/random_oracle.hpp.
+// never leak between runs), and so is each execution's oracle: make_oracle
+// returns a new LazyRandomOracle of the scenario's family, which derives
+// every answer itself and records the inputs this execution queried.
 #pragma once
 
 #include <cstdint>
@@ -28,7 +26,7 @@ namespace mpch::serve {
 
 /// The oracle-family key (input width, output width, secret seed). Two runs
 /// whose families agree evaluate the *same* random function, so their memo
-/// entries are interchangeable — the sharing key for SharedOracleMemo.
+/// entries are interchangeable.
 struct OracleFamily {
   std::uint64_t in_bits = 0;
   std::uint64_t out_bits = 0;
@@ -50,7 +48,8 @@ struct Scenario {
   std::shared_ptr<const core::LineInput> truth;  // outlives algo (speculative holds a pointer)
 
   /// A fresh oracle for one execution, or null for plain-model scenarios.
-  /// `memo` (optional) must match `family`; it is attached before any query.
+  /// `memo` (optional; only the benchmark under perfbench/ still passes one)
+  /// must match `family`; it is attached before any query.
   std::shared_ptr<hash::LazyRandomOracle> make_oracle(
       std::shared_ptr<hash::SharedOracleMemo> memo = nullptr) const;
 };

@@ -1,6 +1,5 @@
 #include "serve/service.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <thread>
 
@@ -51,18 +50,6 @@ ServeService::ServeService(ServeOptions options) : options_(options) {
   if (options_.queue_depth == 0) options_.queue_depth = 1;
 }
 
-std::shared_ptr<hash::SharedOracleMemo> ServeService::memo_for(const OracleFamily& family) {
-  std::lock_guard<std::mutex> lock(memo_mu_);
-  auto it = memos_.find(family);
-  if (it == memos_.end()) {
-    it = memos_
-             .emplace(family, std::make_shared<hash::SharedOracleMemo>(
-                                  family.in_bits, family.out_bits, family.seed))
-             .first;
-  }
-  return it->second;
-}
-
 JobResult ServeService::execute(const JobSpec& spec, std::uint64_t job_id,
                                 mpc::RoundArena* arena) {
   JobResult r;
@@ -110,13 +97,10 @@ JobResult ServeService::execute(const JobSpec& spec, std::uint64_t job_id,
       return r;
     }
 
-    std::shared_ptr<hash::SharedOracleMemo> memo;
-    if (options_.share_memo && sc.family.present()) memo = memo_for(sc.family);
-
     switch (spec.verb) {
       case JobVerb::kSimulate:
       case JobVerb::kVerify: {
-        auto oracle = sc.make_oracle(memo);
+        auto oracle = sc.make_oracle();
         mpc::MpcSimulation sim(sc.config, oracle);
         if (arena != nullptr) sim.set_arena(arena);
         r.run = sim.run(*sc.algo, sc.initial);
@@ -135,7 +119,7 @@ JobResult ServeService::execute(const JobSpec& spec, std::uint64_t job_id,
         // Fault-free reference first (same scenario instance), then a fresh
         // scenario for the chaotic run so strategy-internal counters never
         // carry over — mirrors mpch-chaos exactly.
-        auto ref_oracle = sc.make_oracle(memo);
+        auto ref_oracle = sc.make_oracle();
         mpc::MpcSimulation ref_sim(sc.config, ref_oracle);
         if (arena != nullptr) ref_sim.set_arena(arena);
         mpc::MpcRunResult ref_run = ref_sim.run(*sc.algo, sc.initial);
@@ -143,8 +127,7 @@ JobResult ServeService::execute(const JobSpec& spec, std::uint64_t job_id,
         Scenario chaos = make_scenario(spec.strategy, spec.seed, spec.threads);
         apply_job_config(spec, &chaos);
         fault::FaultPlan plan = fault::FaultPlan::parse(spec.plan);
-        fault::ChaosHarness harness(chaos.config,
-                                    [&chaos, memo] { return chaos.make_oracle(memo); });
+        fault::ChaosHarness harness(chaos.config, [&chaos] { return chaos.make_oracle(); });
         fault::ChaosResult chaos_result;
         if (spec.policy == "restart") {
           chaos_result = harness.run_restart(*chaos.algo, chaos.initial, plan, spec.every);
@@ -228,15 +211,6 @@ std::vector<JobResult> ServeService::run_jobs(const std::vector<JobSpec>& jobs) 
   }
   const std::uint64_t executed = stats_.ok + stats_.failed;
   if (stats_.wall_ms > 0) stats_.runs_per_sec = 1000.0 * double(executed) / stats_.wall_ms;
-  {
-    std::lock_guard<std::mutex> lock(memo_mu_);
-    stats_.memo_families = memos_.size();
-    for (const auto& [family, memo] : memos_) {
-      stats_.memo_entries += memo->entries();
-      stats_.memo_hits += memo->hits();
-      stats_.memo_misses += memo->misses();
-    }
-  }
   for (const mpc::RoundArena& arena : arenas) {
     stats_.arena_reuses += arena.reuses();
     stats_.arena_allocations += arena.allocations();
@@ -247,8 +221,7 @@ std::vector<JobResult> ServeService::run_jobs(const std::vector<JobSpec>& jobs) 
 }
 
 JobResult ServeService::run_standalone(const JobSpec& spec, std::uint64_t job_id) {
-  ServeService service(ServeOptions{/*workers=*/1, /*queue_depth=*/1,
-                                    /*share_memo=*/false, /*reuse_buffers=*/false});
+  ServeService service(ServeOptions{/*workers=*/1, /*queue_depth=*/1, /*reuse_buffers=*/false});
   return service.execute(spec, job_id, nullptr);
 }
 

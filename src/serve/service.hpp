@@ -2,15 +2,12 @@
 //
 // A ServeService takes a batch of parsed JobSpecs and executes them on a
 // fixed-size pool of worker threads fed by a bounded queue (backpressure:
-// submission blocks when workers fall behind). Three things make the hot
-// path cheap without touching the cornerstone bit-determinism guarantee:
-//
-//  * Shared oracle memo — one process-wide SharedOracleMemo per oracle
-//    family (in_bits, out_bits, seed), attached to every job oracle of that
-//    family. Sharing short-circuits only the pure derive() step; each job's
-//    own LazyRandomOracle still records exactly the sub-function *it*
-//    queried, so transcripts, touched tables, and query counts are
-//    byte-for-byte what a standalone run produces.
+// submission blocks when workers fall behind). Every job builds its own
+// oracle through Scenario::make_oracle: the lazily assigned RO of Lemma 3.3
+// is a pure function plus the set of inputs the job queried, and each
+// job's LazyRandomOracle already holds both, so no oracle state is shared
+// between jobs. Two things keep the hot path cheap without touching the
+// cornerstone bit-determinism guarantee:
 //
 //  * Per-worker buffer arenas — each worker owns a RoundArena handed to the
 //    simulations it runs, so inbox-set storage is recycled across the jobs
@@ -25,13 +22,11 @@
 //
 // The cornerstone invariant, proven by serve_conformance_test: every
 // JobResult is bit-identical to running the same JobSpec standalone
-// (run_standalone), for every worker count and with sharing/reuse on.
+// (run_standalone), for every worker count and with buffer reuse on.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -80,7 +75,6 @@ struct JobResult {
 struct ServeOptions {
   std::uint64_t workers = 1;
   std::size_t queue_depth = 64;
-  bool share_memo = true;
   bool reuse_buffers = true;
 };
 
@@ -91,6 +85,9 @@ struct ServeStats {
   std::uint64_t ok = 0;
   std::uint64_t rejected = 0;
   std::uint64_t failed = 0;
+  // Always zero: serve shares no oracle memo between jobs. The fields stay
+  // only because the benchmark under perfbench/ still reads them; they go
+  // in the same change that moves the benchmark off SharedOracleMemo.
   std::uint64_t memo_families = 0;
   std::uint64_t memo_entries = 0;
   std::uint64_t memo_hits = 0;
@@ -107,24 +104,21 @@ class ServeService {
 
   /// Execute every job on the worker pool. Returns one JobResult per job, in
   /// jobfile order; result *content* is independent of workers/queue_depth/
-  /// share_memo/reuse_buffers (only wall_ms and the worker index vary).
+  /// reuse_buffers (only wall_ms and the worker index vary).
   std::vector<JobResult> run_jobs(const std::vector<JobSpec>& jobs);
 
   const ServeStats& stats() const { return stats_; }
 
-  /// The reference executor: one job with standalone semantics — no shared
-  /// memo, no arena reuse, current thread. serve_conformance_test compares
+  /// The reference executor: one job with standalone semantics — no arena
+  /// reuse, current thread. serve_conformance_test compares
   /// pool results against this.
   static JobResult run_standalone(const JobSpec& spec, std::uint64_t job_id = 0);
 
  private:
   JobResult execute(const JobSpec& spec, std::uint64_t job_id, mpc::RoundArena* arena);
-  std::shared_ptr<hash::SharedOracleMemo> memo_for(const OracleFamily& family);
 
   ServeOptions options_;
   ServeStats stats_;
-  std::mutex memo_mu_;
-  std::map<OracleFamily, std::shared_ptr<hash::SharedOracleMemo>> memos_;
 };
 
 }  // namespace mpch::serve

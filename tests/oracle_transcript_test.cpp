@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 namespace mpch::hash {
 namespace {
@@ -86,6 +87,65 @@ TEST(OracleTranscript, IntersectCountDistinctTargets) {
   EXPECT_EQ(t.intersect_count(inputs, targets), 1u);
   targets.push_back(BitString::from_uint(2, 8));
   EXPECT_EQ(t.intersect_count(inputs, targets), 2u);
+}
+
+// Appends one record per key, a key being round*100 + machine*10 + seq;
+// keys() reads them back.
+void append(OracleTranscript& t, std::initializer_list<std::uint64_t> keys) {
+  for (std::uint64_t k : keys) {
+    const BitString bits = BitString::from_uint(k, 16);
+    t.record(k / 100, k / 10 % 10, bits, bits, k % 10);
+  }
+}
+
+std::vector<std::uint64_t> keys(const std::vector<QueryRecord>& records) {
+  std::vector<std::uint64_t> out;
+  for (const auto& r : records) out.push_back(r.round * 100 + r.machine * 10 + r.seq);
+  return out;
+}
+
+TEST(OracleTranscript, SerialAppendsAreNeverSortedAgain) {
+  // Round, then machine, then seq, each increasing: the order a serial run
+  // records in. The log stays canonical, so no sort runs.
+  OracleTranscript t;
+  append(t, {0, 1, 10, 100, 101, 110, 200, 201, 210});
+  EXPECT_TRUE(t.canonical());
+  const std::vector<QueryRecord> before = t.records();
+  EXPECT_EQ(t.canonical_records(), before);
+  t.sort_canonical();
+  EXPECT_EQ(t.records(), before);
+}
+
+TEST(OracleTranscript, OutOfOrderAppendsComeOutCanonical) {
+  // A parallel round's interleaving: machine 1 appends before machine 0.
+  OracleTranscript t;
+  append(t, {0, 110, 100, 101, 111});
+  EXPECT_FALSE(t.canonical());
+  const std::vector<std::uint64_t> want = {0, 100, 101, 110, 111};
+  EXPECT_EQ(keys(t.canonical_records()), want);  // a sorted copy; the live log is untouched
+  EXPECT_EQ(keys(t.records()), (std::vector<std::uint64_t>{0, 110, 100, 101, 111}));
+  t.sort_canonical();
+  EXPECT_TRUE(t.canonical());
+  EXPECT_EQ(keys(t.records()), want);
+  append(t, {111});  // an equal key is never canonical
+  t.sort_canonical();
+  EXPECT_FALSE(t.canonical());
+}
+
+TEST(OracleTranscript, RestoredUnsortedRecordsComeOutCanonical) {
+  OracleTranscript source;
+  append(source, {10, 0, 1});
+  OracleTranscript t;
+  t.restore(source.records());
+  EXPECT_FALSE(t.canonical());
+  append(t, {100});
+  t.sort_canonical();
+  EXPECT_EQ(keys(t.records()), (std::vector<std::uint64_t>{0, 1, 10, 100}));
+  t.restore(t.records());
+  EXPECT_TRUE(t.canonical());
+  t.restore(source.records());
+  t.clear();
+  EXPECT_TRUE(t.canonical());
 }
 
 TEST(CountingOracle, NullInnerRejected) {

@@ -1,11 +1,10 @@
 // The serve cornerstone: every JobResult coming off the worker pool — with
-// the shared oracle memo and per-worker buffer arenas BOTH on — is
-// bit-identical to running the same JobSpec standalone, for every worker
-// count. "Bit-identical" is the full artifact surface: completion, round
-// count, output bits, per-round RoundStats (including the instrumented
-// peaks), annotations, the oracle transcript records, the materialised
-// oracle table, and total query counts — the same compare
-// serve::artifact_mismatches gives mpch-chaos.
+// per-worker buffer arenas on — is bit-identical to running the same
+// JobSpec standalone, for every worker count. "Bit-identical" is the full
+// artifact surface: completion, round count, output bits, per-round
+// RoundStats (including the instrumented peaks), annotations, the oracle
+// transcript records, the materialised oracle table, and total query
+// counts — the same compare serve::artifact_mismatches gives mpch-chaos.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -84,7 +83,7 @@ std::vector<JobSpec> conformance_jobs() {
 TEST(ServeConformance, PoolResultsMatchStandaloneForAllWorkerCounts) {
   const std::vector<JobSpec> jobs = conformance_jobs();
 
-  // Standalone references: one at a time, no shared memo, no arenas.
+  // Standalone references: one at a time, no arenas.
   std::vector<JobResult> reference;
   reference.reserve(jobs.size());
   for (std::size_t i = 0; i < jobs.size(); ++i) {
@@ -94,17 +93,13 @@ TEST(ServeConformance, PoolResultsMatchStandaloneForAllWorkerCounts) {
   }
 
   for (std::uint64_t workers : kWorkerCounts) {
-    ServeService service(
-        ServeOptions{workers, /*queue_depth=*/4, /*share_memo=*/true, /*reuse_buffers=*/true});
+    ServeService service(ServeOptions{workers, /*queue_depth=*/4, /*reuse_buffers=*/true});
     const std::vector<JobResult> results = service.run_jobs(jobs);
     ASSERT_EQ(results.size(), jobs.size());
     for (std::size_t i = 0; i < jobs.size(); ++i) {
       expect_identical(reference[i], results[i],
                        "workers=" + std::to_string(workers) + " " + jobs[i].describe());
     }
-    // The sweep revisits each oracle family 3 times, so sharing must have
-    // produced hits — proving the compare above ran *with* sharing active.
-    EXPECT_GT(service.stats().memo_hits, 0u) << "workers=" << workers;
     EXPECT_GT(service.stats().arena_reuses, 0u) << "workers=" << workers;
   }
 }
@@ -119,7 +114,7 @@ TEST(ServeConformance, AuthenticatedJobsMatchStandalone) {
   spec.authenticate = true;
   const JobResult ref = ServeService::run_standalone(spec);
   ASSERT_EQ(ref.status, JobStatus::kOk) << ref.error;
-  ServeService service(ServeOptions{2, 4, true, true});
+  ServeService service(ServeOptions{2, 4, true});
   const auto results = service.run_jobs({spec, spec});
   for (const auto& r : results) expect_identical(ref, r, "authenticated");
 }
@@ -136,7 +131,7 @@ TEST(ServeConformance, InnerThreadsDoNotChangeArtifacts) {
   threaded.threads = 4;
   const JobResult ref = ServeService::run_standalone(serial);
   ASSERT_EQ(ref.status, JobStatus::kOk) << ref.error;
-  ServeService service(ServeOptions{2, 4, true, true});
+  ServeService service(ServeOptions{2, 4, true});
   const auto results = service.run_jobs({threaded, threaded});
   for (const auto& r : results) expect_identical(ref, r, "threads=4");
 }

@@ -1,11 +1,12 @@
 // Tests for the ServeService execution engine (serve/service.hpp): budget
 // admission rejects with static-checker provenance before running,
-// backpressure engages under a tiny queue, the shared oracle memo actually
-// gets hit on repeated-seed sweeps, and every verb produces the result
-// surfaces the CLI reports.
+// backpressure engages under a tiny queue, repeated seeds in one pool give
+// identical results, and every verb produces the result surfaces the CLI
+// reports.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
 #include <string>
 
 #include "analysis/static_checker.hpp"
@@ -36,7 +37,7 @@ TEST(ServeService, BudgetRejectionCarriesProvenance) {
   JobSpec spec = simulate_spec("dictionary", 11);
   spec.budget_bits = 512;  // dictionary's declared gather is far larger
   spec.source_line = 7;
-  ServeService service(ServeOptions{1, 4, true, true});
+  ServeService service(ServeOptions{1, 4, true});
   auto results = service.run_jobs({spec});
   ASSERT_EQ(results.size(), 1u);
   const JobResult& r = results[0];
@@ -55,7 +56,7 @@ TEST(ServeService, BudgetRejectionCarriesProvenance) {
 TEST(ServeService, GenerousBudgetAdmits) {
   JobSpec spec = simulate_spec("pointer-chasing", 11);
   spec.budget_bits = 1 << 20;
-  auto results = ServeService(ServeOptions{1, 4, true, true}).run_jobs({spec});
+  auto results = ServeService(ServeOptions{1, 4, true}).run_jobs({spec});
   ASSERT_EQ(results.size(), 1u);
   EXPECT_EQ(results[0].status, JobStatus::kOk);
   EXPECT_TRUE(results[0].admission.ok());
@@ -90,14 +91,14 @@ TEST(ServeService, AuthenticatedAdmissionUsesTheSharedLift) {
 
   JobSpec plain = simulate_spec("pointer-chasing", 11);
   plain.budget_bits = budget;
-  auto admitted = ServeService(ServeOptions{1, 4, true, true}).run_jobs({plain});
+  auto admitted = ServeService(ServeOptions{1, 4, true}).run_jobs({plain});
   ASSERT_EQ(admitted.size(), 1u);
   EXPECT_EQ(admitted[0].status, JobStatus::kOk);
 
   JobSpec authed = plain;
   authed.authenticate = true;
   authed.source_line = 5;
-  auto rejected = ServeService(ServeOptions{1, 4, true, true}).run_jobs({authed});
+  auto rejected = ServeService(ServeOptions{1, 4, true}).run_jobs({authed});
   ASSERT_EQ(rejected.size(), 1u);
   EXPECT_EQ(rejected[0].status, JobStatus::kRejected);
   EXPECT_NE(rejected[0].error.find("line 5"), std::string::npos) << rejected[0].error;
@@ -129,7 +130,7 @@ TEST(ServeService, BackpressureEngagesUnderTinyQueue) {
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     jobs.push_back(simulate_spec("ram-emulation", seed));
   }
-  ServeService service(ServeOptions{1, 1, true, true});
+  ServeService service(ServeOptions{1, 1, true});
   auto results = service.run_jobs(jobs);
   ASSERT_EQ(results.size(), jobs.size());
   for (const auto& r : results) EXPECT_EQ(r.status, JobStatus::kOk) << r.error;
@@ -137,31 +138,49 @@ TEST(ServeService, BackpressureEngagesUnderTinyQueue) {
   EXPECT_LE(service.stats().queue_high_watermark, 1u);
 }
 
-TEST(ServeService, SharedMemoHitsOnRepeatedSeeds) {
-  // Same strategy + seed twice: the second job's oracle queries the same
-  // sub-function, so with sharing on it must hit the process-wide memo —
-  // and both runs must still be bit-identical to each other.
-  std::vector<JobSpec> jobs = {simulate_spec("pointer-chasing", 11),
-                               simulate_spec("pointer-chasing", 11)};
-  ServeService shared(ServeOptions{1, 4, /*share_memo=*/true, true});
-  auto on = shared.run_jobs(jobs);
-  EXPECT_GT(shared.stats().memo_hits, 0u);
-  EXPECT_EQ(shared.stats().memo_families, 1u);
+TEST(ServeService, RepeatedSeedsInOnePoolMatchStandalone) {
+  // Same strategy + seed twice in one pool: each job derives its own oracle
+  // answers, so both are bit-identical to a standalone run.
+  const JobSpec spec = simulate_spec("pointer-chasing", 11);
+  const JobResult ref = ServeService::run_standalone(spec);
+  ASSERT_EQ(ref.status, JobStatus::kOk) << ref.error;
+  ServeService service(ServeOptions{2, 4, true});
+  auto results = service.run_jobs({spec, spec});
+  ASSERT_EQ(results.size(), 2u);
+  for (const JobResult& r : results) {
+    ASSERT_EQ(r.status, JobStatus::kOk) << r.error;
+    ASSERT_NE(r.oracle, nullptr);
+    EXPECT_TRUE(
+        mpch::serve::artifact_mismatches(ref.run, ref.oracle.get(), r.run, r.oracle.get())
+            .empty());
+  }
+}
 
-  ServeService unshared(ServeOptions{1, 4, /*share_memo=*/false, true});
-  auto off = unshared.run_jobs(jobs);
-  EXPECT_EQ(unshared.stats().memo_hits, 0u);
-  EXPECT_EQ(unshared.stats().memo_families, 0u);
-
-  ASSERT_EQ(on.size(), 2u);
-  ASSERT_EQ(off.size(), 2u);
-  for (std::size_t i = 0; i < 2; ++i) {
-    EXPECT_EQ(on[i].status, JobStatus::kOk);
-    EXPECT_EQ(on[i].run.output, off[i].run.output);
-    EXPECT_EQ(on[i].run.rounds_used, off[i].run.rounds_used);
-    ASSERT_NE(on[i].oracle, nullptr);
-    EXPECT_EQ(on[i].oracle->total_queries(), off[i].oracle->total_queries());
-    EXPECT_EQ(on[i].oracle->touched_table(), off[i].oracle->touched_table());
+TEST(ServeService, TouchedTableKeysAreTheTranscriptInputs) {
+  // The precondition for dropping a checkpoint's memo section: a job's
+  // oracle materialises exactly the inputs its transcript records, for
+  // every strategy and for a run restored from a checkpoint.
+  std::vector<JobSpec> jobs;
+  for (const std::string& strategy : mpch::serve::strategy_names()) {
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) jobs.push_back(simulate_spec(strategy, seed));
+  }
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    JobSpec chaos = simulate_spec("pointer-chasing", seed);
+    chaos.verb = JobVerb::kChaos;
+    chaos.plan = "kill:round=4";
+    chaos.policy = "restart";
+    chaos.every = 2;
+    jobs.push_back(chaos);
+  }
+  for (const JobResult& r : ServeService(ServeOptions{2, 4, true}).run_jobs(jobs)) {
+    ASSERT_EQ(r.status, JobStatus::kOk) << r.spec.describe() << ": " << r.error;
+    EXPECT_TRUE(r.spec.verb != JobVerb::kChaos || r.cost.recoveries >= 1) << r.spec.describe();
+    if (r.oracle == nullptr) continue;  // plain-model strategy
+    std::set<mpch::util::BitString> inputs, keys;
+    for (const auto& rec : r.run.transcript->records()) inputs.insert(rec.input);
+    for (const auto& [input, output] : r.oracle->touched_table()) keys.insert(input);
+    EXPECT_FALSE(keys.empty()) << r.spec.describe();
+    EXPECT_EQ(inputs, keys) << r.spec.describe();
   }
 }
 
@@ -170,7 +189,7 @@ TEST(ServeService, BufferReuseRecyclesAcrossJobs) {
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     jobs.push_back(simulate_spec("pointer-chasing", seed));
   }
-  ServeService service(ServeOptions{1, 4, true, /*reuse_buffers=*/true});
+  ServeService service(ServeOptions{1, 4, /*reuse_buffers=*/true});
   auto results = service.run_jobs(jobs);
   for (const auto& r : results) EXPECT_EQ(r.status, JobStatus::kOk) << r.error;
   // Rounds far outnumber jobs, so steady-state acquires must be reuses.
@@ -209,7 +228,7 @@ TEST(ServeService, ResultsKeepJobfileOrderAcrossWorkers) {
     jobs.push_back(simulate_spec("ram-emulation", seed));
     jobs.back().source_line = seed;
   }
-  auto results = ServeService(ServeOptions{4, 2, true, true}).run_jobs(jobs);
+  auto results = ServeService(ServeOptions{4, 2, true}).run_jobs(jobs);
   ASSERT_EQ(results.size(), jobs.size());
   for (std::size_t i = 0; i < results.size(); ++i) {
     EXPECT_EQ(results[i].job_id, i);

@@ -8,13 +8,13 @@
 // Reads a jobfile (one job per line — see src/serve/job_spec.hpp for the
 // grammar), executes every job on a fixed-size worker pool fed by a bounded
 // queue, and emits one machine-readable JobResult per job plus an aggregate
-// throughput report (runs/sec, per-strategy p50/p99 latency, memo/arena/
-// queue counters).
+// throughput report (runs/sec, per-strategy p50/p99 latency, arena/queue
+// counters).
 //
-// The hot path shares a process-wide oracle memo across jobs of the same
-// oracle family and recycles round buffers per worker; neither changes a
-// single output bit — every JobResult is bit-identical to running the same
-// job standalone (serve_conformance_test proves it). Jobs whose declared
+// Each job derives its own oracle answers; the hot path recycles round
+// buffers per worker, which changes no output bit — every JobResult is
+// bit-identical to running the same job standalone (serve_conformance_test
+// proves it). Jobs whose declared
 // ProtocolSpec envelope does not fit their memory budget are rejected at
 // admission, before execution, with static-checker provenance.
 //
@@ -79,7 +79,6 @@ void emit_json(const std::vector<serve::JobResult>& results, const serve::ServeS
   w.key("options").begin_object();
   w.member("workers", options.workers);
   w.member("queue_depth", static_cast<std::uint64_t>(options.queue_depth));
-  w.member("share_memo", options.share_memo);
   w.member("reuse_buffers", options.reuse_buffers);
   w.end_object();
 
@@ -132,10 +131,6 @@ void emit_json(const std::vector<serve::JobResult>& results, const serve::ServeS
     w.end_object();
   }
   w.end_array();
-  w.member("memo_families", stats.memo_families);
-  w.member("memo_entries", stats.memo_entries);
-  w.member("memo_hits", stats.memo_hits);
-  w.member("memo_misses", stats.memo_misses);
   w.member("arena_reuses", stats.arena_reuses);
   w.member("arena_allocations", stats.arena_allocations);
   w.member("backpressure_waits", stats.backpressure_waits);
@@ -171,10 +166,6 @@ void emit_text(const std::vector<serve::JobResult>& results, const serve::ServeS
             << " rejected, " << stats.failed << " failed in "
             << util::format_double(stats.wall_ms, 1) << " ms ("
             << util::format_double(stats.runs_per_sec, 1) << " runs/sec)\n"
-            << "memo: " << stats.memo_families << " famil"
-            << (stats.memo_families == 1 ? "y" : "ies") << ", " << stats.memo_entries
-            << " entr" << (stats.memo_entries == 1 ? "y" : "ies") << ", " << stats.memo_hits
-            << " hit(s), " << stats.memo_misses << " miss(es)\n"
             << "buffers: " << stats.arena_reuses << " reuse(s), " << stats.arena_allocations
             << " allocation(s)\n"
             << "queue: " << stats.backpressure_waits << " backpressure wait(s), high watermark "
@@ -187,8 +178,7 @@ int main(int argc, char** argv) {
   util::CliArgs args(argc, argv);
   if (args.get_bool("help", false)) {
     std::cout << "usage: mpch-serve --jobs FILE|- [--workers N] [--queue-depth N]\n"
-                 "                  [--no-share-memo] [--no-reuse-buffers]\n"
-                 "                  [--format text|json] [--list]\n"
+                 "                  [--no-reuse-buffers] [--format text|json] [--list]\n"
                  "  jobfile grammar (one job per line, '#' comments):\n"
                  "    <verb> strategy=NAME [seed=N] [repeat=N] [threads=N]\n"
                  "           [transport=in-process|socket] [transport-procs=N]\n"
@@ -210,7 +200,6 @@ int main(int argc, char** argv) {
   serve::ServeOptions options;
   options.workers = args.get_u64("workers", 4);
   options.queue_depth = args.get_u64("queue-depth", 64);
-  options.share_memo = !args.get_bool("no-share-memo", false);
   options.reuse_buffers = !args.get_bool("no-reuse-buffers", false);
   const std::string format = args.get_string("format", "text");
   for (const auto& unused : args.unused()) {
