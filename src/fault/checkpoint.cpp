@@ -1,6 +1,6 @@
 #include "fault/checkpoint.hpp"
 
-#include <algorithm>
+#include <span>
 
 #include "util/serialize.hpp"
 
@@ -10,15 +10,39 @@ namespace {
 
 constexpr std::uint8_t kMagic[8] = {'M', 'P', 'C', 'H', 'K', 'P', 'T', 0x01};
 
-std::uint64_t payload_checksum(const util::BitString& payload) {
+// Magic, version, payload bit count and checksum: four 64-bit words.
+constexpr std::size_t kHeaderBits = 4 * 64;
+
+std::uint64_t payload_checksum(std::uint64_t payload_bits, std::span<const std::uint8_t> payload) {
   // SHA-256-derived 64-bit digest over (bit length, packed bytes); domain
   // separated from every other sha256_expand use in the tree.
   std::uint8_t header[4 + 8] = {'C', 'K', 'P', 'T'};
-  hash::store_le64(header + 4, payload.size());
+  hash::store_le64(header + 4, payload_bits);
   hash::Sha256 h;
   h.update(header, sizeof header);
-  h.update(payload.bytes());
+  h.update(payload);
   return hash::sha256_expand_u64(h);
+}
+
+/// A writer holding the header, its length and checksum still zero, for
+/// the payload to follow.
+util::BitWriter start_frame() {
+  util::BitWriter w;
+  for (std::uint8_t b : kMagic) w.write_uint(b, 8);
+  w.write_uint(Checkpoint::kVersion, 64);
+  w.write_uint(0, 64);  // payload bits
+  w.write_uint(0, 64);  // checksum
+  return w;
+}
+
+/// Take a start_frame() writer's bits and fill in the length and checksum:
+/// the payload is checksummed where it lies, never copied.
+util::BitString seal_frame(util::BitWriter& w) {
+  util::BitString wire = w.take();
+  const std::uint64_t payload_bits = wire.size() - kHeaderBits;
+  wire.set_uint(128, 64, payload_bits);
+  wire.set_uint(192, 64, payload_checksum(payload_bits, wire.bytes().subspan(kHeaderBits / 8)));
+  return wire;
 }
 
 void write_peak(util::BitWriter& w, const mpc::Peak& p) {
@@ -33,8 +57,7 @@ mpc::Peak read_peak(util::BitReader& r) {
   return p;
 }
 
-util::BitString serialize_payload(const Checkpoint& cp) {
-  util::BitWriter w;
+void write_payload(util::BitWriter& w, const Checkpoint& cp) {
   w.write_uint(cp.next_round, 64);
   w.write_uint(cp.machines, 64);
   w.write_uint(cp.local_memory_bits, 64);
@@ -94,7 +117,6 @@ util::BitString serialize_payload(const Checkpoint& cp) {
       util::write_bitstring_field(w, output);
     }
   }
-  return w.take();
 }
 
 /// Read an element count and reject it unless `min_bits_per_item` elements
@@ -233,17 +255,15 @@ Checkpoint initial_checkpoint(const mpc::MpcConfig& config,
 }
 
 util::BitString serialize(const Checkpoint& cp) {
-  return frame_checkpoint_payload(serialize_payload(cp));
+  util::BitWriter w = start_frame();
+  write_payload(w, cp);
+  return seal_frame(w);
 }
 
 util::BitString frame_checkpoint_payload(const util::BitString& payload) {
-  util::BitWriter w;
-  for (std::uint8_t b : kMagic) w.write_uint(b, 8);
-  w.write_uint(Checkpoint::kVersion, 64);
-  w.write_uint(payload.size(), 64);
-  w.write_uint(payload_checksum(payload), 64);
+  util::BitWriter w = start_frame();
   w.write_bits(payload);
-  return w.take();
+  return seal_frame(w);
 }
 
 Checkpoint deserialize(const util::BitString& bits) {
@@ -270,17 +290,18 @@ Checkpoint deserialize(const util::BitString& bits) {
                             std::to_string(payload_bits) + " payload bits, " +
                             std::to_string(r.remaining()) + " present");
     }
-    util::BitString payload = r.read_bits(static_cast<std::size_t>(payload_bits));
-    std::uint64_t computed = payload_checksum(payload);
+    // The header is a whole number of bytes, so the payload's packed bytes
+    // are the wire's from there on: checksum them in place, then parse on.
+    std::uint64_t computed =
+        payload_checksum(payload_bits, bits.bytes().subspan(kHeaderBits / 8));
     if (computed != stored_checksum) {
       throw CheckpointError("checkpoint corrupted: checksum mismatch (stored " +
                             std::to_string(stored_checksum) + ", computed " +
                             std::to_string(computed) + ") — refusing to resume");
     }
-    util::BitReader pr(std::move(payload));
-    Checkpoint cp = deserialize_payload(pr);
-    if (!pr.exhausted()) {
-      throw CheckpointError("checkpoint corrupted: " + std::to_string(pr.remaining()) +
+    Checkpoint cp = deserialize_payload(r);
+    if (!r.exhausted()) {
+      throw CheckpointError("checkpoint corrupted: " + std::to_string(r.remaining()) +
                             " trailing payload bits after the last field");
     }
     if (cp.inboxes.size() != cp.machines) {

@@ -14,6 +14,8 @@
 // Wire format (see serialize()/deserialize()):
 //   magic "MPCHKPT\x01" (8 bytes) | version u64 | payload_bits u64 |
 //   checksum u64 (SHA-256-derived, over the payload) | payload
+// The header is 32 bytes, so the payload's packed bytes are the wire's from
+// byte 32 on: both directions checksum them in place.
 // Any header or checksum mismatch throws CheckpointError with a diagnostic
 // instead of resuming from a corrupted snapshot.
 #pragma once

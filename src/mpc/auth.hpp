@@ -18,10 +18,11 @@
 //
 //  * attestation_digest — a 64-bit digest of one machine's end-of-round
 //    state (its next-round inbox, which by Definition 2.1 *is* its entire
-//    cross-round state). The round loop records all m digests in
-//    RoundSnapshot whenever an observer is attached; recovery policies
-//    recompute them from checkpoints to localise which machine a silent
-//    Byzantine fault corrupted (see fault/recovery.hpp's quarantine policy).
+//    cross-round state). It is a pure function of that inbox, so nothing
+//    computes it per round: the quarantine policy (fault/recovery.hpp)
+//    derives the digests from the live and replica checkpoints of a round
+//    whose state diverged, to localise which machine a silent Byzantine
+//    fault corrupted.
 //
 // Both derivations are domain-separated uses of the same SHA-256 expander
 // that implements the oracle and the shared tape, so the security argument

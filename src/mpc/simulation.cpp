@@ -306,15 +306,12 @@ MpcRunResult MpcSimulation::run_rounds(MpcAlgorithm& algo, std::uint64_t start_r
 
     result.rounds_used = round + 1;
     if (observer != nullptr) {
-      std::vector<std::uint64_t> attestations =
-          attestation_digests(config_.tape_seed, round, next_inboxes);
       RoundSnapshot snapshot;
       snapshot.round = round;
       snapshot.completed = any_output;
       snapshot.next_inboxes = &next_inboxes;
       snapshot.trace = &result.trace;
       snapshot.transcript = result.transcript.get();
-      snapshot.attestations = &attestations;
       observer->after_round(snapshot);
     }
     if (stripped) buffers.release(std::move(plain_inboxes));

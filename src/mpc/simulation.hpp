@@ -146,18 +146,16 @@ class MpcAlgorithm {
 /// oracle's memo this is the *complete* resumable state of an execution
 /// (machines are stateless across rounds by construction), which is what
 /// makes fault/checkpoint.hpp's snapshots sufficient for bit-identical
-/// recovery.
+/// recovery. The round loop computes no attestation digests: they are a
+/// pure function of (tape seed, round, next_inboxes) (auth.hpp), so an
+/// observer or recovery policy that wants them derives them from this view
+/// or from a checkpoint.
 struct RoundSnapshot {
   std::uint64_t round = 0;   ///< the round that just committed
   bool completed = false;    ///< an output was produced; the run is over
   const std::vector<std::vector<Message>>* next_inboxes = nullptr;
   const RoundTrace* trace = nullptr;
   const hash::OracleTranscript* transcript = nullptr;
-  /// Per-machine end-of-round attestation digests (auth.hpp), machine index
-  /// order. Computed whenever an observer is attached — a pure function of
-  /// (tape seed, round, next_inboxes), so recovery policies can recompute
-  /// them from a checkpoint and cross-check which machine diverged.
-  const std::vector<std::uint64_t>* attestations = nullptr;
 };
 
 /// Hooks driven by the round loop at its deterministic single-threaded

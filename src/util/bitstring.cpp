@@ -6,6 +6,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "util/packed_bits.hpp"
+
 namespace mpch::util {
 
 namespace {
@@ -15,41 +17,9 @@ constexpr std::size_t kWordBytes = 8;
 
 std::size_t bytes_for(std::size_t nbits) { return (nbits + kByteBits - 1) / kByteBits; }
 
-// The n <= 8 bytes at p as a big-endian word, left-aligned: p[0] lands in the
-// top byte and missing bytes read as zero. Only the n bytes are touched.
-std::uint64_t load_be(const std::uint8_t* p, std::size_t n) {
-  std::uint64_t w = 0;
-  if (n == kWordBytes) {
-    std::memcpy(&w, p, kWordBytes);
-    if constexpr (std::endian::native == std::endian::little) w = __builtin_bswap64(w);
-    return w;
-  }
-  for (std::size_t i = 0; i < n; ++i) w |= std::uint64_t{p[i]} << (56 - kByteBits * i);
-  return w;
-}
-
-// Inverse of load_be: write the top n bytes of w to p[0..n).
-void store_be(std::uint8_t* p, std::size_t n, std::uint64_t w) {
-  if (n == kWordBytes) {
-    if constexpr (std::endian::native == std::endian::little) w = __builtin_bswap64(w);
-    std::memcpy(p, &w, kWordBytes);
-    return;
-  }
-  for (std::size_t i = 0; i < n; ++i) p[i] = static_cast<std::uint8_t>(w >> (56 - kByteBits * i));
-}
-
-// Bits [pos, pos+len) of the packed buffer `src`, right-aligned. Requires
-// 1 <= len <= 64 and the range inside the buffer; the window spans at most
-// nine bytes, of which only those holding range bits are read.
-std::uint64_t read_bits(const std::uint8_t* src, std::size_t pos, std::size_t len) {
-  const std::uint8_t* p = src + pos / kByteBits;
-  const std::size_t off = pos % kByteBits;
-  const std::size_t nbytes = bytes_for(off + len);
-  std::uint64_t w = load_be(p, std::min(nbytes, kWordBytes)) << off;
-  // A ninth byte only occurs with off >= 1, so the shift is in [1, 7].
-  if (nbytes > kWordBytes) w |= std::uint64_t{p[kWordBytes]} >> (kByteBits - off);
-  return w >> (kWordBits - len);
-}
+using detail::load_be;
+using detail::read_bits;
+using detail::store_be;
 
 // Overwrite bits [pos, pos+len) of `dst` with the low len bits of `value`,
 // leaving every other bit as it was. Same requirements as read_bits.

@@ -187,6 +187,9 @@ class BitString {
   ByteView bytes() const { return {data_, byte_size()}; }
 
  private:
+  // BitWriter (serialize.hpp) streams whole words straight into the buffer.
+  friend class BitWriter;
+
   std::size_t byte_size() const { return (nbits_ + 7) / 8; }
   bool is_inline() const { return data_ == inline_; }
   std::size_t capacity() const { return is_inline() ? kInlineBytes : capacity_; }

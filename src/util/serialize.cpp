@@ -1,8 +1,42 @@
 #include "util/serialize.hpp"
 
+#include <cstring>
 #include <fstream>
 
 namespace mpch::util {
+
+void BitWriter::write_bits(const BitString& bits) {
+  const std::size_t len = bits.size();
+  const std::uint8_t* src = bits.bytes().data();
+  if (pending_ % 8 == 0) {
+    // Byte-aligned: move the accumulator's whole bytes out, copy the whole
+    // bytes of `bits` behind them, and start the accumulator over with the
+    // last partial byte (its unused low bits are zero).
+    drain();
+    const std::size_t at = out_.nbits_ / 8;
+    const std::size_t whole = len / 8;
+    reserve(at + whole);
+    if (whole != 0) std::memcpy(out_.data_ + at, src, whole);
+    out_.nbits_ += 8 * whole;
+    pending_ = len % 8;
+    acc_ = pending_ == 0 ? 0 : std::uint64_t{src[whole]} << 56;
+    return;
+  }
+  std::size_t pos = 0;
+  for (; len - pos >= 64; pos += 64) put(detail::load_be(src + pos / 8, 8), 64);
+  if (const std::size_t rest = len - pos; rest != 0) {
+    put(detail::load_be(src + pos / 8, (rest + 7) / 8) >> (64 - rest), rest);
+  }
+}
+
+void BitReader::reject(std::size_t len) const {
+  if (len > remaining()) {
+    throw std::out_of_range("BitReader: read past end (pos=" + std::to_string(pos_) +
+                            " len=" + std::to_string(len) +
+                            " size=" + std::to_string(bits_.size()) + ")");
+  }
+  throw std::invalid_argument("BitReader::read_uint: width > 64");
+}
 
 void write_bitstring_field(BitWriter& w, const BitString& bits) {
   w.write_uint(bits.size(), 64);

@@ -1,22 +1,39 @@
 // serialize.hpp — byte/bit-level writer and reader used by the compression
-// argument (src/compress) and the fault subsystem's checkpoints (src/fault).
+// argument (src/compress), the strategies' message codecs, and the fault
+// subsystem's checkpoints (src/fault).
 // The proof's Enc/Dec schemes are literal encodings whose *length in bits* is
 // the whole point, so the writer tracks bit-exact sizes and supports
 // fixed-width fields like "log q bits for a query index". The field helpers
 // below add the self-describing (length-prefixed) layer checkpoints need,
 // where the reader cannot know field widths a priori.
+//
+// Both sides work on the packed bytes, not bit by bit:
+//  * BitWriter streams. Fields collect in a 64-bit accumulator that reaches
+//    the output a whole word at a time; write_bits copies a byte-aligned
+//    string with memcpy and feeds any other through the accumulator 64 bits
+//    per step. The output is a BitString built in place, so an encoding of
+//    up to 128 bits (every short message) stays in its inline storage.
+//  * BitReader borrows. It reads the BitString it is given where it lies,
+//    with one range check per field, so decoding a message or a checkpoint
+//    copies nothing but the fields it returns. The string must outlive the
+//    reader; constructing one from a temporary does not compile.
+// Checkpoint loading leans on both: fault::deserialize checksums the
+// payload in place (the bytes after the 32-byte header) and then parses it
+// with the same reader that read the header.
 #pragma once
 
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/bitstring.hpp"
+#include "util/packed_bits.hpp"
 
 namespace mpch::util {
 
-/// Appends fixed-width fields into a growing BitString.
+/// Appends fixed-width fields, MSB-first, into a BitString it builds.
 class BitWriter {
  public:
   /// Append the low `width` bits of `value` (width <= 64).
@@ -25,36 +42,86 @@ class BitWriter {
     if (width < 64 && value >> width != 0) {
       throw std::invalid_argument("BitWriter::write_uint: value does not fit width");
     }
-    buffer_.pad_zeros(width);
-    buffer_.set_uint(buffer_.size() - width, width, value);
+    if (width != 0) put(value, width);
   }
 
-  void write_bits(const BitString& bits) { buffer_ += bits; }
+  void write_bits(const BitString& bits);
 
   void write_bool(bool b) { write_uint(b ? 1 : 0, 1); }
 
-  std::size_t bit_count() const { return buffer_.size(); }
-  const BitString& bits() const { return buffer_; }
-  BitString take() { return std::move(buffer_); }
+  std::size_t bit_count() const { return out_.nbits_ + pending_; }
+
+  /// The bits written so far; leaves the writer empty.
+  BitString take() {
+    drain();
+    return std::move(out_);
+  }
 
  private:
-  BitString buffer_;
+  // Move the pending bits into out_: it then ends on a byte boundary
+  // whenever pending_ was a multiple of 8.
+  void drain() {
+    const std::size_t at = out_.nbits_ / 8;
+    const std::size_t n = (pending_ + 7) / 8;
+    reserve(at + n);
+    detail::store_be(out_.data_ + at, n, acc_);
+    out_.nbits_ += pending_;
+    acc_ = 0;
+    pending_ = 0;
+  }
+
+  // Append the low `width` bits of `value`: 1 <= width <= 64, value fits.
+  void put(std::uint64_t value, std::size_t width) {
+    const std::size_t room = 64 - pending_;
+    if (width < room) {
+      acc_ |= value << (room - width);
+      pending_ += width;
+      return;
+    }
+    const std::size_t spill = width - room;  // < 64, as room >= 1
+    flush(acc_ | value >> spill);
+    acc_ = spill == 0 ? 0 : value << (64 - spill);
+    pending_ = spill;
+  }
+
+  // Append one full word to the output.
+  void flush(std::uint64_t word) {
+    const std::size_t at = out_.nbits_ / 8;
+    reserve(at + 8);
+    detail::store_be(out_.data_ + at, 8, word);
+    out_.nbits_ += 64;
+  }
+
+  // The capacity check inline; BitString::reserve itself is out of line.
+  void reserve(std::size_t nbytes) {
+    if (nbytes > out_.capacity()) out_.reserve(nbytes);
+  }
+
+  // Written bits: out_ holds a whole number of bytes (between calls), then
+  // the accumulator holds the next pending_ < 64 bits, left-aligned, zeros
+  // below them.
+  BitString out_;
+  std::uint64_t acc_ = 0;
+  std::size_t pending_ = 0;
 };
 
-/// Sequentially consumes fixed-width fields from a BitString.
+/// Sequentially consumes fixed-width fields from a BitString it borrows:
+/// the string must outlive the reader and not change while it reads.
 class BitReader {
  public:
-  explicit BitReader(BitString bits) : bits_(std::move(bits)) {}
+  explicit BitReader(const BitString& bits) : bits_(bits) {}
+  /// A temporary would be destroyed before the first read.
+  BitReader(BitString&&) = delete;
 
   std::uint64_t read_uint(std::size_t width) {
-    check(width);
-    std::uint64_t v = bits_.get_uint(pos_, width);
+    if (width > 64 || width > remaining()) [[unlikely]] reject(width);
+    const std::uint64_t v = width == 0 ? 0 : detail::read_bits(bits_.bytes().data(), pos_, width);
     pos_ += width;
     return v;
   }
 
   BitString read_bits(std::size_t len) {
-    check(len);
+    if (len > remaining()) [[unlikely]] reject(len);
     BitString v = bits_.slice(pos_, len);
     pos_ += len;
     return v;
@@ -67,17 +134,13 @@ class BitReader {
   bool exhausted() const { return pos_ == bits_.size(); }
 
  private:
-  void check(std::size_t len) const {
-    // Compare against the remainder, not pos_ + len: a hostile 64-bit length
-    // near SIZE_MAX would overflow the sum and slip past the bound.
-    if (len > bits_.size() - pos_) {
-      throw std::out_of_range("BitReader: read past end (pos=" + std::to_string(pos_) +
-                              " len=" + std::to_string(len) +
-                              " size=" + std::to_string(bits_.size()) + ")");
-    }
-  }
+  // Throws std::out_of_range for a read past the end (a length is compared
+  // against the remainder, never pos_ + len, so a hostile 64-bit length
+  // cannot wrap past the bound), else std::invalid_argument for a uint
+  // wider than 64 bits.
+  [[noreturn]] void reject(std::size_t len) const;
 
-  BitString bits_;
+  const BitString& bits_;
   std::size_t pos_ = 0;
 };
 

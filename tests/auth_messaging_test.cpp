@@ -312,18 +312,21 @@ TEST(AuthMessaging, OnIsDeterministicAcrossThreadCounts) {
   }
 }
 
-/// Observer that copies every round's attestation vector.
+/// Observer that computes every round barrier's attestation vector from
+/// the snapshot (the round loop computes none).
 struct AttestationRecorder : RoundObserver {
+  explicit AttestationRecorder(std::uint64_t tape_seed) : seed(tape_seed) {}
+  std::uint64_t seed;
   std::vector<std::vector<std::uint64_t>> per_round;
   void after_round(const RoundSnapshot& snapshot) override {
-    ASSERT_NE(snapshot.attestations, nullptr);
-    per_round.push_back(*snapshot.attestations);
+    ASSERT_NE(snapshot.next_inboxes, nullptr);
+    per_round.push_back(attestation_digests(seed, snapshot.round, *snapshot.next_inboxes));
   }
 };
 
 TEST(Attestation, SnapshotDigestsAreThreadInvariant) {
-  AttestationRecorder serial;
-  AttestationRecorder parallel;
+  AttestationRecorder serial(ring_config(true, 1).tape_seed);
+  AttestationRecorder parallel(ring_config(true, 8).tape_seed);
   run_ring(ring_config(true, 1), &serial);
   run_ring(ring_config(true, 8), &parallel);
   ASSERT_FALSE(serial.per_round.empty());

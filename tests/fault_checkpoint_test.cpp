@@ -2,20 +2,27 @@
 // guards: serialize -> deserialize -> serialize is byte-identical, every
 // corruption class (magic, version, length, checksum, truncation, trailing
 // bits) is rejected with a diagnostic naming what failed, file round-trips
-// survive, and make_resume_state re-verifies the oracle memo against the
-// supplied oracle's seed.
+// survive, make_resume_state re-verifies the oracle memo against the
+// supplied oracle's seed, and the wire bytes of a real run's checkpoints
+// match a digest recorded before the codec was rewritten.
 #include "fault/checkpoint.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "core/line.hpp"
 #include "hash/random_oracle.hpp"
+#include "hash/sha256.hpp"
 #include "hash_reference.hpp"
+#include "mpc/simulation.hpp"
+#include "strategies/pointer_chasing.hpp"
+#include "util/rng.hpp"
 #include "util/serialize.hpp"
 
 namespace mpch {
@@ -214,6 +221,72 @@ TEST(Checkpoint, ResumeStateRejectsMismatchedOracleShape) {
   hash::LazyRandomOracle narrow(8, 8, 1);
   EXPECT_THROW(fault::make_resume_state(cp, &narrow), CheckpointError);
   EXPECT_THROW(fault::make_resume_state(cp, nullptr), CheckpointError);
+}
+
+/// Serializes a checkpoint at every round barrier, checks that each wire
+/// survives deserialize -> serialize unchanged, and folds every wire (its
+/// bit length as 8 little-endian bytes, then its packed bytes) into one
+/// SHA-256.
+class WireDigest : public mpc::RoundObserver {
+ public:
+  WireDigest(mpc::MpcConfig config, const hash::LazyRandomOracle* oracle)
+      : config_(config), oracle_(oracle) {}
+
+  void after_round(const mpc::RoundSnapshot& snapshot) override {
+    absorb(fault::serialize(fault::capture(snapshot, config_, oracle_)));
+  }
+
+  void absorb(const BitString& wire) {
+    EXPECT_EQ(fault::serialize(fault::deserialize(wire)), wire) << "wire " << wires_;
+    std::uint8_t length[8];
+    hash::store_le64(length, wire.size());
+    sha_.update(length, sizeof length);
+    sha_.update(wire.bytes());
+    ++wires_;
+  }
+
+  std::size_t wires() const { return wires_; }
+  std::string hex() { return hash::Sha256::to_hex(sha_.digest()); }
+
+ private:
+  mpc::MpcConfig config_;
+  const hash::LazyRandomOracle* oracle_;
+  hash::Sha256 sha_;
+  std::size_t wires_ = 0;
+};
+
+TEST(Checkpoint, PointerChasingWireBytesMatchGoldenDigest) {
+  // Seed 1, checkpointed at every barrier, once plain and once with MAC
+  // tags (which move every payload off byte alignment). The digest was
+  // recorded with the BitString-append writer and the copying reader; a
+  // codec change that moves one wire bit fails here.
+  core::LineParams params = core::LineParams::make(64, 16, 8, 96);
+  util::Rng rng(1);
+  core::LineInput input = core::LineInput::random(params, rng);
+  strategies::PointerChasingStrategy strat(params,
+                                           strategies::OwnershipPlan::round_robin(params, 4));
+  std::vector<BitString> initial = strat.make_initial_memory(input);
+
+  hash::Sha256 runs;
+  std::size_t wires = 0;
+  for (bool authenticate : {false, true}) {
+    mpc::MpcConfig config;
+    config.machines = 4;
+    config.local_memory_bits = 4 * strat.required_local_memory();  // room for tags
+    config.query_budget = 1 << 20;
+    config.tape_seed = 1;
+    config.authenticate_messages = authenticate;
+    auto oracle = std::make_shared<hash::LazyRandomOracle>(params.n, params.n, 1);
+    WireDigest digest(config, oracle.get());
+    digest.absorb(fault::serialize(fault::initial_checkpoint(config, initial, oracle.get())));
+    mpc::MpcSimulation sim(config, oracle);
+    ASSERT_TRUE(sim.run(strat, initial, &digest).completed);
+    wires += digest.wires();
+    runs.update(digest.hex());
+  }
+  EXPECT_EQ(wires, 148u);
+  EXPECT_EQ(hash::Sha256::to_hex(runs.digest()),
+            "6971b0c488a3bc5ebefb7c177297df30fc1c55b3ce6b2a5e2252f4fea5f6f1b3");
 }
 
 TEST(Checkpoint, InconsistentInboxCountIsRejected) {

@@ -2,10 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "util/rng.hpp"
 
 namespace mpch::util {
 namespace {
+
+// BitReader borrows the string it reads: it binds to an lvalue, and a
+// temporary, which would die before the first read, does not compile.
+static_assert(std::is_constructible_v<BitReader, const BitString&>);
+static_assert(!std::is_constructible_v<BitReader, BitString&&>);
 
 TEST(BitWriter, WritesFixedWidthFields) {
   BitWriter w;
@@ -13,7 +20,8 @@ TEST(BitWriter, WritesFixedWidthFields) {
   w.write_uint(0xFF, 8);
   w.write_bool(true);
   EXPECT_EQ(w.bit_count(), 12u);
-  EXPECT_EQ(w.bits().to_binary_string(), "101111111111");
+  EXPECT_EQ(w.take().to_binary_string(), "101111111111");
+  EXPECT_EQ(w.bit_count(), 0u);
 }
 
 TEST(BitWriter, RejectsOverflowingValue) {
@@ -26,7 +34,7 @@ TEST(BitWriter, WriteBitsAppends) {
   BitWriter w;
   w.write_bits(BitString::from_binary_string("110"));
   w.write_bits(BitString::from_binary_string("01"));
-  EXPECT_EQ(w.bits().to_binary_string(), "11001");
+  EXPECT_EQ(w.take().to_binary_string(), "11001");
 }
 
 TEST(BitReader, ReadsBackInOrder) {
@@ -35,7 +43,8 @@ TEST(BitReader, ReadsBackInOrder) {
   w.write_bool(false);
   w.write_uint(7, 3);
   w.write_bits(BitString::from_binary_string("1001"));
-  BitReader r(w.take());
+  const BitString bits = w.take();
+  BitReader r(bits);
   EXPECT_EQ(r.read_uint(17), 42u);
   EXPECT_FALSE(r.read_bool());
   EXPECT_EQ(r.read_uint(3), 7u);
@@ -44,14 +53,16 @@ TEST(BitReader, ReadsBackInOrder) {
 }
 
 TEST(BitReader, ThrowsOnOverread) {
-  BitReader r(BitString::from_binary_string("101"));
+  const BitString bits = BitString::from_binary_string("101");
+  BitReader r(bits);
   r.read_uint(2);
   EXPECT_THROW(r.read_uint(2), std::out_of_range);
   EXPECT_EQ(r.remaining(), 1u);
 }
 
 TEST(BitReader, PositionTracks) {
-  BitReader r(BitString(32));
+  const BitString bits(32);
+  BitReader r(bits);
   EXPECT_EQ(r.position(), 0u);
   r.read_uint(10);
   EXPECT_EQ(r.position(), 10u);
@@ -74,7 +85,8 @@ TEST(Serialize, RandomFieldSequencesRoundTrip) {
       fields.emplace_back(value, width);
       w.write_uint(value, width);
     }
-    BitReader r(w.take());
+    const BitString bits = w.take();
+    BitReader r(bits);
     for (const auto& [value, width] : fields) {
       EXPECT_EQ(r.read_uint(width), value);
     }
