@@ -110,12 +110,6 @@ void write_payload(util::BitWriter& w, const Checkpoint& cp) {
   if (cp.has_oracle) {
     w.write_uint(cp.oracle_in_bits, 64);
     w.write_uint(cp.oracle_out_bits, 64);
-    w.write_uint(cp.oracle_total_queries, 64);
-    w.write_uint(cp.oracle_memo.size(), 64);
-    for (const auto& [input, output] : cp.oracle_memo) {
-      util::write_bitstring_field(w, input);
-      util::write_bitstring_field(w, output);
-    }
   }
 }
 
@@ -193,13 +187,6 @@ Checkpoint deserialize_payload(util::BitReader& r) {
   if (cp.has_oracle) {
     cp.oracle_in_bits = r.read_uint(64);
     cp.oracle_out_bits = r.read_uint(64);
-    cp.oracle_total_queries = r.read_uint(64);
-    std::uint64_t n_memo = read_count(r, 128, "oracle-memo");
-    cp.oracle_memo.resize(n_memo);
-    for (auto& [input, output] : cp.oracle_memo) {
-      input = util::read_bitstring_field(r);
-      output = util::read_bitstring_field(r);
-    }
   }
   return cp;
 }
@@ -208,31 +195,20 @@ Checkpoint deserialize_payload(util::BitReader& r) {
 
 Checkpoint capture(const mpc::RoundSnapshot& snapshot, const mpc::MpcConfig& config,
                    const hash::LazyRandomOracle* oracle) {
-  Checkpoint cp;
+  Checkpoint cp = initial_checkpoint(config, {}, oracle);
   cp.next_round = snapshot.round + 1;
-  cp.machines = config.machines;
-  cp.local_memory_bits = config.local_memory_bits;
-  cp.query_budget = config.query_budget;
-  cp.tape_seed = config.tape_seed;
   cp.inboxes = *snapshot.next_inboxes;
   cp.rounds = snapshot.trace->rounds();
   cp.annotations = snapshot.trace->annotations();
   if (snapshot.transcript != nullptr) cp.transcript = snapshot.transcript->canonical_records();
-  if (oracle != nullptr) {
-    cp.has_oracle = true;
-    cp.oracle_in_bits = oracle->input_bits();
-    cp.oracle_out_bits = oracle->output_bits();
-    cp.oracle_total_queries = oracle->total_queries();
-    cp.oracle_memo = oracle->touched_table();
-  }
   return cp;
 }
 
 Checkpoint initial_checkpoint(const mpc::MpcConfig& config,
                               const std::vector<util::BitString>& initial_memory,
                               const hash::LazyRandomOracle* oracle) {
+  // The empty transcript restores a pristine oracle: no queries, empty memo.
   Checkpoint cp;
-  cp.next_round = 0;
   cp.machines = config.machines;
   cp.local_memory_bits = config.local_memory_bits;
   cp.query_budget = config.query_budget;
@@ -241,15 +217,10 @@ Checkpoint initial_checkpoint(const mpc::MpcConfig& config,
   for (std::uint64_t i = 0; i < initial_memory.size() && i < config.machines; ++i) {
     if (!initial_memory[i].empty()) cp.inboxes[i].push_back({i, i, initial_memory[i]});
   }
+  cp.has_oracle = oracle != nullptr;
   if (oracle != nullptr) {
-    cp.has_oracle = true;
     cp.oracle_in_bits = oracle->input_bits();
     cp.oracle_out_bits = oracle->output_bits();
-    // A pristine oracle: no queries, empty memo. (Taking the initial
-    // checkpoint after the oracle has been used would make rollback-to-start
-    // under-erase; recovery policies take it before running.)
-    cp.oracle_total_queries = oracle->total_queries();
-    cp.oracle_memo = oracle->touched_table();
   }
   return cp;
 }
@@ -342,7 +313,7 @@ mpc::MpcResumeState make_resume_state(const Checkpoint& cp, hash::LazyRandomOrac
           std::to_string(fresh_oracle->output_bits()) + ")");
     }
     try {
-      fresh_oracle->restore_table(cp.oracle_memo, cp.oracle_total_queries);
+      fresh_oracle->restore_table(cp.transcript);
     } catch (const std::invalid_argument& e) {
       throw CheckpointError(std::string("checkpoint oracle memo rejected: ") + e.what());
     }

@@ -3,15 +3,18 @@
 // A Checkpoint captures *everything* a resumed run needs to be bit-identical
 // to an uninterrupted one: the next round to execute, every machine's inbox
 // (its entire cross-round memory, by Definition 2.1), the shared tape seed,
-// the LazyRandomOracle's materialised sub-function in stable (sorted-input)
-// key order with its lifetime query counter, the canonical oracle
-// transcript, and the full RoundStats/annotation trace. Machines themselves
-// are stateless across rounds, so nothing else exists to save — that is the
-// model property (and PR 1's determinism guarantee) that makes
-// checkpoint-based recovery *provably* correct here: a restored run can be
-// checked for equality against an uninterrupted one.
+// the canonical oracle transcript, the oracle's domain and range, and the
+// full RoundStats/annotation trace. Machines themselves are stateless across
+// rounds, so nothing else exists to save — that is the model property (and
+// the simulator's determinism guarantee) that makes checkpoint-based
+// recovery *provably* correct here: a restored run can be checked for
+// equality against an uninterrupted one.
 //
-// Wire format (see serialize()/deserialize()):
+// The transcript is the oracle's only record: a LazyRandomOracle is a pure
+// function of its seed plus the inputs queried so far (Lemma 3.3), so
+// make_resume_state rebuilds its memo and query counter from the records.
+//
+// Wire format, version 2 (version 1 also stored the memo and counter):
 //   magic "MPCHKPT\x01" (8 bytes) | version u64 | payload_bits u64 |
 //   checksum u64 (SHA-256-derived, over the payload) | payload
 // The header is 32 bytes, so the payload's packed bytes are the wire's from
@@ -25,7 +28,6 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "hash/oracle_transcript.hpp"
@@ -43,7 +45,7 @@ class CheckpointError : public std::runtime_error {
 };
 
 struct Checkpoint {
-  static constexpr std::uint64_t kVersion = 1;
+  static constexpr std::uint64_t kVersion = 2;
 
   // Execution position and the config fingerprint it must be resumed under.
   std::uint64_t next_round = 0;
@@ -59,16 +61,14 @@ struct Checkpoint {
   std::vector<mpc::RoundStats> rounds;
   std::map<std::string, std::vector<std::uint64_t>> annotations;
 
-  // Canonically ordered oracle transcript up to the boundary.
+  // Canonically ordered oracle transcript up to the boundary: every query
+  // with its answer, from which the oracle's memo and counter are rebuilt.
   std::vector<hash::QueryRecord> transcript;
 
-  // LazyRandomOracle state: the memoised sub-function in sorted input order
-  // plus the lifetime query counter. has_oracle=false for plain-model runs.
+  // The LazyRandomOracle's shape. has_oracle=false for plain-model runs.
   bool has_oracle = false;
   std::uint64_t oracle_in_bits = 0;
   std::uint64_t oracle_out_bits = 0;
-  std::uint64_t oracle_total_queries = 0;
-  std::vector<std::pair<util::BitString, util::BitString>> oracle_memo;
 
   bool operator==(const Checkpoint&) const = default;
 };
@@ -108,9 +108,9 @@ Checkpoint load_checkpoint_file(const std::string& path);
 /// the MpcResumeState for MpcSimulation::resume, and (when the checkpoint
 /// has oracle state) `fresh_oracle` restored to the boundary. The oracle
 /// must be a *fresh* instance built from the same seed as the original —
-/// restore_table() re-derives every memo entry and throws if the snapshot
-/// does not match the oracle, and the query counter is set to the
-/// checkpoint's, erasing any queries a faulted round attempt wasted.
+/// restore_table() rebuilds its memo and query counter from the transcript
+/// (erasing any queries a faulted round attempt wasted) and a record that
+/// does not match the oracle, or two that disagree, throws CheckpointError.
 mpc::MpcResumeState make_resume_state(const Checkpoint& cp, hash::LazyRandomOracle* fresh_oracle);
 
 }  // namespace mpch::fault

@@ -120,8 +120,8 @@ ChaosResult ChaosHarness::run_restart(mpc::MpcAlgorithm& algo,
       out.cost.rounds_reexecuted += lost;
       out.cost.machine_rounds_reexecuted += lost * config_.machines;
 
-      // Discard the poisoned execution wholesale: fresh oracle (same seed),
-      // memo and counters restored from the snapshot, state rebuilt.
+      // Discard the poisoned execution wholesale: fresh oracle (same seed)
+      // rebuilt from the snapshot's transcript, state rebuilt.
       oracle = fresh_oracle();
       state = make_resume_state(cp, oracle.get());
       checkpointer.rebind_oracle(oracle.get());
@@ -358,7 +358,11 @@ ChaosResult ChaosHarness::run_quarantine(mpc::MpcAlgorithm& algo,
           out.fault_log.push_back("detected: round " + std::to_string(round) +
                                   " snapshot audit failed — " + e.what());
         }
-        if (!verdict.has_value() && live->encoded == ref.encoded) {
+        // Snapshots hold the transcript, not the memo: a garbled entry no
+        // machine queries again shows only in the oracles' tables.
+        if (!verdict.has_value() && live->encoded == ref.encoded &&
+            (live->oracle == nullptr ||
+             live->oracle->touched_table() == ref.oracle->touched_table())) {
           verdict = RoundVerdict::kClean;
         } else if (!verdict.has_value()) {
           // Localise the offender: first machine whose end-of-round

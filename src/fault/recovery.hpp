@@ -5,8 +5,8 @@
 //  * RestartFromCheckpoint (ChaosHarness::run_restart) — snapshot every j
 //    rounds; when a fault is detected, discard the poisoned execution
 //    entirely (including its oracle, whose query counter the aborted rounds
-//    inflated), rebuild a fresh oracle from the seed, restore the memo from
-//    the snapshot, and resume. Because every run is bit-deterministic, the
+//    inflated), rebuild a fresh oracle from the seed, rebuild its memo from
+//    the snapshot's transcript, and resume. Because every run is bit-deterministic, the
 //    resumed execution is indistinguishable from one that never faulted.
 //
 //  * ReplicateRound (ChaosHarness::run_replicate) — keep a shadow snapshot
@@ -22,8 +22,8 @@
 //    assumes nothing: faults apply *silently* and the policy itself detects
 //    them by stepping the live execution one round at a time from the last
 //    verified boundary and cross-checking each committed round against a
-//    clean replica of the same round (serialised-state equality, the
-//    determinism theorem as an integrity oracle). On divergence it
+//    clean replica of the same round (serialised-state and oracle-table
+//    equality, the determinism theorem as an integrity oracle). On divergence it
 //    localises the offending machine by comparing per-machine attestation
 //    digests (mpc/auth.hpp), records a strike against it, quarantines the
 //    faulty attempt (all of its state is discarded — the stateless-machine
@@ -229,7 +229,7 @@ class ChaosHarness {
  public:
   /// Builds a *fresh* oracle at the pre-execution state (same seed every
   /// call); null for plain-model algorithms. Called once per execution
-  /// attempt — restores re-derive the memo into a new instance so wasted
+  /// attempt — restores rebuild the memo into a new instance so wasted
   /// queries from aborted rounds vanish.
   using OracleFactory = std::function<std::shared_ptr<hash::LazyRandomOracle>()>;
 

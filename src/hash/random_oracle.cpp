@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "hash/oracle_transcript.hpp"
+
 namespace mpch::hash {
 
 void RandomOracle::check_input(const util::BitString& input) const {
@@ -176,21 +178,21 @@ std::vector<std::pair<util::BitString, util::BitString>> LazyRandomOracle::touch
   return out;
 }
 
-void LazyRandomOracle::restore_table(
-    const std::vector<std::pair<util::BitString, util::BitString>>& entries,
-    std::uint64_t total_queries) {
-  for (const auto& [input, output] : entries) {
-    check_input(input);
-    if (derive(input) != output) {
-      throw std::invalid_argument(
-          "LazyRandomOracle::restore_table: stored answer for input " + input.to_hex_string() +
-          " does not match this oracle's seed (snapshot from a different oracle, or corrupted)");
-    }
-    Shard& s = shard_for(input);
+void LazyRandomOracle::restore_table(const std::vector<QueryRecord>& records) {
+  for (const QueryRecord& rec : records) {
+    check_input(rec.input);
+    Shard& s = shard_for(rec.input);
     std::lock_guard<std::mutex> lock(s.mu);
-    s.table.emplace(input, output);
+    auto [it, first] = s.table.try_emplace(rec.input, rec.output);
+    if (first ? derive(rec.input) != rec.output : it->second != rec.output) {
+      throw std::invalid_argument(
+          "LazyRandomOracle::restore_table: input " + rec.input.to_hex_string() +
+          (first ? ": recorded answer does not match this oracle's seed (a snapshot from another "
+                   "oracle, or corrupted)"
+                 : ": two records give it different answers"));
+    }
   }
-  total_queries_.store(total_queries, std::memory_order_relaxed);
+  total_queries_.store(records.size(), std::memory_order_relaxed);
 }
 
 bool LazyRandomOracle::corrupt_memo_entry(std::size_t entry_index, std::size_t bit_index) {

@@ -40,6 +40,8 @@
 
 namespace mpch::hash {
 
+struct QueryRecord;  // hash/oracle_transcript.hpp
+
 /// Abstract random oracle RO : {0,1}^in_bits -> {0,1}^out_bits.
 class RandomOracle {
  public:
@@ -139,15 +141,15 @@ class LazyRandomOracle final : public RandomOracle {
   /// for the compression argument's by-reference oracle part.
   std::vector<std::pair<util::BitString, util::BitString>> touched_table() const;
 
-  /// Restore a serialised sub-function (e.g. a checkpoint's memo) into this
-  /// oracle and set the lifetime query counter, so a fresh oracle constructed
-  /// from the same seed resumes exactly where the snapshotted one stopped.
-  /// Every entry is re-derived from the seed and must match the stored
-  /// answer; a mismatch (wrong seed, or a tampered snapshot) throws
-  /// std::invalid_argument instead of silently installing a different
-  /// function.
-  void restore_table(const std::vector<std::pair<util::BitString, util::BitString>>& entries,
-                     std::uint64_t total_queries);
+  /// Rebuild the materialised sub-function from a query transcript (e.g. a
+  /// checkpoint's, its only record of the oracle) and set the lifetime query
+  /// counter to the record count, so a fresh oracle constructed from the
+  /// same seed resumes exactly where the recorded one stopped. Each distinct
+  /// input is re-derived from the seed once and every record carrying it
+  /// must match; a mismatch (wrong seed, a tampered snapshot, or two records
+  /// giving one input different answers) throws std::invalid_argument
+  /// instead of silently installing a different function.
+  void restore_table(const std::vector<QueryRecord>& records);
 
   /// Chaos-testing hook: XOR-flip bit `bit_index % output_bits()` of the
   /// `entry_index`-th memoised answer (sorted input order, the same order

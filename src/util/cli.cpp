@@ -1,8 +1,19 @@
 #include "util/cli.hpp"
 
-#include <stdexcept>
+#include <cctype>
+#include <cerrno>
+#include <cstdlib>
+#include <iostream>
 
 namespace mpch::util {
+
+namespace {
+
+[[noreturn]] void bad_value(const std::string& name, const std::string& value, const char* want) {
+  throw CliError("--" + name + ": '" + value + "' is not " + want);
+}
+
+}  // namespace
 
 CliArgs::CliArgs(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
@@ -12,7 +23,7 @@ CliArgs::CliArgs(int argc, const char* const* argv) {
       continue;
     }
     std::string body = arg.substr(2);
-    if (body.empty()) throw std::invalid_argument("CliArgs: bare '--'");
+    if (body.empty()) throw CliError("bare '--'");
     auto eq = body.find('=');
     if (eq != std::string::npos) {
       values_[body.substr(0, eq)] = body.substr(eq + 1);
@@ -24,31 +35,50 @@ CliArgs::CliArgs(int argc, const char* const* argv) {
   }
 }
 
-std::string CliArgs::get_string(const std::string& name, const std::string& fallback) const {
+const std::string* CliArgs::value_of(const std::string& name) const {
   queried_[name] = true;
   auto it = values_.find(name);
-  return it == values_.end() ? fallback : it->second;
+  return it == values_.end() ? nullptr : &it->second;
+}
+
+std::string CliArgs::get_string(const std::string& name, const std::string& fallback) const {
+  const std::string* v = value_of(name);
+  return v == nullptr ? fallback : *v;
 }
 
 std::uint64_t CliArgs::get_u64(const std::string& name, std::uint64_t fallback) const {
-  queried_[name] = true;
-  auto it = values_.find(name);
-  if (it == values_.end()) return fallback;
-  return std::stoull(it->second);
+  const std::string* v = value_of(name);
+  if (v == nullptr) return fallback;
+  if (v->empty()) bad_value(name, *v, "an unsigned decimal integer");
+  std::uint64_t out = 0;
+  for (char c : *v) {
+    if (c < '0' || c > '9') bad_value(name, *v, "an unsigned decimal integer");
+    const std::uint64_t digit = static_cast<std::uint64_t>(c - '0');
+    if (out > (UINT64_MAX - digit) / 10) bad_value(name, *v, "an integer below 2^64");
+    out = out * 10 + digit;
+  }
+  return out;
 }
 
 double CliArgs::get_double(const std::string& name, double fallback) const {
-  queried_[name] = true;
-  auto it = values_.find(name);
-  if (it == values_.end()) return fallback;
-  return std::stod(it->second);
+  const std::string* v = value_of(name);
+  if (v == nullptr) return fallback;
+  char* end = nullptr;
+  errno = 0;
+  const double out = std::strtod(v->c_str(), &end);
+  if (v->empty() || std::isspace(static_cast<unsigned char>(v->front())) ||
+      end != v->c_str() + v->size() || errno == ERANGE) {
+    bad_value(name, *v, "a number");
+  }
+  return out;
 }
 
 bool CliArgs::get_bool(const std::string& name, bool fallback) const {
-  queried_[name] = true;
-  auto it = values_.find(name);
-  if (it == values_.end()) return fallback;
-  return it->second == "true" || it->second == "1" || it->second == "yes";
+  const std::string* v = value_of(name);
+  if (v == nullptr) return fallback;
+  if (*v == "true" || *v == "1" || *v == "yes") return true;
+  if (*v == "false" || *v == "0" || *v == "no") return false;
+  bad_value(name, *v, "a boolean (true|false|1|0|yes|no)");
 }
 
 std::vector<std::string> CliArgs::unused() const {
@@ -57,6 +87,21 @@ std::vector<std::string> CliArgs::unused() const {
     if (!queried_.count(name)) out.push_back(name);
   }
   return out;
+}
+
+void CliArgs::reject_unknown() const {
+  const std::vector<std::string> names = unused();
+  if (!names.empty()) throw CliError("unknown flag --" + names.front());
+}
+
+int run_tool(const char* tool, int argc, const char* const* argv,
+             int (*body)(const CliArgs& args)) {
+  try {
+    return body(CliArgs(argc, argv));
+  } catch (const CliError& e) {
+    std::cerr << tool << ": " << e.what() << "\n";
+    return 2;
+  }
 }
 
 }  // namespace mpch::util

@@ -306,12 +306,15 @@ TEST(GarbleOracle, CorruptsMemoAndVerifyMemoNamesTheInput) {
   // Entry 1 in sorted input order is input value 1.
   EXPECT_EQ(bad[0], BitString::from_uint(1, 16));
 
-  // Restoring a fresh oracle from the tampered table must be refused: the
-  // memo is a materialised pure function of the seed, and restore_table
-  // re-derives every entry.
+  // Restoring a fresh oracle from records of the tampered table must be
+  // refused: the memo is a materialised pure function of the seed, and
+  // restore_table re-derives every distinct input.
+  std::vector<hash::QueryRecord> records;
+  for (const auto& [input, output] : oracle.touched_table()) {
+    records.push_back({0, 0, records.size(), input, output});
+  }
   hash::LazyRandomOracle fresh(16, 16, kSeed);
-  EXPECT_THROW(fresh.restore_table(oracle.touched_table(), oracle.total_queries()),
-               std::invalid_argument);
+  EXPECT_THROW(fresh.restore_table(records), std::invalid_argument);
 
   EXPECT_FALSE(oracle.corrupt_memo_entry(99));  // out of range: fired no-op
 }

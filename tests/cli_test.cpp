@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <vector>
+
 namespace mpch::util {
 namespace {
 
@@ -67,6 +71,79 @@ TEST(CliArgs, BoolVariants) {
 TEST(CliArgs, RejectsBareDashes) {
   std::vector<const char*> argv{"prog", "--"};
   EXPECT_THROW(CliArgs(2, argv.data()), std::invalid_argument);
+}
+
+/// The CliError message get_* throws for `--name=value`, or "" if none.
+template <typename Get>
+std::string error_of(const char* arg, Get get) {
+  CliArgs args = make({arg});
+  try {
+    get(args);
+  } catch (const CliError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(CliArgs, U64RejectsAnythingButWholeUnsignedDecimals) {
+  auto u64 = [](const CliArgs& a) { return a.get_u64("n", 0); };
+  for (const char* bad : {"--n=-1", "--n=12abc", "--n=2x", "--n=", "--n=+3", "--n= 4", "--n=0x10",
+                          "--n=1.5", "--n=18446744073709551616", "--n=99999999999999999999"}) {
+    const std::string msg = error_of(bad, u64);
+    EXPECT_NE(msg.find("--n"), std::string::npos) << bad << ": '" << msg << "'";
+  }
+  EXPECT_EQ(make({"--n=18446744073709551615"}).get_u64("n", 0), UINT64_MAX);
+  EXPECT_EQ(make({"--n=007"}).get_u64("n", 0), 7u);
+}
+
+TEST(CliArgs, DoubleMustConsumeTheWholeValue) {
+  auto dbl = [](const CliArgs& a) { return a.get_double("x", 0); };
+  for (const char* bad : {"--x=0.5x", "--x=abc", "--x=", "--x= 1", "--x=1e999"}) {
+    EXPECT_NE(error_of(bad, dbl).find("--x"), std::string::npos) << bad;
+  }
+  EXPECT_DOUBLE_EQ(make({"--x=-2.5e1"}).get_double("x", 0), -25.0);
+}
+
+TEST(CliArgs, BoolAcceptsOnlyTheSixSpellings) {
+  CliArgs args = make({"--a=false", "--b=0", "--c=no"});
+  EXPECT_FALSE(args.get_bool("a", true));
+  EXPECT_FALSE(args.get_bool("b", true));
+  EXPECT_FALSE(args.get_bool("c", true));
+  auto flag = [](const CliArgs& a) { return a.get_bool("f", false); };
+  for (const char* bad : {"--f=ture", "--f=TRUE", "--f=2", "--f=on", "--f="}) {
+    EXPECT_NE(error_of(bad, flag).find("--f"), std::string::npos) << bad;
+  }
+}
+
+TEST(CliArgs, RejectUnknownNamesTheFirstUnreadFlag) {
+  CliArgs args = make({"--used=1", "--typo=2"});
+  args.get_u64("used", 0);
+  try {
+    args.reject_unknown();
+    FAIL() << "unknown flag accepted";
+  } catch (const CliError& e) {
+    EXPECT_EQ(std::string(e.what()), "unknown flag --typo");
+  }
+  args.get_string("typo", "");
+  EXPECT_NO_THROW(args.reject_unknown());
+}
+
+TEST(CliArgs, RunToolTurnsCliErrorsIntoExitTwo) {
+  std::vector<const char*> ok{"prog", "--n=5"};
+  std::vector<const char*> bad{"prog", "--n=5x"};
+  std::vector<const char*> unknown{"prog", "--n=5", "--typo"};
+  auto body = [](const CliArgs& args) {
+    const std::uint64_t n = args.get_u64("n", 0);
+    args.reject_unknown();
+    return static_cast<int>(n);
+  };
+  EXPECT_EQ(run_tool("prog", 2, ok.data(), body), 5);
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(run_tool("prog", 2, bad.data(), body), 2);
+  EXPECT_EQ(run_tool("prog", 3, unknown.data(), body), 2);
+  EXPECT_EQ(testing::internal::GetCapturedStderr(),
+            "prog: --n: '5x' is not an unsigned decimal integer\n"
+            "prog: unknown flag --typo\n");
 }
 
 }  // namespace

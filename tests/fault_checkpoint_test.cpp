@@ -2,15 +2,16 @@
 // guards: serialize -> deserialize -> serialize is byte-identical, every
 // corruption class (magic, version, length, checksum, truncation, trailing
 // bits) is rejected with a diagnostic naming what failed, file round-trips
-// survive, make_resume_state re-verifies the oracle memo against the
-// supplied oracle's seed, and the wire bytes of a real run's checkpoints
-// match a digest recorded before the codec was rewritten.
+// survive, make_resume_state rebuilds the oracle memo from the transcript
+// and re-verifies it against the supplied oracle's seed, and the wire bytes
+// of a real run's checkpoints match a recorded digest.
 #include "fault/checkpoint.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
+#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -33,8 +34,9 @@ using fault::CheckpointError;
 using util::BitString;
 
 /// A checkpoint exercising every field class: messages with odd bit lengths,
-/// round stats with distinct peak witnesses, annotations, transcript records,
-/// and a real oracle memo (so restore_table verification has true entries).
+/// round stats with distinct peak witnesses, annotations, and transcript
+/// records of real oracle queries, one input asked twice (so restore_table
+/// rebuilds a true memo from them).
 Checkpoint sample_checkpoint() {
   Checkpoint cp;
   cp.next_round = 4;
@@ -68,23 +70,30 @@ Checkpoint sample_checkpoint() {
   cp.annotations["advance"] = {1, 2, 3, 5};
   cp.annotations["stall"] = {0, 0, 1, 0};
 
-  hash::QueryRecord rec;
-  rec.round = 2;
-  rec.machine = 1;
-  rec.seq = 0;
-  rec.input = BitString::from_uint(7, 16);
-  rec.output = BitString::from_uint(9, 16);
-  cp.transcript.push_back(rec);
-
   hash::LazyRandomOracle oracle(16, 16, 1);
-  oracle.query(BitString::from_uint(3, 16));
-  oracle.query(BitString::from_uint(11, 16));
+  const std::uint64_t queried[] = {7, 3, 11, 7};
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    hash::QueryRecord rec;
+    rec.round = 1 + i / 2;
+    rec.machine = i % 2;
+    rec.seq = 0;
+    rec.input = BitString::from_uint(queried[i], 16);
+    rec.output = oracle.query(rec.input);
+    cp.transcript.push_back(rec);
+  }
   cp.has_oracle = true;
   cp.oracle_in_bits = 16;
   cp.oracle_out_bits = 16;
-  cp.oracle_total_queries = oracle.total_queries();
-  cp.oracle_memo = oracle.touched_table();
   return cp;
+}
+
+/// The sub-function a transcript names: its distinct inputs with their
+/// answers, in sorted input order (touched_table()'s order).
+std::vector<std::pair<BitString, BitString>> table_of(
+    const std::vector<hash::QueryRecord>& records) {
+  std::map<BitString, BitString> table;
+  for (const auto& rec : records) table.emplace(rec.input, rec.output);
+  return {table.begin(), table.end()};
 }
 
 TEST(Checkpoint, SerializeDeserializeSerializeIsByteIdentical) {
@@ -99,8 +108,7 @@ TEST(Checkpoint, SerializeDeserializeSerializeIsByteIdentical) {
 TEST(Checkpoint, PlainModelCheckpointRoundTrips) {
   Checkpoint cp = sample_checkpoint();
   cp.has_oracle = false;
-  cp.oracle_in_bits = cp.oracle_out_bits = cp.oracle_total_queries = 0;
-  cp.oracle_memo.clear();
+  cp.oracle_in_bits = cp.oracle_out_bits = 0;
   EXPECT_EQ(fault::deserialize(fault::serialize(cp)), cp);
 }
 
@@ -201,8 +209,9 @@ TEST(Checkpoint, ResumeStateRestoresOracleAndTrace) {
   EXPECT_EQ(state.trace.annotations(), cp.annotations);
   ASSERT_NE(state.transcript, nullptr);
   EXPECT_EQ(state.transcript->records(), cp.transcript);
-  EXPECT_EQ(fresh.total_queries(), cp.oracle_total_queries);
-  EXPECT_EQ(fresh.touched_table(), cp.oracle_memo);
+  EXPECT_EQ(fresh.total_queries(), cp.transcript.size());
+  EXPECT_EQ(fresh.touched_table(), table_of(cp.transcript));
+  EXPECT_EQ(fresh.touched_entries(), 3u);  // input 7 was asked twice
 }
 
 TEST(Checkpoint, ResumeStateRejectsWrongSeedOracle) {
@@ -213,6 +222,24 @@ TEST(Checkpoint, ResumeStateRejectsWrongSeedOracle) {
     FAIL() << "memo from another oracle accepted";
   } catch (const CheckpointError& e) {
     EXPECT_NE(std::string(e.what()).find("memo rejected"), std::string::npos) << e.what();
+  }
+}
+
+TEST(Checkpoint, ResumeStateRejectsRecordsThatDisagree) {
+  // Two records give input 3 different answers: the first matches the
+  // seed, so only the disagreement itself can reject the second.
+  Checkpoint cp = sample_checkpoint();
+  hash::QueryRecord rec = cp.transcript[1];
+  rec.round = 3;
+  rec.output.set(0, !rec.output.get(0));
+  cp.transcript.push_back(rec);
+  hash::LazyRandomOracle fresh(16, 16, 1);
+  try {
+    fault::make_resume_state(cp, &fresh);
+    FAIL() << "two answers for one input accepted";
+  } catch (const CheckpointError& e) {
+    EXPECT_NE(std::string(e.what()).find("memo rejected"), std::string::npos) << e.what();
+    EXPECT_NE(std::string(e.what()).find("different answers"), std::string::npos) << e.what();
   }
 }
 
@@ -257,9 +284,9 @@ class WireDigest : public mpc::RoundObserver {
 
 TEST(Checkpoint, PointerChasingWireBytesMatchGoldenDigest) {
   // Seed 1, checkpointed at every barrier, once plain and once with MAC
-  // tags (which move every payload off byte alignment). The digest was
-  // recorded with the BitString-append writer and the copying reader; a
-  // codec change that moves one wire bit fails here.
+  // tags (which move every payload off byte alignment). The digest pins
+  // the version-2 wire format, whose oracle section holds only the domain
+  // and range; a codec change that moves one wire bit fails here.
   core::LineParams params = core::LineParams::make(64, 16, 8, 96);
   util::Rng rng(1);
   core::LineInput input = core::LineInput::random(params, rng);
@@ -286,7 +313,7 @@ TEST(Checkpoint, PointerChasingWireBytesMatchGoldenDigest) {
   }
   EXPECT_EQ(wires, 148u);
   EXPECT_EQ(hash::Sha256::to_hex(runs.digest()),
-            "6971b0c488a3bc5ebefb7c177297df30fc1c55b3ce6b2a5e2252f4fea5f6f1b3");
+            "b9dd307a0c01d363e17b04acab644feaaa5735949b34c5ca7a9c98a2fc08fd67");
 }
 
 TEST(Checkpoint, InconsistentInboxCountIsRejected) {

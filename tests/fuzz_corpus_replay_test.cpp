@@ -202,6 +202,21 @@ TEST(FuzzCorpusReplay, ValidCorpusSeedStillDecodes) {
       CheckpointError);
 }
 
+TEST(FuzzCorpusReplay, VersionOneSnapshotIsRejected) {
+  // v1_with_memo.bin is a version-1 checkpoint, which also stored the
+  // oracle memo and query counter. This build rebuilds both from the
+  // transcript and refuses the old layout by its version field.
+  BitString bits = BitString::from_bytes(read_file(corpus_root() / "checkpoint" /
+                                                   "v1_with_memo.bin"));
+  try {
+    (void)mpch::fault::deserialize(bits);
+    FAIL() << "version-1 snapshot accepted";
+  } catch (const CheckpointError& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported checkpoint version 1"), std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(FuzzCorpusReplay, ModelTraceCorpusRejectsOrParsesTyped) {
   // Mirrors fuzz/fuzz_model_trace.cpp: parse, and round-trip whatever
   // parses. TraceError is the only acceptable rejection.

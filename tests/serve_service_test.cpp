@@ -157,9 +157,10 @@ TEST(ServeService, RepeatedSeedsInOnePoolMatchStandalone) {
 }
 
 TEST(ServeService, TouchedTableKeysAreTheTranscriptInputs) {
-  // The precondition for dropping a checkpoint's memo section: a job's
-  // oracle materialises exactly the inputs its transcript records, for
-  // every strategy and for a run restored from a checkpoint.
+  // What lets a checkpoint store the transcript as the oracle's only
+  // record: a job's oracle materialises exactly the inputs its transcript
+  // records and counts exactly its records, for every strategy and for a
+  // run restored from a checkpoint.
   std::vector<JobSpec> jobs;
   for (const std::string& strategy : mpch::serve::strategy_names()) {
     for (std::uint64_t seed = 1; seed <= 20; ++seed) jobs.push_back(simulate_spec(strategy, seed));
@@ -181,6 +182,7 @@ TEST(ServeService, TouchedTableKeysAreTheTranscriptInputs) {
     for (const auto& [input, output] : r.oracle->touched_table()) keys.insert(input);
     EXPECT_FALSE(keys.empty()) << r.spec.describe();
     EXPECT_EQ(inputs, keys) << r.spec.describe();
+    EXPECT_EQ(r.oracle->total_queries(), r.run.transcript->size()) << r.spec.describe();
   }
 }
 

@@ -18,6 +18,7 @@
 #include <functional>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -73,10 +74,7 @@ mpc::MpcConfig documented_config(const analysis::ProtocolSpec& spec, std::uint64
   return c;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  util::CliArgs args(argc, argv);
+int tool_main(const util::CliArgs& args) {
   if (args.get_bool("help", false)) {
     std::cout
         << "usage: mpch-analyze [--strategy all|<name>] [--soundness] [--authenticate] [--list]\n"
@@ -111,6 +109,20 @@ int main(int argc, char** argv) {
   const bool soundness = args.get_bool("soundness", false);
   const bool authenticate = args.get_bool("authenticate", false);
   const std::string format = args.get_string("format", "text");
+  const std::string transport_name = args.get_string("transport", "in-process");
+  const std::uint64_t transport_procs = args.get_u64("transport-procs", 0);
+  const bool list = args.get_bool("list", false);
+  // Config overrides, applied to every target below (shrinking below the
+  // documented config seeds violations).
+  auto override_of = [&](const char* name) -> std::optional<std::uint64_t> {
+    if (!args.has(name)) return std::nullopt;
+    return args.get_u64(name, 0);
+  };
+  const std::optional<std::uint64_t> s_override = override_of("s");
+  const std::optional<std::uint64_t> q_override = override_of("q");
+  const std::optional<std::uint64_t> rounds_override = override_of("rounds");
+  const std::optional<std::uint64_t> m_cap = override_of("m-cap");
+  args.reject_unknown();
   if (format != "text" && format != "json") {
     std::cerr << "mpch-analyze: unknown --format '" << format << "' (text|json)\n";
     return 2;
@@ -118,12 +130,11 @@ int main(int argc, char** argv) {
   const bool json = format == "json";
   transport::TransportKind transport_kind = transport::TransportKind::kInProcess;
   try {
-    transport_kind = transport::parse_transport_kind(args.get_string("transport", "in-process"));
+    transport_kind = transport::parse_transport_kind(transport_name);
   } catch (const std::invalid_argument& e) {
     std::cerr << "mpch-analyze: " << e.what() << "\n";
     return 2;
   }
-  const std::uint64_t transport_procs = args.get_u64("transport-procs", 0);
 
   core::LineParams p = core::LineParams::make(n, u, v, w);
 
@@ -201,7 +212,7 @@ int main(int argc, char** argv) {
       line_run(ram, [&] { return ram.make_initial_memory(ram_memory); }, false));
   targets.back().note = "spec hints derived by the static verifier: " + ram_facts.summary();
 
-  if (args.get_bool("list", false)) {
+  if (list) {
     for (const auto& t : targets) std::cout << t.name << "\n";
     return 0;
   }
@@ -212,15 +223,14 @@ int main(int argc, char** argv) {
   for (auto& t : targets) {
     if (which != "all" && which != t.name) continue;
 
-    // Apply config overrides (shrinking below documented seeds violations).
     mpc::MpcConfig c = t.config;
     c.authenticate_messages = authenticate;
     c.transport = transport_kind;
     c.transport_processes = transport_procs;
-    if (args.has("s")) c.local_memory_bits = args.get_u64("s", c.local_memory_bits);
-    if (args.has("q")) c.query_budget = args.get_u64("q", c.query_budget);
-    if (args.has("rounds")) c.max_rounds = args.get_u64("rounds", c.max_rounds);
-    if (args.has("m-cap")) c.machines = args.get_u64("m-cap", c.machines);
+    c.local_memory_bits = s_override.value_or(c.local_memory_bits);
+    c.query_budget = q_override.value_or(c.query_budget);
+    c.max_rounds = rounds_override.value_or(c.max_rounds);
+    c.machines = m_cap.value_or(c.machines);
 
     if (!json) {
       std::cout << t.spec.summary() << "\n";
@@ -270,8 +280,11 @@ int main(int argc, char** argv) {
     std::cerr << "unknown strategy '" << which << "' (try --list)\n";
     return 2;
   }
-  for (const auto& unused : args.unused()) {
-    std::cerr << "warning: unused flag --" << unused << "\n";
-  }
   return any_violation ? 1 : 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::run_tool("mpch-analyze", argc, argv, tool_main);
 }

@@ -180,10 +180,7 @@ bool plan_has(const fault::FaultPlan& plan, fault::FaultKind kind) {
   return false;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  util::CliArgs args(argc, argv);
+int tool_main(const util::CliArgs& args) {
   if (args.get_bool("help", false)) {
     std::cout << "usage: mpch-chaos --plan SPEC [--strategy NAME]\n"
                  "                  [--policy restart|replicate|quarantine|none]\n"
@@ -232,6 +229,7 @@ int main(int argc, char** argv) {
   const std::string transport_name = args.get_string("transport", "in-process");
   const std::uint64_t transport_procs = args.get_u64("transport-procs", 0);
   const std::string format = args.get_string("format", "text");
+  args.reject_unknown();
 
   if (plan_spec.empty()) {
     std::cerr << "mpch-chaos: --plan is required (try --help)\n";
@@ -267,10 +265,6 @@ int main(int argc, char** argv) {
     sc.config.transport_processes = transport_procs;
   };
   select_transport(reference);
-  for (const auto& unused : args.unused()) {
-    std::cerr << "mpch-chaos: unknown flag --" << unused << "\n";
-    return 2;
-  }
 
   // Under --policy none, flip/forge would otherwise corrupt silently: MACs
   // are the detector, so turn them on (affects reference and chaos alike).
@@ -476,4 +470,10 @@ int main(int argc, char** argv) {
     std::cerr << "mpch-chaos: " << e.what() << "\n";
     return finish(1);
   }
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::run_tool("mpch-chaos", argc, argv, tool_main);
 }

@@ -259,11 +259,8 @@ int run_matrix(const check::ModelBounds& bounds, const std::string& format,
   return all_good ? 0 : 1;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int tool_main(const util::CliArgs& args) {
   try {
-    util::CliArgs args(argc, argv);
     if (args.get_bool("help", false)) {
       std::cout
           << "usage: mpch-model [--protocol all|inbox|broadcast|recovery|quarantine]\n"
@@ -281,13 +278,22 @@ int main(int argc, char** argv) {
     }
 
     const std::string format = args.get_string("format", "text");
+    const std::string bound_spec = args.get_string("bound", "");
+    const bool list_mutations = args.get_bool("list-mutations", false);
+    const std::string replay_path = args.get_string("replay", "");
+    const bool mutation_matrix = args.get_bool("mutation-matrix", false);
+    const std::string trace_dir = args.get_string("trace-dir", "");
+    const std::string mutation = args.get_string("mutate", "none");
+    std::string protocol = args.get_string("protocol", "all");
+    const std::string trace_out = args.get_string("trace-out", "");
+    args.reject_unknown();
     if (format != "text" && format != "json") {
       std::cerr << "unknown --format '" << format << "' (text|json)\n";
       return 2;
     }
-    const check::ModelBounds bounds = parse_bounds(args.get_string("bound", ""));
+    const check::ModelBounds bounds = parse_bounds(bound_spec);
 
-    if (args.get_bool("list-mutations", false)) {
+    if (list_mutations) {
       for (const check::MutationSpec& spec : check::mutation_registry()) {
         std::cout << spec.name << " (" << spec.protocol << "): " << spec.description << "\n";
       }
@@ -295,7 +301,7 @@ int main(int argc, char** argv) {
     }
     if (args.has("replay")) {
       try {
-        return run_replay(args.get_string("replay", ""), bounds, format);
+        return run_replay(replay_path, bounds, format);
       } catch (const check::TraceError& e) {
         std::cerr << "mpch-model: " << e.what() << "\n";
         return 2;
@@ -304,12 +310,8 @@ int main(int argc, char** argv) {
         return 2;
       }
     }
-    if (args.get_bool("mutation-matrix", false)) {
-      return run_matrix(bounds, format, args.get_string("trace-dir", ""));
-    }
+    if (mutation_matrix) return run_matrix(bounds, format, trace_dir);
 
-    const std::string mutation = args.get_string("mutate", "none");
-    std::string protocol = args.get_string("protocol", "all");
     if (mutation != "none") {
       // A mutation names its protocol; --protocol may confirm but not conflict.
       for (const check::MutationSpec& spec : check::mutation_registry()) {
@@ -331,7 +333,7 @@ int main(int argc, char** argv) {
       const ProtocolRun run = explore_one(p, bounds, mutation);
       violated = violated || !run.result.ok();
       if (!run.result.ok() && args.has("trace-out")) {
-        save_counterexample(args.get_string("trace-out", ""), run, bounds);
+        save_counterexample(trace_out, run, bounds);
       }
       if (format == "json") {
         json += (first ? "" : ",") + to_json(run);
@@ -342,12 +344,15 @@ int main(int argc, char** argv) {
     }
     if (format == "json") std::cout << json << "],\"ok\":" << (violated ? "false" : "true") << "}\n";
 
-    for (const auto& unused : args.unused()) {
-      std::cerr << "warning: unused flag --" << unused << "\n";
-    }
     return violated ? 1 : 0;
   } catch (const std::invalid_argument& e) {
     std::cerr << "mpch-model: " << e.what() << "\n";
     return 2;
   }
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::run_tool("mpch-model", argc, argv, tool_main);
 }

@@ -119,10 +119,7 @@ void run_one(const reduce::ReductionReport& report,
   std::cout << "\n";
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  util::CliArgs args(argc, argv);
+int tool_main(const util::CliArgs& args) {
   if (args.get_bool("help", false)) {
     std::cout
         << "usage: mpch-reduce [--catalog] [--check FILE] [--cross-check] [--self-check]\n"
@@ -150,6 +147,7 @@ int main(int argc, char** argv) {
   if (!catalog && check_file.empty() && !self_check && !list_specs) catalog = true;
 
   const std::string format = args.get_string("format", "text");
+  args.reject_unknown();
   if (format != "text" && format != "json") {
     std::cerr << "mpch-reduce: unknown --format '" << format << "' (text|json)\n";
     return 2;
@@ -259,8 +257,11 @@ int main(int argc, char** argv) {
   jw.end_object();
   if (json) std::cout << jw.str() << "\n";
 
-  for (const auto& unused : args.unused()) {
-    std::cerr << "warning: unused flag --" << unused << "\n";
-  }
   return ok ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::run_tool("mpch-reduce", argc, argv, tool_main);
 }

@@ -172,10 +172,7 @@ void emit_text(const std::vector<serve::JobResult>& results, const serve::ServeS
             << stats.queue_high_watermark << "\n";
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  util::CliArgs args(argc, argv);
+int tool_main(const util::CliArgs& args) {
   if (args.get_bool("help", false)) {
     std::cout << "usage: mpch-serve --jobs FILE|- [--workers N] [--queue-depth N]\n"
                  "                  [--no-reuse-buffers] [--format text|json] [--list]\n"
@@ -202,10 +199,7 @@ int main(int argc, char** argv) {
   options.queue_depth = args.get_u64("queue-depth", 64);
   options.reuse_buffers = !args.get_bool("no-reuse-buffers", false);
   const std::string format = args.get_string("format", "text");
-  for (const auto& unused : args.unused()) {
-    std::cerr << "mpch-serve: unknown flag --" << unused << "\n";
-    return 2;
-  }
+  args.reject_unknown();
   if (format != "text" && format != "json") {
     std::cerr << "mpch-serve: unknown format '" << format << "' (want text|json)\n";
     return 2;
@@ -255,4 +249,10 @@ int main(int argc, char** argv) {
   if (service.stats().failed > 0) return 1;
   if (service.stats().rejected > 0) return 3;
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::run_tool("mpch-serve", argc, argv, tool_main);
 }

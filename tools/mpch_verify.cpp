@@ -119,10 +119,7 @@ bool run_hostile_suite() {
   return all_rejected;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  util::CliArgs args(argc, argv);
+int tool_main(const util::CliArgs& args) {
   if (args.get_bool("help", false)) {
     std::cout << "usage: mpch-verify [--program all|<name>] [--list] [--format text|json]\n"
                  "                   [--machines N] [--strict] [--cross-check] [--hostile]\n"
@@ -139,6 +136,8 @@ int main(int argc, char** argv) {
   const bool strict = args.get_bool("strict", false);
   const bool do_cross_check = args.get_bool("cross-check", false);
   const bool hostile = args.get_bool("hostile", false);
+  const bool list = args.get_bool("list", false);
+  args.reject_unknown();
 
   if (format != "text" && format != "json") {
     std::cerr << "unknown --format '" << format << "' (text|json)\n";
@@ -150,7 +149,7 @@ int main(int argc, char** argv) {
   }
 
   const auto corpus = ram::programs::corpus();
-  if (args.get_bool("list", false)) {
+  if (list) {
     for (const auto& entry : corpus) std::cout << entry.name << "\n";
     return 0;
   }
@@ -194,8 +193,11 @@ int main(int argc, char** argv) {
     std::cerr << "unknown program '" << which << "' (try --list)\n";
     return 2;
   }
-  for (const auto& unused : args.unused()) {
-    std::cerr << "warning: unused flag --" << unused << "\n";
-  }
   return failed ? 1 : 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::run_tool("mpch-verify", argc, argv, tool_main);
 }
