@@ -206,7 +206,7 @@ int main(int argc, char** argv) {
     }
     std::vector<util::BitString> baseline;
     for (std::uint64_t workers : {1, 2, 4, 8}) {
-      serve::ServeService service(serve::ServeOptions{workers, 64, true});
+      serve::ServeService service(serve::ServeOptions{workers, 64});
       auto results = service.run_jobs(jobs);
       std::vector<double> walls;
       bool identical = true;

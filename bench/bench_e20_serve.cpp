@@ -73,7 +73,7 @@ int main(int argc, char** argv) {
     ram_jobs[i].strategy = "ram-emulation";
     ram_jobs[i].seed = i + 1;
   }
-  serve::ServeService ram_service(serve::ServeOptions{workers, 64, true});
+  serve::ServeService ram_service(serve::ServeOptions{workers, 64});
   auto ram_results = ram_service.run_jobs(ram_jobs);
   std::uint64_t ram_ok = ram_service.stats().ok;
   auto ram_walls = executed_walls(ram_results);
@@ -111,7 +111,7 @@ int main(int argc, char** argv) {
       mixed.push_back(spec);
     }
   }
-  serve::ServeService mixed_service(serve::ServeOptions{workers, 64, true});
+  serve::ServeService mixed_service(serve::ServeOptions{workers, 64});
   auto mixed_results = mixed_service.run_jobs(mixed);
   util::Table t({"strategy", "jobs", "p50_ms", "p99_ms"});
   json.key("strategies").begin_array();

@@ -14,6 +14,7 @@
 
 #include "ram/machine.hpp"
 #include "verify/program_decoder.hpp"
+#include "util/json.hpp"
 #include "verify/verifier.hpp"
 
 extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size) {
@@ -35,7 +36,8 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
     const mpch::verify::VerifyReport report =
         mpch::verify::verify_program("fuzz", program, options);
     (void)report.format();
-    (void)report.to_json();
+    mpch::util::JsonWriter json;
+    report.to_json(json);
   } catch (const std::invalid_argument&) {
   }
   return 0;

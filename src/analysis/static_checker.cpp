@@ -4,6 +4,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "util/json.hpp"
+
 namespace mpch::analysis {
 
 const char* violation_kind_name(ViolationKind kind) {
@@ -50,36 +52,37 @@ std::string AnalysisReport::format() const {
   return os.str();
 }
 
-namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      default: out += c; break;
-    }
-  }
-  return out;
+void Diagnostic::to_json(util::JsonWriter& w) const {
+  w.begin_object();
+  w.member("kind", violation_kind_name(kind));
+  w.member("round", round);
+  w.member("machine", machine);
+  w.member("value", value);
+  w.member("limit", limit);
+  w.member("message", message);
+  w.end_object();
 }
 
-}  // namespace
+void AnalysisReport::to_json(util::JsonWriter& w) const {
+  w.begin_object();
+  w.member("protocol", protocol);
+  w.member("ok", ok());
+  w.key("violations").begin_array();
+  for (const Diagnostic& d : violations) d.to_json(w);
+  w.end_array();
+  w.end_object();
+}
 
-std::string AnalysisReport::to_json() const {
-  std::ostringstream os;
-  os << "{\"protocol\":\"" << json_escape(protocol)
-     << "\",\"ok\":" << (ok() ? "true" : "false") << ",\"violations\":[";
-  for (std::size_t i = 0; i < violations.size(); ++i) {
-    const Diagnostic& d = violations[i];
-    os << (i ? "," : "") << "{\"kind\":\"" << violation_kind_name(d.kind)
-       << "\",\"round\":" << d.round << ",\"machine\":" << d.machine << ",\"value\":" << d.value
-       << ",\"limit\":" << d.limit << ",\"message\":\"" << json_escape(d.message) << "\"}";
+mpc::MpcConfig documented_config(const ProtocolSpec& spec, std::uint64_t q) {
+  mpc::MpcConfig c;
+  c.machines = spec.machines;
+  c.max_rounds = spec.max_rounds;
+  c.query_budget = q;
+  for (std::uint64_t shape = 0; shape < spec.distinct_round_shapes(); ++shape) {
+    const RoundEnvelope& env = spec.envelope(shape);
+    c.local_memory_bits = std::max({c.local_memory_bits, env.memory_bits, env.recv_bits});
   }
-  os << "]}";
-  return os.str();
+  return c;
 }
 
 std::string ProtocolSpec::summary() const {

@@ -24,6 +24,10 @@
 #include "analysis/protocol_spec.hpp"
 #include "mpc/simulation.hpp"
 
+namespace mpch::util {
+class JsonWriter;
+}
+
 namespace mpch::analysis {
 
 enum class ViolationKind {
@@ -51,6 +55,8 @@ struct Diagnostic {
   std::string message;        ///< full human-readable diagnostic
 
   std::string to_string() const;
+  /// {"kind":...,"round":...,"machine":...,"value":...,"limit":...,"message":...}
+  void to_json(util::JsonWriter& w) const;
 };
 
 struct AnalysisReport {
@@ -64,8 +70,15 @@ struct AnalysisReport {
   /// mirroring mpch-verify's report shape so `--format json` consumers can
   /// share parsing code: {"protocol":...,"ok":...,"violations":[{"kind":...,
   /// "round":...,"machine":...,"value":...,"limit":...,"message":...}]}.
-  std::string to_json() const;
+  void to_json(util::JsonWriter& w) const;
 };
+
+/// The MpcConfig a spec documents for itself: m and the round cap are the
+/// declared values, s is the largest round-start memory or delivery over
+/// every round shape, and q is given (a spec declares queries per round, not
+/// the budget it runs under). check_spec passes under it by construction;
+/// mpch-analyze and mpch-verify shrink it to seed violations.
+mpc::MpcConfig documented_config(const ProtocolSpec& spec, std::uint64_t q);
 
 /// The static pass: verify `spec` fits inside `config`. Does not execute
 /// anything. Throws std::invalid_argument on a malformed spec (zero machines

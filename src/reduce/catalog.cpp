@@ -59,26 +59,20 @@ Reduction make_reduction(const std::string& name, const std::string& source,
   return r;
 }
 
-/// Cross-check runner over a serve scenario: the target strategy under its
-/// documented config, optionally MAC-authenticated (with the same tag-bits
-/// memory headroom serve grants, so the runtime meter has room to observe).
+}  // namespace
+
 std::function<mpc::MpcRunResult(mpc::MpcConfig*)> scenario_runner(const std::string& name,
                                                                   std::uint64_t seed,
                                                                   bool authenticate) {
   return [name, seed, authenticate](mpc::MpcConfig* config) {
     serve::Scenario sc = serve::make_scenario(name, seed, 0);
-    if (authenticate) {
-      sc.config.authenticate_messages = true;
-      sc.config.local_memory_bits += 1 << 16;
-    }
+    serve::apply_run_options(&sc, transport::TransportKind::kInProcess, 0, authenticate);
     *config = sc.config;
     auto oracle = sc.make_oracle();
     mpc::MpcSimulation sim(sc.config, oracle);
     return sim.run(*sc.algo, sc.initial);
   };
 }
-
-}  // namespace
 
 BuiltinCatalog build_builtin_catalog(std::uint64_t seed) {
   BuiltinCatalog cat;

@@ -61,6 +61,14 @@ struct BuiltinCatalog {
   std::vector<BrokenEntry> broken;
 };
 
+/// Cross-check runner over the named serve scenario: the strategy under its
+/// scenario config, optionally MAC-authenticated through
+/// serve::apply_run_options (so the runtime meter has the same tag headroom
+/// serve grants).
+std::function<mpc::MpcRunResult(mpc::MpcConfig*)> scenario_runner(const std::string& name,
+                                                                  std::uint64_t seed,
+                                                                  bool authenticate);
+
 /// Build the library. `seed` feeds the scenario inputs the cross-check
 /// runners execute (the specs themselves are seed-independent).
 BuiltinCatalog build_builtin_catalog(std::uint64_t seed);

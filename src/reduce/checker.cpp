@@ -50,16 +50,7 @@ void ReductionReport::to_json(util::JsonWriter& w) const {
     w.member("floor_ok", floor_ok);
   }
   w.key("violations").begin_array();
-  for (const analysis::Diagnostic& d : dominance.violations) {
-    w.begin_object();
-    w.member("kind", analysis::violation_kind_name(d.kind));
-    w.member("round", d.round);
-    w.member("machine", d.machine);
-    w.member("value", d.value);
-    w.member("limit", d.limit);
-    w.member("message", d.message);
-    w.end_object();
-  }
+  for (const analysis::Diagnostic& d : dominance.violations) d.to_json(w);
   w.end_array();
   w.end_object();
 }

@@ -151,6 +151,16 @@ Scenario make_scenario(const std::string& name, std::uint64_t seed, std::uint64_
   return s;
 }
 
+void apply_run_options(Scenario* sc, transport::TransportKind transport,
+                       std::uint64_t transport_processes, bool authenticate) {
+  sc->config.transport = transport;
+  sc->config.transport_processes = transport_processes;
+  if (authenticate) {
+    sc->config.authenticate_messages = true;
+    sc->config.local_memory_bits += 1 << 16;
+  }
+}
+
 std::vector<std::string> artifact_mismatches(const mpc::MpcRunResult& ref,
                                              const hash::LazyRandomOracle* ref_oracle,
                                              const mpc::MpcRunResult& got,

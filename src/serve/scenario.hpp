@@ -62,6 +62,15 @@ const std::vector<std::string>& strategy_names();
 /// unknown name.
 Scenario make_scenario(const std::string& name, std::uint64_t seed, std::uint64_t threads);
 
+/// Apply a run's options to a freshly built scenario's config: the message
+/// transport and its process count, and MAC-tagged messaging. With
+/// `authenticate` it also adds 2^16 bits of local memory, because tag bits
+/// count against s and tight strategies must stay inside it. mpch-chaos,
+/// serve jobs and mpch-reduce's cross-check runners all go through here, so
+/// one job runs under the same MpcConfig whichever tool starts it.
+void apply_run_options(Scenario* sc, transport::TransportKind transport,
+                       std::uint64_t transport_processes, bool authenticate);
+
 /// Compare one run against another across every observable surface (output,
 /// round stats, annotations, oracle transcript, materialised oracle table,
 /// query counts); returns human-readable mismatch descriptions, empty when

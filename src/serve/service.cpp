@@ -18,19 +18,6 @@ double elapsed_ms(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-/// Apply the job's runtime knobs to a freshly built scenario config —
-/// identical to what mpch-chaos does for --transport/--authenticate, so
-/// serve and standalone runs execute the same MpcConfig.
-void apply_job_config(const JobSpec& spec, Scenario* sc) {
-  sc->config.transport = spec.transport;
-  sc->config.transport_processes = spec.transport_processes;
-  if (spec.authenticate) {
-    sc->config.authenticate_messages = true;
-    // Tag bits count against the memory budget; same headroom as mpch-chaos.
-    sc->config.local_memory_bits += 1 << 16;
-  }
-}
-
 }  // namespace
 
 const char* job_status_name(JobStatus status) {
@@ -58,7 +45,7 @@ JobResult ServeService::execute(const JobSpec& spec, std::uint64_t job_id,
   const auto start = std::chrono::steady_clock::now();
   try {
     Scenario sc = make_scenario(spec.strategy, spec.seed, spec.threads);
-    apply_job_config(spec, &sc);
+    apply_run_options(&sc, spec.transport, spec.transport_processes, spec.authenticate);
 
     // --- Admission: when the job declares a memory budget, prove the
     // strategy's declared envelope fits it, or reject with static-checker
@@ -125,7 +112,8 @@ JobResult ServeService::execute(const JobSpec& spec, std::uint64_t job_id,
         mpc::MpcRunResult ref_run = ref_sim.run(*sc.algo, sc.initial);
 
         Scenario chaos = make_scenario(spec.strategy, spec.seed, spec.threads);
-        apply_job_config(spec, &chaos);
+        apply_run_options(&chaos, spec.transport, spec.transport_processes,
+                          spec.authenticate);
         fault::FaultPlan plan = fault::FaultPlan::parse(spec.plan);
         fault::ChaosHarness harness(chaos.config, [&chaos] { return chaos.make_oracle(); });
         fault::ChaosResult chaos_result;
@@ -184,8 +172,7 @@ std::vector<JobResult> ServeService::run_jobs(const std::vector<JobSpec>& jobs) 
       std::uint64_t id = 0;
       while (queue.pop(&id)) {
         // Each slot is written by exactly one worker; no lock needed.
-        JobResult r =
-            execute(jobs[id], id, options_.reuse_buffers ? &arenas[w] : nullptr);
+        JobResult r = execute(jobs[id], id, &arenas[w]);
         r.worker = w;
         results[id] = std::move(r);
       }
@@ -221,7 +208,7 @@ std::vector<JobResult> ServeService::run_jobs(const std::vector<JobSpec>& jobs) 
 }
 
 JobResult ServeService::run_standalone(const JobSpec& spec, std::uint64_t job_id) {
-  ServeService service(ServeOptions{/*workers=*/1, /*queue_depth=*/1, /*reuse_buffers=*/false});
+  ServeService service(ServeOptions{/*workers=*/1, /*queue_depth=*/1});
   return service.execute(spec, job_id, nullptr);
 }
 

@@ -75,7 +75,6 @@ struct JobResult {
 struct ServeOptions {
   std::uint64_t workers = 1;
   std::size_t queue_depth = 64;
-  bool reuse_buffers = true;
 };
 
 /// Campaign-level accounting, filled by run_jobs.
@@ -103,8 +102,8 @@ class ServeService {
   explicit ServeService(ServeOptions options = {});
 
   /// Execute every job on the worker pool. Returns one JobResult per job, in
-  /// jobfile order; result *content* is independent of workers/queue_depth/
-  /// reuse_buffers (only wall_ms and the worker index vary).
+  /// jobfile order; result *content* is independent of workers and
+  /// queue_depth (only wall_ms and the worker index vary).
   std::vector<JobResult> run_jobs(const std::vector<JobSpec>& jobs);
 
   const ServeStats& stats() const { return stats_; }

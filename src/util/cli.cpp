@@ -9,7 +9,8 @@ namespace mpch::util {
 
 namespace {
 
-[[noreturn]] void bad_value(const std::string& name, const std::string& value, const char* want) {
+[[noreturn]] void bad_value(const std::string& name, const std::string& value,
+                            const std::string& want) {
   throw CliError("--" + name + ": '" + value + "' is not " + want);
 }
 
@@ -79,6 +80,18 @@ bool CliArgs::get_bool(const std::string& name, bool fallback) const {
   if (*v == "true" || *v == "1" || *v == "yes") return true;
   if (*v == "false" || *v == "0" || *v == "no") return false;
   bad_value(name, *v, "a boolean (true|false|1|0|yes|no)");
+}
+
+std::string CliArgs::get_choice(const std::string& name, const std::string& fallback,
+                                const std::vector<std::string>& allowed) const {
+  const std::string* v = value_of(name);
+  if (v == nullptr) return fallback;
+  std::string choices;
+  for (const std::string& choice : allowed) {
+    if (*v == choice) return *v;
+    choices += (choices.empty() ? "" : "|") + choice;
+  }
+  bad_value(name, *v, "one of " + choices);
 }
 
 std::vector<std::string> CliArgs::unused() const {

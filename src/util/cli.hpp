@@ -37,6 +37,11 @@ class CliArgs {
   std::uint64_t get_u64(const std::string& name, std::uint64_t fallback) const;
   double get_double(const std::string& name, double fallback) const;
   bool get_bool(const std::string& name, bool fallback) const;
+  /// A value from a closed set (`--format text|json`): `fallback` when the
+  /// flag is absent, CliError naming the flag and every choice when the
+  /// value is not in `allowed`.
+  std::string get_choice(const std::string& name, const std::string& fallback,
+                         const std::vector<std::string>& allowed) const;
 
   /// Positional (non-flag) arguments in order.
   const std::vector<std::string>& positional() const { return positional_; }

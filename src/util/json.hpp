@@ -1,9 +1,9 @@
 // json.hpp — a small shared JSON writer for the CLI/bench emitters.
 //
-// mpch-analyze and mpch-verify grew hand-rolled JSON emitters before this
-// existed; mpch-chaos --format json, mpch-serve, and the bench JSON artifacts
-// use this writer instead of hand-concatenating a third/fourth/fifth copy.
-// It is a streaming writer, not a DOM: keys and values append in call order
+// The six tools' --format json output and the reports' to_json(JsonWriter&)
+// methods (AnalysisReport, VerifyReport, ReductionReport) all go through
+// this writer; the tools keep no JSON escaper of their own. It is a
+// streaming writer, not a DOM: keys and values append in call order
 // (deterministic output — same calls, same bytes), commas and nesting are
 // managed by an explicit container stack, and strings are escaped per RFC
 // 8259 (quote, backslash, and control characters; everything else passes

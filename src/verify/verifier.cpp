@@ -4,6 +4,7 @@
 #include <array>
 #include <sstream>
 
+#include "util/json.hpp"
 #include "verify/cfg.hpp"
 
 namespace mpch::verify {
@@ -125,24 +126,6 @@ void hygiene_pass(const std::vector<Instruction>& program, const Cfg& cfg,
   }
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      default: out += c; break;
-    }
-  }
-  return out;
-}
-
-std::string interval_json(const Interval& iv) {
-  return "[" + std::to_string(iv.lo) + "," + std::to_string(iv.hi) + "]";
-}
-
 }  // namespace
 
 VerifyReport verify_program(const std::string& name, const std::vector<Instruction>& program,
@@ -185,40 +168,49 @@ std::string VerifyReport::format() const {
   return os.str();
 }
 
-std::string VerifyReport::to_json() const {
-  std::ostringstream os;
-  os << "{\"program\":\"" << json_escape(program) << "\",\"ok\":" << (ok() ? "true" : "false")
-     << ",\"clean\":" << (clean() ? "true" : "false")
-     << ",\"structurally_valid\":" << (structurally_valid ? "true" : "false");
-  os << ",\"findings\":[";
-  for (std::size_t i = 0; i < findings.size(); ++i) {
-    const Finding& f = findings[i];
-    os << (i ? "," : "") << "{\"kind\":\"" << finding_kind_name(f.kind) << "\",\"severity\":\""
-       << severity_name(f.severity) << "\",\"pc\":" << f.pc << ",\"message\":\""
-       << json_escape(f.message) << "\"}";
+void VerifyReport::to_json(util::JsonWriter& w) const {
+  auto interval = [&w](const char* name, const Interval& iv) {
+    w.key(name).begin_array().value(iv.lo).value(iv.hi).end_array();
+  };
+  w.begin_object();
+  w.member("program", program);
+  w.member("ok", ok());
+  w.member("clean", clean());
+  w.member("structurally_valid", structurally_valid);
+  w.key("findings").begin_array();
+  for (const Finding& f : findings) {
+    w.begin_object();
+    w.member("kind", finding_kind_name(f.kind));
+    w.member("severity", severity_name(f.severity));
+    w.member("pc", f.pc);
+    w.member("message", f.message);
+    w.end_object();
   }
-  os << "]";
+  w.end_array();
   if (facts) {
-    os << ",\"facts\":{\"terminates\":" << (facts->terminates ? "true" : "false");
+    w.key("facts").begin_object();
+    w.member("terminates", facts->terminates);
     if (facts->terminates) {
-      os << ",\"max_steps\":" << facts->max_steps << ",\"max_loads\":" << facts->max_loads
-         << ",\"max_stores\":" << facts->max_stores;
+      w.member("max_steps", facts->max_steps);
+      w.member("max_loads", facts->max_loads);
+      w.member("max_stores", facts->max_stores);
     }
-    os << ",\"touched_words\":" << facts->touched_words;
-    if (facts->has_loads) os << ",\"load_addrs\":" << interval_json(facts->load_addrs);
-    if (facts->has_stores) os << ",\"store_addrs\":" << interval_json(facts->store_addrs);
-    os << ",\"loops\":[";
-    for (std::size_t i = 0; i < facts->loops.size(); ++i) {
-      const LoopFact& loop = facts->loops[i];
-      os << (i ? "," : "") << "{\"header_pc\":" << loop.header_pc
-         << ",\"bounded\":" << (loop.bounded ? "true" : "false");
-      if (loop.bounded) os << ",\"max_trips\":" << loop.max_trips;
-      os << ",\"note\":\"" << json_escape(loop.note) << "\"}";
+    w.member("touched_words", facts->touched_words);
+    if (facts->has_loads) interval("load_addrs", facts->load_addrs);
+    if (facts->has_stores) interval("store_addrs", facts->store_addrs);
+    w.key("loops").begin_array();
+    for (const LoopFact& loop : facts->loops) {
+      w.begin_object();
+      w.member("header_pc", loop.header_pc);
+      w.member("bounded", loop.bounded);
+      if (loop.bounded) w.member("max_trips", loop.max_trips);
+      w.member("note", loop.note);
+      w.end_object();
     }
-    os << "]}";
+    w.end_array();
+    w.end_object();
   }
-  os << "}";
-  return os.str();
+  w.end_object();
 }
 
 }  // namespace mpch::verify

@@ -6,7 +6,7 @@
 // against the implicit zero-initialized registers), and finally the abstract
 // interpreter (verify/abstract_interpreter.hpp) for termination, step bounds,
 // and memory footprints. Reports render as text (format()) or JSON
-// (to_json()) for the mpch-verify CLI.
+// (to_json(), through util::JsonWriter) for the mpch-verify CLI.
 #pragma once
 
 #include <optional>
@@ -16,6 +16,10 @@
 #include "ram/machine.hpp"
 #include "verify/abstract_interpreter.hpp"
 #include "verify/diagnostics.hpp"
+
+namespace mpch::util {
+class JsonWriter;
+}
 
 namespace mpch::verify {
 
@@ -36,7 +40,7 @@ struct VerifyReport {
   bool clean() const { return findings.empty(); }
 
   std::string format() const;
-  std::string to_json() const;
+  void to_json(util::JsonWriter& w) const;
 };
 
 VerifyReport verify_program(const std::string& name,

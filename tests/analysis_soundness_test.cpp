@@ -26,26 +26,13 @@ namespace {
 
 core::LineParams params(std::uint64_t w = 64) { return core::LineParams::make(64, 16, 8, w); }
 
-mpc::MpcConfig documented(const ProtocolSpec& spec, std::uint64_t q) {
-  mpc::MpcConfig c;
-  c.machines = spec.machines;
-  c.max_rounds = spec.max_rounds;
-  c.query_budget = q;
-  for (std::uint64_t shape = 0; shape < spec.distinct_round_shapes(); ++shape) {
-    std::uint64_t round = shape < spec.prologue.size() ? shape : spec.prologue.size();
-    const RoundEnvelope& env = spec.envelope(round);
-    c.local_memory_bits = std::max({c.local_memory_bits, env.memory_bits, env.recv_bits});
-  }
-  return c;
-}
-
 /// Run a Line-family strategy under its documented config and assert the
 /// observed trace stays inside the declared spec.
 template <typename Strategy>
 void expect_sound(Strategy& strat, const core::LineInput& input, std::uint64_t q,
                   std::uint64_t seed) {
   ProtocolSpec spec = strat.protocol_spec();
-  mpc::MpcConfig c = documented(spec, q);
+  mpc::MpcConfig c = documented_config(spec, q);
   auto oracle = std::make_shared<hash::LazyRandomOracle>(64, 64, seed);
   mpc::MpcSimulation sim(c, oracle);
   auto result = sim.run(strat, strat.make_initial_memory(input));
@@ -113,7 +100,7 @@ TEST(SpecSoundness, BatchPointerChasing) {
   strategies::BatchPointerChasingStrategy strat(
       p, strategies::OwnershipPlan::round_robin(p, 4), 3);
   ProtocolSpec spec = strat.protocol_spec();
-  mpc::MpcConfig c = documented(spec, 4);
+  mpc::MpcConfig c = documented_config(spec, 4);
   auto oracle = std::make_shared<hash::LazyRandomOracle>(64, 64, 26);
   mpc::MpcSimulation sim(c, oracle);
   auto result = sim.run(strat, strat.make_initial_memory(inputs));
@@ -132,7 +119,7 @@ TEST(SpecSoundness, RamEmulation) {
 
   strategies::RamEmulationStrategy strat(prog, 4, 1, memory.size(), native.steps_executed());
   ProtocolSpec spec = strat.protocol_spec();
-  mpc::MpcConfig c = documented(spec, 0);
+  mpc::MpcConfig c = documented_config(spec, 0);
   mpc::MpcSimulation sim(c, nullptr);
   auto result = sim.run(strat, strat.make_initial_memory(memory));
   ASSERT_TRUE(result.completed);
@@ -148,7 +135,7 @@ TEST(SpecSoundness, CatchesUnderstatedMemory) {
   core::LineInput input = core::LineInput::random(p, rng);
   strategies::PointerChasingStrategy strat(p, strategies::OwnershipPlan::round_robin(p, 4));
   ProtocolSpec spec = strat.protocol_spec();
-  mpc::MpcConfig c = documented(spec, 4);
+  mpc::MpcConfig c = documented_config(spec, 4);
   auto oracle = std::make_shared<hash::LazyRandomOracle>(64, 64, 32);
   mpc::MpcSimulation sim(c, oracle);
   auto result = sim.run(strat, strat.make_initial_memory(input));
@@ -173,7 +160,7 @@ TEST(SpecSoundness, CatchesUnderstatedFanOut) {
   core::LineInput input = core::LineInput::random(p, rng);
   strategies::ColludingStrategy strat(p, strategies::OwnershipPlan::round_robin(p, 4));
   ProtocolSpec spec = strat.protocol_spec();
-  mpc::MpcConfig c = documented(spec, 4);
+  mpc::MpcConfig c = documented_config(spec, 4);
   auto oracle = std::make_shared<hash::LazyRandomOracle>(64, 64, 34);
   mpc::MpcSimulation sim(c, oracle);
   auto result = sim.run(strat, strat.make_initial_memory(input));
@@ -197,7 +184,7 @@ TEST(SpecSoundness, CatchesUnderstatedRoundCount) {
   core::LineInput input = core::LineInput::random(p, rng);
   strategies::PointerChasingStrategy strat(p, strategies::OwnershipPlan::round_robin(p, 4));
   ProtocolSpec spec = strat.protocol_spec();
-  mpc::MpcConfig c = documented(spec, 4);
+  mpc::MpcConfig c = documented_config(spec, 4);
   auto oracle = std::make_shared<hash::LazyRandomOracle>(64, 64, 36);
   mpc::MpcSimulation sim(c, oracle);
   auto result = sim.run(strat, strat.make_initial_memory(input));
@@ -221,7 +208,7 @@ TEST(SpecSoundness, QueriesComparedAgainstClampedBound) {
   core::LineInput input = core::LineInput::random(p, rng);
   strategies::PointerChasingStrategy strat(p, strategies::OwnershipPlan::round_robin(p, 4));
   ProtocolSpec spec = strat.protocol_spec();
-  mpc::MpcConfig c = documented(spec, 2);
+  mpc::MpcConfig c = documented_config(spec, 2);
   auto oracle = std::make_shared<hash::LazyRandomOracle>(64, 64, 38);
   mpc::MpcSimulation sim(c, oracle);
   auto result = sim.run(strat, strat.make_initial_memory(input));
@@ -241,7 +228,7 @@ TEST(SpecSoundness, ParallelRunObservesSamePeaksAsSerial) {
   core::LineInput input = core::LineInput::random(p, rng);
   strategies::PointerChasingStrategy strat(p, strategies::OwnershipPlan::round_robin(p, 4));
   ProtocolSpec spec = strat.protocol_spec();
-  mpc::MpcConfig c = documented(spec, 4);
+  mpc::MpcConfig c = documented_config(spec, 4);
 
   auto run_with_threads = [&](std::uint64_t threads) {
     mpc::MpcConfig ct = c;

@@ -19,32 +19,45 @@
 #include "strategies/pointer_chasing.hpp"
 #include "strategies/ram_emulation.hpp"
 #include "strategies/speculative.hpp"
+#include "util/json.hpp"
 
 namespace mpch::analysis {
 namespace {
 
 core::LineParams params(std::uint64_t w = 64) { return core::LineParams::make(64, 16, 8, w); }
 
-/// The config a spec documents for itself: s covering the declared envelope,
-/// the declared round count, and the given q.
-mpc::MpcConfig documented(const ProtocolSpec& spec, std::uint64_t q) {
-  mpc::MpcConfig c;
-  c.machines = spec.machines;
-  c.max_rounds = spec.max_rounds;
-  c.query_budget = q;
-  for (std::uint64_t shape = 0; shape < spec.distinct_round_shapes(); ++shape) {
-    std::uint64_t round = shape < spec.prologue.size() ? shape : spec.prologue.size();
-    const RoundEnvelope& env = spec.envelope(round);
-    c.local_memory_bits = std::max({c.local_memory_bits, env.memory_bits, env.recv_bits});
-  }
-  return c;
-}
-
 const Diagnostic* find(const AnalysisReport& report, ViolationKind kind) {
   for (const auto& d : report.violations) {
     if (d.kind == kind) return &d;
   }
   return nullptr;
+}
+
+// --- the documented config itself ---
+
+TEST(StaticChecker, DocumentedConfigTakesSFromTheLargestDeliveryOrMemory) {
+  // A gather prologue: round 0 delivers more bits than any round holds at
+  // its start, so that delivery sets s, not the memory envelopes.
+  ProtocolSpec spec;
+  spec.machines = 3;
+  spec.max_rounds = 5;
+  spec.prologue.resize(1);
+  spec.prologue[0].memory_bits = 10;
+  spec.prologue[0].recv_bits = 500;
+  spec.steady.memory_bits = 100;
+  spec.steady.recv_bits = 50;
+
+  const mpc::MpcConfig c = documented_config(spec, 7);
+  EXPECT_EQ(c.machines, 3u);
+  EXPECT_EQ(c.max_rounds, 5u);
+  EXPECT_EQ(c.query_budget, 7u);
+  EXPECT_EQ(c.local_memory_bits, 500u);
+  EXPECT_TRUE(check_spec(spec, c).ok());
+
+  // A steady envelope no round reaches does not count.
+  spec.max_rounds = 1;
+  spec.steady.memory_bits = 1u << 20;
+  EXPECT_EQ(documented_config(spec, 0).local_memory_bits, 500u);
 }
 
 // --- clean passes: every in-tree strategy under its documented config ---
@@ -70,7 +83,7 @@ TEST(StaticChecker, AllLineStrategiesPassTheirDocumentedConfig) {
       {batch.protocol_spec(), 4},
   };
   for (const auto& [spec, q] : cases) {
-    AnalysisReport report = check_spec(spec, documented(spec, q));
+    AnalysisReport report = check_spec(spec, documented_config(spec, q));
     EXPECT_TRUE(report.ok()) << report.format();
   }
 }
@@ -79,7 +92,7 @@ TEST(StaticChecker, RamEmulationPassesPlainModelWithZeroBudget) {
   strategies::RamEmulationStrategy ram({ram::asm_ops::halt()}, 4, 1, 8, 10);
   ProtocolSpec spec = ram.protocol_spec();
   EXPECT_FALSE(spec.needs_oracle);
-  AnalysisReport report = check_spec(spec, documented(spec, 0));
+  AnalysisReport report = check_spec(spec, documented_config(spec, 0));
   EXPECT_TRUE(report.ok()) << report.format();
 }
 
@@ -96,7 +109,7 @@ TEST(StaticChecker, RejectsMemoryOverflowWithProvenance) {
   core::LineParams p = params();
   strategies::FullMemoryStrategy full(p, strategies::OwnershipPlan::round_robin(p, 4));
   ProtocolSpec spec = full.protocol_spec();
-  mpc::MpcConfig c = documented(spec, p.w);
+  mpc::MpcConfig c = documented_config(spec, p.w);
   c.local_memory_bits = full.required_local_memory() - 1;
 
   AnalysisReport report = check_spec(spec, c);
@@ -116,7 +129,7 @@ TEST(StaticChecker, RejectsQueryBudgetOverflowForUnclampedProtocols) {
   core::LineParams p = params();
   strategies::FullMemoryStrategy full(p, strategies::OwnershipPlan::round_robin(p, 4));
   ProtocolSpec spec = full.protocol_spec();
-  mpc::MpcConfig c = documented(spec, p.w - 1);
+  mpc::MpcConfig c = documented_config(spec, p.w - 1);
 
   AnalysisReport report = check_spec(spec, c);
   ASSERT_FALSE(report.ok());
@@ -135,7 +148,7 @@ TEST(StaticChecker, ClampedProtocolsPassAnyPositiveBudget) {
   strategies::PointerChasingStrategy chase(p, strategies::OwnershipPlan::round_robin(p, 4));
   ProtocolSpec spec = chase.protocol_spec();
   EXPECT_TRUE(spec.clamps_queries_to_budget);
-  AnalysisReport report = check_spec(spec, documented(spec, 1));
+  AnalysisReport report = check_spec(spec, documented_config(spec, 1));
   EXPECT_TRUE(report.ok()) << report.format();
 }
 
@@ -146,7 +159,7 @@ TEST(StaticChecker, RejectsInboxOverflowWithProvenance) {
   core::LineParams p = params();
   strategies::DictionaryStrategy dict(p, 4);
   ProtocolSpec spec = dict.protocol_spec();
-  mpc::MpcConfig c = documented(spec, p.w);
+  mpc::MpcConfig c = documented_config(spec, p.w);
   c.local_memory_bits = spec.prologue[0].recv_bits - 1;
 
   AnalysisReport report = check_spec(spec, c);
@@ -164,7 +177,7 @@ TEST(StaticChecker, RejectsRoutingToNonexistentMachines) {
   core::LineParams p = params();
   strategies::PointerChasingStrategy chase(p, strategies::OwnershipPlan::round_robin(p, 8));
   ProtocolSpec spec = chase.protocol_spec();
-  mpc::MpcConfig c = documented(spec, 4);
+  mpc::MpcConfig c = documented_config(spec, 4);
   c.machines = 4;
 
   AnalysisReport report = check_spec(spec, c);
@@ -179,7 +192,7 @@ TEST(StaticChecker, RejectsRoundCountBlowup) {
   core::LineParams p = params(256);
   strategies::PointerChasingStrategy chase(p, strategies::OwnershipPlan::round_robin(p, 4));
   ProtocolSpec spec = chase.protocol_spec();
-  mpc::MpcConfig c = documented(spec, 4);
+  mpc::MpcConfig c = documented_config(spec, 4);
   c.max_rounds = 50;
 
   AnalysisReport report = check_spec(spec, c);
@@ -194,7 +207,7 @@ TEST(StaticChecker, RejectsOracleProtocolUnderZeroBudget) {
   core::LineParams p = params();
   strategies::PointerChasingStrategy chase(p, strategies::OwnershipPlan::round_robin(p, 4));
   ProtocolSpec spec = chase.protocol_spec();
-  AnalysisReport report = check_spec(spec, documented(spec, 0));
+  AnalysisReport report = check_spec(spec, documented_config(spec, 0));
   ASSERT_FALSE(report.ok());
   EXPECT_NE(find(report, ViolationKind::kOracleMissing), nullptr) << report.format();
 }
@@ -261,7 +274,7 @@ TEST(StaticChecker, OracleMissingDiagnosticExplainsItself) {
   core::LineParams p = params();
   strategies::PointerChasingStrategy chase(p, strategies::OwnershipPlan::round_robin(p, 4));
   ProtocolSpec spec = chase.protocol_spec();
-  AnalysisReport report = check_spec(spec, documented(spec, 0));
+  AnalysisReport report = check_spec(spec, documented_config(spec, 0));
   const Diagnostic* d = find(report, ViolationKind::kOracleMissing);
   ASSERT_NE(d, nullptr) << report.format();
   EXPECT_NE(d->message.find("oracle"), std::string::npos) << d->message;
@@ -318,7 +331,9 @@ TEST(StaticChecker, ReportJsonCarriesEveryDiagnosticField) {
   AnalysisReport report = check_spec(spec, c);
   ASSERT_FALSE(report.ok());
 
-  const std::string json = report.to_json();
+  util::JsonWriter w;
+  report.to_json(w);
+  const std::string json = w.str();
   // The protocol name is escaped, ok is false, and the diagnostic carries
   // kind/round/machine/value/limit/message — the same fields format() prints.
   EXPECT_NE(json.find("\"protocol\":\"synthetic \\\"quoted\\\"\""), std::string::npos) << json;
@@ -343,7 +358,9 @@ TEST(StaticChecker, CleanReportJsonHasEmptyViolations) {
   c.max_rounds = 2;
   AnalysisReport report = check_spec(spec, c);
   ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report.to_json(), "{\"protocol\":\"clean\",\"ok\":true,\"violations\":[]}");
+  util::JsonWriter w;
+  report.to_json(w);
+  EXPECT_EQ(w.str(), "{\"protocol\":\"clean\",\"ok\":true,\"violations\":[]}");
 }
 
 // --- interval edges where check_spec meets the reduction calculus ---

@@ -115,6 +115,17 @@ TEST(CliArgs, BoolAcceptsOnlyTheSixSpellings) {
   }
 }
 
+TEST(CliArgs, ChoiceIsOneOfTheAllowedValues) {
+  const std::vector<std::string> formats{"text", "json"};
+  EXPECT_EQ(make({"--format=json"}).get_choice("format", "text", formats), "json");
+  EXPECT_EQ(make({}).get_choice("format", "text", formats), "text");
+  auto format = [&formats](const CliArgs& a) { return a.get_choice("format", "text", formats); };
+  EXPECT_EQ(error_of("--format=xml", format), "--format: 'xml' is not one of text|json");
+  for (const char* bad : {"--format=JSON", "--format=", "--format=text "}) {
+    EXPECT_NE(error_of(bad, format).find("--format"), std::string::npos) << bad;
+  }
+}
+
 TEST(CliArgs, RejectUnknownNamesTheFirstUnreadFlag) {
   CliArgs args = make({"--used=1", "--typo=2"});
   args.get_u64("used", 0);

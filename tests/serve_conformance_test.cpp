@@ -93,7 +93,7 @@ TEST(ServeConformance, PoolResultsMatchStandaloneForAllWorkerCounts) {
   }
 
   for (std::uint64_t workers : kWorkerCounts) {
-    ServeService service(ServeOptions{workers, /*queue_depth=*/4, /*reuse_buffers=*/true});
+    ServeService service(ServeOptions{workers, /*queue_depth=*/4});
     const std::vector<JobResult> results = service.run_jobs(jobs);
     ASSERT_EQ(results.size(), jobs.size());
     for (std::size_t i = 0; i < jobs.size(); ++i) {
@@ -114,7 +114,7 @@ TEST(ServeConformance, AuthenticatedJobsMatchStandalone) {
   spec.authenticate = true;
   const JobResult ref = ServeService::run_standalone(spec);
   ASSERT_EQ(ref.status, JobStatus::kOk) << ref.error;
-  ServeService service(ServeOptions{2, 4, true});
+  ServeService service(ServeOptions{2, 4});
   const auto results = service.run_jobs({spec, spec});
   for (const auto& r : results) expect_identical(ref, r, "authenticated");
 }
@@ -131,7 +131,7 @@ TEST(ServeConformance, InnerThreadsDoNotChangeArtifacts) {
   threaded.threads = 4;
   const JobResult ref = ServeService::run_standalone(serial);
   ASSERT_EQ(ref.status, JobStatus::kOk) << ref.error;
-  ServeService service(ServeOptions{2, 4, true});
+  ServeService service(ServeOptions{2, 4});
   const auto results = service.run_jobs({threaded, threaded});
   for (const auto& r : results) expect_identical(ref, r, "threads=4");
 }

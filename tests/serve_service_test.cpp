@@ -5,7 +5,6 @@
 // reports.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <set>
 #include <string>
 
@@ -14,6 +13,7 @@
 #include "serve/job_spec.hpp"
 #include "serve/scenario.hpp"
 #include "serve/service.hpp"
+#include "util/json.hpp"
 
 namespace {
 
@@ -37,7 +37,7 @@ TEST(ServeService, BudgetRejectionCarriesProvenance) {
   JobSpec spec = simulate_spec("dictionary", 11);
   spec.budget_bits = 512;  // dictionary's declared gather is far larger
   spec.source_line = 7;
-  ServeService service(ServeOptions{1, 4, true});
+  ServeService service(ServeOptions{1, 4});
   auto results = service.run_jobs({spec});
   ASSERT_EQ(results.size(), 1u);
   const JobResult& r = results[0];
@@ -56,7 +56,7 @@ TEST(ServeService, BudgetRejectionCarriesProvenance) {
 TEST(ServeService, GenerousBudgetAdmits) {
   JobSpec spec = simulate_spec("pointer-chasing", 11);
   spec.budget_bits = 1 << 20;
-  auto results = ServeService(ServeOptions{1, 4, true}).run_jobs({spec});
+  auto results = ServeService(ServeOptions{1, 4}).run_jobs({spec});
   ASSERT_EQ(results.size(), 1u);
   EXPECT_EQ(results[0].status, JobStatus::kOk);
   EXPECT_TRUE(results[0].admission.ok());
@@ -77,28 +77,23 @@ TEST(ServeService, AuthenticatedAdmissionUsesTheSharedLift) {
 
   // A budget between the plain and lifted envelopes: admitted without
   // authentication, rejected with it.
-  std::uint64_t plain_worst = 0;
-  std::uint64_t lifted_worst = 0;
-  for (std::uint64_t shape = 0; shape < lifted.distinct_round_shapes(); ++shape) {
-    const std::uint64_t round =
-        shape < lifted.prologue.size() ? shape : lifted.prologue.size();
-    plain_worst = std::max(plain_worst,
-                           provider->protocol_spec().envelope(round).memory_bits);
-    lifted_worst = std::max(lifted_worst, lifted.envelope(round).memory_bits);
-  }
+  const std::uint64_t plain_worst =
+      mpch::analysis::documented_config(provider->protocol_spec(), 0).local_memory_bits;
+  const std::uint64_t lifted_worst =
+      mpch::analysis::documented_config(lifted, 0).local_memory_bits;
   ASSERT_LT(plain_worst, lifted_worst);
   const std::uint64_t budget = (plain_worst + lifted_worst) / 2;
 
   JobSpec plain = simulate_spec("pointer-chasing", 11);
   plain.budget_bits = budget;
-  auto admitted = ServeService(ServeOptions{1, 4, true}).run_jobs({plain});
+  auto admitted = ServeService(ServeOptions{1, 4}).run_jobs({plain});
   ASSERT_EQ(admitted.size(), 1u);
   EXPECT_EQ(admitted[0].status, JobStatus::kOk);
 
   JobSpec authed = plain;
   authed.authenticate = true;
   authed.source_line = 5;
-  auto rejected = ServeService(ServeOptions{1, 4, true}).run_jobs({authed});
+  auto rejected = ServeService(ServeOptions{1, 4}).run_jobs({authed});
   ASSERT_EQ(rejected.size(), 1u);
   EXPECT_EQ(rejected[0].status, JobStatus::kRejected);
   EXPECT_NE(rejected[0].error.find("line 5"), std::string::npos) << rejected[0].error;
@@ -112,7 +107,11 @@ TEST(ServeService, AuthenticatedAdmissionUsesTheSharedLift) {
       mpch::analysis::check_spec(lifted, admission_config);
   EXPECT_FALSE(expected.ok());
   EXPECT_EQ(rejected[0].admission.format(), expected.format());
-  EXPECT_EQ(rejected[0].admission.to_json(), expected.to_json());
+  mpch::util::JsonWriter got_json;
+  mpch::util::JsonWriter expected_json;
+  rejected[0].admission.to_json(got_json);
+  expected.to_json(expected_json);
+  EXPECT_EQ(got_json.str(), expected_json.str());
 }
 
 TEST(ServeService, UnknownStrategyFailsTyped) {
@@ -130,7 +129,7 @@ TEST(ServeService, BackpressureEngagesUnderTinyQueue) {
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     jobs.push_back(simulate_spec("ram-emulation", seed));
   }
-  ServeService service(ServeOptions{1, 1, true});
+  ServeService service(ServeOptions{1, 1});
   auto results = service.run_jobs(jobs);
   ASSERT_EQ(results.size(), jobs.size());
   for (const auto& r : results) EXPECT_EQ(r.status, JobStatus::kOk) << r.error;
@@ -144,7 +143,7 @@ TEST(ServeService, RepeatedSeedsInOnePoolMatchStandalone) {
   const JobSpec spec = simulate_spec("pointer-chasing", 11);
   const JobResult ref = ServeService::run_standalone(spec);
   ASSERT_EQ(ref.status, JobStatus::kOk) << ref.error;
-  ServeService service(ServeOptions{2, 4, true});
+  ServeService service(ServeOptions{2, 4});
   auto results = service.run_jobs({spec, spec});
   ASSERT_EQ(results.size(), 2u);
   for (const JobResult& r : results) {
@@ -173,7 +172,7 @@ TEST(ServeService, TouchedTableKeysAreTheTranscriptInputs) {
     chaos.every = 2;
     jobs.push_back(chaos);
   }
-  for (const JobResult& r : ServeService(ServeOptions{2, 4, true}).run_jobs(jobs)) {
+  for (const JobResult& r : ServeService(ServeOptions{2, 4}).run_jobs(jobs)) {
     ASSERT_EQ(r.status, JobStatus::kOk) << r.spec.describe() << ": " << r.error;
     EXPECT_TRUE(r.spec.verb != JobVerb::kChaos || r.cost.recoveries >= 1) << r.spec.describe();
     if (r.oracle == nullptr) continue;  // plain-model strategy
@@ -191,7 +190,7 @@ TEST(ServeService, BufferReuseRecyclesAcrossJobs) {
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     jobs.push_back(simulate_spec("pointer-chasing", seed));
   }
-  ServeService service(ServeOptions{1, 4, /*reuse_buffers=*/true});
+  ServeService service(ServeOptions{1, 4});
   auto results = service.run_jobs(jobs);
   for (const auto& r : results) EXPECT_EQ(r.status, JobStatus::kOk) << r.error;
   // Rounds far outnumber jobs, so steady-state acquires must be reuses.
@@ -230,7 +229,7 @@ TEST(ServeService, ResultsKeepJobfileOrderAcrossWorkers) {
     jobs.push_back(simulate_spec("ram-emulation", seed));
     jobs.back().source_line = seed;
   }
-  auto results = ServeService(ServeOptions{4, 2, true}).run_jobs(jobs);
+  auto results = ServeService(ServeOptions{4, 2}).run_jobs(jobs);
   ASSERT_EQ(results.size(), jobs.size());
   for (std::size_t i = 0; i < results.size(); ++i) {
     EXPECT_EQ(results[i].job_id, i);

@@ -9,6 +9,7 @@
 #include <algorithm>
 
 #include "ram/programs.hpp"
+#include "util/json.hpp"
 #include "verify/verifier.hpp"
 
 namespace mpch::verify {
@@ -103,6 +104,22 @@ TEST(VerifyCorpus, EveryCheckedInProgramIsClean) {
     ASSERT_TRUE(report.facts.has_value()) << entry.name;
     EXPECT_TRUE(report.facts->terminates) << entry.name;
   }
+}
+
+TEST(VerifyCorpus, SumReportJsonGolden) {
+  // mpch-verify --format json prints this object inside its "programs" array.
+  const std::vector<ram::programs::NamedProgram> corpus = ram::programs::corpus();
+  const ram::programs::NamedProgram& sum = corpus.front();
+  ASSERT_EQ(sum.name, "sum");
+  VerifyOptions options;
+  options.memory = MemoryModel::from_words(sum.memory);
+  util::JsonWriter w;
+  verify_program(sum.name, sum.program, options).to_json(w);
+  EXPECT_EQ(w.str(),
+            "{\"program\":\"sum\",\"ok\":true,\"clean\":true,\"structurally_valid\":true,"
+            "\"findings\":[],\"facts\":{\"terminates\":true,\"max_steps\":59,\"max_loads\":9,"
+            "\"max_stores\":0,\"touched_words\":8,\"load_addrs\":[0,7],\"loops\":[{\"header_pc\":4,"
+            "\"bounded\":true,\"max_trips\":8,\"note\":\"guard at pc 4, gap 8, stride 1\"}]}}");
 }
 
 TEST(VerifyCfg, FindsTheSumLoop) {

@@ -26,23 +26,6 @@ namespace {
 
 using namespace ram::asm_ops;
 
-/// MpcConfig sized exactly to a spec (the mpch-verify / mpch-analyze
-/// documented config): s = worst declared memory/delivery.
-mpc::MpcConfig config_for(const analysis::ProtocolSpec& spec) {
-  mpc::MpcConfig c;
-  c.machines = spec.machines;
-  c.max_rounds = spec.max_rounds;
-  c.query_budget = 0;
-  std::uint64_t s = 0;
-  for (std::uint64_t shape = 0; shape < spec.distinct_round_shapes(); ++shape) {
-    const std::uint64_t round = shape < spec.prologue.size() ? shape : spec.prologue.size();
-    const analysis::RoundEnvelope& env = spec.envelope(round);
-    s = std::max({s, env.memory_bits, env.recv_bits});
-  }
-  c.local_memory_bits = s;
-  return c;
-}
-
 std::vector<std::uint64_t> ring_memory(std::size_t n) {
   std::vector<std::uint64_t> memory(n);
   for (std::size_t i = 0; i < n; ++i) memory[i] = (i + 1) % n;
@@ -72,7 +55,7 @@ TEST(VerifyEnvelope, SandwichObservedInferredDeclared) {
   // config and assert every observed per-round peak fits the envelope.
   strategies::RamEmulationStrategy strategy(prog, machines, 1, inferred.memory_words,
                                             inferred.max_steps);
-  const mpc::MpcConfig config = config_for(inferred.spec);
+  const mpc::MpcConfig config = analysis::documented_config(inferred.spec, 0);
   mpc::MpcSimulation sim(config, nullptr);
   mpc::MpcRunResult result = sim.run(strategy, strategy.make_initial_memory(memory));
   ASSERT_TRUE(result.completed);
@@ -96,7 +79,7 @@ TEST(VerifyEnvelope, SandwichHoldsForEveryCorpusProgram) {
 
     strategies::RamEmulationStrategy strategy(entry.program, 4, entry.steps_per_round,
                                               inferred.memory_words, inferred.max_steps);
-    const mpc::MpcConfig config = config_for(inferred.spec);
+    const mpc::MpcConfig config = analysis::documented_config(inferred.spec, 0);
     mpc::MpcSimulation sim(config, nullptr);
     mpc::MpcRunResult result = sim.run(strategy, strategy.make_initial_memory(entry.memory));
     ASSERT_TRUE(result.completed) << entry.name;

@@ -19,7 +19,6 @@
 #include <iostream>
 #include <memory>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -40,6 +39,7 @@
 #include "strategies/ram_emulation.hpp"
 #include "strategies/speculative.hpp"
 #include "util/cli.hpp"
+#include "util/json.hpp"
 
 using namespace mpch;
 
@@ -55,24 +55,6 @@ struct Target {
   std::function<mpc::MpcRunResult(const mpc::MpcConfig&)> run;
   std::string note;  ///< provenance of the spec (e.g. statically derived hints)
 };
-
-/// The documented MpcConfig for a spec: exactly the envelope the strategy
-/// declares (s = worst memory/delivery, q as given, rounds = declared), so
-/// check_spec passes by construction until a CLI override shrinks it.
-mpc::MpcConfig documented_config(const analysis::ProtocolSpec& spec, std::uint64_t q) {
-  mpc::MpcConfig c;
-  c.machines = spec.machines;
-  c.max_rounds = spec.max_rounds;
-  c.query_budget = q;
-  std::uint64_t s = 0;
-  for (std::uint64_t shape = 0; shape < spec.distinct_round_shapes(); ++shape) {
-    std::uint64_t round = shape < spec.prologue.size() ? shape : spec.prologue.size();
-    const analysis::RoundEnvelope& env = spec.envelope(round);
-    s = std::max({s, env.memory_bits, env.recv_bits});
-  }
-  c.local_memory_bits = s;
-  return c;
-}
 
 int tool_main(const util::CliArgs& args) {
   if (args.get_bool("help", false)) {
@@ -108,7 +90,7 @@ int tool_main(const util::CliArgs& args) {
   const std::string which = args.get_string("strategy", "all");
   const bool soundness = args.get_bool("soundness", false);
   const bool authenticate = args.get_bool("authenticate", false);
-  const std::string format = args.get_string("format", "text");
+  const bool json = args.get_choice("format", "text", {"text", "json"}) == "json";
   const std::string transport_name = args.get_string("transport", "in-process");
   const std::uint64_t transport_procs = args.get_u64("transport-procs", 0);
   const bool list = args.get_bool("list", false);
@@ -123,11 +105,6 @@ int tool_main(const util::CliArgs& args) {
   const std::optional<std::uint64_t> rounds_override = override_of("rounds");
   const std::optional<std::uint64_t> m_cap = override_of("m-cap");
   args.reject_unknown();
-  if (format != "text" && format != "json") {
-    std::cerr << "mpch-analyze: unknown --format '" << format << "' (text|json)\n";
-    return 2;
-  }
-  const bool json = format == "json";
   transport::TransportKind transport_kind = transport::TransportKind::kInProcess;
   try {
     transport_kind = transport::parse_transport_kind(transport_name);
@@ -192,7 +169,8 @@ int tool_main(const util::CliArgs& args) {
     // Under --authenticate the declared envelope must absorb the per-message
     // tag the runtime meters, and the documented config follows suit.
     if (authenticate) spec = spec.with_authentication(mpc::kMessageTagBits);
-    targets.push_back({spec.protocol, spec, documented_config(spec, q), std::move(run), {}});
+    targets.push_back({spec.protocol, spec, analysis::documented_config(spec, q),
+                       std::move(run), {}});
   };
   add(chase.protocol_spec(), 4, line_run(chase, [&] { return chase.make_initial_memory(input); },
                                          true));
@@ -219,7 +197,9 @@ int tool_main(const util::CliArgs& args) {
 
   bool any_checked = false;
   bool any_violation = false;
-  std::ostringstream json_out;
+  util::JsonWriter out;
+  out.begin_object();
+  out.key("strategies").begin_array();
   for (auto& t : targets) {
     if (which != "all" && which != t.name) continue;
 
@@ -243,10 +223,16 @@ int tool_main(const util::CliArgs& args) {
     if (!json) std::cout << "  static: " << report.format() << "\n";
     any_violation = any_violation || !report.ok();
 
-    json_out << (any_checked ? "," : "") << "{\"name\":\"" << t.name << "\",\"config\":{"
-             << "\"machines\":" << c.machines << ",\"local_memory_bits\":" << c.local_memory_bits
-             << ",\"query_budget\":" << c.query_budget << ",\"max_rounds\":" << c.max_rounds
-             << "},\"static\":" << report.to_json();
+    out.begin_object();
+    out.member("name", t.name);
+    out.key("config").begin_object();
+    out.member("machines", c.machines);
+    out.member("local_memory_bits", c.local_memory_bits);
+    out.member("query_budget", c.query_budget);
+    out.member("max_rounds", c.max_rounds);
+    out.end_object();
+    out.key("static");
+    report.to_json(out);
     any_checked = true;
 
     if (soundness) {
@@ -255,7 +241,7 @@ int tool_main(const util::CliArgs& args) {
           std::cout << "  soundness: skipped (static check failed; the run would "
                        "trip the same guards at runtime)\n";
         }
-        json_out << ",\"soundness\":null";
+        out.key("soundness").value_null();
       } else {
         mpc::MpcRunResult result = t.run(c);
         analysis::AnalysisReport sound = analysis::check_soundness(t.spec, result, c);
@@ -263,18 +249,19 @@ int tool_main(const util::CliArgs& args) {
           std::cout << "  soundness: " << sound.format() << " (rounds_used=" << result.rounds_used
                     << ")\n";
         }
-        json_out << ",\"soundness\":" << sound.to_json()
-                 << ",\"rounds_used\":" << result.rounds_used;
+        out.key("soundness");
+        sound.to_json(out);
+        out.member("rounds_used", result.rounds_used);
         any_violation = any_violation || !sound.ok();
       }
     }
-    json_out << "}";
+    out.end_object();
     if (!json) std::cout << "\n";
   }
-  if (json && any_checked) {
-    std::cout << "{\"ok\":" << (any_violation ? "false" : "true") << ",\"strategies\":["
-              << json_out.str() << "]}\n";
-  }
+  out.end_array();
+  out.member("ok", !any_violation);
+  out.end_object();
+  if (json && any_checked) std::cout << out.str() << "\n";
 
   if (!any_checked) {
     std::cerr << "unknown strategy '" << which << "' (try --list)\n";

@@ -218,7 +218,8 @@ int tool_main(const util::CliArgs& args) {
 
   const std::string strategy = args.get_string("strategy", "pointer-chasing");
   const std::string plan_spec = args.get_string("plan", "");
-  const std::string policy = args.get_string("policy", "restart");
+  const std::string policy =
+      args.get_choice("policy", "restart", {"restart", "replicate", "quarantine", "none"});
   const std::uint64_t every = args.get_u64("every", 2);
   const std::uint64_t retries = args.get_u64("retries", 2);
   const std::uint64_t strikes = args.get_u64("strikes", 3);
@@ -228,23 +229,13 @@ int tool_main(const util::CliArgs& args) {
   const std::string checkpoint_file = args.get_string("checkpoint-file", "");
   const std::string transport_name = args.get_string("transport", "in-process");
   const std::uint64_t transport_procs = args.get_u64("transport-procs", 0);
-  const std::string format = args.get_string("format", "text");
+  const bool json = args.get_choice("format", "text", {"text", "json"}) == "json";
   args.reject_unknown();
 
   if (plan_spec.empty()) {
     std::cerr << "mpch-chaos: --plan is required (try --help)\n";
     return 2;
   }
-  if (policy != "restart" && policy != "replicate" && policy != "quarantine" && policy != "none") {
-    std::cerr << "mpch-chaos: unknown policy '" << policy
-              << "' (want restart|replicate|quarantine|none)\n";
-    return 2;
-  }
-  if (format != "text" && format != "json") {
-    std::cerr << "mpch-chaos: unknown format '" << format << "' (want text|json)\n";
-    return 2;
-  }
-  const bool json = format == "json";
 
   fault::FaultPlan plan;
   serve::Scenario reference;
@@ -257,15 +248,6 @@ int tool_main(const util::CliArgs& args) {
     std::cerr << "mpch-chaos: " << e.what() << "\n";
     return 2;
   }
-  // Every execution of this invocation — the fault-free reference, the
-  // chaotic run, and the recovery policy's internal replicas — moves its
-  // bytes over the selected backend.
-  auto select_transport = [&](serve::Scenario& sc) {
-    sc.config.transport = transport_kind;
-    sc.config.transport_processes = transport_procs;
-  };
-  select_transport(reference);
-
   // Under --policy none, flip/forge would otherwise corrupt silently: MACs
   // are the detector, so turn them on (affects reference and chaos alike).
   const bool needs_mac =
@@ -275,13 +257,10 @@ int tool_main(const util::CliArgs& args) {
     authenticate = true;
     auth_auto = true;
   }
-  // Tag bits count against the memory budget; give every machine headroom
-  // for its per-message 64-bit tags so tight strategies stay inside s.
-  auto enable_auth = [](serve::Scenario& sc) {
-    sc.config.authenticate_messages = true;
-    sc.config.local_memory_bits += 1 << 16;
-  };
-  if (authenticate) enable_auth(reference);
+  // Every execution of this invocation — the fault-free reference, the
+  // chaotic run, and the recovery policy's internal replicas — moves its
+  // bytes over the selected backend under the same authentication.
+  serve::apply_run_options(&reference, transport_kind, transport_procs, authenticate);
 
   Report report;
   report.strategy = strategy;
@@ -330,8 +309,7 @@ int tool_main(const util::CliArgs& args) {
   // Chaos run under the chosen policy. Fresh scenario: strategy-internal
   // counters must not carry over from the reference run.
   serve::Scenario chaos = serve::make_scenario(strategy, seed, threads);
-  select_transport(chaos);
-  if (authenticate) enable_auth(chaos);
+  serve::apply_run_options(&chaos, transport_kind, transport_procs, authenticate);
   try {
     if (policy == "none") {
       // Unprotected baseline: faults applied silently, no recovery. Crash-

@@ -32,32 +32,11 @@
 #include "check/models.hpp"
 #include "check/trace.hpp"
 #include "util/cli.hpp"
+#include "util/json.hpp"
 
 using namespace mpch;
 
 namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 /// Parse "machines=2,rounds=3,..." into ModelBounds; throws
 /// std::invalid_argument naming the offending key.
@@ -145,31 +124,34 @@ void print_text(const ProtocolRun& run) {
   }
 }
 
-std::string to_json(const ProtocolRun& run) {
+void to_json(const ProtocolRun& run, util::JsonWriter& w) {
   const check::ExploreStats& s = run.result.stats;
-  std::string json = "{\"protocol\":\"" + json_escape(run.protocol) + "\",\"mutation\":\"" +
-                     json_escape(run.mutation) + "\",\"ok\":" +
-                     (run.result.ok() ? "true" : "false") +
-                     ",\"states\":" + std::to_string(s.states_explored) +
-                     ",\"transitions\":" + std::to_string(s.transitions) +
-                     ",\"complete_schedules\":" + std::to_string(s.terminal_states) +
-                     ",\"terminal_fingerprints\":" + std::to_string(s.terminal_fingerprints) +
-                     ",\"deepest\":" + std::to_string(s.deepest) +
-                     ",\"pruned_converged\":" + std::to_string(s.pruned_converged) +
-                     ",\"pruned_sleep\":" + std::to_string(s.pruned_sleep) +
-                     ",\"depth_bound_hit\":" + (s.depth_bound_hit ? "true" : "false") +
-                     ",\"state_bound_hit\":" + (s.state_bound_hit ? "true" : "false");
+  w.begin_object();
+  w.member("protocol", run.protocol);
+  w.member("mutation", run.mutation);
+  w.member("ok", run.result.ok());
+  w.member("states", s.states_explored);
+  w.member("transitions", s.transitions);
+  w.member("complete_schedules", s.terminal_states);
+  w.member("terminal_fingerprints", s.terminal_fingerprints);
+  w.member("deepest", s.deepest);
+  w.member("pruned_converged", s.pruned_converged);
+  w.member("pruned_sleep", s.pruned_sleep);
+  w.member("depth_bound_hit", s.depth_bound_hit);
+  w.member("state_bound_hit", s.state_bound_hit);
   if (!run.result.ok()) {
     const check::Counterexample& ce = *run.result.counterexample;
-    json += ",\"violation\":\"" + json_escape(ce.violation) + "\",\"schedule\":[";
-    for (std::size_t i = 0; i < ce.schedule.size(); ++i) {
-      json += (i == 0 ? "" : ",");
-      json += "{\"key\":" + std::to_string(ce.schedule[i].key) + ",\"label\":\"" +
-              json_escape(ce.schedule[i].label) + "\"}";
+    w.member("violation", ce.violation);
+    w.key("schedule").begin_array();
+    for (const check::Action& a : ce.schedule) {
+      w.begin_object();
+      w.member("key", a.key);
+      w.member("label", a.label);
+      w.end_object();
     }
-    json += "]";
+    w.end_array();
   }
-  return json + "}";
+  w.end_object();
 }
 
 void save_counterexample(const std::string& path, const ProtocolRun& run,
@@ -183,18 +165,26 @@ void save_counterexample(const std::string& path, const ProtocolRun& run,
   check::save_trace(path, trace);
 }
 
-int run_replay(const std::string& path, const check::ModelBounds& bounds,
-               const std::string& format) {
+int run_replay(const std::string& path, const check::ModelBounds& bounds, bool json) {
   check::TraceFile trace = check::load_trace(path);  // TraceError → caller's exit 2
   std::unique_ptr<check::Model> model = check::make_model(trace.protocol, bounds, trace.mutation);
   const check::ReplayOutcome outcome = make_explorer(bounds).replay(*model, trace.schedule);
   const bool reproduced = outcome.violation.has_value();
-  if (format == "json") {
-    std::cout << "{\"replay\":\"" << json_escape(path) << "\",\"protocol\":\""
-              << json_escape(trace.protocol) << "\",\"mutation\":\""
-              << json_escape(trace.mutation) << "\",\"steps\":" << outcome.steps
-              << ",\"violation\":"
-              << (reproduced ? "\"" + json_escape(*outcome.violation) + "\"" : "null") << "}\n";
+  if (json) {
+    util::JsonWriter w;
+    w.begin_object();
+    w.member("replay", path);
+    w.member("protocol", trace.protocol);
+    w.member("mutation", trace.mutation);
+    w.member("steps", outcome.steps);
+    w.key("violation");
+    if (reproduced) {
+      w.value(*outcome.violation);
+    } else {
+      w.value_null();
+    }
+    w.end_object();
+    std::cout << w.str() << "\n";
   } else {
     std::cout << "replay " << path << " (" << trace.protocol << ", mutation " << trace.mutation
               << "): ";
@@ -208,19 +198,18 @@ int run_replay(const std::string& path, const check::ModelBounds& bounds,
   return reproduced ? 1 : 0;
 }
 
-int run_matrix(const check::ModelBounds& bounds, const std::string& format,
-               const std::string& trace_dir) {
+int run_matrix(const check::ModelBounds& bounds, bool json, const std::string& trace_dir) {
   bool all_good = true;
-  std::string json = "{\"matrix\":[";
-  bool first = true;
+  util::JsonWriter w;
+  w.begin_object();
+  w.key("matrix").begin_array();
   // Clean baselines first: a checker that flags the unmutated protocol is
   // as broken as one that misses every mutant.
   for (const std::string& protocol : check::protocol_names()) {
     const ProtocolRun run = explore_one(protocol, bounds, "none");
     all_good = all_good && run.result.ok();
-    if (format == "json") {
-      json += (first ? "" : ",") + to_json(run);
-      first = false;
+    if (json) {
+      to_json(run, w);
     } else {
       print_text(run);
     }
@@ -232,9 +221,8 @@ int run_matrix(const check::ModelBounds& bounds, const std::string& format,
     if (killed && !trace_dir.empty()) {
       save_counterexample(trace_dir + "/" + spec.name + ".trace", run, bounds);
     }
-    if (format == "json") {
-      json += (first ? "" : ",") + to_json(run);
-      first = false;
+    if (json) {
+      to_json(run, w);
     } else {
       const check::ExploreStats& s = run.result.stats;
       std::cout << "mutant " << spec.name << " (" << spec.protocol << "): "
@@ -250,8 +238,11 @@ int run_matrix(const check::ModelBounds& bounds, const std::string& format,
       }
     }
   }
-  if (format == "json") {
-    std::cout << json << "],\"ok\":" << (all_good ? "true" : "false") << "}\n";
+  w.end_array();
+  w.member("ok", all_good);
+  w.end_object();
+  if (json) {
+    std::cout << w.str() << "\n";
   } else {
     std::cout << (all_good ? "mutation matrix: every seeded bug produced a counterexample\n"
                            : "mutation matrix: FAILED\n");
@@ -277,7 +268,7 @@ int tool_main(const util::CliArgs& args) {
       return 0;
     }
 
-    const std::string format = args.get_string("format", "text");
+    const bool json = args.get_choice("format", "text", {"text", "json"}) == "json";
     const std::string bound_spec = args.get_string("bound", "");
     const bool list_mutations = args.get_bool("list-mutations", false);
     const std::string replay_path = args.get_string("replay", "");
@@ -287,10 +278,6 @@ int tool_main(const util::CliArgs& args) {
     std::string protocol = args.get_string("protocol", "all");
     const std::string trace_out = args.get_string("trace-out", "");
     args.reject_unknown();
-    if (format != "text" && format != "json") {
-      std::cerr << "unknown --format '" << format << "' (text|json)\n";
-      return 2;
-    }
     const check::ModelBounds bounds = parse_bounds(bound_spec);
 
     if (list_mutations) {
@@ -301,7 +288,7 @@ int tool_main(const util::CliArgs& args) {
     }
     if (args.has("replay")) {
       try {
-        return run_replay(replay_path, bounds, format);
+        return run_replay(replay_path, bounds, json);
       } catch (const check::TraceError& e) {
         std::cerr << "mpch-model: " << e.what() << "\n";
         return 2;
@@ -310,7 +297,7 @@ int tool_main(const util::CliArgs& args) {
         return 2;
       }
     }
-    if (mutation_matrix) return run_matrix(bounds, format, trace_dir);
+    if (mutation_matrix) return run_matrix(bounds, json, trace_dir);
 
     if (mutation != "none") {
       // A mutation names its protocol; --protocol may confirm but not conflict.
@@ -327,22 +314,25 @@ int tool_main(const util::CliArgs& args) {
     }
 
     bool violated = false;
-    std::string json = "{\"protocols\":[";
-    bool first = true;
+    util::JsonWriter w;
+    w.begin_object();
+    w.key("protocols").begin_array();
     for (const std::string& p : protocols) {
       const ProtocolRun run = explore_one(p, bounds, mutation);
       violated = violated || !run.result.ok();
       if (!run.result.ok() && args.has("trace-out")) {
         save_counterexample(trace_out, run, bounds);
       }
-      if (format == "json") {
-        json += (first ? "" : ",") + to_json(run);
-        first = false;
+      if (json) {
+        to_json(run, w);
       } else {
         print_text(run);
       }
     }
-    if (format == "json") std::cout << json << "],\"ok\":" << (violated ? "false" : "true") << "}\n";
+    w.end_array();
+    w.member("ok", !violated);
+    w.end_object();
+    if (json) std::cout << w.str() << "\n";
 
     return violated ? 1 : 0;
   } catch (const std::invalid_argument& e) {

@@ -41,26 +41,8 @@ namespace {
 std::function<mpc::MpcRunResult(mpc::MpcConfig*)> resolve_runner(const std::string& target,
                                                                  std::uint64_t seed) {
   for (const std::string& name : serve::strategy_names()) {
-    if (target == name) {
-      return [name, seed](mpc::MpcConfig* config) {
-        serve::Scenario sc = serve::make_scenario(name, seed, 0);
-        *config = sc.config;
-        auto oracle = sc.make_oracle();
-        mpc::MpcSimulation sim(sc.config, oracle);
-        return sim.run(*sc.algo, sc.initial);
-      };
-    }
-    if (target == name + "+auth") {
-      return [name, seed](mpc::MpcConfig* config) {
-        serve::Scenario sc = serve::make_scenario(name, seed, 0);
-        sc.config.authenticate_messages = true;
-        sc.config.local_memory_bits += 1 << 16;
-        *config = sc.config;
-        auto oracle = sc.make_oracle();
-        mpc::MpcSimulation sim(sc.config, oracle);
-        return sim.run(*sc.algo, sc.initial);
-      };
-    }
+    if (target == name) return reduce::scenario_runner(name, seed, false);
+    if (target == name + "+auth") return reduce::scenario_runner(name, seed, true);
   }
   return {};
 }
@@ -146,13 +128,8 @@ int tool_main(const util::CliArgs& args) {
   bool catalog = args.get_bool("catalog", false);
   if (!catalog && check_file.empty() && !self_check && !list_specs) catalog = true;
 
-  const std::string format = args.get_string("format", "text");
+  const bool json = args.get_choice("format", "text", {"text", "json"}) == "json";
   args.reject_unknown();
-  if (format != "text" && format != "json") {
-    std::cerr << "mpch-reduce: unknown --format '" << format << "' (text|json)\n";
-    return 2;
-  }
-  const bool json = format == "json";
 
   reduce::BuiltinCatalog lib = reduce::build_builtin_catalog(seed);
 

@@ -79,7 +79,6 @@ void emit_json(const std::vector<serve::JobResult>& results, const serve::ServeS
   w.key("options").begin_object();
   w.member("workers", options.workers);
   w.member("queue_depth", static_cast<std::uint64_t>(options.queue_depth));
-  w.member("reuse_buffers", options.reuse_buffers);
   w.end_object();
 
   w.key("jobs").begin_array();
@@ -175,7 +174,7 @@ void emit_text(const std::vector<serve::JobResult>& results, const serve::ServeS
 int tool_main(const util::CliArgs& args) {
   if (args.get_bool("help", false)) {
     std::cout << "usage: mpch-serve --jobs FILE|- [--workers N] [--queue-depth N]\n"
-                 "                  [--no-reuse-buffers] [--format text|json] [--list]\n"
+                 "                  [--format text|json] [--list]\n"
                  "  jobfile grammar (one job per line, '#' comments):\n"
                  "    <verb> strategy=NAME [seed=N] [repeat=N] [threads=N]\n"
                  "           [transport=in-process|socket] [transport-procs=N]\n"
@@ -197,13 +196,8 @@ int tool_main(const util::CliArgs& args) {
   serve::ServeOptions options;
   options.workers = args.get_u64("workers", 4);
   options.queue_depth = args.get_u64("queue-depth", 64);
-  options.reuse_buffers = !args.get_bool("no-reuse-buffers", false);
-  const std::string format = args.get_string("format", "text");
+  const bool json = args.get_choice("format", "text", {"text", "json"}) == "json";
   args.reject_unknown();
-  if (format != "text" && format != "json") {
-    std::cerr << "mpch-serve: unknown format '" << format << "' (want text|json)\n";
-    return 2;
-  }
   if (jobs_path.empty()) {
     std::cerr << "mpch-serve: --jobs FILE|- is required (try --help)\n";
     return 2;
@@ -240,7 +234,7 @@ int tool_main(const util::CliArgs& args) {
   serve::ServeService service(options);
   std::vector<serve::JobResult> results = service.run_jobs(jobs);
 
-  if (format == "json") {
+  if (json) {
     emit_json(results, service.stats(), options);
   } else {
     emit_text(results, service.stats());

@@ -15,9 +15,14 @@
 // programs the derived facts feed infer_ram_emulation_spec, producing an
 // envelope that is proven rather than hand-declared.
 //
+// --format json prints one document on stdout and no text lines:
+// {"programs":[...],"cross_checks":[...]} (cross_checks only under
+// --cross-check), or {"hostile":[...]} under --hostile.
+//
 // Exit status: 0 all programs pass (no errors; warnings allowed unless
 // --strict), 1 any error/strict-warning/failed cross-check, 2 usage.
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -28,6 +33,7 @@
 #include "ram/programs.hpp"
 #include "strategies/ram_emulation.hpp"
 #include "util/cli.hpp"
+#include "util/json.hpp"
 #include "verify/envelope.hpp"
 #include "verify/verifier.hpp"
 
@@ -35,67 +41,52 @@ using namespace mpch;
 
 namespace {
 
-/// MpcConfig sized exactly to a spec (mirrors mpch-analyze's documented
-/// config): s = worst declared memory/delivery, rounds = declared bound.
-mpc::MpcConfig config_for(const analysis::ProtocolSpec& spec) {
-  mpc::MpcConfig c;
-  c.machines = spec.machines;
-  c.max_rounds = spec.max_rounds;
-  c.query_budget = 0;  // RAM emulation is plain-model
-  std::uint64_t s = 0;
-  for (std::uint64_t shape = 0; shape < spec.distinct_round_shapes(); ++shape) {
-    const std::uint64_t round = shape < spec.prologue.size() ? shape : spec.prologue.size();
-    const analysis::RoundEnvelope& env = spec.envelope(round);
-    s = std::max({s, env.memory_bits, env.recv_bits});
-  }
-  c.local_memory_bits = s;
-  return c;
-}
+/// One cross-check verdict: `detail` is what the text report prints after
+/// "cross-check: " (a FAIL reason, or the observed-vs-inferred summary).
+struct CrossCheck {
+  bool ok = false;
+  std::string detail;
+};
 
 /// The sandwich's lower half: emulate the program under MPC with the
 /// inferred spec's config and assert every observed RoundStats peak fits
 /// under the inferred envelope; also confirm the emulated final state
-/// matches a native run bit for bit. Returns true on success.
-bool cross_check(const ram::programs::NamedProgram& entry, const verify::ProgramFacts& facts,
-                 const verify::InferredRamSpec& inferred) {
+/// matches a native run bit for bit.
+CrossCheck cross_check(const ram::programs::NamedProgram& entry, const verify::ProgramFacts& facts,
+                       const verify::InferredRamSpec& inferred) {
   ram::RamMachine native(entry.program, entry.memory);
   const std::uint64_t native_steps = native.run(facts.max_steps + 1);
   if (native_steps > facts.max_steps || !native.state().halted) {
-    std::cout << "  cross-check: FAIL (native run took " << std::to_string(native_steps)
-              << " steps, bound was " << facts.max_steps << ")\n";
-    return false;
+    return {false, "FAIL (native run took " + std::to_string(native_steps) +
+                       " steps, bound was " + std::to_string(facts.max_steps) + ")"};
   }
 
   strategies::RamEmulationStrategy strategy(entry.program, inferred.spec.machines,
                                             entry.steps_per_round, inferred.memory_words,
                                             inferred.max_steps);
-  const mpc::MpcConfig config = config_for(inferred.spec);
+  const mpc::MpcConfig config = analysis::documented_config(inferred.spec, 0);
   mpc::MpcSimulation sim(config, nullptr);
   mpc::MpcRunResult result = sim.run(strategy, strategy.make_initial_memory(entry.memory));
   if (!result.completed) {
-    std::cout << "  cross-check: FAIL (emulation did not complete in " << config.max_rounds
-              << " rounds)\n";
-    return false;
+    return {false, "FAIL (emulation did not complete in " + std::to_string(config.max_rounds) +
+                       " rounds)"};
   }
   if (!(strategies::RamEmulationStrategy::parse_output(result.output) == native.state())) {
-    std::cout << "  cross-check: FAIL (emulated state differs from native)\n";
-    return false;
+    return {false, "FAIL (emulated state differs from native)"};
   }
   const analysis::AnalysisReport sound =
       analysis::check_soundness(inferred.spec, result, config);
   if (!sound.ok()) {
-    std::cout << "  cross-check: FAIL (observed peaks exceed the inferred envelope)\n"
-              << sound.format() << "\n";
-    return false;
+    return {false, "FAIL (observed peaks exceed the inferred envelope)\n" + sound.format()};
   }
-  std::cout << "  cross-check: observed peaks <= inferred envelope over " << result.rounds_used
-            << " rounds; emulated state == native (" << native_steps << " steps)\n";
-  return true;
+  return {true, "observed peaks <= inferred envelope over " + std::to_string(result.rounds_used) +
+                    " rounds; emulated state == native (" + std::to_string(native_steps) +
+                    " steps)"};
 }
 
 /// Known-bad programs: each must be REJECTED (an error finding). Exercised
 /// in CI so the rejection path cannot rot.
-bool run_hostile_suite() {
+bool run_hostile_suite(bool json) {
   using namespace ram::asm_ops;
   struct Hostile {
     std::string name;
@@ -109,13 +100,25 @@ bool run_hostile_suite() {
       {"falls-off-end", {loadi(0, 1)}},
   };
   bool all_rejected = true;
+  util::JsonWriter w;
+  w.begin_object();
+  w.key("hostile").begin_array();
   for (const Hostile& h : suite) {
     const verify::VerifyReport report = verify::verify_program(h.name, h.program);
     const bool rejected = !report.ok();
-    std::cout << "hostile/" << h.name << ": " << (rejected ? "rejected" : "ACCEPTED (bug!)")
-              << "\n";
+    w.begin_object();
+    w.member("program", h.name);
+    w.member("rejected", rejected);
+    w.end_object();
+    if (!json) {
+      std::cout << "hostile/" << h.name << ": " << (rejected ? "rejected" : "ACCEPTED (bug!)")
+                << "\n";
+    }
     all_rejected = all_rejected && rejected;
   }
+  w.end_array();
+  w.end_object();
+  if (json) std::cout << w.str() << "\n";
   return all_rejected;
 }
 
@@ -131,18 +134,13 @@ int tool_main(const util::CliArgs& args) {
   }
 
   const std::string which = args.get_string("program", "all");
-  const std::string format = args.get_string("format", "text");
+  const bool json = args.get_choice("format", "text", {"text", "json"}) == "json";
   const std::uint64_t machines = args.get_u64("machines", 4);
   const bool strict = args.get_bool("strict", false);
   const bool do_cross_check = args.get_bool("cross-check", false);
   const bool hostile = args.get_bool("hostile", false);
   const bool list = args.get_bool("list", false);
   args.reject_unknown();
-
-  if (format != "text" && format != "json") {
-    std::cerr << "unknown --format '" << format << "' (text|json)\n";
-    return 2;
-  }
   if (machines < 2) {
     std::cerr << "--machines must be >= 2 (one CPU + at least one server)\n";
     return 2;
@@ -154,12 +152,15 @@ int tool_main(const util::CliArgs& args) {
     return 0;
   }
 
-  if (hostile) return run_hostile_suite() ? 0 : 1;
+  if (hostile) return run_hostile_suite(json) ? 0 : 1;
 
   bool any_checked = false;
   bool failed = false;
-  std::string json = "{\"programs\":[";
-  bool first_json = true;
+  util::JsonWriter w;
+  w.begin_object();
+  w.key("programs").begin_array();
+  // In JSON the cross-check verdicts follow the programs array.
+  std::vector<std::pair<std::string, std::optional<CrossCheck>>> cross_checks;
   for (const auto& entry : corpus) {
     if (which != "all" && which != entry.name) continue;
     any_checked = true;
@@ -169,25 +170,43 @@ int tool_main(const util::CliArgs& args) {
     const verify::VerifyReport report = verify::verify_program(entry.name, entry.program, options);
     failed = failed || !report.ok() || (strict && !report.clean());
 
-    if (format == "json") {
-      json += (first_json ? "" : ",") + report.to_json();
-      first_json = false;
-    } else {
-      std::cout << report.format() << "\n";
-    }
+    report.to_json(w);
+    if (!json) std::cout << report.format() << "\n";
     if (!report.facts || !report.facts->terminates) {
       if (do_cross_check && report.ok()) {
-        std::cout << "  cross-check: skipped (no termination proof)\n";
+        cross_checks.emplace_back(entry.name, std::nullopt);
+        if (!json) std::cout << "  cross-check: skipped (no termination proof)\n";
       }
       continue;
     }
 
     const verify::InferredRamSpec inferred = verify::infer_ram_emulation_spec(
         entry.program, *report.facts, machines, entry.steps_per_round);
-    if (format == "text") std::cout << "  inferred: " << inferred.spec.summary() << "\n";
-    if (do_cross_check && !cross_check(entry, *report.facts, inferred)) failed = true;
+    if (!json) std::cout << "  inferred: " << inferred.spec.summary() << "\n";
+    if (!do_cross_check) continue;
+    const CrossCheck verdict = cross_check(entry, *report.facts, inferred);
+    failed = failed || !verdict.ok;
+    cross_checks.emplace_back(entry.name, verdict);
+    if (!json) std::cout << "  cross-check: " << verdict.detail << "\n";
   }
-  if (format == "json") std::cout << json << "]}\n";
+  w.end_array();
+  if (do_cross_check) {
+    w.key("cross_checks").begin_array();
+    for (const auto& [program, verdict] : cross_checks) {
+      w.begin_object();
+      w.member("program", program);
+      if (verdict) {
+        w.member("ok", verdict->ok);
+        w.member("detail", verdict->detail);
+      } else {
+        w.member("skipped", true);
+      }
+      w.end_object();
+    }
+    w.end_array();
+  }
+  w.end_object();
+  if (json) std::cout << w.str() << "\n";
 
   if (!any_checked) {
     std::cerr << "unknown program '" << which << "' (try --list)\n";
