@@ -1,11 +1,13 @@
 // arena.hpp — recycled buffers for the round loop's hot path.
 //
-// Every round of every run allocates one inbox set (m vectors of messages)
-// and tears another down; a 455-round ram-emulation run does that ~900
-// times, and an mpch-serve sweep multiplies it by thousands of jobs. The
-// RoundArena keeps released inbox sets and hands their storage back to the
-// next acquire, so steady-state rounds reuse vector capacity instead of
-// round-tripping the allocator.
+// Every round of every run needs one inbox set (the outer vector of m
+// per-machine inboxes) and retires another, and an mpch-serve sweep
+// multiplies that by thousands of jobs. The RoundArena keeps released sets
+// and hands their storage back to the next acquire. It recycles only the
+// outer set: the per-machine message vectors cycle through the round loop
+// and the transport instead (inbox -> next outbox -> spare bucket -> inbox,
+// see MpcSimulation::run_rounds), so the inner vectors a set comes back
+// with are usually empty.
 //
 // Determinism is untouched: the arena recycles *capacity* only — every
 // acquired set comes back cleared and sized, and message contents are always

@@ -104,13 +104,8 @@ void verify_inbox_tags(std::uint64_t tape_seed, std::uint64_t round, std::uint64
   }
 }
 
-std::vector<Message> strip_tags(const std::vector<Message>& inbox) {
-  std::vector<Message> plain;
-  plain.reserve(inbox.size());
-  for (const auto& msg : inbox) {
-    plain.push_back({msg.from, msg.to, msg.payload.slice(0, msg.payload.size() - kMessageTagBits)});
-  }
-  return plain;
+void strip_tags(std::vector<Message>& inbox) {
+  for (auto& msg : inbox) msg.payload.truncate(msg.payload.size() - kMessageTagBits);
 }
 
 }  // namespace mpch::mpc

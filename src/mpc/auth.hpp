@@ -89,9 +89,10 @@ class TamperViolation : public std::runtime_error {
 void verify_inbox_tags(std::uint64_t tape_seed, std::uint64_t round, std::uint64_t machine,
                        const std::vector<Message>& inbox);
 
-/// The tag-stripped view of a tagged inbox: each payload minus its trailing
-/// kMessageTagBits. This is what the algorithm sees — protocols are unaware
-/// of authentication. Call only on verified inboxes.
-std::vector<Message> strip_tags(const std::vector<Message>& inbox);
+/// Strip the tags of a tagged inbox in place: each payload loses its
+/// trailing kMessageTagBits and keeps its buffer. The result is what the
+/// algorithm sees — protocols are unaware of authentication. Call only on
+/// verified inboxes.
+void strip_tags(std::vector<Message>& inbox);
 
 }  // namespace mpch::mpc

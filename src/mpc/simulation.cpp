@@ -19,7 +19,7 @@ MpcSimulation::MpcSimulation(MpcConfig config, std::shared_ptr<hash::RandomOracl
 /// no shared accumulator is touched while machines run.
 struct MpcSimulation::MachineSlot {
   MachineIo io;
-  RoundTrace scratch;                    ///< per-machine annotation buffer
+  RoundTrace scratch;  ///< per-machine annotation buffer, reset each round
   hash::CountingOracle* oracle = nullptr;
   bool crashed = false;  ///< fault injection: consume the inbox, run nothing
   std::exception_ptr error;
@@ -81,7 +81,7 @@ MpcRunResult MpcSimulation::run(MpcAlgorithm& algo,
     }
   }
 
-  return run_rounds(algo, 0, std::move(inboxes), RoundTrace{},
+  return run_rounds(algo, 0, std::move(inboxes), {},
                     std::make_shared<hash::OracleTranscript>(), observer);
 }
 
@@ -156,10 +156,12 @@ MpcRunResult MpcSimulation::run_rounds(MpcAlgorithm& algo, std::uint64_t start_r
   std::vector<util::BitString> outputs;
   bool any_output = false;
 
-  // Per-machine slots live across rounds: their outbox vectors and the slot
+  // Per-machine slots live across rounds: their scratch traces and the slot
   // array itself keep their capacity, so steady-state rounds run without
   // re-allocating the phase-A scaffolding. All per-round fields are reset at
-  // the top of each round.
+  // the top of each round. Message vectors cycle rather than regrow: a
+  // consumed inbox becomes its machine's next outbox, the transport keeps a
+  // sent outbox as spare bucket storage, and a bucket comes back as an inbox.
   std::vector<MachineSlot> slots(config_.machines);
   RoundArena& buffers = arena();
 
@@ -176,17 +178,14 @@ MpcRunResult MpcSimulation::run_rounds(MpcAlgorithm& algo, std::uint64_t start_r
       result.trace.current().peak_memory_bits.observe(held, i);
     }
 
-    // Authenticated inboxes carry tags the algorithm must not see: hand each
-    // machine a tag-stripped view. Round-0 inboxes are the input partition
-    // (never tagged — they did not cross a barrier); the memory observation
-    // above metered the tagged sizes, which is what occupies s.
-    std::vector<std::vector<Message>> plain_inboxes;
-    const bool stripped = auth && round > 0;
-    if (stripped) {
-      plain_inboxes = buffers.acquire(config_.machines);
-      for (std::uint64_t i = 0; i < config_.machines; ++i) {
-        plain_inboxes[i] = strip_tags(inboxes[i]);
-      }
+    // Authenticated inboxes carry tags the algorithm must not see: strip
+    // them in place. Round-0 inboxes are the input partition (never tagged —
+    // they did not cross a barrier); the memory observation above metered
+    // the tagged sizes, which is what occupies s. Everything that reads a
+    // tagged inbox (after_merge, verification, the round snapshot, resume)
+    // sees next-round inboxes, which are still tagged.
+    if (auth && round > 0) {
+      for (auto& inbox : inboxes) strip_tags(inbox);
     }
 
     // Phase A — run all machines of the round into their slots. Within a
@@ -200,14 +199,13 @@ MpcRunResult MpcSimulation::run_rounds(MpcAlgorithm& algo, std::uint64_t start_r
       slot.io.machines = config_.machines;
       slot.io.authenticate = auth;
       slot.io.tape_seed = config_.tape_seed;
-      slot.io.inbox = stripped ? &plain_inboxes[i] : &inboxes[i];
+      slot.io.inbox = &inboxes[i];
       slot.io.outbox.clear();
       slot.io.output.reset();
-      slot.scratch = RoundTrace{};
+      slot.scratch.reset_scratch(round);
       slot.oracle = oracle_ ? oracles[i].get() : nullptr;
       slot.crashed = observer != nullptr && !observer->machine_runs(round, i);
       slot.error = nullptr;
-      slot.scratch.begin_round(round);
     }
     if (parallel) {
       run_round_parallel(algo, slots, tape);
@@ -314,11 +312,16 @@ MpcRunResult MpcSimulation::run_rounds(MpcAlgorithm& algo, std::uint64_t start_r
       snapshot.transcript = result.transcript.get();
       observer->after_round(snapshot);
     }
-    if (stripped) buffers.release(std::move(plain_inboxes));
     if (any_output) {
       result.completed = true;
       buffers.release(std::move(next_inboxes));
       break;
+    }
+    // The round-start inboxes are consumed: each one's storage becomes its
+    // machine's next outbox (phase A clears it), and the arena keeps the
+    // outer set.
+    for (std::uint64_t i = 0; i < config_.machines; ++i) {
+      slots[i].io.outbox = std::move(inboxes[i]);
     }
     buffers.release(std::move(inboxes));
     inboxes = std::move(next_inboxes);

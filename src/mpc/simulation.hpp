@@ -142,14 +142,16 @@ class MpcAlgorithm {
 
 /// View of the committed state at a round barrier, handed to
 /// RoundObserver::after_round. `next_inboxes` is the message state the next
-/// round will start from — together with the trace, the transcript, and the
-/// oracle's memo this is the *complete* resumable state of an execution
-/// (machines are stateless across rounds by construction), which is what
-/// makes fault/checkpoint.hpp's snapshots sufficient for bit-identical
-/// recovery. The round loop computes no attestation digests: they are a
-/// pure function of (tape seed, round, next_inboxes) (auth.hpp), so an
-/// observer or recovery policy that wants them derives them from this view
-/// or from a checkpoint.
+/// round will start from, still tagged under authenticate_messages (the next
+/// round strips the tags in place after metering). Together with the trace
+/// and the transcript this is the *complete* resumable state of an
+/// execution (machines are stateless across rounds by construction, and the
+/// oracle's memo is rebuilt from the transcript), which is what makes
+/// fault/checkpoint.hpp's snapshots sufficient for bit-identical recovery.
+/// The round loop computes no attestation digests: they are a pure function
+/// of (tape seed, round, next_inboxes) (auth.hpp), so an observer or
+/// recovery policy that wants them derives them from this view or from a
+/// checkpoint.
 struct RoundSnapshot {
   std::uint64_t round = 0;   ///< the round that just committed
   bool completed = false;    ///< an output was produced; the run is over

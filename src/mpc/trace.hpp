@@ -63,6 +63,17 @@ class RoundTrace {
     stats_.back().round = round;
   }
 
+  /// Start a per-machine scratch trace over for `round`: one fresh
+  /// RoundStats, and every annotation key kept with its values cleared. A
+  /// scratch reused this way across rounds keeps its stats slot, map nodes
+  /// and vector capacity, so a steady-state round allocates nothing here.
+  void reset_scratch(std::uint64_t round) {
+    stats_.resize(1);
+    stats_.front() = RoundStats{};
+    stats_.front().round = round;
+    for (auto& entry : annotations_) entry.second.clear();
+  }
+
   RoundStats& current() { return stats_.back(); }
   const std::vector<RoundStats>& rounds() const { return stats_; }
 
@@ -86,9 +97,12 @@ class RoundTrace {
   /// The simulation calls this once per machine, in machine index order,
   /// after the round barrier — so a parallel round accumulates exactly the
   /// sequence a serial round would have produced, regardless of which worker
-  /// ran which machine.
+  /// ran which machine. Keys the scratch kept from earlier rounds but got no
+  /// value for this round are skipped, so the merged map holds exactly the
+  /// keys some machine annotated.
   void merge_round_from(const RoundTrace& scratch) {
     for (const auto& [key, values] : scratch.annotations_) {
+      if (values.empty()) continue;
       auto& dst = annotations_[key];
       dst.insert(dst.end(), values.begin(), values.end());
     }

@@ -1,7 +1,9 @@
 // inprocess.hpp — the zero-copy reference backend.
 //
 // Messages cross the round barrier exactly as they always have: moved from
-// the sender's outbox into per-destination buckets, no serialisation. Every
+// the sender's outbox into per-destination buckets, no serialisation. The
+// emptied outbox vectors are kept as spare bucket storage, so a bucket
+// handed out by receive() is replaced without allocating. Every
 // other backend is conformance-tested against this one, so its merge order
 // (sender index ascending, outbox order within a sender — the order send()
 // calls arrive in) *defines* the canonical inbox order of the tree.
@@ -31,6 +33,7 @@ class InProcessTransport final : public Transport {
  private:
   std::uint64_t machines_ = 0;
   std::vector<std::vector<mpc::Message>> buckets_;
+  std::vector<std::vector<mpc::Message>> spares_;  ///< emptied outboxes, at most machines_
 };
 
 }  // namespace mpch::transport

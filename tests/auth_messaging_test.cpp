@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <functional>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -101,10 +102,10 @@ TEST(MessageTag, VerifyAcceptsTaggedAndStripRecovers) {
   Message msg{0, 1, payload + message_tag(9, 2, 0, 1, payload)};
   std::vector<Message> inbox = {msg};
   EXPECT_NO_THROW(verify_inbox_tags(9, 2, 1, inbox));
-  std::vector<Message> plain = strip_tags(inbox);
-  ASSERT_EQ(plain.size(), 1u);
-  EXPECT_EQ(plain[0].payload, payload);
-  EXPECT_EQ(plain[0].from, 0u);
+  strip_tags(inbox);
+  ASSERT_EQ(inbox.size(), 1u);
+  EXPECT_EQ(inbox[0].payload, payload);
+  EXPECT_EQ(inbox[0].from, 0u);
 }
 
 TEST(MessageTag, TamperViolationCarriesProvenance) {
@@ -150,9 +151,10 @@ TEST(MessageTag, MatchesPrefixBuildingReferenceForEveryBodyLength) {
       ASSERT_EQ(tag, hash::reference::reference_message_tag(9, 5, 2, 0, body, path.fn))
           << path.name;
     }
-    const std::vector<Message> inbox = {{2, 0, body + tag}};
+    std::vector<Message> inbox = {{2, 0, body + tag}};
     ASSERT_NO_THROW(verify_inbox_tags(9, 5, 0, inbox));
-    ASSERT_EQ(strip_tags(inbox)[0].payload, body);
+    strip_tags(inbox);
+    ASSERT_EQ(inbox[0].payload, body);
   }
 }
 
@@ -235,7 +237,9 @@ TEST(MessageTag, EmptyBodyVerifiesAndRuntIsRejected) {
   const std::vector<Message> empty = {{0, 1, message_tag(9, 2, 0, 1, BitString())}};
   ASSERT_EQ(empty[0].payload.size(), kMessageTagBits);
   EXPECT_NO_THROW(verify_inbox_tags(9, 2, 1, empty));
-  EXPECT_EQ(strip_tags(empty)[0].payload, BitString());
+  std::vector<Message> stripped = empty;
+  strip_tags(stripped);
+  EXPECT_EQ(stripped[0].payload, BitString());
 
   // One bit short of a tag: rejected before any hashing, as a runt.
   BitString runt = empty[0].payload;
@@ -309,6 +313,63 @@ TEST(AuthMessaging, OnIsDeterministicAcrossThreadCounts) {
     EXPECT_EQ(base.output, r.output) << "threads=" << threads;
     EXPECT_EQ(base.rounds_used, r.rounds_used) << "threads=" << threads;
     EXPECT_EQ(base.trace.rounds(), r.trace.rounds()) << "threads=" << threads;
+  }
+}
+
+/// Every machine sends every machine a body of 3 + 11 * machine + round bits
+/// each round (most end mid-byte), and records the inbox it was handed.
+/// Machine 0 outputs in round 4. Serial runs only: the record is unlocked.
+class ChatterRecorder final : public MpcAlgorithm {
+ public:
+  static constexpr std::uint64_t kMachines = 3;
+  static constexpr std::uint64_t kLastRound = 4;
+
+  void run_machine(MachineIo& io, hash::CountingOracle*, const SharedTape&, RoundTrace&) override {
+    seen[{io.round, io.machine}] = *io.inbox;
+    if (io.round == kLastRound && io.machine == 0) {
+      io.output = BitString(1);
+      return;
+    }
+    for (std::uint64_t to = 0; to < kMachines; ++to) {
+      io.send(to, pattern(3 + 11 * io.machine + io.round, unsigned(to + 2)));
+    }
+  }
+
+  std::string name() const override { return "chatter-recorder"; }
+
+  std::map<std::pair<std::uint64_t, std::uint64_t>, std::vector<Message>> seen;
+};
+
+/// Copies each barrier's next-round inboxes out of the snapshot.
+struct NextInboxCopier : RoundObserver {
+  std::vector<std::vector<std::vector<Message>>> per_round;
+  void after_round(const RoundSnapshot& snapshot) override {
+    per_round.push_back(*snapshot.next_inboxes);
+  }
+};
+
+TEST(AuthMessaging, SnapshotsStayTaggedAndTheAlgorithmSeesThemStripped) {
+  // Tags are stripped in place at the start of a round, after metering. The
+  // snapshot of round k is taken before that, so it must be fully tagged,
+  // and round k + 1 must hand each machine exactly that inbox minus the tags.
+  MpcConfig c = ring_config(true);
+  c.local_memory_bits = 1024;
+  ChatterRecorder algo;
+  NextInboxCopier copier;
+  MpcSimulation sim(c, nullptr);
+  const MpcRunResult result = sim.run(algo, {}, &copier);
+  ASSERT_TRUE(result.completed);
+  ASSERT_EQ(copier.per_round.size(), ChatterRecorder::kLastRound + 1);
+  for (std::uint64_t k = 0; k < ChatterRecorder::kLastRound; ++k) {
+    for (std::uint64_t j = 0; j < ChatterRecorder::kMachines; ++j) {
+      SCOPED_TRACE("round " + std::to_string(k) + " machine " + std::to_string(j));
+      const std::vector<Message>& tagged = copier.per_round[k][j];
+      ASSERT_EQ(tagged.size(), ChatterRecorder::kMachines);
+      EXPECT_NO_THROW(verify_inbox_tags(c.tape_seed, k, j, tagged));
+      std::vector<Message> expected = tagged;
+      for (auto& msg : expected) msg.payload.truncate(msg.payload.size() - kMessageTagBits);
+      EXPECT_EQ(algo.seen.at({k + 1, j}), expected);
+    }
   }
 }
 

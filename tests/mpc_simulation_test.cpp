@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <iterator>
+#include <map>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "hash/random_oracle.hpp"
 #include "util/serialize.hpp"
@@ -358,6 +361,57 @@ TEST(MpcSimulation, RoutingViolationProvenanceTextIsStable) {
       EXPECT_STREQ(e.what(), "machine 1 sent a message to machine 7 >= m=2 in round 0") << direct;
     }
   }
+}
+
+/// Annotates key "a" only in even rounds and key "b" only on machine 1 in
+/// round 2, so each machine's reused scratch trace holds keys that got no
+/// value this round. Machine 0 outputs in round 4.
+class SparseAnnotations final : public MpcAlgorithm {
+ public:
+  void run_machine(MachineIo& io, hash::CountingOracle*, const SharedTape&,
+                   RoundTrace& trace) override {
+    if (io.round % 2 == 0) trace.annotate("a", 10 * io.round + io.machine);
+    if (io.round == 2 && io.machine == 1) trace.annotate("b", 7);
+    if (io.round == 4 && io.machine == 0) io.output = BitString(1);
+  }
+  std::string name() const override { return "sparse-annotations"; }
+};
+
+TEST(MpcSimulation, SparseAnnotationsMergeToExactlyTheAnnotatedKeys) {
+  // parallel_simulation_test runs the same strategy at threads {2, 8}.
+  const std::map<std::string, std::vector<std::uint64_t>> expected = {
+      {"a", {0, 1, 2, 20, 21, 22, 40, 41, 42}}, {"b", {7}}};
+  MpcSimulation sim(config(3, 64, 1), nullptr);
+  SparseAnnotations algo;
+  MpcRunResult result = sim.run(algo, {});
+  ASSERT_TRUE(result.completed);
+  EXPECT_EQ(result.trace.annotations(), expected);
+}
+
+TEST(RoundTrace, ResetScratchKeepsKeysButMergesNoEmptyOnes) {
+  RoundTrace scratch;
+  scratch.reset_scratch(0);
+  scratch.annotate("x", 1);
+  scratch.current().messages = 5;
+  RoundTrace first;
+  first.begin_round(0);
+  first.merge_round_from(scratch);
+  EXPECT_EQ(first.annotation("x"), std::vector<std::uint64_t>{1});
+  EXPECT_EQ(first.current().messages, 5u);
+
+  // After a reset the scratch holds one fresh RoundStats and an empty "x".
+  scratch.reset_scratch(1);
+  ASSERT_EQ(scratch.rounds().size(), 1u);
+  RoundStats fresh;
+  fresh.round = 1;
+  EXPECT_EQ(scratch.rounds()[0], fresh);
+  ASSERT_EQ(scratch.annotations().count("x"), 1u);
+  EXPECT_TRUE(scratch.annotation("x").empty());
+  RoundTrace second;
+  second.begin_round(1);
+  second.merge_round_from(scratch);
+  EXPECT_TRUE(second.annotations().empty());
+  EXPECT_EQ(second.current().messages, 0u);
 }
 
 TEST(MpcSimulation, ParallelRingMatchesSerial) {

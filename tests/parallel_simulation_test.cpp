@@ -386,6 +386,34 @@ TEST(ParallelDifferential, MemoryViolationThrowsInParallelToo) {
   }
 }
 
+/// Annotates key "a" only in even rounds and key "b" only on machine 1 in
+/// round 2; machine 0 outputs in round 4. Every slot's reused scratch trace
+/// then carries keys that got no value in the round being merged.
+class SparseAnnotations final : public mpc::MpcAlgorithm {
+ public:
+  void run_machine(mpc::MachineIo& io, hash::CountingOracle*, const mpc::SharedTape&,
+                   mpc::RoundTrace& trace) override {
+    if (io.round % 2 == 0) trace.annotate("a", 10 * io.round + io.machine);
+    if (io.round == 2 && io.machine == 1) trace.annotate("b", 7);
+    if (io.round == 4 && io.machine == 0) io.output = BitString(1);
+  }
+  std::string name() const override { return "sparse-annotations"; }
+};
+
+TEST(ParallelDifferential, SparseAnnotationsMergeIdentically) {
+  const std::map<std::string, std::vector<std::uint64_t>> expected = {
+      {"a", {0, 1, 2, 3, 20, 21, 22, 23, 40, 41, 42, 43}}, {"b", {7}}};
+  SparseAnnotations algo;
+  mpc::MpcSimulation serial(cfg(4, 64, 1, 0), nullptr);
+  const Artifacts baseline = extract(serial.run(algo, {}), nullptr);
+  EXPECT_EQ(baseline.annotations, expected);
+  for (std::uint64_t threads : {std::uint64_t{2}, std::uint64_t{8}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    mpc::MpcSimulation parallel(cfg(4, 64, 1, threads), nullptr);
+    expect_identical(baseline, extract(parallel.run(algo, {}), nullptr));
+  }
+}
+
 TEST(ParallelDifferential, ThreadCountAboveMachinesIsSafe) {
   // threads > m: the pool is clamped to m workers; results unchanged.
   core::LineParams p = core::LineParams::make(64, 16, 8, 64);

@@ -1,0 +1,119 @@
+// round_loop_alloc_test.cpp — the steady-state round loop allocates nothing
+// of its own.
+//
+// Definition 2.1 rebuilds every machine's memory from its inbox each round,
+// so the simulator pays its per-machine-round overhead m times a round. This
+// executable replaces the global operator new with a counting one and runs a
+// ring whose algorithm allocates nothing itself (48-bit payloads stay inside
+// BitString's inline buffer, tagged or not). Between two round boundaries
+// 1,000 rounds apart, the loop may allocate only for the amortised growth of
+// the merged trace: its RoundStats vector and its one annotation vector,
+// a few reallocations each.
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
+#include <string>
+#include <vector>
+
+#include "mpc/simulation.hpp"
+
+namespace {
+
+std::atomic<std::uint64_t> g_allocations{0};
+
+}  // namespace
+
+void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return operator new(size); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t /*size*/) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t /*size*/) noexcept { std::free(p); }
+
+namespace mpch::mpc {
+namespace {
+
+using util::BitString;
+
+constexpr std::uint64_t kMachines = 4;
+constexpr std::uint64_t kRounds = 2000;
+constexpr std::size_t kPayloadBits = 48;
+constexpr std::uint64_t kFirstProbe = 100;
+constexpr std::uint64_t kSecondProbe = 1100;
+constexpr std::uint64_t kAllowedAllocations = 16;
+
+/// Every machine holds one counter and passes it, incremented, to the next
+/// machine each round; machine 0 outputs its counter in the last round.
+class TokenRing final : public MpcAlgorithm {
+ public:
+  void run_machine(MachineIo& io, hash::CountingOracle*, const SharedTape&,
+                   RoundTrace& trace) override {
+    trace.annotate("hops", io.inbox->size());
+    for (const auto& msg : *io.inbox) {
+      const std::uint64_t counter = msg.payload.get_uint(0, kPayloadBits);
+      if (io.round + 1 == kRounds && io.machine == 0) {
+        io.output = msg.payload;
+        return;
+      }
+      io.send((io.machine + 1) % kMachines, BitString::from_uint(counter + 1, kPayloadBits));
+    }
+  }
+
+  std::string name() const override { return "token-ring"; }
+};
+
+/// Reads the allocation counter at two round boundaries.
+class AllocationProbe final : public RoundObserver {
+ public:
+  void before_round(std::uint64_t round) override {
+    if (round == kFirstProbe) first_ = g_allocations.load(std::memory_order_relaxed);
+    if (round == kSecondProbe) second_ = g_allocations.load(std::memory_order_relaxed);
+  }
+
+  std::uint64_t steady_allocations() const { return second_ - first_; }
+
+ private:
+  std::uint64_t first_ = 0;
+  std::uint64_t second_ = 0;
+};
+
+void expect_steady_rounds_allocate_nothing(bool authenticate) {
+  MpcConfig c;
+  c.machines = kMachines;
+  c.local_memory_bits = 256;
+  c.max_rounds = kRounds;
+  c.tape_seed = 1;
+  c.authenticate_messages = authenticate;
+  MpcSimulation sim(c, nullptr);
+  TokenRing algo;
+  AllocationProbe probe;
+  const std::vector<BitString> input(kMachines, BitString::from_uint(0, kPayloadBits));
+  const MpcRunResult result = sim.run(algo, input, &probe);
+
+  ASSERT_TRUE(result.completed);
+  EXPECT_EQ(result.rounds_used, kRounds);
+  EXPECT_EQ(result.output, BitString::from_uint(kRounds - 1, kPayloadBits));
+  EXPECT_EQ(result.trace.annotation("hops").size(), kMachines * kRounds);
+  EXPECT_LE(probe.steady_allocations(), kAllowedAllocations)
+      << "heap allocations in rounds [" << kFirstProbe << ", " << kSecondProbe << ")";
+  ::testing::Test::RecordProperty("steady_allocations",
+                                  std::to_string(probe.steady_allocations()));
+}
+
+TEST(RoundLoopAllocations, SerialPlainRingAllocatesOnlyForTraceGrowth) {
+  expect_steady_rounds_allocate_nothing(false);
+}
+
+TEST(RoundLoopAllocations, SerialAuthenticatedRingAllocatesOnlyForTraceGrowth) {
+  expect_steady_rounds_allocate_nothing(true);
+}
+
+}  // namespace
+}  // namespace mpch::mpc
