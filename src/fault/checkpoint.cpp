@@ -200,7 +200,7 @@ Checkpoint capture(const mpc::RoundSnapshot& snapshot, const mpc::MpcConfig& con
   cp.inboxes = *snapshot.next_inboxes;
   cp.rounds = snapshot.trace->rounds();
   cp.annotations = snapshot.trace->annotations();
-  if (snapshot.transcript != nullptr) cp.transcript = snapshot.transcript->canonical_records();
+  if (snapshot.transcript != nullptr) cp.transcript = snapshot.transcript->records();
   return cp;
 }
 
@@ -323,7 +323,11 @@ mpc::MpcResumeState make_resume_state(const Checkpoint& cp, hash::LazyRandomOrac
   state.inboxes = cp.inboxes;
   state.trace.restore(cp.rounds, cp.annotations);
   state.transcript = std::make_shared<hash::OracleTranscript>();
-  state.transcript->restore(cp.transcript);
+  try {
+    state.transcript->restore(cp.transcript);
+  } catch (const std::invalid_argument& e) {
+    throw CheckpointError(std::string("checkpoint transcript rejected: ") + e.what());
+  }
   return state;
 }
 

@@ -74,8 +74,8 @@ struct Checkpoint {
 };
 
 /// Capture a checkpoint from a live round barrier. `oracle` may be null
-/// (plain-model execution). The transcript is snapshotted in canonical
-/// order, so mid-run parallel logs serialise deterministically.
+/// (plain-model execution). The live transcript is already in canonical
+/// order (the barrier appends it that way), so it is copied as is.
 Checkpoint capture(const mpc::RoundSnapshot& snapshot, const mpc::MpcConfig& config,
                    const hash::LazyRandomOracle* oracle);
 
@@ -110,7 +110,8 @@ Checkpoint load_checkpoint_file(const std::string& path);
 /// must be a *fresh* instance built from the same seed as the original —
 /// restore_table() rebuilds its memo and query counter from the transcript
 /// (erasing any queries a faulted round attempt wasted) and a record that
-/// does not match the oracle, or two that disagree, throws CheckpointError.
+/// does not match the oracle, two that disagree, or records out of
+/// (round, machine, seq) order throw CheckpointError.
 mpc::MpcResumeState make_resume_state(const Checkpoint& cp, hash::LazyRandomOracle* fresh_oracle);
 
 }  // namespace mpch::fault

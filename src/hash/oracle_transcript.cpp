@@ -1,38 +1,52 @@
 #include "hash/oracle_transcript.hpp"
 
-#include <algorithm>
-#include <functional>
+#include <stdexcept>
+#include <string>
+#include <tuple>
 #include <unordered_set>
 
 namespace mpch::hash {
 
-void OracleTranscript::sort_canonical() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (canonical_) return;
-  std::sort(records_.begin(), records_.end(), canonical_less);
-  // A log with equal keys (CountingOracle never writes one) stays
-  // non-canonical, so every later call still sorts it.
-  canonical_ = std::adjacent_find(records_.begin(), records_.end(),
-                                 std::not_fn(canonical_less)) == records_.end();
+namespace {
+
+// The canonical order: strictly by (round, machine, seq).
+bool canonical_less(const QueryRecord& a, const QueryRecord& b) {
+  return std::tie(a.round, a.machine, a.seq) < std::tie(b.round, b.machine, b.seq);
 }
 
-std::vector<QueryRecord> OracleTranscript::canonical_records() const {
-  std::vector<QueryRecord> out;
-  bool canonical = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    out = records_;
-    canonical = canonical_;
+// The key-order violation between `prev` and `next`, for the diagnostic.
+std::invalid_argument out_of_order(const char* where, const QueryRecord& prev,
+                                   const QueryRecord& next) {
+  auto key = [](const QueryRecord& r) {
+    return "(" + std::to_string(r.round) + ", " + std::to_string(r.machine) + ", " +
+           std::to_string(r.seq) + ")";
+  };
+  return std::invalid_argument(std::string("OracleTranscript::") + where + ": key " + key(next) +
+                               " does not follow " + key(prev) +
+                               " (keys must strictly increase by (round, machine, seq))");
+}
+
+}  // namespace
+
+void OracleTranscript::push(QueryRecord&& rec) {
+  if (!records_.empty() && !canonical_less(records_.back(), rec)) {
+    throw out_of_order("record", records_.back(), rec);
   }
-  if (!canonical) std::sort(out.begin(), out.end(), canonical_less);
-  return out;
+  records_.push_back(std::move(rec));
+}
+
+void OracleTranscript::append(std::vector<QueryRecord>& batch) {
+  for (QueryRecord& rec : batch) push(std::move(rec));
+  batch.clear();
 }
 
 void OracleTranscript::restore(std::vector<QueryRecord> records) {
-  std::lock_guard<std::mutex> lock(mu_);
+  for (std::size_t i = 1; i < records.size(); ++i) {
+    if (!canonical_less(records[i - 1], records[i])) {
+      throw out_of_order("restore", records[i - 1], records[i]);
+    }
+  }
   records_ = std::move(records);
-  canonical_ = std::adjacent_find(records_.begin(), records_.end(),
-                                 std::not_fn(canonical_less)) == records_.end();
 }
 
 std::vector<util::BitString> OracleTranscript::queries_of(std::uint64_t machine,

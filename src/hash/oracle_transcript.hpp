@@ -4,15 +4,15 @@
 // Q_i^{(k)} (queries of machine i in round k), Q^{(<=k)} (all queries up to
 // round k), and their intersections with the correct-chain sets C^{(k)}.
 // CountingOracle is the enforcement + recording decorator every simulated
-// machine talks through; OracleTranscript is the queryable log.
+// machine talks through; it buffers its machine's records until the round
+// barrier flushes them. OracleTranscript is the queryable log, in
+// (round, machine, seq) order by construction.
 #pragma once
 
 #include <cstdint>
 #include <limits>
 #include <memory>
-#include <mutex>
 #include <stdexcept>
-#include <tuple>
 #include <vector>
 
 #include "hash/random_oracle.hpp"
@@ -35,58 +35,34 @@ struct QueryRecord {
   bool operator==(const QueryRecord&) const = default;
 };
 
-/// The canonical order: strictly by (round, machine, seq).
-inline bool canonical_less(const QueryRecord& a, const QueryRecord& b) {
-  return std::tie(a.round, a.machine, a.seq) < std::tie(b.round, b.machine, b.seq);
-}
-
-/// Append-only log of queries across an entire MPC execution. Appends are
-/// mutex-serialised so machines of a parallel round can share one log;
-/// `sort_canonical()` restores the deterministic (round, machine, seq) order
-/// after the interleaved appends. The log tracks whether every append kept
-/// the keys strictly increasing, so a serially built log is never sorted.
+/// Append-only log of queries across an entire MPC execution, always in
+/// canonical (round, machine, seq) order: every append must carry a key
+/// strictly greater than the last record's. The simulation keeps it that way
+/// by construction — machines buffer their own round's records in their
+/// CountingOracle and the barrier thread appends the buffers in machine
+/// order — so the log takes no lock and is never sorted. Only one thread
+/// writes it at a time.
 class OracleTranscript {
  public:
+  /// Append one record. Throws std::invalid_argument when its key is not
+  /// strictly greater than the last record's.
   void record(std::uint64_t round, std::uint64_t machine, const util::BitString& input,
               const util::BitString& output, std::uint64_t seq = 0) {
-    std::lock_guard<std::mutex> lock(mu_);
-    records_.push_back({round, machine, seq, input, output});
-    const std::size_t n = records_.size();
-    if (canonical_ && n > 1 && !canonical_less(records_[n - 2], records_[n - 1])) {
-      canonical_ = false;
-    }
+    push({round, machine, seq, input, output});
   }
+
+  /// Move every record of `batch` onto the end of the log, in order, under
+  /// the same key rule, and leave `batch` empty with its capacity kept.
+  void append(std::vector<QueryRecord>& batch);
 
   const std::vector<QueryRecord>& records() const { return records_; }
-  std::size_t size() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return records_.size();
-  }
-  void clear() {
-    std::lock_guard<std::mutex> lock(mu_);
-    records_.clear();
-    canonical_ = true;
-  }
-
-  /// True when the live log is known to be in strictly increasing
-  /// (round, machine, seq) order, i.e. sorting it would change nothing.
-  bool canonical() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return canonical_;
-  }
-
-  /// Sort records by (round, machine, seq) unless the log is already
-  /// canonical (every serially built one is). The key is unique per record,
-  /// so the result is a single deterministic order.
-  void sort_canonical();
-
-  /// A copy of the log in canonical (round, machine, seq) order, leaving the
-  /// live log untouched. Checkpoints snapshot through this so a mid-run
-  /// parallel log serialises in its deterministic order.
-  std::vector<QueryRecord> canonical_records() const;
+  std::size_t size() const { return records_.size(); }
+  void clear() { records_.clear(); }
 
   /// Replace the log wholesale with `records` (a deserialised checkpoint's
-  /// transcript); subsequent record() calls append after them.
+  /// transcript); subsequent appends go after them. Throws
+  /// std::invalid_argument, leaving the log unchanged, unless the keys are
+  /// strictly increasing.
   void restore(std::vector<QueryRecord> records);
 
   /// Q_i^{(k)}: inputs queried by `machine` in round `round`.
@@ -101,9 +77,9 @@ class OracleTranscript {
                               const std::vector<util::BitString>& targets) const;
 
  private:
-  mutable std::mutex mu_;
+  void push(QueryRecord&& rec);
+
   std::vector<QueryRecord> records_;
-  bool canonical_ = true;  ///< records_ strictly increasing by canonical_less
 };
 
 /// Thrown when a machine exceeds its per-round query budget q.
@@ -113,15 +89,19 @@ class QueryBudgetExceeded : public std::runtime_error {
 };
 
 /// Per-machine oracle view: enforces the per-round budget q of Definition 2.2
-/// / Theorem 3.1 (q < 2^{n/4}) and records every query into the shared
+/// / Theorem 3.1 (q < 2^{n/4}) and records every query for the shared
 /// transcript. The underlying oracle is shared by all machines (it is *the*
 /// RO of the model).
 ///
+/// Records wait in the view's own buffer until flush() moves them into the
+/// transcript; the simulation flushes every machine's view at the round
+/// barrier, in machine order. The buffer keeps its capacity across rounds.
+///
 /// Threading: each CountingOracle belongs to exactly one machine, and a
-/// machine runs on one thread per round, so the budget counters need no
-/// atomics — the budget check is race-free by ownership. The shared pieces
-/// (inner oracle, transcript) are independently thread-safe; cross-round
-/// visibility of the counters comes from the simulation's round barrier.
+/// machine runs on one thread per round, so the budget counters and the
+/// buffer need no atomics or lock — they are race-free by ownership. The
+/// inner oracle is independently thread-safe; the transcript is written
+/// only by flush(), on the barrier thread.
 class CountingOracle final : public RandomOracle {
  public:
   CountingOracle(std::shared_ptr<RandomOracle> inner, std::uint64_t machine_id,
@@ -150,8 +130,13 @@ class CountingOracle final : public RandomOracle {
     ++used_this_round_;
     ++total_;
     util::BitString out = inner_->query(input);
-    if (transcript_) transcript_->record(round_, machine_id_, input, out, seq);
+    if (transcript_) pending_.push_back({round_, machine_id_, seq, input, out});
     return out;
+  }
+
+  /// Append the buffered records to the transcript, in query order.
+  void flush() {
+    if (transcript_) transcript_->append(pending_);
   }
 
   std::size_t input_bits() const override { return inner_->input_bits(); }
@@ -167,6 +152,7 @@ class CountingOracle final : public RandomOracle {
   std::uint64_t machine_id_;
   std::uint64_t budget_;
   std::shared_ptr<OracleTranscript> transcript_;
+  std::vector<QueryRecord> pending_;  ///< records not yet flushed
   std::uint64_t round_ = 0;
   std::uint64_t used_this_round_ = 0;
   std::uint64_t total_ = 0;

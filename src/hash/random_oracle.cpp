@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 
 #include "hash/oracle_transcript.hpp"
+#include "hash/sha256_compress.hpp"
+#include "util/key_hash.hpp"
 
 namespace mpch::hash {
 
@@ -54,6 +57,47 @@ std::uint64_t sha256_expand_u64(const Sha256& prefix) {
   return v;
 }
 
+namespace {
+
+// sha256_expand over header || input bytes || le64(input bit length), the
+// prefix of both oracles' answers. When the prefix and the counter fit one
+// padded block and one digest covers out_bits, that block is built here and
+// compressed once; otherwise the streaming path runs.
+template <std::size_t N>
+util::BitString expand_oracle_prefix(const std::uint8_t (&header)[N],
+                                     const util::BitString& input, std::size_t out_bits) {
+  const util::ByteView in = input.bytes();
+  const std::size_t message_bytes = N + in.size() + 8 + 4;
+  if (message_bytes > 55 || out_bits > 8 * Sha256::kDigestBytes) {
+    std::uint8_t len[8];
+    store_le64(len, input.size());
+    Sha256 h;
+    h.update(header, N);
+    h.update(in);
+    h.update(len, sizeof len);
+    return sha256_expand(h, out_bits);
+  }
+  // Counter 0 is the four zero bytes after the length; then 0x80, zeros,
+  // and the big-endian message bit length in the last eight bytes.
+  std::uint8_t block[64] = {};
+  std::memcpy(block, header, N);
+  std::memcpy(block + N, in.data(), in.size());
+  store_le64(block + N + in.size(), input.size());
+  block[message_bytes] = 0x80;
+  for (int i = 0; i < 8; ++i) {
+    block[56 + i] = static_cast<std::uint8_t>(std::uint64_t{message_bytes} * 8 >> (56 - 8 * i));
+  }
+  std::array<std::uint32_t, 8> state = Sha256::kInitState;
+  detail::compress(state.data(), block, 1);
+  return util::BitString::with_bytes(out_bits, [&](std::uint8_t* bytes, std::size_t nbytes) {
+    for (std::size_t i = 0; i < nbytes; ++i) {
+      bytes[i] = static_cast<std::uint8_t>(state[i / 4] >> (24 - 8 * (i % 4)));
+    }
+  });
+}
+
+}  // namespace
+
 // ---------------------------------------------------------- shared memo
 
 SharedOracleMemo::SharedOracleMemo(std::size_t in_bits, std::size_t out_bits, std::uint64_t seed)
@@ -94,7 +138,7 @@ std::size_t SharedOracleMemo::entries() const {
 // ---------------------------------------------------------------- Lazy RO
 
 LazyRandomOracle::LazyRandomOracle(std::size_t in_bits, std::size_t out_bits, std::uint64_t seed)
-    : in_bits_(in_bits), out_bits_(out_bits), seed_(seed) {
+    : in_bits_(in_bits), out_bits_(out_bits), seed_(seed), index_(16, 0) {
   if (in_bits == 0 || out_bits == 0) {
     throw std::invalid_argument("LazyRandomOracle: zero-width domain or range");
   }
@@ -104,23 +148,53 @@ util::BitString LazyRandomOracle::derive(const util::BitString& input) const {
   // PRF(seed, input): prefix = "LRO" || seed || input-bytes || input-bitlen.
   std::uint8_t header[3 + 8] = {'L', 'R', 'O'};
   store_le64(header + 3, seed_);
-  std::uint8_t len[8];
-  store_le64(len, input.size());
-  Sha256 h;
-  h.update(header, sizeof header);
-  h.update(input.bytes());
-  h.update(len, sizeof len);
-  return sha256_expand(h, out_bits_);
+  return expand_oracle_prefix(header, input, out_bits_);
+}
+
+LazyRandomOracle::Entry* LazyRandomOracle::find_locked(const util::BitString& input,
+                                                       std::uint64_t hash) {
+  const std::size_t mask = index_.size() - 1;
+  for (std::size_t i = hash & mask; index_[i] != 0; i = (i + 1) & mask) {
+    Entry& e = entries_[index_[i] - 1];
+    if (e.input == input) return &e;
+  }
+  return nullptr;
+}
+
+std::size_t LazyRandomOracle::free_slot_locked(std::uint64_t hash) const {
+  const std::size_t mask = index_.size() - 1;
+  std::size_t i = hash & mask;
+  while (index_[i] != 0) i = (i + 1) & mask;
+  return i;
+}
+
+LazyRandomOracle::Entry& LazyRandomOracle::insert_locked(const util::BitString& input,
+                                                         std::uint64_t hash,
+                                                         util::BitString output) {
+  if (entries_.size() >= std::numeric_limits<std::uint32_t>::max() - 1) {
+    throw std::length_error("LazyRandomOracle: memo holds 2^32 - 1 entries");
+  }
+  if (2 * (entries_.size() + 1) > index_.size()) {
+    // Double the index and re-place every entry: at most half full keeps
+    // probe runs short.
+    index_.assign(2 * index_.size(), 0);
+    for (std::size_t k = 0; k < entries_.size(); ++k) {
+      index_[free_slot_locked(util::key_hash(entries_[k].input))] =
+          static_cast<std::uint32_t>(k + 1);
+    }
+  }
+  index_[free_slot_locked(hash)] = static_cast<std::uint32_t>(entries_.size() + 1);
+  entries_.push_back({input, std::move(output)});
+  return entries_.back();
 }
 
 util::BitString LazyRandomOracle::query(const util::BitString& input) {
   check_input(input);
   total_queries_.fetch_add(1, std::memory_order_relaxed);
-  Shard& shard = shard_for(input);
+  const std::uint64_t hash = util::key_hash(input);
   {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.table.find(input);
-    if (it != shard.table.end()) return it->second;
+    std::lock_guard<std::mutex> lock(mu_);
+    if (const Entry* e = find_locked(input, hash)) return e->output;
   }
   // Local miss: take the answer from the cross-oracle memo when attached
   // (same pure value, derived by an earlier job), else derive it here and
@@ -128,19 +202,16 @@ util::BitString LazyRandomOracle::query(const util::BitString& input) {
   // records the entry, so touched_table()/serialisation see exactly the
   // sub-function this oracle was asked about — sharing is invisible to every
   // observable surface. Derivation runs outside the lock (SHA work); two
-  // racing threads derive the same pure value, so whichever emplace wins the
-  // table is unchanged either way.
+  // racing threads derive the same pure value and the first insert wins, so
+  // the table is the same either way.
   util::BitString answer;
-  if (shared_memo_ != nullptr && shared_memo_->lookup(input, &answer)) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto [it, inserted] = shard.table.emplace(input, std::move(answer));
-    return it->second;
+  if (shared_memo_ == nullptr || !shared_memo_->lookup(input, &answer)) {
+    answer = derive(input);
+    if (shared_memo_ != nullptr) shared_memo_->publish(input, answer);
   }
-  answer = derive(input);
-  if (shared_memo_ != nullptr) shared_memo_->publish(input, answer);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto [it, inserted] = shard.table.emplace(input, std::move(answer));
-  return it->second;
+  std::lock_guard<std::mutex> lock(mu_);
+  if (const Entry* e = find_locked(input, hash)) return e->output;
+  return insert_locked(input, hash, std::move(answer)).output;
 }
 
 void LazyRandomOracle::attach_shared_memo(std::shared_ptr<SharedOracleMemo> memo) {
@@ -159,19 +230,16 @@ void LazyRandomOracle::attach_shared_memo(std::shared_ptr<SharedOracleMemo> memo
 }
 
 std::size_t LazyRandomOracle::touched_entries() const {
-  std::size_t total = 0;
-  for (const Shard& s : shards_) {
-    std::lock_guard<std::mutex> lock(s.mu);
-    total += s.table.size();
-  }
-  return total;
+  std::lock_guard<std::mutex> lock(mu_);
+  return entries_.size();
 }
 
 std::vector<std::pair<util::BitString, util::BitString>> LazyRandomOracle::touched_table() const {
   std::vector<std::pair<util::BitString, util::BitString>> out;
-  for (const Shard& s : shards_) {
-    std::lock_guard<std::mutex> lock(s.mu);
-    out.insert(out.end(), s.table.begin(), s.table.end());
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    out.reserve(entries_.size());
+    for (const Entry& e : entries_) out.emplace_back(e.input, e.output);
   }
   std::sort(out.begin(), out.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
@@ -179,34 +247,34 @@ std::vector<std::pair<util::BitString, util::BitString>> LazyRandomOracle::touch
 }
 
 void LazyRandomOracle::restore_table(const std::vector<QueryRecord>& records) {
+  std::lock_guard<std::mutex> lock(mu_);
   for (const QueryRecord& rec : records) {
     check_input(rec.input);
-    Shard& s = shard_for(rec.input);
-    std::lock_guard<std::mutex> lock(s.mu);
-    auto [it, first] = s.table.try_emplace(rec.input, rec.output);
-    if (first ? derive(rec.input) != rec.output : it->second != rec.output) {
+    const std::uint64_t hash = util::key_hash(rec.input);
+    const Entry* e = find_locked(rec.input, hash);
+    if (e == nullptr ? derive(rec.input) != rec.output : e->output != rec.output) {
       throw std::invalid_argument(
           "LazyRandomOracle::restore_table: input " + rec.input.to_hex_string() +
-          (first ? ": recorded answer does not match this oracle's seed (a snapshot from another "
-                   "oracle, or corrupted)"
-                 : ": two records give it different answers"));
+          (e == nullptr ? ": recorded answer does not match this oracle's seed (a snapshot from "
+                          "another oracle, or corrupted)"
+                        : ": two records give it different answers"));
     }
+    if (e == nullptr) insert_locked(rec.input, hash, rec.output);
   }
   total_queries_.store(records.size(), std::memory_order_relaxed);
 }
 
 bool LazyRandomOracle::corrupt_memo_entry(std::size_t entry_index, std::size_t bit_index) {
   // Resolve the sorted-order index to its input first; the flip itself then
-  // happens under the owning shard's lock.
+  // happens under the lock.
   auto entries = touched_table();
   if (entry_index >= entries.size()) return false;
   const util::BitString& input = entries[entry_index].first;
-  Shard& s = shard_for(input);
-  std::lock_guard<std::mutex> lock(s.mu);
-  auto it = s.table.find(input);
-  if (it == s.table.end()) return false;
+  std::lock_guard<std::mutex> lock(mu_);
+  Entry* e = find_locked(input, util::key_hash(input));
+  if (e == nullptr) return false;
   std::size_t bit = bit_index % out_bits_;
-  it->second.set(bit, !it->second.get(bit));
+  e->output.set(bit, !e->output.get(bit));
   return true;
 }
 
@@ -266,13 +334,7 @@ util::BitString Sha256Oracle::query(const util::BitString& input) {
   total_queries_.fetch_add(1, std::memory_order_relaxed);
   // prefix = "SHA" || input-bytes || input-bitlen.
   const std::uint8_t header[3] = {'S', 'H', 'A'};
-  std::uint8_t len[8];
-  store_le64(len, input.size());
-  Sha256 h;
-  h.update(header, sizeof header);
-  h.update(input.bytes());
-  h.update(len, sizeof len);
-  return sha256_expand(h, out_bits_);
+  return expand_oracle_prefix(header, input, out_bits_);
 }
 
 }  // namespace mpch::hash

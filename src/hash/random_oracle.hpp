@@ -5,15 +5,17 @@
 //
 //  * LazyRandomOracle     — the "true" RO for simulations: answers are
 //                           derived per-input from a *secret* seed through a
-//                           counter-mode SHA-256 PRF, so they are
+//                           counter-mode SHA-256 PRF (one compression when
+//                           the prefix fits a block), so they are
 //                           (a) order-independent (two strategies querying in
 //                           different orders see the same function — required
 //                           when comparing algorithms on one (RO, X) pair),
 //                           (b) reproducible from the seed, and
 //                           (c) indistinguishable-from-random to strategies
 //                           that do not know the seed. Touched entries are
-//                           memoised so transcripts/serialisation can see
-//                           exactly the queried sub-function.
+//                           memoised in one flat locked table so
+//                           transcripts/serialisation can see exactly the
+//                           queried sub-function.
 //  * ExhaustiveRandomOracle — a genuinely i.i.d.-uniform table over the full
 //                           domain, for tiny n (<= 22). Used by the
 //                           compression argument's self-contained round-trip
@@ -117,12 +119,15 @@ class SharedOracleMemo {
 /// Secret-seeded PRF oracle; see file comment. The default RO for all
 /// strategy and round-complexity experiments.
 ///
-/// Thread-safe: the memo table is sharded behind per-shard mutexes and the
-/// query counter is atomic, so all machines of a parallel MPC round can hit
-/// the one shared RO concurrently. Because `derive` is a pure function of
-/// (seed, input), the materialised sub-function is independent of thread
-/// interleaving — `touched_table()` after a parallel run is bit-identical to
-/// a serial replay of the same query multiset.
+/// Thread-safe: the memo is one table behind one mutex (entries in
+/// insertion order plus an open-addressing index over them, probed with one
+/// util::key_hash per query) and the query counter is atomic, so all
+/// machines of a parallel MPC round can hit the one shared RO concurrently.
+/// A miss derives outside the lock and the first insert wins. Because
+/// `derive` is a pure function of (seed, input), the materialised
+/// sub-function is independent of thread interleaving — `touched_table()`
+/// after a parallel run is bit-identical to a serial replay of the same
+/// query multiset.
 class LazyRandomOracle final : public RandomOracle {
  public:
   LazyRandomOracle(std::size_t in_bits, std::size_t out_bits, std::uint64_t seed);
@@ -173,26 +178,30 @@ class LazyRandomOracle final : public RandomOracle {
   void attach_shared_memo(std::shared_ptr<SharedOracleMemo> memo);
 
  private:
-  static constexpr std::size_t kShards = 16;
-
-  struct Shard {
-    mutable std::mutex mu;
-    // Point lookups only; the ordered paths (verify_memo, corrupt_memo_entry)
-    // sort the keys before touching anything observable.
-    std::unordered_map<util::BitString, util::BitString,  // lint:ordered-exempt
-                       util::BitStringHash> table;
+  struct Entry {
+    util::BitString input;
+    util::BitString output;
   };
 
   util::BitString derive(const util::BitString& input) const;
-  Shard& shard_for(const util::BitString& input) {
-    return shards_[util::BitStringHash{}(input) % kShards];
-  }
+  // The entry for `input`, whose util::key_hash is `hash`, or null. The
+  // *_locked members require mu_.
+  Entry* find_locked(const util::BitString& input, std::uint64_t hash);
+  // Append an entry for an input find_locked() did not find.
+  Entry& insert_locked(const util::BitString& input, std::uint64_t hash, util::BitString output);
+  // The first empty index slot on `hash`'s probe sequence.
+  std::size_t free_slot_locked(std::uint64_t hash) const;
 
   std::size_t in_bits_;
   std::size_t out_bits_;
   std::uint64_t seed_;
   std::atomic<std::uint64_t> total_queries_{0};
-  std::array<Shard, kShards> shards_;
+  mutable std::mutex mu_;
+  // Point lookups go through index_, a power-of-two linear-probing table at
+  // most half full whose slots hold an entries_ position + 1 (0 = empty).
+  // Nothing observable iterates entries_ unsorted: touched_table() sorts.
+  std::vector<Entry> entries_;
+  std::vector<std::uint32_t> index_;
   std::shared_ptr<SharedOracleMemo> shared_memo_;
 };
 

@@ -26,10 +26,6 @@ constexpr std::array<std::uint32_t, 64> kRoundConstants = {
     0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7,
     0xc67178f2};
 
-constexpr std::array<std::uint32_t, 8> kInitState = {0x6a09e667, 0xbb67ae85, 0x3c6ef372,
-                                                     0xa54ff53a, 0x510e527f, 0x9b05688c,
-                                                     0x1f83d9ab, 0x5be0cd19};
-
 inline std::uint32_t rotr(std::uint32_t x, int n) { return (x >> n) | (x << (32 - n)); }
 inline std::uint32_t big_sigma0(std::uint32_t x) { return rotr(x, 2) ^ rotr(x, 13) ^ rotr(x, 22); }
 inline std::uint32_t big_sigma1(std::uint32_t x) { return rotr(x, 6) ^ rotr(x, 11) ^ rotr(x, 25); }

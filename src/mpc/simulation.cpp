@@ -213,8 +213,14 @@ MpcRunResult MpcSimulation::run_rounds(MpcAlgorithm& algo, std::uint64_t start_r
       run_round_serial(algo, slots, tape);
     }
 
-    // Phase B — deterministic merge in machine index order. The first
-    // failing machine (lowest index) wins, exactly as in a serial sweep.
+    // Phase B — deterministic merge in machine index order. Each machine's
+    // buffered oracle records join the transcript first, so the log holds
+    // every query of the round in (round, machine, seq) order even when a
+    // machine failed. Then the first failing machine (lowest index) wins,
+    // exactly as in a serial sweep.
+    for (const auto& slot : slots) {
+      if (slot.oracle != nullptr) slot.oracle->flush();
+    }
     for (const auto& slot : slots) {
       if (slot.error) std::rethrow_exception(slot.error);
     }
@@ -327,10 +333,6 @@ MpcRunResult MpcSimulation::run_rounds(MpcAlgorithm& algo, std::uint64_t start_r
     inboxes = std::move(next_inboxes);
   }
   buffers.release(std::move(inboxes));
-
-  // Canonicalise the transcript to the (round, machine, seq) order — a no-op
-  // after serial rounds, the determinism step after parallel ones.
-  result.transcript->sort_canonical();
 
   // "the union of outputs of all the machines" — concatenated in machine
   // order of emission.

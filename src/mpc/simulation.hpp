@@ -22,8 +22,9 @@
 // worker pool, with a barrier before any cross-machine state is touched.
 // Every run — serial or parallel, any thread count — produces bit-identical
 // results: per-machine outputs/outboxes/annotations land in per-machine
-// slots and merge in machine index order, and the oracle transcript sorts on
-// the stable key (round, machine, per-machine seq). The differential suite
+// slots and merge in machine index order, and each machine's oracle records
+// join the transcript at the barrier in machine order, so the log is in the
+// stable (round, machine, per-machine seq) order by construction. The differential suite
 // in tests/parallel_simulation_test.cpp pins this equivalence down for every
 // strategy in the tree.
 #pragma once
@@ -72,7 +73,7 @@ struct MpcConfig {
   /// serial (the default). Results are bit-identical to the serial path for
   /// any value: outputs/messages merge in machine index order after the
   /// round barrier, trace counters reduce deterministically, and the oracle
-  /// transcript carries a stable (round, machine, seq) sort key. Requires
+  /// transcript is appended in (round, machine, seq) order there. Requires
   /// the algorithm's run_machine to be safe to call concurrently for
   /// *different* machines (all in-tree strategies are).
   std::uint64_t threads = 0;

@@ -122,23 +122,22 @@ void BatchPointerChasingStrategy::run_machine(mpc::MachineIo& io, hash::Counting
       util::BitReader r(rest);
       auto tag = r.read_uint(kTagBits);
       if (tag == static_cast<std::uint64_t>(PayloadTag::kBlocks)) {
+        // The block count sizes the record, so the exact framed record (kept
+        // for cheap re-sending) is sliced before anything is decoded, and
+        // only a cache miss decodes it.
         std::uint64_t inst = r.read_uint(kInstBits);
-        std::uint64_t start = r.position();
-        util::BitString body = rest.slice(start, rest.size() - start);
-        std::size_t consumed = 0;
-        BlockSet set = BlockSet::decode(params_, body, &consumed);
-        // Keep the exact framed record for cheap re-sending.
-        util::BitWriter w;
-        w.write_uint(tag, kTagBits);
-        w.write_uint(inst, kInstBits);
-        w.write_bits(body.slice(0, consumed));
-        util::BitString exact = w.take();
-        // The decode already happened above (it sizes the record); the cache
-        // only shares one parse per distinct record across machines.
-        std::shared_ptr<const BlockSet> parsed =
-            block_cache_.find_or_decode(exact, [&] { return std::move(set); });
+        const std::uint64_t header_bits = kTagBits + kInstBits;
+        const std::uint64_t record_bits =
+            header_bits + BlockSet::encoded_bits(params_, r.read_uint(32));
+        if (record_bits > rest.size()) {
+          throw std::out_of_range("BatchPointerChasingStrategy: truncated block record");
+        }
+        util::BitString exact = rest.slice(0, record_bits);
+        std::shared_ptr<const BlockSet> parsed = block_cache_.find_or_decode(exact, [&] {
+          return BlockSet::decode(params_, exact.slice(header_bits, record_bits - header_bits));
+        });
         blocks[inst] = {std::move(exact), std::move(parsed)};
-        rest = body.slice(consumed, body.size() - consumed);
+        rest = rest.slice(record_bits, rest.size() - record_bits);
         continue;
       }
       if (tag == static_cast<std::uint64_t>(PayloadTag::kFrontier)) {

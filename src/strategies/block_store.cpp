@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "util/key_hash.hpp"
 #include "util/serialize.hpp"
 
 namespace mpch::strategies {
@@ -55,13 +56,13 @@ BlockSet BlockSet::decode(const core::LineParams& params, const util::BitString&
 
 std::shared_ptr<const BlockSet> BlockSetCache::find(const util::BitString& payload) {
   std::lock_guard<std::mutex> lock(mu_);
-  return find_locked(payload.hash(), payload);
+  return find_locked(util::key_hash(payload), payload);
 }
 
 std::shared_ptr<const BlockSet> BlockSetCache::insert(const util::BitString& payload,
                                                       std::shared_ptr<const BlockSet> parsed) {
   std::lock_guard<std::mutex> lock(mu_);
-  const std::uint64_t key = payload.hash();
+  const std::uint64_t key = util::key_hash(payload);
   if (auto winner = find_locked(key, payload)) return winner;
   entries_.emplace(key, std::make_pair(payload, parsed));
   return parsed;

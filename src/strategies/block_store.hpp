@@ -57,9 +57,10 @@ class BlockSet {
 /// Memoised BlockSet parses of immutable block payloads, shared by the
 /// machines of a parallel round (mutex-guarded). A pure function of the
 /// payload, not cross-round state: it only keeps long simulations fast.
-/// Entries are found by payload.hash() and a hit is confirmed by comparing
-/// the full payload bits, so a hash collision decodes afresh instead of
-/// handing a machine another payload's blocks.
+/// Entries are found by util::key_hash(payload) (the in-process word-wise
+/// hash the oracle memo uses) and a hit is confirmed by comparing the full
+/// payload bits, so a hash collision decodes afresh instead of handing a
+/// machine another payload's blocks.
 class BlockSetCache {
  public:
   /// The parse of `payload`: a cached one, or `decode()` (returning a

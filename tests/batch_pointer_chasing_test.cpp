@@ -97,5 +97,22 @@ TEST(BatchPointerChasing, RejectsBadInstanceCounts) {
   EXPECT_THROW(strat.make_initial_memory(one), std::invalid_argument);
 }
 
+TEST(BatchPointerChasing, TruncatedBlockRecordThrows) {
+  // The record's block count sizes it before anything is decoded; a share
+  // cut short of that size must still be refused, not read past its end.
+  const std::uint64_t k = 2;
+  Batch b(128, k, 5);
+  BatchPointerChasingStrategy strat(b.p, OwnershipPlan::round_robin(b.p, 4), k);
+  mpc::MpcConfig c;
+  c.machines = 4;
+  c.local_memory_bits = strat.required_local_memory();
+  c.query_budget = 1 << 20;
+  c.max_rounds = 20000;
+  std::vector<util::BitString> shares = strat.make_initial_memory(b.inputs);
+  shares[1].truncate(shares[1].size() - 1);
+  mpc::MpcSimulation sim(c, b.oracle);
+  EXPECT_THROW(sim.run(strat, shares), std::out_of_range);
+}
+
 }  // namespace
 }  // namespace mpch::strategies

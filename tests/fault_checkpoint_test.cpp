@@ -243,6 +243,20 @@ TEST(Checkpoint, ResumeStateRejectsRecordsThatDisagree) {
   }
 }
 
+TEST(Checkpoint, ResumeStateRejectsATranscriptOutOfOrder) {
+  // Every record matches the seed, so the memo accepts them; only the
+  // transcript's (round, machine, seq) order can reject the swap.
+  Checkpoint cp = sample_checkpoint();
+  std::swap(cp.transcript[0], cp.transcript[1]);
+  hash::LazyRandomOracle fresh(16, 16, 1);
+  try {
+    fault::make_resume_state(cp, &fresh);
+    FAIL() << "an out-of-order transcript accepted";
+  } catch (const CheckpointError& e) {
+    EXPECT_NE(std::string(e.what()).find("transcript rejected"), std::string::npos) << e.what();
+  }
+}
+
 TEST(Checkpoint, ResumeStateRejectsMismatchedOracleShape) {
   Checkpoint cp = sample_checkpoint();
   hash::LazyRandomOracle narrow(8, 8, 1);

@@ -5,10 +5,11 @@
 // isolation: (1) LazyRandomOracle's memo is interleaving-independent — the
 // materialised sub-function after a concurrent storm equals a serial replay
 // of the same query set, and total_queries() is exact; (2) per-machine
-// CountingOracles over one shared RO + one shared transcript preserve exact
-// per-machine seq numbering, so sort_canonical() reconstructs the serial
-// transcript; (3) budget overruns throw deterministically at the same query
-// index regardless of what other threads are doing.
+// CountingOracles over one shared RO buffer their own records with exact
+// per-machine seq numbering, so flushing the buffers in machine order after
+// each round rebuilds the serial transcript; (3) budget overruns throw
+// deterministically at the same query index regardless of what other
+// threads are doing.
 #include "hash/oracle_transcript.hpp"
 #include "hash/random_oracle.hpp"
 
@@ -73,7 +74,8 @@ TEST(OracleConcurrency, CountingOraclesRebuildSerialTranscript) {
   }
 
   // Round structure mirrors the simulation: begin_round on all machines,
-  // then one thread per machine issuing its round's queries concurrently.
+  // then one thread per machine issuing its round's queries concurrently,
+  // then the barrier flushing every machine's buffer in machine order.
   for (std::uint64_t round = 0; round < kRounds; ++round) {
     for (auto& o : oracles) o->begin_round(round);
     std::vector<std::thread> threads;
@@ -86,8 +88,8 @@ TEST(OracleConcurrency, CountingOraclesRebuildSerialTranscript) {
       });
     }
     for (auto& th : threads) th.join();
+    for (auto& o : oracles) o->flush();
   }
-  transcript->sort_canonical();
 
   // Serial replay with the same per-machine query program.
   auto inner2 = std::make_shared<LazyRandomOracle>(kBits, kBits, 7);
@@ -102,11 +104,14 @@ TEST(OracleConcurrency, CountingOraclesRebuildSerialTranscript) {
       for (std::uint64_t q = 0; q < kPerRound; ++q) {
         serial[m]->query(BitString::from_uint((m * 17 + q * 3 + round) % 256, kBits));
       }
+      serial[m]->flush();
     }
   }
 
   EXPECT_EQ(inner->total_queries(), kMachines * kPerRound * kRounds);
-  ASSERT_EQ(transcript->size(), expected->size());
+  // Both logs must hold every query: two empty logs would compare equal.
+  ASSERT_EQ(transcript->size(), kMachines * kPerRound * kRounds);
+  ASSERT_EQ(expected->size(), kMachines * kPerRound * kRounds);
   const auto& got = transcript->records();
   const auto& want = expected->records();
   for (std::size_t i = 0; i < got.size(); ++i) {

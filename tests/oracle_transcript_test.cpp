@@ -45,8 +45,12 @@ TEST(CountingOracle, RecordsTranscriptWithRoundAndMachine) {
   m1.begin_round(0);
   m0.query(BitString::from_uint(5, 16));
   m1.query(BitString::from_uint(6, 16));
+  EXPECT_EQ(transcript->size(), 0u);  // buffered until the barrier flushes
+  m0.flush();
+  m1.flush();
   m0.begin_round(1);
   m0.query(BitString::from_uint(7, 16));
+  m0.flush();
 
   ASSERT_EQ(transcript->size(), 3u);
   EXPECT_EQ(transcript->queries_of(0, 0).size(), 1u);
@@ -64,7 +68,9 @@ TEST(CountingOracle, AnswersMatchInnerOracle) {
   co.begin_round(0);
   BitString x = BitString::from_uint(77, 16);
   EXPECT_EQ(co.query(x), inner->query(x));
+  co.flush();
   // Transcript records the answer too.
+  ASSERT_EQ(transcript->size(), 1u);
   EXPECT_EQ(transcript->records()[0].output, inner->query(x));
 }
 
@@ -104,48 +110,56 @@ std::vector<std::uint64_t> keys(const std::vector<QueryRecord>& records) {
   return out;
 }
 
-TEST(OracleTranscript, SerialAppendsAreNeverSortedAgain) {
-  // Round, then machine, then seq, each increasing: the order a serial run
-  // records in. The log stays canonical, so no sort runs.
+TEST(OracleTranscript, RecordAndRestoreRejectKeysThatDoNotIncrease) {
+  // Round, then machine, then seq, each increasing: the order the barrier
+  // appends in. Anything else is refused and leaves the log as it was.
   OracleTranscript t;
-  append(t, {0, 1, 10, 100, 101, 110, 200, 201, 210});
-  EXPECT_TRUE(t.canonical());
-  const std::vector<QueryRecord> before = t.records();
-  EXPECT_EQ(t.canonical_records(), before);
-  t.sort_canonical();
-  EXPECT_EQ(t.records(), before);
-}
+  append(t, {0, 1, 10, 100, 101, 110, 200});
+  const std::vector<std::uint64_t> good = {0, 1, 10, 100, 101, 110, 200};
+  EXPECT_THROW(append(t, {200}), std::invalid_argument);  // an equal key
+  EXPECT_THROW(append(t, {110}), std::invalid_argument);  // an earlier machine
+  EXPECT_THROW(append(t, {199}), std::invalid_argument);  // an earlier round
+  EXPECT_EQ(keys(t.records()), good);
+  append(t, {201});
+  EXPECT_EQ(t.size(), good.size() + 1);
 
-TEST(OracleTranscript, OutOfOrderAppendsComeOutCanonical) {
-  // A parallel round's interleaving: machine 1 appends before machine 0.
-  OracleTranscript t;
-  append(t, {0, 110, 100, 101, 111});
-  EXPECT_FALSE(t.canonical());
-  const std::vector<std::uint64_t> want = {0, 100, 101, 110, 111};
-  EXPECT_EQ(keys(t.canonical_records()), want);  // a sorted copy; the live log is untouched
-  EXPECT_EQ(keys(t.records()), (std::vector<std::uint64_t>{0, 110, 100, 101, 111}));
-  t.sort_canonical();
-  EXPECT_TRUE(t.canonical());
-  EXPECT_EQ(keys(t.records()), want);
-  append(t, {111});  // an equal key is never canonical
-  t.sort_canonical();
-  EXPECT_FALSE(t.canonical());
-}
-
-TEST(OracleTranscript, RestoredUnsortedRecordsComeOutCanonical) {
   OracleTranscript source;
-  append(source, {10, 0, 1});
-  OracleTranscript t;
+  append(source, {10});
+  append(source, {11});
+  std::vector<QueryRecord> swapped = source.records();
+  std::swap(swapped[0], swapped[1]);
+  EXPECT_THROW(t.restore(swapped), std::invalid_argument);
+  std::vector<QueryRecord> repeated = {source.records()[0], source.records()[0]};
+  EXPECT_THROW(t.restore(repeated), std::invalid_argument);
+  EXPECT_EQ(t.size(), good.size() + 1);  // a rejected restore changes nothing
+
   t.restore(source.records());
-  EXPECT_FALSE(t.canonical());
+  EXPECT_EQ(keys(t.records()), (std::vector<std::uint64_t>{10, 11}));
+  EXPECT_THROW(append(t, {1}), std::invalid_argument);  // appends follow the restored log
   append(t, {100});
-  t.sort_canonical();
-  EXPECT_EQ(keys(t.records()), (std::vector<std::uint64_t>{0, 1, 10, 100}));
-  t.restore(t.records());
-  EXPECT_TRUE(t.canonical());
-  t.restore(source.records());
   t.clear();
-  EXPECT_TRUE(t.canonical());
+  append(t, {0});  // a cleared log takes any key
+  EXPECT_EQ(t.size(), 1u);
+}
+
+TEST(CountingOracle, FlushMovesTheBufferInQueryOrder) {
+  auto inner = make_inner();
+  auto transcript = std::make_shared<OracleTranscript>();
+  CountingOracle co(inner, 3, 10, transcript);
+  co.begin_round(2);
+  for (std::uint64_t v : {9, 4, 9}) co.query(BitString::from_uint(v, 16));
+  co.flush();
+  co.flush();  // the buffer is empty now: nothing is appended twice
+  ASSERT_EQ(transcript->size(), 3u);
+  const std::vector<std::uint64_t> inputs = {9, 4, 9};
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    const QueryRecord& r = transcript->records()[i];
+    EXPECT_EQ(r.round, 2u);
+    EXPECT_EQ(r.machine, 3u);
+    EXPECT_EQ(r.seq, i);
+    EXPECT_EQ(r.input, BitString::from_uint(inputs[i], 16));
+    EXPECT_EQ(r.output, inner->query(r.input));
+  }
 }
 
 TEST(CountingOracle, NullInnerRejected) {

@@ -8,7 +8,10 @@
 // BitString's inline buffer, tagged or not). Between two round boundaries
 // 1,000 rounds apart, the loop may allocate only for the amortised growth of
 // the merged trace: its RoundStats vector and its one annotation vector,
-// a few reallocations each.
+// a few reallocations each. The oracle leg swaps the annotation for two
+// oracle queries per machine-round (one repeated input, one fresh), so the
+// amortised growth is the RoundStats vector, the transcript, and the
+// memo's entry vector and index; a query itself allocates nothing.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -18,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "hash/random_oracle.hpp"
 #include "mpc/simulation.hpp"
 
 namespace {
@@ -49,13 +53,23 @@ constexpr std::uint64_t kFirstProbe = 100;
 constexpr std::uint64_t kSecondProbe = 1100;
 constexpr std::uint64_t kAllowedAllocations = 16;
 
+constexpr std::size_t kOracleBits = 64;
+
 /// Every machine holds one counter and passes it, incremented, to the next
 /// machine each round; machine 0 outputs its counter in the last round.
+/// Without an oracle each machine annotates its hop count; with one it
+/// instead queries its own fixed input (a memo hit after round 0) and then
+/// an input no machine has asked before (a miss).
 class TokenRing final : public MpcAlgorithm {
  public:
-  void run_machine(MachineIo& io, hash::CountingOracle*, const SharedTape&,
+  void run_machine(MachineIo& io, hash::CountingOracle* oracle, const SharedTape&,
                    RoundTrace& trace) override {
-    trace.annotate("hops", io.inbox->size());
+    if (oracle == nullptr) {
+      trace.annotate("hops", io.inbox->size());
+    } else {
+      oracle->query(BitString::from_uint(io.machine, kOracleBits));
+      oracle->query(BitString::from_uint(kMachines * (io.round + 1) + io.machine, kOracleBits));
+    }
     for (const auto& msg : *io.inbox) {
       const std::uint64_t counter = msg.payload.get_uint(0, kPayloadBits);
       if (io.round + 1 == kRounds && io.machine == 0) {
@@ -84,14 +98,17 @@ class AllocationProbe final : public RoundObserver {
   std::uint64_t second_ = 0;
 };
 
-void expect_steady_rounds_allocate_nothing(bool authenticate) {
+void expect_steady_rounds_allocate_nothing(bool authenticate, bool with_oracle) {
   MpcConfig c;
   c.machines = kMachines;
   c.local_memory_bits = 256;
   c.max_rounds = kRounds;
   c.tape_seed = 1;
+  c.query_budget = 2;
   c.authenticate_messages = authenticate;
-  MpcSimulation sim(c, nullptr);
+  auto oracle =
+      with_oracle ? std::make_shared<hash::LazyRandomOracle>(kOracleBits, kOracleBits, 7) : nullptr;
+  MpcSimulation sim(c, oracle);
   TokenRing algo;
   AllocationProbe probe;
   const std::vector<BitString> input(kMachines, BitString::from_uint(0, kPayloadBits));
@@ -100,7 +117,12 @@ void expect_steady_rounds_allocate_nothing(bool authenticate) {
   ASSERT_TRUE(result.completed);
   EXPECT_EQ(result.rounds_used, kRounds);
   EXPECT_EQ(result.output, BitString::from_uint(kRounds - 1, kPayloadBits));
-  EXPECT_EQ(result.trace.annotation("hops").size(), kMachines * kRounds);
+  if (with_oracle) {
+    EXPECT_EQ(result.transcript->size(), 2 * kMachines * kRounds);
+    EXPECT_EQ(oracle->touched_entries(), kMachines * (kRounds + 1));
+  } else {
+    EXPECT_EQ(result.trace.annotation("hops").size(), kMachines * kRounds);
+  }
   EXPECT_LE(probe.steady_allocations(), kAllowedAllocations)
       << "heap allocations in rounds [" << kFirstProbe << ", " << kSecondProbe << ")";
   ::testing::Test::RecordProperty("steady_allocations",
@@ -108,11 +130,15 @@ void expect_steady_rounds_allocate_nothing(bool authenticate) {
 }
 
 TEST(RoundLoopAllocations, SerialPlainRingAllocatesOnlyForTraceGrowth) {
-  expect_steady_rounds_allocate_nothing(false);
+  expect_steady_rounds_allocate_nothing(false, false);
 }
 
 TEST(RoundLoopAllocations, SerialAuthenticatedRingAllocatesOnlyForTraceGrowth) {
-  expect_steady_rounds_allocate_nothing(true);
+  expect_steady_rounds_allocate_nothing(true, false);
+}
+
+TEST(RoundLoopAllocations, SerialOracleRingAllocatesOnlyForAmortisedGrowth) {
+  expect_steady_rounds_allocate_nothing(false, true);
 }
 
 }  // namespace
