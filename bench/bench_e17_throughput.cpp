@@ -12,10 +12,10 @@
 
 #include "bench_common.hpp"
 #include "core/line.hpp"
-#include "serve/service.hpp"
 #include "strategies/batch_pointer_chasing.hpp"
 #include "transport/transport.hpp"
 #include "util/cli.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 
 using namespace mpch;
@@ -30,19 +30,11 @@ double percentile(std::vector<double> samples, double q) {
   return samples[idx];
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  util::CliArgs args(argc, argv);
+int bench_main(const util::CliArgs& args) {
   const std::string transport_name = args.get_string("transport", "in-process");
   const transport::TransportKind transport_kind = transport::parse_transport_kind(transport_name);
   const std::uint64_t repeats = args.get_u64("repeats", 5);
-  const bool serve_mode = args.get_bool("serve", false);
-  if (!args.unused().empty()) {
-    std::cerr << "unknown flag --" << args.unused().front()
-              << " (supported: --transport, --repeats, --serve)\n";
-    return 2;
-  }
+  args.reject_unknown();
 
   bench::header("E17", "Latency vs throughput (what Theorem 3.1 leaves open)",
                 "k batched chains finish in ~1x rounds, not k x — the bound is per-chain "
@@ -110,14 +102,10 @@ int main(int argc, char** argv) {
                   "output_identical"});
   util::BitString serial_output;
   double serial_p50 = 0.0;
-  struct JsonRow {
-    std::uint64_t threads;
-    std::uint64_t rounds;
-    double runs_per_sec;
-    double p50_ms;
-    double p99_ms;
-  };
-  std::vector<JsonRow> json_rows;
+  // Machine-readable mirror of the throughput table for dashboards and
+  // regression tracking (EXPERIMENTS.md workflow).
+  util::JsonWriter json;
+  json.begin_array();
   for (std::uint64_t threads : {1, 2, 4, 8}) {
     core::LineFunction f(p);
     std::vector<core::LineInput> inputs;
@@ -163,74 +151,28 @@ int main(int argc, char** argv) {
     tp.add(threads, util::format_double(runs_per_sec, 2), util::format_double(p50, 1),
            util::format_double(p99, 1), util::format_double(serial_p50 / p50, 2),
            output == serial_output);
-    json_rows.push_back({threads, rounds_used, runs_per_sec, p50, p99});
+    json.begin_object()
+        .member("strategy", "batch-pointer-chasing")
+        .member("transport", transport_name)
+        .member("threads", threads)
+        .member("rounds", rounds_used)
+        .member_double("runs_per_sec", runs_per_sec)
+        .member_double("p50_ms", p50)
+        .member_double("p99_ms", p99)
+        .end_object();
   }
   tp.print(std::cout);
-
-  // Machine-readable mirror of the throughput table for dashboards and
-  // regression tracking (EXPERIMENTS.md workflow).
-  {
-    std::ofstream json("BENCH_e17.json");
-    json << "[\n";
-    for (std::size_t i = 0; i < json_rows.size(); ++i) {
-      json << "  {\"strategy\": \"batch-pointer-chasing\", \"transport\": \"" << transport_name
-           << "\", \"threads\": " << json_rows[i].threads
-           << ", \"rounds\": " << json_rows[i].rounds
-           << ", \"runs_per_sec\": " << util::format_double(json_rows[i].runs_per_sec, 3)
-           << ", \"p50_ms\": " << util::format_double(json_rows[i].p50_ms, 3)
-           << ", \"p99_ms\": " << util::format_double(json_rows[i].p99_ms, 3) << "}"
-           << (i + 1 < json_rows.size() ? "," : "") << "\n";
-    }
-    json << "]\n";
-  }
+  std::ofstream("BENCH_e17.json") << json.end_array().str() << "\n";
   std::cout << "\nwrote BENCH_e17.json (strategy, transport, threads, rounds, runs_per_sec, "
                "p50_ms, p99_ms per row)\n";
   std::cout << "\nnote: speedup tracks min(threads, m, hardware cores); on a single-core\n"
                "host the table demonstrates determinism (output_identical) rather than\n"
                "speed. Record multi-core numbers in EXPERIMENTS.md.\n";
-
-  // --serve: the other axis of throughput — many independent *jobs* through
-  // the mpch-serve worker pool (job-level parallelism) instead of one run
-  // with round-level parallelism. Batch size fixed, worker count swept;
-  // outputs must agree across all worker counts (serve's cornerstone).
-  if (serve_mode) {
-    std::cout << "\nserve mode: " << repeats * 8
-              << " batch-pointer-chasing jobs through the mpch-serve pool:\n";
-    util::Table ts({"workers", "runs_per_sec", "p50_ms", "p99_ms", "results_identical"});
-    std::vector<serve::JobSpec> jobs(repeats * 8);
-    for (std::uint64_t i = 0; i < jobs.size(); ++i) {
-      jobs[i].verb = serve::JobVerb::kSimulate;
-      jobs[i].strategy = "batch-pointer-chasing";
-      jobs[i].seed = 1 + i % 8;
-      jobs[i].transport = transport_kind;
-    }
-    std::vector<util::BitString> baseline;
-    for (std::uint64_t workers : {1, 2, 4, 8}) {
-      serve::ServeService service(serve::ServeOptions{workers, 64});
-      auto results = service.run_jobs(jobs);
-      std::vector<double> walls;
-      bool identical = true;
-      for (std::size_t i = 0; i < results.size(); ++i) {
-        if (results[i].status != serve::JobStatus::kOk) {
-          std::cerr << "serve job failed: " << results[i].error << "\n";
-          return 1;
-        }
-        walls.push_back(results[i].wall_ms);
-        if (workers == 1) {
-          baseline.push_back(results[i].run.output);
-        } else {
-          identical = identical && results[i].run.output == baseline[i];
-        }
-      }
-      ts.add(workers, util::format_double(service.stats().runs_per_sec, 2),
-             util::format_double(percentile(walls, 0.50), 2),
-             util::format_double(percentile(walls, 0.99), 2), identical);
-      if (!identical) {
-        std::cerr << "serve results diverged across worker counts\n";
-        return 1;
-      }
-    }
-    ts.print(std::cout);
-  }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::run_tool("bench_e17_throughput", argc, argv, bench_main);
 }

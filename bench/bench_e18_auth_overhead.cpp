@@ -18,6 +18,7 @@
 #include "ram/programs.hpp"
 #include "strategies/pointer_chasing.hpp"
 #include "strategies/ram_emulation.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 
 using namespace mpch;
@@ -59,15 +60,18 @@ int main() {
                 "auth adds exactly 64 bits x message count to communication, zero rounds, "
                 "and a small constant per-message CPU cost");
 
-  struct JsonRow {
-    std::string strategy;
-    bool authenticate;
-    std::uint64_t rounds;
-    std::uint64_t messages;
-    std::uint64_t total_bits;
-    double wall_ms;
+  util::JsonWriter json;  // the BENCH_e18.json mirror of the table
+  json.begin_array();
+  auto json_row = [&](const std::string& name, bool authenticate, const Measurement& m) {
+    json.begin_object()
+        .member("strategy", name)
+        .member("authenticate", authenticate)
+        .member("rounds", m.rounds)
+        .member("messages", m.messages)
+        .member("comm_bits", m.total_bits)
+        .member_double("wall_ms", m.wall_ms)
+        .end_object();
   };
-  std::vector<JsonRow> json_rows;
   util::Table t({"strategy", "auth", "rounds", "messages", "comm_bits", "bits_overhead",
                  "wall_ms", "output_identical"});
   bool all_ok = true;
@@ -83,8 +87,8 @@ int main() {
           util::format_double(off.wall_ms, 2), "-");
     t.add(name, "on", on.rounds, on.messages, on.total_bits, on.total_bits - off.total_bits,
           util::format_double(on.wall_ms, 2), identical);
-    json_rows.push_back({name, false, off.rounds, off.messages, off.total_bits, off.wall_ms});
-    json_rows.push_back({name, true, on.rounds, on.messages, on.total_bits, on.wall_ms});
+    json_row(name, false, off);
+    json_row(name, true, on);
   };
 
   {
@@ -129,19 +133,7 @@ int main() {
                "clock delta is the per-message tag derivation + barrier verification; it\n"
                "scales with message count, not with rounds or machine memory.\n";
 
-  {
-    std::ofstream json("BENCH_e18.json");
-    json << "[\n";
-    for (std::size_t i = 0; i < json_rows.size(); ++i) {
-      const JsonRow& r = json_rows[i];
-      json << "  {\"strategy\": \"" << r.strategy << "\", \"authenticate\": "
-           << (r.authenticate ? "true" : "false") << ", \"rounds\": " << r.rounds
-           << ", \"messages\": " << r.messages << ", \"comm_bits\": " << r.total_bits
-           << ", \"wall_ms\": " << util::format_double(r.wall_ms, 3) << "}"
-           << (i + 1 < json_rows.size() ? "," : "") << "\n";
-    }
-    json << "]\n";
-  }
+  std::ofstream("BENCH_e18.json") << json.end_array().str() << "\n";
   std::cout << "\nwrote BENCH_e18.json (strategy, authenticate, rounds, messages, comm_bits, "
                "wall_ms per row)\n";
 

@@ -25,6 +25,7 @@
 #include "strategies/ram_emulation.hpp"
 #include "transport/transport.hpp"
 #include "util/cli.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
 
 using namespace mpch;
@@ -54,17 +55,10 @@ struct RunOutcome {
   double wall_ms = 0.0;
 };
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  util::CliArgs args(argc, argv);
+int bench_main(const util::CliArgs& args) {
   const std::uint64_t repeats = args.get_u64("repeats", 5);
   const std::uint64_t threads = args.get_u64("threads", 2);
-  if (!args.unused().empty()) {
-    std::cerr << "unknown flag --" << args.unused().front()
-              << " (supported: --repeats, --threads)\n";
-    return 2;
-  }
+  args.reject_unknown();
 
   bench::header("E19", "Transport backends: in-process vs socket",
                 "bit-identical results over any backend; the backends differ only in the "
@@ -163,20 +157,20 @@ int main(int argc, char** argv) {
   }
   t.print(std::cout);
 
-  {
-    std::ofstream json("BENCH_e19.json");
-    json << "[\n";
-    for (std::size_t i = 0; i < measurements.size(); ++i) {
-      const Measurement& m = measurements[i];
-      json << "  {\"workload\": \"" << m.workload << "\", \"transport\": \"" << m.transport
-           << "\", \"threads\": " << threads << ", \"rounds\": " << m.rounds
-           << ", \"runs_per_sec\": " << util::format_double(m.runs_per_sec, 3)
-           << ", \"p50_ms\": " << util::format_double(m.p50_ms, 3)
-           << ", \"p99_ms\": " << util::format_double(m.p99_ms, 3) << "}"
-           << (i + 1 < measurements.size() ? "," : "") << "\n";
-    }
-    json << "]\n";
+  util::JsonWriter json;
+  json.begin_array();
+  for (const Measurement& m : measurements) {
+    json.begin_object()
+        .member("workload", m.workload)
+        .member("transport", m.transport)
+        .member("threads", threads)
+        .member("rounds", m.rounds)
+        .member_double("runs_per_sec", m.runs_per_sec)
+        .member_double("p50_ms", m.p50_ms)
+        .member_double("p99_ms", m.p99_ms)
+        .end_object();
   }
+  std::ofstream("BENCH_e19.json") << json.end_array().str() << "\n";
   std::cout << "\nwrote BENCH_e19.json (workload, transport, threads, rounds, runs_per_sec, "
                "p50_ms, p99_ms per row)\n";
 
@@ -188,4 +182,10 @@ int main(int argc, char** argv) {
                "Definition 2.1 charges neither — which is exactly why lower bounds\n"
                "measured in-process carry to deployments where the bytes are real.\n";
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  return util::run_tool("bench_e19_transport", argc, argv, bench_main);
 }

@@ -1,6 +1,47 @@
 #include "fault/injector.hpp"
 
+#include "fault/recovery.hpp"
+
 namespace mpch::fault {
+
+namespace {
+
+std::string detected_at_barrier(const FaultEvent& ev, std::uint64_t round) {
+  return "injected fault: " + ev.describe() + " (detected at the round " +
+         std::to_string(round) + " barrier)";
+}
+
+/// Applies a drop/dup/flip/forge event to the merged deliveries. Returns
+/// false when the plan names a delivery or bit that does not exist this
+/// round: the event fires as a no-op, with nothing to detect.
+bool tamper_delivery(const FaultEvent& ev, std::vector<std::vector<mpc::Message>>& inboxes) {
+  if (ev.machine >= inboxes.size()) return false;
+  auto& inbox = inboxes[ev.machine];
+  if (ev.kind == FaultKind::FlipBit) {
+    // ev.index addresses a flat bit offset across the receiver's
+    // concatenated payloads; walk to the owning message.
+    std::uint64_t offset = ev.index;
+    for (auto& msg : inbox) {
+      if (offset < msg.payload.size()) {
+        msg.payload.set(offset, !msg.payload.get(offset));
+        return true;
+      }
+      offset -= msg.payload.size();
+    }
+    return false;
+  }
+  if (ev.index >= inbox.size()) return false;
+  if (ev.kind == FaultKind::DropMessage) {
+    inbox.erase(inbox.begin() + static_cast<std::ptrdiff_t>(ev.index));
+  } else if (ev.kind == FaultKind::DuplicateMessage) {
+    inbox.push_back(inbox[ev.index]);  // duplicate delivery, appended
+  } else {
+    inbox[ev.index].from = ev.aux;  // forge: spoof the sender
+  }
+  return true;
+}
+
+}  // namespace
 
 FaultInjector::FaultInjector(FaultPlan plan, bool fail_stop)
     : plan_(std::move(plan)), consumed_(plan_.events.size(), false), fail_stop_(fail_stop) {}
@@ -52,76 +93,34 @@ void FaultInjector::after_merge(std::uint64_t round,
   if (pending_crash_.has_value()) {
     FaultEvent ev = *pending_crash_;
     pending_crash_.reset();
-    throw MachineCrash(ev, "injected fault: " + ev.describe() +
-                               " (detected at the round " + std::to_string(round) + " barrier)");
+    throw MachineCrash(ev, detected_at_barrier(ev, round));
   }
 
   for (std::size_t i = 0; i < plan_.events.size(); ++i) {
     const FaultEvent& ev = plan_.events[i];
-    if (consumed_[i] || ev.round != round) continue;
-
+    const bool delivery = ev.kind == FaultKind::DropMessage ||
+                          ev.kind == FaultKind::DuplicateMessage ||
+                          ev.kind == FaultKind::FlipBit || ev.kind == FaultKind::ForgeMessage;
+    if (consumed_[i] || ev.round != round || !delivery) continue;
+    consumed_[i] = true;
+    fired_.push_back(ev);
+    if (!tamper_delivery(ev, next_inboxes) || !fail_stop_) continue;
     if (ev.kind == FaultKind::DropMessage || ev.kind == FaultKind::DuplicateMessage) {
-      consumed_[i] = true;
-      fired_.push_back(ev);
-      if (ev.machine >= next_inboxes.size() || ev.index >= next_inboxes[ev.machine].size()) {
-        // The plan names a delivery that does not exist this round; nothing
-        // to tamper with, so nothing to detect either.
-        continue;
-      }
-      auto& inbox = next_inboxes[ev.machine];
-      if (ev.kind == FaultKind::DropMessage) {
-        inbox.erase(inbox.begin() + static_cast<std::ptrdiff_t>(ev.index));
-      } else {
-        inbox.push_back(inbox[ev.index]);  // duplicate delivery, appended
-      }
-      if (fail_stop_) {
-        throw MessageFault(ev, "injected fault: " + ev.describe() +
-                                   " (detected at the round " + std::to_string(round) +
-                                   " barrier)");
-      }
-      continue;
+      throw MessageFault(ev, detected_at_barrier(ev, round));
     }
+    throw ByzantineFault(ev, detected_at_barrier(ev, round));
+  }
+}
 
-    if (ev.kind == FaultKind::FlipBit) {
-      consumed_[i] = true;
-      fired_.push_back(ev);
-      if (ev.machine >= next_inboxes.size()) continue;
-      // ev.index addresses a flat bit offset across the receiver's
-      // concatenated payloads; walk to the owning message.
-      auto& inbox = next_inboxes[ev.machine];
-      std::uint64_t offset = ev.index;
-      bool applied = false;
-      for (auto& msg : inbox) {
-        if (offset < msg.payload.size()) {
-          msg.payload.set(offset, !msg.payload.get(offset));
-          applied = true;
-          break;
-        }
-        offset -= msg.payload.size();
-      }
-      if (!applied) continue;  // offset beyond the inbox: fired, no-op
-      if (fail_stop_) {
-        throw ByzantineFault(ev, "injected fault: " + ev.describe() +
-                                     " (detected at the round " + std::to_string(round) +
-                                     " barrier)");
-      }
+void FaultInjector::after_round(const mpc::RoundSnapshot& snapshot) {
+  for (std::size_t i = 0; i < plan_.events.size(); ++i) {
+    const FaultEvent& ev = plan_.events[i];
+    if (consumed_[i] || ev.kind != FaultKind::TamperCheckpoint || ev.round != snapshot.round) {
       continue;
     }
-
-    if (ev.kind == FaultKind::ForgeMessage) {
-      consumed_[i] = true;
-      fired_.push_back(ev);
-      if (ev.machine >= next_inboxes.size() || ev.index >= next_inboxes[ev.machine].size()) {
-        continue;
-      }
-      next_inboxes[ev.machine][ev.index].from = ev.aux;  // spoof the sender
-      if (fail_stop_) {
-        throw ByzantineFault(ev, "injected fault: " + ev.describe() +
-                                     " (detected at the round " + std::to_string(round) +
-                                     " barrier)");
-      }
-      continue;
-    }
+    consumed_[i] = true;
+    fired_.push_back(ev);
+    if (checkpointer_ != nullptr) checkpointer_->corrupt_latest_encoded(ev.index);
   }
 }
 

@@ -21,9 +21,10 @@
 // silent, they corrupt state and keep going — which is the honest Byzantine
 // model, where detection belongs to authenticated messaging
 // (mpc::TamperViolation) and the quarantine policy's attestation
-// cross-check, not to the injector. tamper-ckpt events are not applied
-// here at all — they live in recovery.hpp's CheckpointTamperer, which
-// needs access to the saved snapshot.
+// cross-check, not to the injector. tamper-ckpt events are applied in
+// after_round to the bound Checkpointer's saved snapshot, so the injector is
+// chained *after* it (the save must exist first); they never throw — the
+// wire format's checksum is their detector, at restore or audit time.
 #pragma once
 
 #include <optional>
@@ -34,6 +35,8 @@
 #include "mpc/simulation.hpp"
 
 namespace mpch::fault {
+
+class Checkpointer;
 
 /// Base of all injected faults; carries the event for provenance.
 class InjectedFault : public std::runtime_error {
@@ -74,12 +77,16 @@ class FaultInjector : public mpc::RoundObserver {
   /// Target for garble-oracle events. Unbound (the default), such events
   /// fire as no-ops — plain-model runs have no oracle to corrupt.
   void bind_oracle(hash::LazyRandomOracle* oracle) { oracle_ = oracle; }
+  /// Target for tamper-ckpt events: the Checkpointer whose saved snapshot
+  /// they flip a bit of. Unbound, such events fire as no-ops.
+  void bind_checkpointer(Checkpointer* checkpointer) { checkpointer_ = checkpointer; }
 
   // RoundObserver hooks (see the file comment for the detection model).
   void before_round(std::uint64_t round) override;
   bool machine_runs(std::uint64_t round, std::uint64_t machine) override;
   void after_merge(std::uint64_t round,
                    std::vector<std::vector<mpc::Message>>& next_inboxes) override;
+  void after_round(const mpc::RoundSnapshot& snapshot) override;
 
   /// Events that have fired so far (in firing order), for cost reports.
   const std::vector<FaultEvent>& fired() const { return fired_; }
@@ -94,6 +101,7 @@ class FaultInjector : public mpc::RoundObserver {
   std::vector<bool> consumed_;  ///< one-shot latch per plan event
   bool fail_stop_;
   hash::LazyRandomOracle* oracle_ = nullptr;  ///< garble-oracle target
+  Checkpointer* checkpointer_ = nullptr;      ///< tamper-ckpt target
   std::optional<FaultEvent> pending_crash_;  ///< thrown at the next barrier
   std::vector<FaultEvent> fired_;
 };

@@ -1,11 +1,38 @@
 #include "fault/recovery.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "fault/recovery_core.hpp"
 #include "util/serialize.hpp"
 
 namespace mpch::fault {
+
+std::optional<RecoveryPolicy> parse_policy(std::string_view name) {
+  for (std::size_t i = 0; i < kPolicyNames.size(); ++i) {
+    if (kPolicyNames[i] == name) return static_cast<RecoveryPolicy>(i);
+  }
+  return std::nullopt;
+}
+
+std::string unknown_policy_message(std::string_view name) {
+  std::string want;
+  for (std::string_view known : kPolicyNames) {
+    if (!want.empty()) want += '|';
+    want += known;
+  }
+  return "unknown policy '" + std::string(name) + "' (want " + want + ")";
+}
+
+std::string describe_failure(const std::exception& e) {
+  if (dynamic_cast<const UnrecoverableFault*>(&e) != nullptr) {
+    return std::string("unrecoverable: ") + e.what();
+  }
+  if (dynamic_cast<const ReplicaDivergence*>(&e) != nullptr) {
+    return std::string("replica divergence: ") + e.what();
+  }
+  return e.what();
+}
 
 Checkpointer::Checkpointer(mpc::MpcConfig config, const hash::LazyRandomOracle* oracle,
                            std::uint64_t every, std::string file_path, bool capture_final)
@@ -20,19 +47,12 @@ Checkpointer::Checkpointer(mpc::MpcConfig config, const hash::LazyRandomOracle* 
 void Checkpointer::after_round(const mpc::RoundSnapshot& snapshot) {
   if (snapshot.completed && !capture_final_) return;  // the run is over; nothing to resume
   if (!snapshot.completed && !snapshot_due(snapshot.round, every_)) return;
-  Checkpoint cp = capture(snapshot, config_, oracle_);
-  util::BitString encoded = serialize(cp);
+  util::BitString encoded = serialize(capture(snapshot, config_, oracle_));
   bytes_last_ = (encoded.size() + 7) / 8;
   bytes_total_ += bytes_last_;
   ++checkpoints_taken_;
   if (!file_path_.empty()) util::write_bits_file(file_path_, encoded);
-  latest_ = std::move(cp);
   encoded_latest_ = std::move(encoded);
-}
-
-void Checkpointer::set_latest(Checkpoint cp) {
-  encoded_latest_ = serialize(cp);
-  latest_ = std::move(cp);
 }
 
 bool Checkpointer::corrupt_latest_encoded(std::uint64_t bit) {
@@ -43,18 +63,6 @@ bool Checkpointer::corrupt_latest_encoded(std::uint64_t bit) {
   return true;
 }
 
-void CheckpointTamperer::after_round(const mpc::RoundSnapshot& snapshot) {
-  for (std::size_t i = 0; i < plan_.events.size(); ++i) {
-    const FaultEvent& ev = plan_.events[i];
-    if (consumed_[i] || ev.kind != FaultKind::TamperCheckpoint || ev.round != snapshot.round) {
-      continue;
-    }
-    consumed_[i] = true;
-    fired_.push_back(ev);
-    if (target_ != nullptr) target_->corrupt_latest_encoded(ev.index);
-  }
-}
-
 ChaosHarness::ChaosHarness(mpc::MpcConfig config, OracleFactory oracle_factory)
     : config_(config), oracle_factory_(std::move(oracle_factory)) {}
 
@@ -62,187 +70,186 @@ std::shared_ptr<hash::LazyRandomOracle> ChaosHarness::fresh_oracle() const {
   return oracle_factory_ ? oracle_factory_() : nullptr;
 }
 
+ChaosResult ChaosHarness::run(std::string_view policy, mpc::MpcAlgorithm& algo,
+                              const std::vector<util::BitString>& initial_memory,
+                              const FaultPlan& plan, std::uint64_t every, QuarantineConfig qc,
+                              const std::string& checkpoint_file) {
+  const std::optional<RecoveryPolicy> chosen = parse_policy(policy);
+  if (!chosen.has_value()) throw std::invalid_argument(unknown_policy_message(policy));
+  switch (*chosen) {
+    case RecoveryPolicy::kRestart:
+      return run_restart(algo, initial_memory, plan, every, checkpoint_file);
+    case RecoveryPolicy::kReplicate:
+      return run_replicate(algo, initial_memory, plan);
+    case RecoveryPolicy::kQuarantine:
+      break;
+  }
+  qc.checkpoint_every = every;
+  return run_quarantine(algo, initial_memory, plan, qc);
+}
+
+ChaosHarness::RoundStep ChaosHarness::step_round(mpc::MpcAlgorithm& algo,
+                                                 const util::BitString& boundary,
+                                                 FaultInjector* injector) const {
+  const Checkpoint cp = deserialize(boundary);
+  RoundStep s;
+  s.oracle = fresh_oracle();
+  mpc::MpcConfig one_round = config_;
+  one_round.max_rounds = cp.next_round + 1;
+  Checkpointer capturer(config_, s.oracle.get(), /*every=*/1, "", /*capture_final=*/true);
+  std::vector<mpc::RoundObserver*> observers{&capturer};
+  if (injector != nullptr) {
+    injector->bind_oracle(s.oracle.get());
+    injector->bind_checkpointer(&capturer);
+    observers.push_back(injector);
+  }
+  ObserverChain chain(std::move(observers));
+  mpc::MpcSimulation sim(one_round, s.oracle);
+  s.res = sim.resume(algo, make_resume_state(cp, s.oracle.get()), &chain);
+  if (!capturer.latest_encoded().has_value()) {
+    throw ReplicaDivergence("round " + std::to_string(cp.next_round) +
+                            " produced no end-of-round snapshot");
+  }
+  s.encoded = *capturer.latest_encoded();
+  s.bytes = capturer.bytes_last();
+  return s;
+}
+
+ChaosResult ChaosHarness::run_fail_stop(mpc::MpcAlgorithm& algo,
+                                        const std::vector<util::BitString>& initial_memory,
+                                        const FaultPlan& plan, Checkpointer& checkpointer,
+                                        const Recover& recover) {
+  ChaosResult out;
+  FaultInjector injector(plan, /*fail_stop=*/true);
+  injector.bind_checkpointer(&checkpointer);
+  ObserverChain chain({&checkpointer, &injector});  // save first, then tamper with it
+  Attempt next{fresh_oracle(), std::nullopt};
+
+  std::uint64_t caught_faults = 0;
+  const std::size_t max_attempts = plan.events.size() + 1;
+  for (std::size_t attempt = 0; attempt < max_attempts; ++attempt) {
+    checkpointer.rebind_oracle(next.oracle.get());
+    injector.bind_oracle(next.oracle.get());
+    mpc::MpcSimulation sim(config_, next.oracle);
+    try {
+      out.run = next.state.has_value() ? sim.resume(algo, std::move(*next.state), &chain)
+                                       : sim.run(algo, initial_memory, &chain);
+      out.oracle = std::move(next.oracle);
+    } catch (const InjectedFault& fault) {
+      ++caught_faults;
+      out.fault_log.emplace_back(fault.what());
+      if (!recover(fault, out, next)) continue;
+    }
+    // Caught faults plus fired tamper-ckpt events (which never throw); a
+    // no-op event that fired silently costs nothing and is not counted.
+    const auto& fired = injector.fired();
+    out.cost.faults_injected =
+        caught_faults + std::count_if(fired.begin(), fired.end(), [](const FaultEvent& ev) {
+          return ev.kind == FaultKind::TamperCheckpoint;
+        });
+    out.cost.checkpoints_taken = checkpointer.checkpoints_taken();
+    out.cost.checkpoint_bytes_last = checkpointer.bytes_last();
+    out.cost.checkpoint_bytes_total = checkpointer.bytes_total();
+    return out;
+  }
+  throw UnrecoverableFault("fault plan still firing after " + std::to_string(max_attempts) +
+                           " recovery attempts — plan: " + plan.describe());
+}
+
 ChaosResult ChaosHarness::run_restart(mpc::MpcAlgorithm& algo,
                                       const std::vector<util::BitString>& initial_memory,
                                       const FaultPlan& plan, std::uint64_t checkpoint_every,
                                       const std::string& checkpoint_file) {
-  ChaosResult out;
-  std::shared_ptr<hash::LazyRandomOracle> oracle = fresh_oracle();
-  FaultInjector injector(plan, /*fail_stop=*/true);
-  injector.bind_oracle(oracle.get());
-  Checkpointer checkpointer(config_, oracle.get(), checkpoint_every, checkpoint_file);
-  CheckpointTamperer tamperer(plan);
-  tamperer.set_target(&checkpointer);
-  ObserverChain chain({&injector, &checkpointer, &tamperer});
+  Checkpointer checkpointer(config_, nullptr, checkpoint_every, checkpoint_file);
+  return run_fail_stop(
+      algo, initial_memory, plan, checkpointer,
+      [&](const InjectedFault& fault, ChaosResult& out, Attempt& next) {
+        if (!checkpointer.latest_encoded().has_value()) {
+          throw UnrecoverableFault(std::string(fault.what()) +
+                                   " — no checkpoint exists yet (cadence: every " +
+                                   std::to_string(checkpoint_every) +
+                                   " round(s)); nothing to restore, cannot recover");
+        }
+        // Restore from the serialised snapshot so the wire format's integrity
+        // checks guard the rollback (CheckpointError on a tampered save).
+        const Checkpoint cp = deserialize(*checkpointer.latest_encoded());
+        // A kill (and a garbled oracle, corrupted before the round ran) fires
+        // *before* its round executes; crash/message/byzantine-delivery faults
+        // poison the round they fire in, so that round re-executes too. The
+        // resume boundary and the lost-round accounting come from the shared
+        // decision core (recovery_core.hpp) that mpch-model explores.
+        const bool pre_round = dynamic_cast<const SimulationKilled*>(&fault) != nullptr ||
+                               fault.event().kind == FaultKind::GarbleOracle;
+        const std::uint64_t lost =
+            plan_restart(pre_round, fault.event().round, cp.next_round).rounds_lost;
+        ++out.cost.recoveries;
+        out.cost.rounds_reexecuted += lost;
+        out.cost.machine_rounds_reexecuted += lost * config_.machines;
 
-  std::uint64_t caught_faults = 0;
-  auto fill_cost = [&] {
-    out.cost.faults_injected = caught_faults + tamperer.fired().size();
-    out.cost.checkpoints_taken = checkpointer.checkpoints_taken();
-    out.cost.checkpoint_bytes_last = checkpointer.bytes_last();
-    out.cost.checkpoint_bytes_total = checkpointer.bytes_total();
-  };
-
-  std::optional<mpc::MpcResumeState> state;  // empty = fresh start
-  const std::size_t max_attempts = plan.events.size() + 1;
-  for (std::size_t attempt = 0; attempt < max_attempts; ++attempt) {
-    mpc::MpcSimulation sim(config_, oracle);
-    try {
-      out.run = state.has_value() ? sim.resume(algo, std::move(*state), &chain)
-                                  : sim.run(algo, initial_memory, &chain);
-      out.oracle = std::move(oracle);
-      fill_cost();
-      return out;
-    } catch (const InjectedFault& fault) {
-      ++caught_faults;
-      out.fault_log.emplace_back(fault.what());
-      if (!checkpointer.latest_encoded().has_value()) {
-        fill_cost();
-        throw UnrecoverableFault(std::string(fault.what()) +
-                                 " — no checkpoint exists yet (cadence: every " +
-                                 std::to_string(checkpoint_every) +
-                                 " round(s)); nothing to restore, cannot recover");
-      }
-      // Restore from the serialised snapshot so the wire format's integrity
-      // checks guard the rollback (CheckpointError on a tampered save).
-      Checkpoint cp = deserialize(*checkpointer.latest_encoded());
-      // A kill (and a garbled oracle, corrupted before the round ran) fires
-      // *before* its round executes; crash/message/byzantine-delivery faults
-      // poison the round they fire in, so that round re-executes too. The
-      // resume boundary and the lost-round accounting come from the shared
-      // decision core (recovery_core.hpp) that mpch-model explores.
-      const bool pre_round = dynamic_cast<const SimulationKilled*>(&fault) != nullptr ||
-                             fault.event().kind == FaultKind::GarbleOracle;
-      const RestartDecision decision =
-          plan_restart(pre_round, fault.event().round, cp.next_round);
-      const std::uint64_t lost = decision.rounds_lost;
-      ++out.cost.recoveries;
-      out.cost.rounds_reexecuted += lost;
-      out.cost.machine_rounds_reexecuted += lost * config_.machines;
-
-      // Discard the poisoned execution wholesale: fresh oracle (same seed)
-      // rebuilt from the snapshot's transcript, state rebuilt.
-      oracle = fresh_oracle();
-      state = make_resume_state(cp, oracle.get());
-      checkpointer.rebind_oracle(oracle.get());
-      injector.bind_oracle(oracle.get());
-      out.fault_log.push_back("recovered: restored checkpoint at round boundary " +
-                              std::to_string(cp.next_round) + ", re-executing " +
-                              std::to_string(lost) + " round(s)");
-    }
-  }
-  fill_cost();
-  throw UnrecoverableFault("fault plan still firing after " + std::to_string(max_attempts) +
-                           " recovery attempts — plan: " + plan.describe());
+        // Discard the poisoned execution wholesale: fresh oracle (same seed)
+        // rebuilt from the snapshot's transcript, state rebuilt.
+        next.oracle = fresh_oracle();
+        next.state = make_resume_state(cp, next.oracle.get());
+        out.fault_log.push_back("recovered: restored checkpoint at round boundary " +
+                                std::to_string(cp.next_round) + ", re-executing " +
+                                std::to_string(lost) + " round(s)");
+        return false;
+      });
 }
 
 ChaosResult ChaosHarness::run_replicate(mpc::MpcAlgorithm& algo,
                                         const std::vector<util::BitString>& initial_memory,
                                         const FaultPlan& plan) {
-  ChaosResult out;
-  std::shared_ptr<hash::LazyRandomOracle> oracle = fresh_oracle();
-  FaultInjector injector(plan, /*fail_stop=*/true);
-  injector.bind_oracle(oracle.get());
   // Shadow every round boundary, starting from the pre-round-0 state, so any
   // faulted round has its exact start state on hand.
-  Checkpointer shadow(config_, oracle.get(), /*every=*/1);
-  shadow.set_latest(initial_checkpoint(config_, initial_memory, oracle.get()));
-  CheckpointTamperer tamperer(plan);
-  tamperer.set_target(&shadow);
-  ObserverChain chain({&injector, &shadow, &tamperer});
+  Checkpointer shadow(config_, nullptr, /*every=*/1);
+  shadow.set_latest(serialize(initial_checkpoint(config_, initial_memory, fresh_oracle().get())));
+  return run_fail_stop(
+      algo, initial_memory, plan, shadow,
+      [&](const InjectedFault& fault, ChaosResult& out, Attempt& next) {
+        // Always present (seeded with the initial state); decoded from the
+        // checksummed wire form so a tampered shadow is rejected, not resumed.
+        const util::BitString& boundary = *shadow.latest_encoded();
+        ++out.cost.recoveries;
+        if (dynamic_cast<const SimulationKilled*>(&fault) != nullptr) {
+          // Nothing executed past the shadow; restore and carry on.
+          const Checkpoint cp = deserialize(boundary);
+          next.oracle = fresh_oracle();
+          next.state = make_resume_state(cp, next.oracle.get());
+          out.fault_log.push_back("recovered: resumed from round boundary " +
+                                  std::to_string(cp.next_round));
+          return false;
+        }
 
-  std::uint64_t caught_faults = 0;
-  auto fill_cost = [&] {
-    out.cost.faults_injected = caught_faults + tamperer.fired().size();
-    out.cost.checkpoints_taken = shadow.checkpoints_taken();
-    out.cost.checkpoint_bytes_last = shadow.bytes_last();
-    out.cost.checkpoint_bytes_total = shadow.bytes_total();
-  };
+        // Crash, message or Byzantine fault inside round r (the shadow's
+        // boundary, since it tracks every one): re-execute r on two
+        // independent restored replicas and demand bit-identical end states.
+        const std::uint64_t round = fault.event().round;
+        RoundStep a = step_round(algo, boundary, nullptr);
+        RoundStep b = step_round(algo, boundary, nullptr);
+        ++out.cost.replica_verifications;
+        out.cost.rounds_reexecuted += 2;
+        out.cost.machine_rounds_reexecuted += 2 * config_.machines;
+        if (a.encoded != b.encoded || a.res.output != b.res.output) {
+          throw ReplicaDivergence("round " + std::to_string(round) +
+                                  " re-executed twice from the same state produced different "
+                                  "results — determinism broken, refusing to continue");
+        }
+        out.fault_log.push_back("recovered: round " + std::to_string(round) +
+                                " re-executed on two replicas, merged states bit-identical");
 
-  // Re-execute the faulted round from `cp` on a fresh one-round replica;
-  // returns its end-of-round snapshot and run result.
-  auto run_replica = [&](const Checkpoint& cp, std::uint64_t round,
-                         std::shared_ptr<hash::LazyRandomOracle>& replica_oracle)
-      -> std::pair<mpc::MpcRunResult, Checkpoint> {
-    replica_oracle = fresh_oracle();
-    mpc::MpcResumeState rs = make_resume_state(cp, replica_oracle.get());
-    mpc::MpcConfig one_round = config_;
-    one_round.max_rounds = round + 1;
-    Checkpointer capturer(config_, replica_oracle.get(), /*every=*/1, "", /*capture_final=*/true);
-    mpc::MpcSimulation replica(one_round, replica_oracle);
-    mpc::MpcRunResult res = replica.resume(algo, std::move(rs), &capturer);
-    if (!capturer.latest().has_value()) {
-      throw ReplicaDivergence("replica of round " + std::to_string(round) +
-                              " produced no end-of-round snapshot");
-    }
-    return {std::move(res), *capturer.latest()};
-  };
-
-  std::optional<mpc::MpcResumeState> state;
-  const std::size_t max_attempts = plan.events.size() + 1;
-  for (std::size_t attempt = 0; attempt < max_attempts; ++attempt) {
-    mpc::MpcSimulation sim(config_, oracle);
-    try {
-      out.run = state.has_value() ? sim.resume(algo, std::move(*state), &chain)
-                                  : sim.run(algo, initial_memory, &chain);
-      out.oracle = std::move(oracle);
-      fill_cost();
-      return out;
-    } catch (const InjectedFault& fault) {
-      ++caught_faults;
-      out.fault_log.emplace_back(fault.what());
-      // Always present (seeded with the initial state); restored through the
-      // checksummed wire form so a tampered shadow is rejected, not resumed.
-      Checkpoint cp = deserialize(*shadow.latest_encoded());
-      ++out.cost.recoveries;
-
-      if (dynamic_cast<const SimulationKilled*>(&fault) != nullptr) {
-        // Nothing executed past the shadow; restore and carry on.
-        oracle = fresh_oracle();
-        state = make_resume_state(cp, oracle.get());
-        shadow.rebind_oracle(oracle.get());
-        injector.bind_oracle(oracle.get());
-        out.fault_log.push_back("recovered: resumed from round boundary " +
-                                std::to_string(cp.next_round));
-        continue;
-      }
-
-      // Crash or message fault inside round r (== cp.next_round, since the
-      // shadow tracks every boundary): re-execute r on two independent
-      // restored replicas and demand bit-identical end states.
-      std::uint64_t round = fault.event().round;
-      std::shared_ptr<hash::LazyRandomOracle> oracle_a;
-      std::shared_ptr<hash::LazyRandomOracle> oracle_b;
-      auto [res_a, cp_a] = run_replica(cp, round, oracle_a);
-      auto [res_b, cp_b] = run_replica(cp, round, oracle_b);
-      ++out.cost.replica_verifications;
-      out.cost.rounds_reexecuted += 2;
-      out.cost.machine_rounds_reexecuted += 2 * config_.machines;
-      if (serialize(cp_a) != serialize(cp_b) || res_a.output != res_b.output) {
-        throw ReplicaDivergence("round " + std::to_string(round) +
-                                " re-executed twice from the same state produced different "
-                                "results — determinism broken, refusing to continue");
-      }
-      out.fault_log.push_back("recovered: round " + std::to_string(round) +
-                              " re-executed on two replicas, merged states bit-identical");
-
-      if (res_b.completed) {
-        out.run = std::move(res_b);
-        out.oracle = std::move(oracle_b);
-        fill_cost();
-        return out;
-      }
-      // Adopt replica B: its oracle is already at the end-of-round state.
-      oracle = std::move(oracle_b);
-      state = make_resume_state(cp_b, oracle.get());
-      shadow.rebind_oracle(oracle.get());
-      injector.bind_oracle(oracle.get());
-      shadow.set_latest(std::move(cp_b));
-    }
-  }
-  fill_cost();
-  throw UnrecoverableFault("fault plan still firing after " + std::to_string(max_attempts) +
-                           " recovery attempts — plan: " + plan.describe());
+        if (b.res.completed) {
+          out.run = std::move(b.res);
+          out.oracle = std::move(b.oracle);
+          return true;
+        }
+        // Adopt replica B as bits: its oracle is already at the end-of-round
+        // state.
+        next.oracle = std::move(b.oracle);
+        next.state = make_resume_state(deserialize(b.encoded), next.oracle.get());
+        shadow.set_latest(std::move(b.encoded));
+        return false;
+      });
 }
 
 ChaosResult ChaosHarness::run_quarantine(mpc::MpcAlgorithm& algo,
@@ -258,70 +265,37 @@ ChaosResult ChaosHarness::run_quarantine(mpc::MpcAlgorithm& algo,
   // while this harness supplies verdicts and moves the serialised snapshots
   // the core's decisions refer to.
   FaultInjector injector(plan, /*fail_stop=*/false);
-  CheckpointTamperer tamperer(plan);
   QuarantineCore core(qc, config_.machines, /*escalation_budget=*/plan.events.size() + 1);
 
   // The last *verified* round boundary and the periodic escalation target,
   // both kept in serialised form so every restore passes the wire format's
   // integrity checks.
-  util::BitString good;
-  {
-    std::shared_ptr<hash::LazyRandomOracle> oracle0 = fresh_oracle();
-    good = serialize(initial_checkpoint(config_, initial_memory, oracle0.get()));
-  }
+  util::BitString good =
+      serialize(initial_checkpoint(config_, initial_memory, fresh_oracle().get()));
   util::BitString periodic = good;
 
-  struct Step {
-    mpc::MpcRunResult res;
-    util::BitString encoded;  ///< end-of-round snapshot (post-tamper, if any)
-    std::shared_ptr<hash::LazyRandomOracle> oracle;
-  };
-  // Execute exactly one round from the boundary `enc`. The live attempt
-  // carries the injector and the checkpoint tamperer; the clean replica
-  // runs bare. Either way the end-of-round state comes back serialised.
-  auto step = [&](const util::BitString& enc, bool with_faults) -> Step {
-    Step s;
-    Checkpoint cp = deserialize(enc);
-    s.oracle = fresh_oracle();
-    mpc::MpcResumeState rs = make_resume_state(cp, s.oracle.get());
-    mpc::MpcConfig one_round = config_;
-    one_round.max_rounds = cp.next_round + 1;
-    Checkpointer capturer(config_, s.oracle.get(), /*every=*/1, "", /*capture_final=*/true);
-    mpc::MpcSimulation sim(one_round, s.oracle);
-    if (with_faults) {
-      injector.bind_oracle(s.oracle.get());
-      tamperer.set_target(&capturer);
-      ObserverChain chain({&injector, &capturer, &tamperer});
-      s.res = sim.resume(algo, std::move(rs), &chain);
-    } else {
-      s.res = sim.resume(algo, std::move(rs), &capturer);
-    }
-    if (!capturer.latest_encoded().has_value()) {
-      throw ReplicaDivergence("round " + std::to_string(cp.next_round) +
-                              " produced no end-of-round snapshot");
-    }
+  // Execute exactly one round from the verified boundary. The live attempt
+  // carries the injector; the clean replica runs bare. Either way the
+  // end-of-round state comes back serialised.
+  auto step = [&](FaultInjector* faults) -> RoundStep {
+    RoundStep s = step_round(algo, good, faults);
     ++out.cost.checkpoints_taken;
-    out.cost.checkpoint_bytes_last = capturer.bytes_last();
-    out.cost.checkpoint_bytes_total += capturer.bytes_last();
-    s.encoded = *capturer.latest_encoded();
+    out.cost.checkpoint_bytes_last = s.bytes;
+    out.cost.checkpoint_bytes_total += s.bytes;
     return s;
   };
 
-  auto finalize = [&] {
-    out.cost.faults_injected = injector.faults_fired() + tamperer.fired().size();
-  };
-
-  while (core.next_round() < config_.max_rounds) {
-    bool run_done = false;
+  bool run_done = false;
+  while (!run_done && core.next_round() < config_.max_rounds) {
     bool committed = false;
     while (!committed) {
       const std::uint64_t round = core.next_round();
       std::optional<RoundVerdict> verdict;  // set as soon as the attempt is condemned
       std::optional<std::uint64_t> culprit;  // machine localised this attempt
 
-      std::optional<Step> live;
+      std::optional<RoundStep> live;
       try {
-        live = step(good, /*with_faults=*/true);
+        live = step(&injector);
       } catch (const mpc::TamperViolation& tv) {
         // Authenticated messaging caught the corruption at the faulted
         // round's own barrier, with the machine already named.
@@ -343,7 +317,7 @@ ChaosResult ChaosHarness::run_quarantine(mpc::MpcAlgorithm& algo,
 
       // Cross-check replica: the same round, re-executed clean from the
       // same verified boundary. Determinism makes inequality == corruption.
-      Step ref = step(good, /*with_faults=*/false);
+      RoundStep ref = step(nullptr);
       ++out.cost.attestation_checks;
       ++out.cost.replica_verifications;
       ++out.cost.rounds_reexecuted;
@@ -411,7 +385,6 @@ ChaosResult ChaosHarness::run_quarantine(mpc::MpcAlgorithm& algo,
           break;
         }
         case QuarantineAction::kUnrecoverable: {
-          finalize();
           throw UnrecoverableFault("quarantine exhausted its escalation budget (" +
                                    std::to_string(core.escalation_budget()) + ") and round " +
                                    std::to_string(round) + " still diverges — plan: " +
@@ -447,13 +420,11 @@ ChaosResult ChaosHarness::run_quarantine(mpc::MpcAlgorithm& algo,
         }
       }
     }
-    if (run_done) {
-      finalize();
-      return out;
-    }
   }
-  finalize();
-  return out;  // max_rounds exhausted without completion, like a plain run
+  // Every fired event counts, silent no-ops included. Without completion,
+  // max_rounds ran out, like a plain run.
+  out.cost.faults_injected = injector.faults_fired();
+  return out;
 }
 
 }  // namespace mpch::fault

@@ -1,6 +1,6 @@
 // recovery.hpp — recovery policies over checkpoints and fault injection.
 //
-// Three policies, all exploiting the determinism PR 1 bought:
+// Three policies, all exploiting the simulator's bit-determinism:
 //
 //  * RestartFromCheckpoint (ChaosHarness::run_restart) — snapshot every j
 //    rounds; when a fault is detected, discard the poisoned execution
@@ -36,20 +36,25 @@
 //
 // All report RecoveryCost: what the faults cost in re-executed rounds,
 // machine-rounds, verification replicas, and snapshot bytes.
+// ChaosHarness::run is the one dispatch over the policy names in
+// kPolicyNames.
 //
-// Restores always go through the serialised (checksummed) snapshot, never
-// the in-memory struct, so post-save checkpoint tampering (the tamper-ckpt
-// verb, applied by CheckpointTamperer) is caught by the wire format's
-// integrity checks at restore time instead of resuming corrupted state.
+// Snapshots are kept only in their serialised (checksummed) wire form, so
+// every restore passes the format's integrity checks: post-save checkpoint
+// tampering (the tamper-ckpt verb, which the FaultInjector applies to the
+// Checkpointer's stored bits) is caught at restore time instead of resuming
+// corrupted state.
 #pragma once
 
-#include <exception>
-
+#include <array>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "fault/checkpoint.hpp"
@@ -60,9 +65,11 @@
 namespace mpch::fault {
 
 /// RoundObserver that snapshots the execution every `every` rounds at the
-/// barrier. Keeps the latest checkpoint in memory, optionally mirrors it to
-/// a file, and tracks byte costs. Rebind the oracle after a restore — the
-/// replacement oracle is a different object at the same logical state.
+/// barrier. Keeps the latest checkpoint in its serialised wire form — the
+/// form every restore decodes, so the checksum guards each rollback —
+/// optionally mirrors it to a file, and tracks byte costs. Rebind the oracle
+/// after a restore — the replacement oracle is a different object at the
+/// same logical state.
 class Checkpointer : public mpc::RoundObserver {
  public:
   Checkpointer(mpc::MpcConfig config, const hash::LazyRandomOracle* oracle, std::uint64_t every,
@@ -71,11 +78,11 @@ class Checkpointer : public mpc::RoundObserver {
   void after_round(const mpc::RoundSnapshot& snapshot) override;
 
   void rebind_oracle(const hash::LazyRandomOracle* oracle) { oracle_ = oracle; }
-  /// Seed the checkpointer with a pre-existing snapshot (e.g. the initial
-  /// state) so rollback before the first periodic snapshot is possible.
-  void set_latest(Checkpoint cp);
+  /// Seed the checkpointer with a pre-existing serialised snapshot (e.g. the
+  /// initial state) so rollback before the first periodic snapshot is
+  /// possible.
+  void set_latest(util::BitString encoded) { encoded_latest_ = std::move(encoded); }
 
-  const std::optional<Checkpoint>& latest() const { return latest_; }
   /// The latest snapshot in its serialised wire form — what recovery
   /// policies restore from, so the checksummed format actually guards the
   /// rollback path (a post-save mutation throws CheckpointError on restore).
@@ -83,8 +90,7 @@ class Checkpointer : public mpc::RoundObserver {
   /// Chaos hook (the tamper-ckpt verb): XOR-flip bit `bit % size` of the
   /// stored encoded snapshot and of its file mirror, modelling storage
   /// corruption after a successful save. Returns false if no snapshot
-  /// exists yet. The in-memory decoded `latest()` is left intact — the
-  /// point is that restores must not trust it.
+  /// exists yet.
   bool corrupt_latest_encoded(std::uint64_t bit);
 
   std::uint64_t checkpoints_taken() const { return checkpoints_taken_; }
@@ -97,42 +103,16 @@ class Checkpointer : public mpc::RoundObserver {
   std::uint64_t every_;
   std::string file_path_;
   bool capture_final_;
-  std::optional<Checkpoint> latest_;
   std::optional<util::BitString> encoded_latest_;
   std::uint64_t checkpoints_taken_ = 0;
   std::uint64_t bytes_last_ = 0;
   std::uint64_t bytes_total_ = 0;
 };
 
-/// Applies TamperCheckpoint events: at the named round's barrier, after the
-/// target Checkpointer has saved, flip one bit of the saved encoded
-/// snapshot (and its file mirror). Chain it *after* the Checkpointer so the
-/// save happens first. All other event kinds are ignored — pass the same
-/// plan given to the FaultInjector; each half consumes its own verbs.
-class CheckpointTamperer : public mpc::RoundObserver {
- public:
-  explicit CheckpointTamperer(FaultPlan plan)
-      : plan_(std::move(plan)), consumed_(plan_.events.size(), false) {}
-
-  /// The Checkpointer whose saved snapshot gets mutated. Rebind freely —
-  /// the quarantine policy re-creates its per-round capturer every step.
-  void set_target(Checkpointer* target) { target_ = target; }
-
-  void after_round(const mpc::RoundSnapshot& snapshot) override;
-
-  const std::vector<FaultEvent>& fired() const { return fired_; }
-
- private:
-  FaultPlan plan_;
-  std::vector<bool> consumed_;
-  Checkpointer* target_ = nullptr;
-  std::vector<FaultEvent> fired_;
-};
-
 /// Fans every hook out to its children in order. Every child sees every
 /// barrier even when an earlier child throws: exceptions are collected and
-/// the *first* one rethrown after the sweep, so e.g. a Checkpointer chained
-/// after a throwing Injector still observes the hook (an injector firing in
+/// the *first* one rethrown after the sweep, so e.g. an auditor chained
+/// after a throwing injector still observes the hook (an injector firing in
 /// before_round must not blind the observers behind it to the barrier).
 /// Order still encodes detection priority — the first thrower wins.
 class ObserverChain : public mpc::RoundObserver {
@@ -190,6 +170,20 @@ struct RecoveryCost {
   std::uint64_t escalations = 0;          ///< rollbacks to the periodic checkpoint
 };
 
+/// The recovery policies ChaosHarness::run dispatches over.
+enum class RecoveryPolicy { kRestart, kReplicate, kQuarantine };
+
+/// The one list of policy names, indexed by RecoveryPolicy. The jobfile
+/// parser, serve's chaos verb and mpch-chaos all accept exactly these.
+inline constexpr std::array<std::string_view, 3> kPolicyNames = {"restart", "replicate",
+                                                                 "quarantine"};
+
+/// The policy `name` names; nullopt when it is not in kPolicyNames.
+std::optional<RecoveryPolicy> parse_policy(std::string_view name);
+
+/// "unknown policy 'NAME' (want restart|replicate|quarantine)".
+std::string unknown_policy_message(std::string_view name);
+
 /// Retry/backoff schedule of the quarantine policy.
 struct QuarantineConfig {
   /// Re-runs of a diverged round before escalating (faults are one-shot, so
@@ -225,6 +219,10 @@ class ReplicaDivergence : public std::runtime_error {
   explicit ReplicaDivergence(const std::string& what) : std::runtime_error(what) {}
 };
 
+/// A failed chaos run as its report reads it: the exception's message,
+/// prefixed "unrecoverable: " or "replica divergence: " for those two.
+std::string describe_failure(const std::exception& e);
+
 class ChaosHarness {
  public:
   /// Builds a *fresh* oracle at the pre-execution state (same seed every
@@ -234,6 +232,16 @@ class ChaosHarness {
   using OracleFactory = std::function<std::shared_ptr<hash::LazyRandomOracle>()>;
 
   ChaosHarness(mpc::MpcConfig config, OracleFactory oracle_factory);
+
+  /// The one policy dispatch: runs the policy `policy` names (kPolicyNames).
+  /// `every` is restart's checkpoint cadence and quarantine's periodic one
+  /// (it overrides qc.checkpoint_every); `qc` tunes quarantine and
+  /// `checkpoint_file` mirrors restart's snapshots. Throws
+  /// std::invalid_argument (unknown_policy_message) for any other name.
+  ChaosResult run(std::string_view policy, mpc::MpcAlgorithm& algo,
+                  const std::vector<util::BitString>& initial_memory, const FaultPlan& plan,
+                  std::uint64_t every, QuarantineConfig qc = {},
+                  const std::string& checkpoint_file = "");
 
   /// RestartFromCheckpoint: snapshot every `checkpoint_every` rounds; on a
   /// fault, restore the latest snapshot and resume. Throws UnrecoverableFault
@@ -264,6 +272,37 @@ class ChaosHarness {
                              const FaultPlan& plan, const QuarantineConfig& qc = {});
 
  private:
+  /// One round executed from the serialised boundary it starts at.
+  struct RoundStep {
+    mpc::MpcRunResult res;
+    util::BitString encoded;  ///< end-of-round snapshot (post-tamper, if any)
+    std::shared_ptr<hash::LazyRandomOracle> oracle;
+    std::uint64_t bytes = 0;  ///< size of `encoded` in bytes
+  };
+  /// Decode `boundary` and execute exactly its next round on a fresh oracle,
+  /// capturing the end state. `injector`, when given, is bound to that
+  /// oracle and capture and chained after the capture; null runs clean.
+  RoundStep step_round(mpc::MpcAlgorithm& algo, const util::BitString& boundary,
+                       FaultInjector* injector) const;
+
+  /// What the next fail-stop attempt runs on: its oracle and, after a
+  /// recovery, the state it resumes from (empty = fresh start).
+  struct Attempt {
+    std::shared_ptr<hash::LazyRandomOracle> oracle;
+    std::optional<mpc::MpcResumeState> state;
+  };
+  /// How a fail-stop policy turns a caught fault into the next Attempt.
+  /// Returns true when recovery finished the run itself (out.run and
+  /// out.oracle set).
+  using Recover = std::function<bool(const InjectedFault&, ChaosResult&, Attempt&)>;
+  /// The attempt loop restart and replicate share: run under a fail-stop
+  /// injector chained after `checkpointer`, hand each caught fault to
+  /// `recover`, and give up after one attempt per plan event.
+  ChaosResult run_fail_stop(mpc::MpcAlgorithm& algo,
+                            const std::vector<util::BitString>& initial_memory,
+                            const FaultPlan& plan, Checkpointer& checkpointer,
+                            const Recover& recover);
+
   std::shared_ptr<hash::LazyRandomOracle> fresh_oracle() const;
 
   mpc::MpcConfig config_;

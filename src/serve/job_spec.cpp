@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "fault/fault_plan.hpp"
+#include "fault/recovery.hpp"
 
 namespace mpch::serve {
 
@@ -148,9 +149,8 @@ JobSpec parse_job_line(const std::string& line, std::uint64_t line_number,
       if (spec.verb != JobVerb::kChaos) {
         throw JobSpecError(line_number, "key 'policy' is only valid on chaos jobs");
       }
-      if (value != "restart" && value != "replicate" && value != "quarantine") {
-        throw JobSpecError(line_number, "unknown policy '" + value +
-                                            "' (want restart|replicate|quarantine)");
+      if (!fault::parse_policy(value).has_value()) {
+        throw JobSpecError(line_number, fault::unknown_policy_message(value));
       }
       spec.policy = value;
     } else if (key == "every") {

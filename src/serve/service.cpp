@@ -116,16 +116,8 @@ JobResult ServeService::execute(const JobSpec& spec, std::uint64_t job_id,
                           spec.authenticate);
         fault::FaultPlan plan = fault::FaultPlan::parse(spec.plan);
         fault::ChaosHarness harness(chaos.config, [&chaos] { return chaos.make_oracle(); });
-        fault::ChaosResult chaos_result;
-        if (spec.policy == "restart") {
-          chaos_result = harness.run_restart(*chaos.algo, chaos.initial, plan, spec.every);
-        } else if (spec.policy == "replicate") {
-          chaos_result = harness.run_replicate(*chaos.algo, chaos.initial, plan);
-        } else {
-          fault::QuarantineConfig qc;
-          qc.checkpoint_every = spec.every;
-          chaos_result = harness.run_quarantine(*chaos.algo, chaos.initial, plan, qc);
-        }
+        fault::ChaosResult chaos_result =
+            harness.run(spec.policy, *chaos.algo, chaos.initial, plan, spec.every);
         r.run = chaos_result.run;
         r.oracle = chaos_result.oracle;
         r.cost = chaos_result.cost;
@@ -141,15 +133,9 @@ JobResult ServeService::execute(const JobSpec& spec, std::uint64_t job_id,
         break;
       }
     }
-  } catch (const fault::UnrecoverableFault& e) {
-    r.status = JobStatus::kFailed;
-    r.error = std::string("unrecoverable: ") + e.what();
-  } catch (const fault::ReplicaDivergence& e) {
-    r.status = JobStatus::kFailed;
-    r.error = std::string("replica divergence: ") + e.what();
   } catch (const std::exception& e) {
     r.status = JobStatus::kFailed;
-    r.error = e.what();
+    r.error = fault::describe_failure(e);
   }
   r.wall_ms = elapsed_ms(start);
   return r;

@@ -402,8 +402,8 @@ TEST(AuthMessaging, CheckpointResumeReverifiesTags) {
   c.max_rounds = 2;  // stop mid-ring so the snapshot has an in-flight message
   fault::Checkpointer ckpt(c, nullptr, 1, "", false);
   run_ring(c, &ckpt);
-  ASSERT_TRUE(ckpt.latest().has_value());
-  fault::Checkpoint cp = *ckpt.latest();
+  ASSERT_TRUE(ckpt.latest_encoded().has_value());
+  fault::Checkpoint cp = fault::deserialize(*ckpt.latest_encoded());
   ASSERT_GT(cp.next_round, 0u);
   bool corrupted = false;
   for (auto& inbox : cp.inboxes) {

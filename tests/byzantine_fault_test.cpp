@@ -278,9 +278,9 @@ TEST(TamperCheckpoint, CorruptedSnapshotFailsIntegrityCheckAtRestore) {
   EXPECT_NO_THROW(fault::deserialize(*ckpt.latest_encoded()));
   ASSERT_TRUE(ckpt.corrupt_latest_encoded(12345));
   EXPECT_THROW(fault::deserialize(*ckpt.latest_encoded()), fault::CheckpointError);
-  // The in-memory decoded struct is deliberately left intact — the point of
-  // the verb is that restores must not trust it over the encoded form.
-  EXPECT_TRUE(ckpt.latest().has_value());
+  // The corrupted image stays stored — the checkpointer keeps no decoded
+  // copy to fall back on, so a restore can only decode it and fail.
+  EXPECT_TRUE(ckpt.latest_encoded().has_value());
 }
 
 TEST(TamperCheckpoint, RestartPolicyRefusesToResumeFromTamperedSnapshot) {

@@ -223,6 +223,20 @@ TEST(ServeService, ChaosVerbRecoversAndVerifies) {
   EXPECT_GE(r.cost.recoveries, 1u);
 }
 
+TEST(ServeService, ChaosVerbFailsAnUnknownPolicyByName) {
+  // A JobSpec built in code skips the jobfile parser's name check; the
+  // policy dispatch itself must refuse the name, not fall through to a
+  // policy it does not name.
+  JobSpec spec = simulate_spec("pointer-chasing", 11);
+  spec.verb = JobVerb::kChaos;
+  spec.plan = "kill:round=4";
+  spec.policy = "ostrich";
+  const JobResult r = ServeService::run_standalone(spec);
+  EXPECT_EQ(r.status, JobStatus::kFailed);
+  EXPECT_EQ(r.error, "unknown policy 'ostrich' (want restart|replicate|quarantine)");
+  EXPECT_EQ(r.cost.attestation_checks, 0u);
+}
+
 TEST(ServeService, ResultsKeepJobfileOrderAcrossWorkers) {
   std::vector<JobSpec> jobs;
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {

@@ -20,9 +20,13 @@
 // Policies: restart (RestartFromCheckpoint, snapshot every --every rounds),
 // replicate (ReplicateRound, dual re-execution + equality check), quarantine
 // (Byzantine: silent faults, per-round replica cross-check + attestation
-// localisation, strikes, escalation), none (apply faults silently — the
-// unprotected baseline; Byzantine verbs are still *audited* after the fact,
-// so a landed flip/forge/garble/tamper-ckpt is reported typed, never silent).
+// localisation, strikes, escalation) — all three run through the harness's
+// one policy dispatch (ChaosHarness::run over fault::kPolicyNames) — and the
+// tool-only none (apply faults silently — the unprotected baseline;
+// Byzantine verbs are still *audited* after the fact, so a landed
+// flip/forge/garble/tamper-ckpt is reported typed, never silent). Under none
+// the FaultInjector applies tamper-ckpt to a per-round Checkpointer it is
+// chained after, and an auditor behind both decodes each stored snapshot.
 //
 // Byzantine verbs: flip:machine=M,round=R,bit=B | forge:round=R,to=M,index=I,
 // from=F | garble-oracle:round=R,entry=E | tamper-ckpt:round=R,bit=B.
@@ -39,6 +43,7 @@
 // --policy none; 2 usage error.
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -158,8 +163,8 @@ void print_cost(const fault::RecoveryCost& cost) {
 }
 
 /// Policy-none storage scrubber: re-decodes the stored snapshot at every
-/// barrier (chained after the CheckpointTamperer), so a tampered save is
-/// caught before the next round's save overwrites it.
+/// barrier (chained after the FaultInjector that tampers with it), so a
+/// tampered save is caught before the next round's save overwrites it.
 struct CheckpointAuditor : mpc::RoundObserver {
   const fault::Checkpointer* ckpt = nullptr;
   std::vector<std::string> failures;
@@ -218,8 +223,10 @@ int tool_main(const util::CliArgs& args) {
 
   const std::string strategy = args.get_string("strategy", "pointer-chasing");
   const std::string plan_spec = args.get_string("plan", "");
-  const std::string policy =
-      args.get_choice("policy", "restart", {"restart", "replicate", "quarantine", "none"});
+  std::vector<std::string> policies(fault::kPolicyNames.begin(), fault::kPolicyNames.end());
+  policies.emplace_back("none");
+  const std::string policy = args.get_choice("policy", "restart", policies);
+  const std::optional<fault::RecoveryPolicy> recovery = fault::parse_policy(policy);
   const std::uint64_t every = args.get_u64("every", 2);
   const std::uint64_t retries = args.get_u64("retries", 2);
   const std::uint64_t strikes = args.get_u64("strikes", 3);
@@ -253,7 +260,7 @@ int tool_main(const util::CliArgs& args) {
   const bool needs_mac =
       plan_has(plan, fault::FaultKind::FlipBit) || plan_has(plan, fault::FaultKind::ForgeMessage);
   bool auth_auto = false;
-  if (policy == "none" && needs_mac && !authenticate) {
+  if (!recovery.has_value() && needs_mac && !authenticate) {
     authenticate = true;
     auth_auto = true;
   }
@@ -281,8 +288,10 @@ int tool_main(const util::CliArgs& args) {
               << " transport=" << transport::to_string(transport_kind)
               << (authenticate ? (auth_auto ? " authenticate=on (auto)" : " authenticate=on") : "")
               << "\n  plan:   " << plan.describe() << "\n  policy: " << policy;
-    if (policy == "restart") std::cout << " (checkpoint every " << every << " round(s))";
-    if (policy == "quarantine") {
+    if (recovery == fault::RecoveryPolicy::kRestart) {
+      std::cout << " (checkpoint every " << every << " round(s))";
+    }
+    if (recovery == fault::RecoveryPolicy::kQuarantine) {
       std::cout << " (retries " << retries << ", strikes " << strikes
                 << ", periodic checkpoint every " << every << " round(s))";
     }
@@ -311,7 +320,7 @@ int tool_main(const util::CliArgs& args) {
   serve::Scenario chaos = serve::make_scenario(strategy, seed, threads);
   serve::apply_run_options(&chaos, transport_kind, transport_procs, authenticate);
   try {
-    if (policy == "none") {
+    if (!recovery.has_value()) {
       // Unprotected baseline: faults applied silently, no recovery. Crash-
       // model faults show up as divergence from the reference (exit 0 — the
       // report is the product); Byzantine faults are *audited* afterwards —
@@ -323,17 +332,12 @@ int tool_main(const util::CliArgs& args) {
       const bool audit_ckpt = plan_has(plan, fault::FaultKind::TamperCheckpoint);
       fault::Checkpointer ckpt(chaos.config, oracle.get(), /*every=*/1, "",
                                /*capture_final=*/true);
-      fault::CheckpointTamperer tamperer(plan);
-      tamperer.set_target(&ckpt);
+      injector.bind_checkpointer(&ckpt);
       CheckpointAuditor auditor;
       auditor.ckpt = &ckpt;
-      std::vector<mpc::RoundObserver*> children{&injector};
-      if (audit_ckpt) {
-        children.push_back(&ckpt);
-        children.push_back(&tamperer);
-        children.push_back(&auditor);
-      }
-      fault::ObserverChain chain(children);
+      fault::ObserverChain chain(audit_ckpt
+                                     ? std::vector<mpc::RoundObserver*>{&ckpt, &injector, &auditor}
+                                     : std::vector<mpc::RoundObserver*>{&injector});
       mpc::MpcSimulation sim(chaos.config, oracle);
       mpc::MpcRunResult run;
       try {
@@ -351,7 +355,7 @@ int tool_main(const util::CliArgs& args) {
       report.ran = true;
       report.run_completed = run.completed;
       report.run_rounds = run.rounds_used;
-      report.faults_applied = injector.faults_fired() + tamperer.fired().size();
+      report.faults_applied = injector.faults_fired();
       report.faults_planned = injector.events_planned();
       if (!json) {
         std::cout << "unprotected run: " << (run.completed ? "completed" : "hit max_rounds")
@@ -390,18 +394,11 @@ int tool_main(const util::CliArgs& args) {
     }
 
     fault::ChaosHarness harness(chaos.config, [&chaos] { return chaos.make_oracle(); });
-    fault::ChaosResult result;
-    if (policy == "restart") {
-      result = harness.run_restart(*chaos.algo, chaos.initial, plan, every, checkpoint_file);
-    } else if (policy == "replicate") {
-      result = harness.run_replicate(*chaos.algo, chaos.initial, plan);
-    } else {
-      fault::QuarantineConfig qc;
-      qc.max_round_retries = retries;
-      qc.escalate_after_strikes = strikes;
-      qc.checkpoint_every = every;
-      result = harness.run_quarantine(*chaos.algo, chaos.initial, plan, qc);
-    }
+    fault::QuarantineConfig qc;
+    qc.max_round_retries = retries;
+    qc.escalate_after_strikes = strikes;
+    const fault::ChaosResult result =
+        harness.run(policy, *chaos.algo, chaos.initial, plan, every, qc, checkpoint_file);
 
     report.ran = true;
     report.run_completed = result.run.completed;
@@ -435,17 +432,9 @@ int tool_main(const util::CliArgs& args) {
                    "  (output, round stats, annotations, oracle transcript, oracle table)\n";
     }
     return finish(0);
-  } catch (const fault::UnrecoverableFault& e) {
-    report.error = std::string("unrecoverable: ") + e.what();
-    std::cerr << "mpch-chaos: unrecoverable: " << e.what() << "\n";
-    return finish(1);
-  } catch (const fault::ReplicaDivergence& e) {
-    report.error = std::string("replica divergence: ") + e.what();
-    std::cerr << "mpch-chaos: replica divergence: " << e.what() << "\n";
-    return finish(1);
   } catch (const std::exception& e) {
-    report.error = e.what();
-    std::cerr << "mpch-chaos: " << e.what() << "\n";
+    report.error = fault::describe_failure(e);
+    std::cerr << "mpch-chaos: " << report.error << "\n";
     return finish(1);
   }
 }
