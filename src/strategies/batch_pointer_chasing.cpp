@@ -40,8 +40,6 @@ std::vector<util::BitString> BatchPointerChasingStrategy::make_initial_memory(
       shares[j] += w.take();
     }
   }
-  // Shares are concatenations of per-instance payloads; re-split on parse by
-  // framing: simpler to deliver one message per instance instead.
   return shares;
 }
 
@@ -170,11 +168,7 @@ void BatchPointerChasingStrategy::run_machine(mpc::MachineIo& io, hash::Counting
   // Bootstrap every instance whose first block we own.
   if (io.round == 0 && plan_.owner_of(1) == io.machine) {
     for (std::uint64_t inst = 0; inst < instances_; ++inst) {
-      Frontier f;
-      f.next_index = 1;
-      f.ell = 1;
-      f.r = util::BitString(params_.u);
-      frontiers.emplace(inst, f);
+      frontiers.emplace(inst, Frontier::start(params_));
     }
   }
 
@@ -183,35 +177,21 @@ void BatchPointerChasingStrategy::run_machine(mpc::MachineIo& io, hash::Counting
   for (auto& [inst, f] : frontiers) {
     auto bit = blocks.find(inst);
     if (bit == blocks.end()) continue;
-    const BlockSet& own = *bit->second.second;
     util::BitString last_answer;
-    bool have_answer = false;
-    while (f.next_index <= params_.w && own.contains(f.ell) &&
-           oracle->remaining_budget() > 0) {
-      last_answer = oracle->query(codec_.encode_query(f.next_index, *own.find(f.ell), f.r));
-      have_answer = true;
-      core::LineAnswer a = codec_.decode_answer(last_answer);
-      f.next_index += 1;
-      f.ell = a.ell;
-      f.r = a.r;
-      ++advanced;
-    }
-    if (f.next_index > params_.w && have_answer) {
+    const std::uint64_t walked = walk_owned(codec_, *bit->second.second, *oracle, f, last_answer);
+    advanced += walked;
+    if (f.next_index > params_.w && walked > 0) {
       util::BitWriter w;
       w.write_uint(kDoneTag, kTagBits);
       w.write_uint(inst, kInstBits);
       w.write_bits(last_answer);
       io.send(0, w.take());
     } else {
-      auto owner = plan_.owner_of(f.ell);
-      if (!owner.has_value()) {
-        throw std::logic_error("BatchPointerChasingStrategy: uncovered block");
-      }
       util::BitWriter w;
       w.write_uint(static_cast<std::uint64_t>(PayloadTag::kFrontier), kTagBits);
       w.write_uint(inst, kInstBits);
       w.write_bits(f.encode(params_));
-      io.send(*owner, w.take());
+      io.send(plan_.owner_of(f.ell), w.take());
     }
   }
   trace.annotate("advance", advanced);

@@ -81,6 +81,10 @@ std::uint64_t BlockSet::encoded_bits(const core::LineParams& params, std::uint64
   return 32 + count * (params.ell_bits + params.u);
 }
 
+Frontier Frontier::start(const core::LineParams& params) {
+  return Frontier{1, 1, util::BitString(params.u)};
+}
+
 util::BitString Frontier::encode(const core::LineParams& params) const {
   util::BitWriter w;
   w.write_uint(next_index, params.index_bits);
@@ -165,9 +169,12 @@ OwnershipPlan OwnershipPlan::replicated(const core::LineParams& params, std::uin
   return plan;
 }
 
-std::optional<std::uint64_t> OwnershipPlan::owner_of(std::uint64_t index) const {
+std::uint64_t OwnershipPlan::owner_of(std::uint64_t index) const {
   auto it = lookup_.find(index);
-  if (it == lookup_.end()) return std::nullopt;
+  if (it == lookup_.end()) {
+    throw std::logic_error("OwnershipPlan: block " + std::to_string(index) +
+                           " has no owner; the plan must cover [1, v]");
+  }
   return it->second;
 }
 
@@ -183,6 +190,68 @@ std::uint64_t OwnershipPlan::heaviest_machine() const {
     if (owners_[j].size() > owners_[best].size()) best = j;
   }
   return best;
+}
+
+namespace {
+
+util::BitString tagged(PayloadTag tag, const util::BitString& body) {
+  util::BitWriter w;
+  w.write_uint(static_cast<std::uint64_t>(tag), kTagBits);
+  w.write_bits(body);
+  return w.take();
+}
+
+PayloadTag tag_of(const util::BitString& payload) {
+  const std::uint64_t tag = util::BitReader(payload).read_uint(kTagBits);
+  if (tag > static_cast<std::uint64_t>(PayloadTag::kFrontier)) {
+    throw std::invalid_argument("unknown Line payload tag " + std::to_string(tag));
+  }
+  return static_cast<PayloadTag>(tag);
+}
+
+util::BitString body_of(const util::BitString& payload) {
+  return payload.slice(kTagBits, payload.size() - kTagBits);
+}
+
+}  // namespace
+
+std::vector<util::BitString> block_shares(const core::LineParams& params, const OwnershipPlan& plan,
+                                          const core::LineInput& input) {
+  std::vector<util::BitString> shares;
+  shares.reserve(plan.machines());
+  for (std::uint64_t j = 0; j < plan.machines(); ++j) {
+    BlockSet set(params);
+    for (std::uint64_t b : plan.owned_by(j)) set.add(b, input.block(b));
+    shares.push_back(tagged(PayloadTag::kBlocks, set.encode()));
+  }
+  return shares;
+}
+
+util::BitString frontier_message(const core::LineParams& params, const Frontier& frontier) {
+  return tagged(PayloadTag::kFrontier, frontier.encode(params));
+}
+
+BlockSet decode_blocks_message(const core::LineParams& params, const util::BitString& payload) {
+  if (tag_of(payload) != PayloadTag::kBlocks) {
+    throw std::invalid_argument("decode_blocks_message: not a blocks message");
+  }
+  return BlockSet::decode(params, body_of(payload));
+}
+
+LineInbox parse_line_inbox(const core::LineParams& params, BlockSetCache& cache,
+                           const std::vector<mpc::Message>& inbox) {
+  LineInbox out;
+  for (const auto& msg : inbox) {
+    if (tag_of(msg.payload) == PayloadTag::kBlocks) {
+      out.blocks_payload = &msg.payload;
+      out.blocks = cache.find_or_decode(
+          msg.payload, [&] { return BlockSet::decode(params, body_of(msg.payload)); });
+    } else {
+      Frontier f = Frontier::decode(params, body_of(msg.payload));
+      if (!out.frontier || f.next_index > out.frontier->next_index) out.frontier = std::move(f);
+    }
+  }
+  return out;
 }
 
 }  // namespace mpch::strategies

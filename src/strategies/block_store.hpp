@@ -8,6 +8,12 @@
 //   BlockSet:  [count : 32][ (index : ell_bits)(x : u) ]*count
 //   Frontier:  [i : index_bits][ell : ell_bits][r : u]
 //
+// The Line/SimLine strategies send each record as one message, tagged
+// [tag:2][BlockSet] or [tag:2][Frontier]; this file is the one place that
+// writes and reads those tags (block_shares, frontier_message,
+// parse_line_inbox). Batch pointer-chasing frames its records with an
+// instance id and parses them itself.
+//
 // Bit accounting is intentional: a machine holding σ blocks pays
 // σ·(ell_bits + u) bits of its s-bit memory, which is the "a machine can
 // only store a constant fraction of x_i's" mechanism of the lower bound.
@@ -21,10 +27,16 @@
 #include <utility>
 #include <vector>
 
+#include "core/input.hpp"
 #include "core/params.hpp"
+#include "mpc/message.hpp"
 #include "util/bitstring.hpp"
 
 namespace mpch::strategies {
+
+/// Payload tags of the Line/SimLine strategies' messages.
+enum class PayloadTag : std::uint64_t { kBlocks = 0, kFrontier = 1 };
+constexpr std::uint64_t kTagBits = 2;
 
 /// An owned collection of (index, value) input blocks with wire (de)coding.
 class BlockSet {
@@ -92,6 +104,10 @@ struct Frontier {
   std::uint64_t ell = 1;         ///< ℓ_i
   util::BitString r;             ///< r_i (u bits)
 
+  /// The chain's start (i = 1, ℓ_1 = 1, r_1 = 0^u): public constants, so a
+  /// machine can bootstrap the walk without communication.
+  static Frontier start(const core::LineParams& params);
+
   util::BitString encode(const core::LineParams& params) const;
   static Frontier decode(const core::LineParams& params, const util::BitString& bits,
                          std::size_t* consumed_bits = nullptr);
@@ -123,8 +139,9 @@ class OwnershipPlan {
     return owners_.at(machine);
   }
 
-  /// Some machine owning block `index`; nullopt if nobody does.
-  std::optional<std::uint64_t> owner_of(std::uint64_t index) const;
+  /// Some machine owning block `index`. Throws std::logic_error if nobody
+  /// does: a frontier handed to an uncovered block would be stranded.
+  std::uint64_t owner_of(std::uint64_t index) const;
 
   /// Max blocks owned by any machine (for memory sizing).
   std::uint64_t max_owned() const;
@@ -137,5 +154,32 @@ class OwnershipPlan {
   std::vector<std::vector<std::uint64_t>> owners_;           // machine -> blocks
   std::unordered_map<std::uint64_t, std::uint64_t> lookup_;  // block -> some owner
 };
+
+/// Round-0 shares: machine j starts with one [kBlocks][BlockSet] message
+/// holding the blocks `plan` gives it.
+std::vector<util::BitString> block_shares(const core::LineParams& params, const OwnershipPlan& plan,
+                                          const core::LineInput& input);
+
+/// The [kFrontier][Frontier] message that hands the walk on.
+util::BitString frontier_message(const core::LineParams& params, const Frontier& frontier);
+
+/// The blocks of one [kBlocks][BlockSet] message. Throws
+/// std::invalid_argument on any other tag.
+BlockSet decode_blocks_message(const core::LineParams& params, const util::BitString& payload);
+
+/// One round's inbox of a Line/SimLine strategy.
+struct LineInbox {
+  std::shared_ptr<const BlockSet> blocks;           ///< null if no blocks arrived
+  const util::BitString* blocks_payload = nullptr;  ///< their message, re-sent to self
+  std::optional<Frontier> frontier;                 ///< furthest copy; first on a tie
+};
+
+/// Parse an inbox of tagged messages; block payloads are decoded through
+/// `cache`, and `blocks_payload` points into `inbox`. Broadcast strategies
+/// receive several frontier copies, which differ only if one machine
+/// advanced further, so the furthest is kept. Throws std::invalid_argument
+/// on an unknown tag.
+LineInbox parse_line_inbox(const core::LineParams& params, BlockSetCache& cache,
+                           const std::vector<mpc::Message>& inbox);
 
 }  // namespace mpch::strategies

@@ -17,7 +17,7 @@
 #include "core/line.hpp"
 #include "mpc/simulation.hpp"
 #include "strategies/block_store.hpp"
-#include "strategies/pointer_chasing.hpp"
+#include "strategies/pointer_chasing.hpp"  // walk_owned
 
 namespace mpch::strategies {
 
@@ -31,7 +31,9 @@ class ColludingStrategy final : public mpc::MpcAlgorithm,
 
   std::string name() const override { return "colluding-broadcast"; }
 
-  std::vector<util::BitString> make_initial_memory(const core::LineInput& input) const;
+  std::vector<util::BitString> make_initial_memory(const core::LineInput& input) const {
+    return block_shares(params_, plan_, input);
+  }
 
   /// Inbox worst case: own blocks + one frontier from every machine.
   std::uint64_t required_local_memory() const;
@@ -42,14 +44,6 @@ class ColludingStrategy final : public mpc::MpcAlgorithm,
   analysis::ProtocolSpec protocol_spec() const override;
 
  private:
-  struct ParsedInbox {
-    std::shared_ptr<const BlockSet> blocks;
-    util::BitString blocks_payload;
-    bool has_frontier = false;
-    Frontier frontier;  // furthest frontier among received copies
-  };
-  ParsedInbox parse_inbox(const std::vector<mpc::Message>& inbox);
-
   core::LineParams params_;
   core::LineCodec codec_;
   OwnershipPlan plan_;

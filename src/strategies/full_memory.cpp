@@ -2,27 +2,10 @@
 
 #include <stdexcept>
 
-#include "util/serialize.hpp"
-
 namespace mpch::strategies {
 
 FullMemoryStrategy::FullMemoryStrategy(const core::LineParams& params, OwnershipPlan plan)
     : params_(params), codec_(params), plan_(std::move(plan)) {}
-
-std::vector<util::BitString> FullMemoryStrategy::make_initial_memory(
-    const core::LineInput& input) const {
-  std::vector<util::BitString> shares;
-  shares.reserve(plan_.machines());
-  for (std::uint64_t j = 0; j < plan_.machines(); ++j) {
-    BlockSet set(params_);
-    for (std::uint64_t b : plan_.owned_by(j)) set.add(b, input.block(b));
-    util::BitWriter w;
-    w.write_uint(static_cast<std::uint64_t>(PayloadTag::kBlocks), kTagBits);
-    w.write_bits(set.encode());
-    shares.push_back(w.take());
-  }
-  return shares;
-}
 
 std::uint64_t FullMemoryStrategy::required_local_memory() const {
   // Worst case the gather target receives one tagged BlockSet per machine.
@@ -89,13 +72,7 @@ void FullMemoryStrategy::run_machine(mpc::MachineIo& io, hash::CountingOracle* o
   // Machine 0: merge all block sets, then walk the whole chain locally.
   BlockSet all(params_);
   for (const auto& msg : *io.inbox) {
-    util::BitReader r(msg.payload);
-    auto tag = static_cast<PayloadTag>(r.read_uint(kTagBits));
-    if (tag != PayloadTag::kBlocks) {
-      throw std::invalid_argument("FullMemoryStrategy: unexpected payload tag");
-    }
-    util::BitString body = msg.payload.slice(kTagBits, msg.payload.size() - kTagBits);
-    BlockSet part = BlockSet::decode(params_, body);
+    BlockSet part = decode_blocks_message(params_, msg.payload);
     for (std::uint64_t idx : part.indices()) all.add(idx, *part.find(idx));
   }
   if (all.size() != params_.v) {

@@ -15,7 +15,6 @@
 #include "core/line.hpp"
 #include "mpc/simulation.hpp"
 #include "strategies/block_store.hpp"
-#include "strategies/pointer_chasing.hpp"
 
 namespace mpch::strategies {
 
@@ -29,7 +28,9 @@ class FullMemoryStrategy final : public mpc::MpcAlgorithm,
 
   std::string name() const override { return "full-memory"; }
 
-  std::vector<util::BitString> make_initial_memory(const core::LineInput& input) const;
+  std::vector<util::BitString> make_initial_memory(const core::LineInput& input) const {
+    return block_shares(params_, plan_, input);
+  }
 
   /// Memory the gather target needs: all v blocks plus tags.
   std::uint64_t required_local_memory() const;

@@ -16,7 +16,7 @@
 #include "core/simline.hpp"
 #include "mpc/simulation.hpp"
 #include "strategies/block_store.hpp"
-#include "strategies/pointer_chasing.hpp"  // PayloadTag
+#include "strategies/pointer_chasing.hpp"  // carrier_spec, finish_or_hand_off
 
 namespace mpch::strategies {
 
@@ -31,8 +31,10 @@ class PipelinedSimLineStrategy final : public mpc::MpcAlgorithm,
 
   std::string name() const override { return "pipelined-simline"; }
 
-  std::vector<util::BitString> make_initial_memory(const core::LineInput& input) const;
-  std::uint64_t required_local_memory() const;
+  std::vector<util::BitString> make_initial_memory(const core::LineInput& input) const {
+    return block_shares(params_, plan_, input);
+  }
+  std::uint64_t required_local_memory() const { return carrier_memory(params_, plan_); }
 
   /// Closed-form round count this strategy achieves for the given plan:
   /// the number of window hand-offs to cover w nodes (exact, deterministic —
@@ -43,21 +45,15 @@ class PipelinedSimLineStrategy final : public mpc::MpcAlgorithm,
   /// advance (and query) worst case the spec declares.
   std::uint64_t worst_round_advance() const;
 
-  /// Declared envelope: window-walking keeps fan-in/out at 2 while the
-  /// per-round query bound is the longest owned run in the public schedule;
-  /// the declared round count is w (sound for any q >= 1 — the achieved
-  /// count is predicted_rounds() when q covers a full window).
-  analysis::ProtocolSpec protocol_spec() const override;
+  /// Declared envelope: the carrier's, whose per-round query bound is the
+  /// longest owned run in the public schedule; the declared round count is w
+  /// (sound for any q >= 1 — the achieved count is predicted_rounds() when q
+  /// covers a full window).
+  analysis::ProtocolSpec protocol_spec() const override {
+    return carrier_spec(name(), params_, plan_, worst_round_advance());
+  }
 
  private:
-  struct ParsedInbox {
-    std::shared_ptr<const BlockSet> blocks;
-    util::BitString blocks_payload;
-    bool has_frontier = false;
-    Frontier frontier;  // `ell` reused as the scheduled block index
-  };
-  ParsedInbox parse_inbox(const std::vector<mpc::Message>& inbox);
-
   core::LineParams params_;
   core::SimLineCodec codec_;
   OwnershipPlan plan_;

@@ -11,11 +11,15 @@
 //
 // All cross-round state is carried in messages (the model's discipline):
 // every machine re-sends its block set to itself each round; the frontier
-// travels to the next owner. Message payloads are tagged:
-//   [tag:2] 0 = block set, 1 = frontier.
+// travels to the next owner. The messages are block_store's tagged records.
+//
+// The carrier helpers below are shared: the walk loop with colluding and
+// batch pointer-chasing, the end-of-round step and the envelope with
+// pipelined SimLine and speculative, which keep pointer-chasing's shape.
 #pragma once
 
 #include <cstdint>
+#include <string>
 
 #include "analysis/protocol_spec.hpp"
 #include "core/line.hpp"
@@ -24,9 +28,30 @@
 
 namespace mpch::strategies {
 
-/// Payload tags shared by the Line/SimLine strategies.
-enum class PayloadTag : std::uint64_t { kBlocks = 0, kFrontier = 1 };
-constexpr std::uint64_t kTagBits = 2;
+/// Advance `f` along Line's chain while its next block is in `blocks` and
+/// the round's query budget lasts. Returns the nodes advanced; when that is
+/// nonzero, `last_answer` holds the last oracle answer.
+std::uint64_t walk_owned(const core::LineCodec& codec, const BlockSet& blocks,
+                         hash::CountingOracle& oracle, Frontier& f,
+                         util::BitString& last_answer);
+
+/// End a carrier's round: once `f` is past node w, the last answer is the
+/// output; otherwise `f` goes to an owner of its next block ℓ.
+void finish_or_hand_off(mpc::MachineIo& io, const core::LineParams& params,
+                        const OwnershipPlan& plan, const Frontier& f, std::uint64_t advanced,
+                        util::BitString last_answer);
+
+/// Local memory (bits) a carrier machine needs under `plan`: its tagged block
+/// set plus one tagged frontier.
+std::uint64_t carrier_memory(const core::LineParams& params, const OwnershipPlan& plan);
+
+/// Declared envelope of a single-carrier walk: one block set + one frontier
+/// of memory, fan-in/out 2 (blocks-to-self + the single global frontier), up
+/// to `oracle_queries` budget-clamped queries per round, and at most w rounds
+/// (>= 1 advance per round once bootstrapped, since hand-offs go to the
+/// block's owner).
+analysis::ProtocolSpec carrier_spec(std::string protocol, const core::LineParams& params,
+                                    const OwnershipPlan& plan, std::uint64_t oracle_queries);
 
 class PointerChasingStrategy final : public mpc::MpcAlgorithm,
                                      public analysis::ProtocolSpecProvider {
@@ -42,30 +67,22 @@ class PointerChasingStrategy final : public mpc::MpcAlgorithm,
   std::string name() const override { return "pointer-chasing"; }
 
   /// Build the round-0 input shares for `input` under the ownership plan.
-  std::vector<util::BitString> make_initial_memory(const core::LineInput& input) const;
+  std::vector<util::BitString> make_initial_memory(const core::LineInput& input) const {
+    return block_shares(params_, plan_, input);
+  }
 
-  /// Local memory (bits) a machine needs under this plan: its block set plus
-  /// one frontier plus tags. Pass to MpcConfig::local_memory_bits.
-  std::uint64_t required_local_memory() const;
+  /// Pass to MpcConfig::local_memory_bits.
+  std::uint64_t required_local_memory() const { return carrier_memory(params_, plan_); }
 
-  /// Declared worst-case envelope: one block set + one frontier of memory,
-  /// fan-in/out 2 (blocks-to-self + the single global frontier), up to w
-  /// budget-clamped queries per round, and at most w rounds (>= 1 advance
-  /// per round once bootstrapped, since hand-offs go to the block's owner).
-  analysis::ProtocolSpec protocol_spec() const override;
+  /// The carrier envelope with up to w queries per round (the whole
+  /// remaining chain, if locally owned).
+  analysis::ProtocolSpec protocol_spec() const override {
+    return carrier_spec(name(), params_, plan_, params_.w);
+  }
 
   const OwnershipPlan& plan() const { return plan_; }
 
  private:
-  struct ParsedInbox {
-    std::shared_ptr<const BlockSet> blocks;
-    util::BitString blocks_payload;  // re-sent verbatim to self
-    bool has_frontier = false;
-    Frontier frontier;
-  };
-
-  ParsedInbox parse_inbox(const std::vector<mpc::Message>& inbox);
-
   core::LineParams params_;
   core::LineCodec codec_;
   OwnershipPlan plan_;

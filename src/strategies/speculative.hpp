@@ -19,6 +19,7 @@
 // charitable adversary at cryptographic u.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 
@@ -49,26 +50,23 @@ class SpeculativeStrategy final : public mpc::MpcAlgorithm,
 
   std::string name() const override { return "speculative"; }
 
-  std::vector<util::BitString> make_initial_memory(const core::LineInput& input) const;
-  std::uint64_t required_local_memory() const;
+  std::vector<util::BitString> make_initial_memory(const core::LineInput& input) const {
+    return block_shares(params_, plan_, input);
+  }
+  std::uint64_t required_local_memory() const { return carrier_memory(params_, plan_); }
 
   /// Declared envelope: pointer-chasing's shape, with the per-round query
   /// bound inflated to w * max(1, guesses_per_stall) — every node may cost a
   /// full burst of guesses (budget-clamped).
-  analysis::ProtocolSpec protocol_spec() const override;
+  analysis::ProtocolSpec protocol_spec() const override {
+    return carrier_spec(name(), params_, plan_,
+                        params_.w * std::max<std::uint64_t>(1, config_.guesses_per_stall));
+  }
 
   /// Total stalls escaped by a correct guess across the run so far.
   std::uint64_t lucky_escapes() const { return lucky_escapes_.load(std::memory_order_relaxed); }
 
  private:
-  struct ParsedInbox {
-    std::shared_ptr<const BlockSet> blocks;
-    util::BitString blocks_payload;
-    bool has_frontier = false;
-    Frontier frontier;
-  };
-  ParsedInbox parse_inbox(const std::vector<mpc::Message>& inbox);
-
   core::LineParams params_;
   core::LineCodec codec_;
   OwnershipPlan plan_;

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "strategies/pointer_chasing.hpp"
 #include "util/rng.hpp"
+#include "util/serialize.hpp"
 
 namespace mpch::strategies {
 namespace {
@@ -113,10 +117,8 @@ TEST(OwnershipPlan, RoundRobinCoversAllBlocks) {
   for (std::uint64_t j = 0; j < 3; ++j) total += plan.owned_by(j).size();
   EXPECT_EQ(total, p.v);
   for (std::uint64_t b = 1; b <= p.v; ++b) {
-    auto owner = plan.owner_of(b);
-    ASSERT_TRUE(owner.has_value()) << b;
     // The declared owner really owns the block.
-    const auto& owned = plan.owned_by(*owner);
+    const auto& owned = plan.owned_by(plan.owner_of(b));
     EXPECT_NE(std::find(owned.begin(), owned.end(), b), owned.end());
   }
 }
@@ -137,7 +139,7 @@ TEST(OwnershipPlan, ReplicatedIncreasesPerMachineFraction) {
   }
   // Coverage: every block has some owner (6 per machine, stride v/m = 2).
   for (std::uint64_t b = 1; b <= p.v; ++b) {
-    EXPECT_TRUE(plan.owner_of(b).has_value()) << b;
+    EXPECT_NO_THROW(plan.owner_of(b)) << b;
   }
 }
 
@@ -167,6 +169,102 @@ TEST(OwnershipPlan, MaxOwned) {
   core::LineParams p = params();
   OwnershipPlan plan = OwnershipPlan::round_robin(p, 3);
   EXPECT_EQ(plan.max_owned(), 3u);  // ceil(8/3)
+}
+
+Frontier frontier_at(const core::LineParams& p, std::uint64_t next_index, std::uint64_t r) {
+  return Frontier{next_index, 3, BitString::from_uint(r, p.u)};
+}
+
+std::vector<mpc::Message> inbox_of(const std::vector<BitString>& payloads) {
+  std::vector<mpc::Message> inbox;
+  for (const BitString& payload : payloads) inbox.push_back({0, 0, payload});
+  return inbox;
+}
+
+TEST(LineInbox, UnknownTagThrows) {
+  core::LineParams p = params();
+  BlockSetCache cache;
+  for (std::uint64_t tag : {2, 3}) {
+    util::BitWriter w;
+    w.write_uint(tag, kTagBits);
+    w.write_bits(frontier_at(p, 1, 0).encode(p));
+    EXPECT_THROW(parse_line_inbox(p, cache, inbox_of({w.take()})), std::invalid_argument) << tag;
+  }
+}
+
+TEST(LineInbox, KeepsFurthestFrontierAndFirstOnTie) {
+  core::LineParams p = params();
+  BlockSetCache cache;
+  LineInbox parsed = parse_line_inbox(
+      p, cache,
+      inbox_of({frontier_message(p, frontier_at(p, 5, 0xA)),
+                frontier_message(p, frontier_at(p, 9, 0xB)),
+                frontier_message(p, frontier_at(p, 9, 0xC)),
+                frontier_message(p, frontier_at(p, 7, 0xD))}));
+  ASSERT_TRUE(parsed.frontier.has_value());
+  EXPECT_EQ(parsed.frontier->next_index, 9u);
+  EXPECT_EQ(parsed.frontier->r, BitString::from_uint(0xB, p.u));
+}
+
+TEST(LineInbox, EmptyInboxHoldsNothing) {
+  core::LineParams p = params();
+  BlockSetCache cache;
+  LineInbox parsed = parse_line_inbox(p, cache, {});
+  EXPECT_EQ(parsed.blocks, nullptr);
+  EXPECT_EQ(parsed.blocks_payload, nullptr);
+  EXPECT_FALSE(parsed.frontier.has_value());
+}
+
+TEST(LineInbox, RepeatedBlocksPayloadIsDecodedOnce) {
+  core::LineParams p = params();
+  util::Rng rng(3);
+  core::LineInput input = core::LineInput::random(p, rng);
+  const std::vector<BitString> shares =
+      block_shares(p, OwnershipPlan::round_robin(p, 2), input);
+  BlockSetCache cache;
+  const std::vector<mpc::Message> inbox = inbox_of({shares[0]});
+  LineInbox first = parse_line_inbox(p, cache, inbox);
+  LineInbox again = parse_line_inbox(p, cache, inbox_of({shares[0]}));
+  ASSERT_NE(first.blocks, nullptr);
+  EXPECT_EQ(first.blocks, again.blocks);  // the cached parse, not a fresh decode
+  EXPECT_NE(parse_line_inbox(p, cache, inbox_of({shares[1]})).blocks, first.blocks);
+}
+
+TEST(LineInbox, SharesAndFrontierMessagesRoundTrip) {
+  core::LineParams p = params();
+  util::Rng rng(4);
+  core::LineInput input = core::LineInput::random(p, rng);
+  OwnershipPlan plan = OwnershipPlan::round_robin(p, 3);
+  const std::vector<BitString> shares = block_shares(p, plan, input);
+  ASSERT_EQ(shares.size(), 3u);
+  const Frontier sent = frontier_at(p, 6, 0x5A);
+  for (std::uint64_t j = 0; j < 3; ++j) {
+    BlockSetCache cache;
+    const std::vector<mpc::Message> inbox =
+        inbox_of({frontier_message(p, sent), shares[j]});
+    LineInbox parsed = parse_line_inbox(p, cache, inbox);
+    EXPECT_EQ(parsed.blocks_payload, &inbox[1].payload);
+    ASSERT_NE(parsed.blocks, nullptr);
+    EXPECT_EQ(parsed.blocks->indices(), plan.owned_by(j));
+    for (std::uint64_t b : plan.owned_by(j)) EXPECT_EQ(*parsed.blocks->find(b), input.block(b));
+    EXPECT_EQ(decode_blocks_message(p, shares[j]).indices(), plan.owned_by(j));
+    ASSERT_TRUE(parsed.frontier.has_value());
+    EXPECT_EQ(parsed.frontier->next_index, sent.next_index);
+    EXPECT_EQ(parsed.frontier->ell, sent.ell);
+    EXPECT_EQ(parsed.frontier->r, sent.r);
+  }
+  EXPECT_THROW(decode_blocks_message(p, frontier_message(p, sent)), std::invalid_argument);
+}
+
+TEST(LineInbox, HandOffToUncoveredBlockThrows) {
+  core::LineParams p = params();
+  OwnershipPlan plan = OwnershipPlan::round_robin(p, 2);
+  EXPECT_THROW(plan.owner_of(p.v + 1), std::logic_error);
+  mpc::MachineIo io;
+  Frontier f = frontier_at(p, 2, 0);
+  f.ell = p.v + 1;
+  EXPECT_THROW(finish_or_hand_off(io, p, plan, f, 1, BitString(p.n)), std::logic_error);
+  EXPECT_TRUE(io.outbox.empty());
 }
 
 }  // namespace

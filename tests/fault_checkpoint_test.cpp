@@ -4,26 +4,25 @@
 // bits) is rejected with a diagnostic naming what failed, file round-trips
 // survive, make_resume_state rebuilds the oracle memo from the transcript
 // and re-verifies it against the supplied oracle's seed, and the wire bytes
-// of a real run's checkpoints match a recorded digest.
+// of every catalog strategy's checkpoints match a recorded digest.
 #include "fault/checkpoint.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "core/line.hpp"
 #include "hash/random_oracle.hpp"
 #include "hash/sha256.hpp"
 #include "hash_reference.hpp"
 #include "mpc/simulation.hpp"
-#include "strategies/pointer_chasing.hpp"
-#include "util/rng.hpp"
+#include "serve/scenario.hpp"
 #include "util/serialize.hpp"
 
 namespace mpch {
@@ -296,38 +295,59 @@ class WireDigest : public mpc::RoundObserver {
   std::size_t wires_ = 0;
 };
 
-TEST(Checkpoint, PointerChasingWireBytesMatchGoldenDigest) {
-  // Seed 1, checkpointed at every barrier, once plain and once with MAC
-  // tags (which move every payload off byte alignment). The digest pins
-  // the version-2 wire format, whose oracle section holds only the domain
-  // and range; a codec change that moves one wire bit fails here.
-  core::LineParams params = core::LineParams::make(64, 16, 8, 96);
-  util::Rng rng(1);
-  core::LineInput input = core::LineInput::random(params, rng);
-  strategies::PointerChasingStrategy strat(params,
-                                           strategies::OwnershipPlan::round_robin(params, 4));
-  std::vector<BitString> initial = strat.make_initial_memory(input);
+/// One strategy's pinned wire digest: the serve catalog's scenario at seed
+/// 1, checkpointed at every barrier, once plain and once with MAC tags.
+struct GoldenWires {
+  const char* strategy;
+  std::size_t wires;
+  const char* digest;
+};
 
-  hash::Sha256 runs;
-  std::size_t wires = 0;
-  for (bool authenticate : {false, true}) {
-    mpc::MpcConfig config;
-    config.machines = 4;
-    config.local_memory_bits = 4 * strat.required_local_memory();  // room for tags
-    config.query_budget = 1 << 20;
-    config.tape_seed = 1;
-    config.authenticate_messages = authenticate;
-    auto oracle = std::make_shared<hash::LazyRandomOracle>(params.n, params.n, 1);
-    WireDigest digest(config, oracle.get());
-    digest.absorb(fault::serialize(fault::initial_checkpoint(config, initial, oracle.get())));
-    mpc::MpcSimulation sim(config, oracle);
-    ASSERT_TRUE(sim.run(strat, initial, &digest).completed);
-    wires += digest.wires();
-    runs.update(digest.hex());
+constexpr GoldenWires kGoldenWires[] = {
+    {"pointer-chasing", 148,
+     "d08ff21903c60b994983b627bdc573fa456019e02d3aa6553828091374710a1e"},
+    {"batch-pointer-chasing", 212,
+     "88abef131fb0565d71ed87d4cf54cfe90f016f4f4d3726dc7c20f4e2fb3dfb7b"},
+    {"speculative", 164,
+     "b1880f93edca6adfd015cf9c2dae10976c077cd4bbcf93fa8dfb0b8d5fc01b5e"},
+    {"pipelined-simline", 130,
+     "4c802a3e644cd2503f67726b8b8bb0332a69c878d9a72bcb40ae5ebf36650d5f"},
+    {"colluding", 172,
+     "797c0ee0c78f922967fc951c978e9aafc23e21e42450f222c3ef6dd53da069d6"},
+    {"dictionary", 6,
+     "b37633335ce0dcc8800482bba921d22ae1c39337e637975cab113d1f16f22c13"},
+    {"full-memory", 6,
+     "57a7e8ce66d2a72b226bea498bfa79673a177ba3546b4711028ec49fb929cac5"},
+    {"ram-emulation", 128,
+     "92054cc5ace8095220e09bd8ef61a15236725cfee9ed47be42e212d3a5e93858"},
+};
+
+TEST(Checkpoint, EveryStrategyWireBytesMatchGoldenDigest) {
+  // The digests pin every message bit each strategy sends (plus the
+  // version-2 wire format, whose oracle section holds only the domain and
+  // range); MAC tags move every payload off byte alignment. A strategy or
+  // codec change that moves one wire bit fails here.
+  ASSERT_EQ(std::size(kGoldenWires), serve::strategy_names().size());
+  for (std::size_t k = 0; k < std::size(kGoldenWires); ++k) {
+    const GoldenWires& golden = kGoldenWires[k];
+    SCOPED_TRACE(golden.strategy);
+    ASSERT_EQ(serve::strategy_names()[k], golden.strategy);
+    hash::Sha256 runs;
+    std::size_t wires = 0;
+    for (bool authenticate : {false, true}) {
+      serve::Scenario sc = serve::make_scenario(golden.strategy, 1, 0);
+      serve::apply_run_options(&sc, transport::TransportKind::kInProcess, 0, authenticate);
+      std::shared_ptr<hash::LazyRandomOracle> oracle = sc.make_oracle();
+      WireDigest digest(sc.config, oracle.get());
+      digest.absorb(fault::serialize(fault::initial_checkpoint(sc.config, sc.initial, oracle.get())));
+      mpc::MpcSimulation sim(sc.config, oracle);
+      ASSERT_TRUE(sim.run(*sc.algo, sc.initial, &digest).completed);
+      wires += digest.wires();
+      runs.update(digest.hex());
+    }
+    EXPECT_EQ(wires, golden.wires);
+    EXPECT_EQ(hash::Sha256::to_hex(runs.digest()), golden.digest);
   }
-  EXPECT_EQ(wires, 148u);
-  EXPECT_EQ(hash::Sha256::to_hex(runs.digest()),
-            "b9dd307a0c01d363e17b04acab644feaaa5735949b34c5ca7a9c98a2fc08fd67");
 }
 
 TEST(Checkpoint, InconsistentInboxCountIsRejected) {
