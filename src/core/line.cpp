@@ -49,13 +49,15 @@ util::BitString LineFunction::evaluate(hash::RandomOracle& oracle, const LineInp
   return answer;
 }
 
-LineChain LineFunction::evaluate_chain(hash::RandomOracle& oracle, const LineInput& input) const {
+LineChain LineFunction::evaluate_chain(hash::RandomOracle& oracle, const LineInput& input,
+                                       std::optional<std::uint64_t> nodes) const {
+  const std::uint64_t count = params_.chain_nodes(nodes);
   LineChain chain;
-  chain.nodes.reserve(params_.w);
+  chain.nodes.reserve(count);
 
   std::uint64_t ell = 1;
   util::BitString r(params_.u);
-  for (std::uint64_t i = 1; i <= params_.w; ++i) {
+  for (std::uint64_t i = 1; i <= count; ++i) {
     LineChainNode node;
     node.index = i;
     node.ell = ell;
@@ -67,7 +69,7 @@ LineChain LineFunction::evaluate_chain(hash::RandomOracle& oracle, const LineInp
     r = parsed.r;
     chain.nodes.push_back(std::move(node));
   }
-  chain.output = chain.nodes.back().answer;
+  if (count == params_.w) chain.output = chain.nodes.back().answer;
   return chain;
 }
 

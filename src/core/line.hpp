@@ -55,8 +55,11 @@ class LineFunction {
                            ram::RamMeter* meter = nullptr) const;
 
   /// Evaluate and keep the whole chain (O(w·n) memory — for analysis, not a
-  /// model-respecting RAM run).
-  LineChain evaluate_chain(hash::RandomOracle& oracle, const LineInput& input) const;
+  /// model-respecting RAM run). With `nodes`, evaluate only nodes
+  /// 1..*nodes (std::invalid_argument outside [1, w]) and leave `output`
+  /// empty unless that is all w of them.
+  LineChain evaluate_chain(hash::RandomOracle& oracle, const LineInput& input,
+                           std::optional<std::uint64_t> nodes = std::nullopt) const;
 
   const LineParams& params() const { return params_; }
   const LineCodec& codec() const { return codec_; }

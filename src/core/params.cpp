@@ -36,6 +36,15 @@ std::string LineParams::to_string() const {
   return ss.str();
 }
 
+std::uint64_t LineParams::chain_nodes(std::optional<std::uint64_t> nodes) const {
+  if (!nodes.has_value()) return w;
+  if (*nodes == 0 || *nodes > w) {
+    throw std::invalid_argument("LineParams: chain of " + std::to_string(*nodes) +
+                                " nodes is outside [1, w=" + std::to_string(w) + "]");
+  }
+  return *nodes;
+}
+
 LineParams PaperRegime::derive_line_params() const {
   std::uint64_t u = n / 3;
   if (u == 0) throw std::invalid_argument("PaperRegime: n too small (u = n/3 = 0)");

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -48,6 +49,11 @@ struct LineParams {
 
   /// z-width in Line answers (redundant output).
   std::uint64_t z_bits() const { return n - ell_bits - u; }
+
+  /// How many chain nodes an evaluate_chain(…, nodes) call evaluates: all w
+  /// when `nodes` is empty, else *nodes. Throws std::invalid_argument
+  /// outside [1, w].
+  std::uint64_t chain_nodes(std::optional<std::uint64_t> nodes) const;
 
   std::string to_string() const;
 };

@@ -35,13 +35,14 @@ util::BitString SimLineFunction::evaluate(hash::RandomOracle& oracle, const Line
   return answer;
 }
 
-SimLineChain SimLineFunction::evaluate_chain(hash::RandomOracle& oracle,
-                                             const LineInput& input) const {
+SimLineChain SimLineFunction::evaluate_chain(hash::RandomOracle& oracle, const LineInput& input,
+                                             std::optional<std::uint64_t> nodes) const {
+  const std::uint64_t count = params_.chain_nodes(nodes);
   SimLineChain chain;
-  chain.nodes.reserve(params_.w);
+  chain.nodes.reserve(count);
 
   util::BitString r(params_.u);
-  for (std::uint64_t i = 1; i <= params_.w; ++i) {
+  for (std::uint64_t i = 1; i <= count; ++i) {
     SimLineChainNode node;
     node.index = i;
     node.block = scheduled_block(i);
@@ -51,7 +52,7 @@ SimLineChain SimLineFunction::evaluate_chain(hash::RandomOracle& oracle,
     r = codec_.decode_answer(node.answer).r;
     chain.nodes.push_back(std::move(node));
   }
-  chain.output = chain.nodes.back().answer;
+  if (count == params_.w) chain.output = chain.nodes.back().answer;
   return chain;
 }
 

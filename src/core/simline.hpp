@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "core/codec.hpp"
@@ -51,7 +52,10 @@ class SimLineFunction {
   util::BitString evaluate(hash::RandomOracle& oracle, const LineInput& input,
                            ram::RamMeter* meter = nullptr) const;
 
-  SimLineChain evaluate_chain(hash::RandomOracle& oracle, const LineInput& input) const;
+  /// Evaluate and keep the chain; `nodes` bounds it as in
+  /// LineFunction::evaluate_chain.
+  SimLineChain evaluate_chain(hash::RandomOracle& oracle, const LineInput& input,
+                              std::optional<std::uint64_t> nodes = std::nullopt) const;
 
   const LineParams& params() const { return params_; }
   const SimLineCodec& codec() const { return codec_; }

@@ -113,6 +113,29 @@ void write_payload(util::BitWriter& w, const Checkpoint& cp) {
   }
 }
 
+// One RoundStats record: five counters and seven (value, machine) peaks.
+constexpr std::uint64_t kRoundStatsBits = 5 * 64 + 7 * 128;
+
+/// The number of bits write_payload writes for `cp`, field by field in the
+/// same order; every count and length prefix is one 64-bit word.
+std::uint64_t payload_field_bits(const Checkpoint& cp) {
+  std::uint64_t bits = 5 * 64 + 64;  // next_round .. tape_seed, inbox count
+  for (const auto& inbox : cp.inboxes) {
+    bits += 64;
+    for (const auto& msg : inbox) bits += 3 * 64 + msg.payload.size();
+  }
+  bits += 64 + cp.rounds.size() * kRoundStatsBits;
+  bits += 64;
+  for (const auto& [key, values] : cp.annotations) {
+    bits += 64 + 8 * key.size() + 64 + 64 * values.size();
+  }
+  bits += 64;
+  for (const auto& rec : cp.transcript) {
+    bits += 3 * 64 + 64 + rec.input.size() + 64 + rec.output.size();
+  }
+  return bits + 1 + (cp.has_oracle ? 2 * 64 : 0);
+}
+
 /// Read an element count and reject it unless `min_bits_per_item` elements
 /// could actually fit in the remaining payload — a hostile count would
 /// otherwise drive the resize() below it into std::length_error / OOM
@@ -147,7 +170,7 @@ Checkpoint deserialize_payload(util::BitReader& r) {
     }
   }
 
-  std::uint64_t n_rounds = read_count(r, 5 * 64 + 7 * 128, "round-stats");
+  std::uint64_t n_rounds = read_count(r, kRoundStatsBits, "round-stats");
   cp.rounds.resize(n_rounds);
   for (auto& s : cp.rounds) {
     s.round = r.read_uint(64);
@@ -230,6 +253,8 @@ util::BitString serialize(const Checkpoint& cp) {
   write_payload(w, cp);
   return seal_frame(w);
 }
+
+std::uint64_t encoded_bits(const Checkpoint& cp) { return kHeaderBits + payload_field_bits(cp); }
 
 util::BitString frame_checkpoint_payload(const util::BitString& payload) {
   util::BitWriter w = start_frame();

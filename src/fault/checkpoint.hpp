@@ -88,6 +88,10 @@ Checkpoint initial_checkpoint(const mpc::MpcConfig& config,
 /// Serialise to the versioned, checksummed wire format.
 util::BitString serialize(const Checkpoint& cp);
 
+/// serialize(cp).size(), counted from the field sizes without encoding or
+/// checksumming anything: what a save costs in bits when nobody reads it.
+std::uint64_t encoded_bits(const Checkpoint& cp);
+
 /// Parse and integrity-check a serialised checkpoint. Throws CheckpointError
 /// (bad magic / unsupported version / checksum mismatch / truncation) with a
 /// diagnostic naming what failed.

@@ -47,16 +47,29 @@ Checkpointer::Checkpointer(mpc::MpcConfig config, const hash::LazyRandomOracle* 
 void Checkpointer::after_round(const mpc::RoundSnapshot& snapshot) {
   if (snapshot.completed && !capture_final_) return;  // the run is over; nothing to resume
   if (!snapshot.completed && !snapshot_due(snapshot.round, every_)) return;
-  util::BitString encoded = serialize(capture(snapshot, config_, oracle_));
-  bytes_last_ = (encoded.size() + 7) / 8;
+  held_ = capture(snapshot, config_, oracle_);
+  encoded_latest_.reset();
+  bytes_last_ = (encoded_bits(*held_) + 7) / 8;
   bytes_total_ += bytes_last_;
   ++checkpoints_taken_;
-  if (!file_path_.empty()) util::write_bits_file(file_path_, encoded);
+  if (!file_path_.empty()) util::write_bits_file(file_path_, *latest_encoded());
+}
+
+void Checkpointer::set_latest(util::BitString encoded) {
+  held_.reset();
   encoded_latest_ = std::move(encoded);
 }
 
+const std::optional<util::BitString>& Checkpointer::latest_encoded() const {
+  if (held_.has_value()) {
+    encoded_latest_ = serialize(*held_);
+    held_.reset();
+  }
+  return encoded_latest_;
+}
+
 bool Checkpointer::corrupt_latest_encoded(std::uint64_t bit) {
-  if (!encoded_latest_.has_value() || encoded_latest_->empty()) return false;
+  if (!latest_encoded().has_value() || encoded_latest_->empty()) return false;
   std::size_t pos = static_cast<std::size_t>(bit % encoded_latest_->size());
   encoded_latest_->set(pos, !encoded_latest_->get(pos));
   if (!file_path_.empty()) util::write_bits_file(file_path_, *encoded_latest_);

@@ -39,11 +39,14 @@
 // ChaosHarness::run is the one dispatch over the policy names in
 // kPolicyNames.
 //
-// Snapshots are kept only in their serialised (checksummed) wire form, so
-// every restore passes the format's integrity checks: post-save checkpoint
-// tampering (the tamper-ckpt verb, which the FaultInjector applies to the
+// Every restore decodes a snapshot's serialised (checksummed) wire form, so
+// it passes the format's integrity checks: post-save checkpoint tampering
+// (the tamper-ckpt verb, which the FaultInjector applies to the
 // Checkpointer's stored bits) is caught at restore time instead of resuming
-// corrupted state.
+// corrupted state. The Checkpointer holds each periodic save as a captured
+// Checkpoint value and builds those bytes only when something first reads
+// them, since most saves are never restored; their byte costs come from
+// encoded_bits, so every RecoveryCost is what encoding each save would give.
 #pragma once
 
 #include <array>
@@ -65,11 +68,14 @@
 namespace mpch::fault {
 
 /// RoundObserver that snapshots the execution every `every` rounds at the
-/// barrier. Keeps the latest checkpoint in its serialised wire form — the
-/// form every restore decodes, so the checksum guards each rollback —
-/// optionally mirrors it to a file, and tracks byte costs. Rebind the oracle
-/// after a restore — the replacement oracle is a different object at the
-/// same logical state.
+/// barrier, optionally mirrors each snapshot to a file, and tracks byte
+/// costs. A save holds the captured Checkpoint; latest_encoded() builds its
+/// checksummed wire bytes on the first call after the save and caches them,
+/// so an unread save costs one capture copy while every restore still
+/// decodes (and checksums) the wire form. The file mirror and tamper-ckpt
+/// read the bytes, so they encode at every save. Rebind the oracle after a
+/// restore — the replacement oracle is a different object at the same
+/// logical state. Not thread-safe: latest_encoded() fills its cache.
 class Checkpointer : public mpc::RoundObserver {
  public:
   Checkpointer(mpc::MpcConfig config, const hash::LazyRandomOracle* oracle, std::uint64_t every,
@@ -80,20 +86,23 @@ class Checkpointer : public mpc::RoundObserver {
   void rebind_oracle(const hash::LazyRandomOracle* oracle) { oracle_ = oracle; }
   /// Seed the checkpointer with a pre-existing serialised snapshot (e.g. the
   /// initial state) so rollback before the first periodic snapshot is
-  /// possible.
-  void set_latest(util::BitString encoded) { encoded_latest_ = std::move(encoded); }
+  /// possible. Stored as given; costs are not counted.
+  void set_latest(util::BitString encoded);
 
   /// The latest snapshot in its serialised wire form — what recovery
   /// policies restore from, so the checksummed format actually guards the
   /// rollback path (a post-save mutation throws CheckpointError on restore).
-  const std::optional<util::BitString>& latest_encoded() const { return encoded_latest_; }
+  /// Encodes the held snapshot on the first call after a save.
+  const std::optional<util::BitString>& latest_encoded() const;
   /// Chaos hook (the tamper-ckpt verb): XOR-flip bit `bit % size` of the
   /// stored encoded snapshot and of its file mirror, modelling storage
-  /// corruption after a successful save. Returns false if no snapshot
-  /// exists yet.
+  /// corruption after a successful save; the flipped image is what later
+  /// reads return. Returns false if no snapshot exists yet.
   bool corrupt_latest_encoded(std::uint64_t bit);
 
   std::uint64_t checkpoints_taken() const { return checkpoints_taken_; }
+  /// Wire size of the latest save and of all saves, in whole bytes
+  /// (encoded_bits, so unread saves are never encoded to count them).
   std::uint64_t bytes_last() const { return bytes_last_; }
   std::uint64_t bytes_total() const { return bytes_total_; }
 
@@ -103,7 +112,10 @@ class Checkpointer : public mpc::RoundObserver {
   std::uint64_t every_;
   std::string file_path_;
   bool capture_final_;
-  std::optional<util::BitString> encoded_latest_;
+  // At most one is set: the latest save not yet read, or its wire bytes
+  // once read (then the held value is dropped).
+  mutable std::optional<Checkpoint> held_;
+  mutable std::optional<util::BitString> encoded_latest_;
   std::uint64_t checkpoints_taken_ = 0;
   std::uint64_t bytes_last_ = 0;
   std::uint64_t bytes_total_ = 0;

@@ -31,18 +31,20 @@ GuessAheadOutcome run_guess_ahead_trials(const GuessAheadConfig& config, std::ui
     std::uint64_t target =
         config.target_node != 0 ? config.target_node : 2 + trial_rng.next_below(p.w - 1);
 
+    // Only nodes 1..target are evaluated: the chain draws nothing from
+    // trial_rng, so stopping early changes no guess.
     util::BitString correct_entry;
     util::BitString known_x;
     if (config.simline) {
       core::SimLineFunction f(p);
-      core::SimLineChain chain = f.evaluate_chain(oracle, input);
-      const auto& node = chain.nodes[target - 1];
+      core::SimLineChain chain = f.evaluate_chain(oracle, input, target);
+      const auto& node = chain.nodes.at(target - 1);
       correct_entry = node.query;
       known_x = input.block(node.block);  // schedule is public: adversary knows x
     } else {
       core::LineFunction f(p);
-      core::LineChain chain = f.evaluate_chain(oracle, input);
-      const auto& node = chain.nodes[target - 1];
+      core::LineChain chain = f.evaluate_chain(oracle, input, target);
+      const auto& node = chain.nodes.at(target - 1);
       correct_entry = node.query;
       known_x = input.block(node.ell);  // charitably grant even ℓ to the adversary
     }

@@ -13,6 +13,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -24,6 +26,7 @@
 #include "fault/fault_plan.hpp"
 #include "fault/injector.hpp"
 #include "hash/random_oracle.hpp"
+#include "hash/sha256.hpp"
 #include "mpc/auth.hpp"
 #include "mpc/simulation.hpp"
 #include "ram/machine.hpp"
@@ -342,6 +345,14 @@ TEST(ChaosRecovery, CheckpointFileMirrorIsLoadable) {
   EXPECT_EQ(cp.machines, s.config.machines);
   EXPECT_GT(cp.next_round, 0u);
   EXPECT_GT(chaos.cost.checkpoint_bytes_last, 0u);
+  // The mirror is the one save path that encodes at every save; pin its
+  // bytes. mpch-chaos mirrors the same final checkpoint in CI's crash smoke
+  // (pointer-chasing, crash:machine=2,round=3, --every 2), which checks
+  // this digest too.
+  std::ifstream in(path, std::ios::binary);
+  const std::string file((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+  EXPECT_EQ(hash::Sha256::to_hex(hash::Sha256::hash(file)),
+            "b9d51a06e907a19b2c0f7d05b52123e46893aa0ee4027fba42367b6330535b20");
   std::remove(path.c_str());
 }
 

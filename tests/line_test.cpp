@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/simline.hpp"
 #include "hash/random_oracle.hpp"
 #include "util/rng.hpp"
 
@@ -163,6 +164,47 @@ TEST(LineFunction, EllDistributionRoughlyUniform) {
     EXPECT_GT(counts[b], expected * 0.6) << b;
     EXPECT_LT(counts[b], expected * 1.4) << b;
   }
+}
+
+TEST(LineFunction, BoundedChainIsTheFullChainsPrefix) {
+  // The guess-ahead trials evaluate only through their target node; that
+  // prefix must be exactly the full chain's, for Line and SimLine alike.
+  LineParams p = LineParams::make(64, 16, 8, 16);
+  util::Rng rng(70);
+  LineInput input = LineInput::random(p, rng);
+  LineFunction line(p);
+  SimLineFunction simline(p);
+  hash::LazyRandomOracle full_oracle(p.n, p.n, 71);
+  LineChain line_full = line.evaluate_chain(full_oracle, input);
+  SimLineChain sim_full = simline.evaluate_chain(full_oracle, input);
+  for (std::uint64_t count : {std::uint64_t{1}, std::uint64_t{2}, std::uint64_t{9}, p.w}) {
+    SCOPED_TRACE(count);
+    hash::LazyRandomOracle oracle(p.n, p.n, 71);
+    LineChain line_part = line.evaluate_chain(oracle, input, count);
+    SimLineChain sim_part = simline.evaluate_chain(oracle, input, count);
+    ASSERT_EQ(line_part.nodes.size(), count);
+    ASSERT_EQ(sim_part.nodes.size(), count);
+    for (std::uint64_t k = 0; k < count; ++k) {
+      EXPECT_EQ(line_part.nodes[k].index, line_full.nodes[k].index);
+      EXPECT_EQ(line_part.nodes[k].ell, line_full.nodes[k].ell);
+      EXPECT_EQ(line_part.nodes[k].r, line_full.nodes[k].r);
+      EXPECT_EQ(line_part.nodes[k].query, line_full.nodes[k].query);
+      EXPECT_EQ(line_part.nodes[k].answer, line_full.nodes[k].answer);
+      EXPECT_EQ(sim_part.nodes[k].index, sim_full.nodes[k].index);
+      EXPECT_EQ(sim_part.nodes[k].block, sim_full.nodes[k].block);
+      EXPECT_EQ(sim_part.nodes[k].r, sim_full.nodes[k].r);
+      EXPECT_EQ(sim_part.nodes[k].query, sim_full.nodes[k].query);
+      EXPECT_EQ(sim_part.nodes[k].answer, sim_full.nodes[k].answer);
+    }
+    // Only a complete chain has an output.
+    EXPECT_EQ(line_part.output, count == p.w ? line_full.output : BitString());
+    EXPECT_EQ(sim_part.output, count == p.w ? sim_full.output : BitString());
+  }
+  hash::LazyRandomOracle oracle(p.n, p.n, 71);
+  EXPECT_THROW(line.evaluate_chain(oracle, input, 0), std::invalid_argument);
+  EXPECT_THROW(line.evaluate_chain(oracle, input, p.w + 1), std::invalid_argument);
+  EXPECT_THROW(simline.evaluate_chain(oracle, input, 0), std::invalid_argument);
+  EXPECT_THROW(simline.evaluate_chain(oracle, input, p.w + 1), std::invalid_argument);
 }
 
 }  // namespace
