@@ -5,7 +5,9 @@
 // The model meters those bits like any protocol bits, so the overhead is
 // exactly quantifiable: communication grows by fan-in * 64 bits per round,
 // rounds and outputs do not change at all, and the wall-clock cost is the
-// tag derivation + verification (two SHA-256 expansions per message). This
+// tag derivation + verification: per message, one hash::sha256_expand_u64
+// call to tag and one to verify, each a single two-block SHA-256
+// compression for bodies of up to 568 bits. This
 // bench pins all three for an oracle-model strategy and a plain-model one,
 // and mirrors the table to BENCH_e18.json for regression tracking.
 #include <chrono>

@@ -1,9 +1,13 @@
 // libFuzzer harness for the checkpoint wire format (fault/checkpoint.hpp).
 //
-// Two paths per input:
+// Three paths per input:
 //  1. raw — the bytes straight into deserialize(), exercising the header
 //     gates (magic, version, length, checksum);
-//  2. framed — the same bytes wrapped in a *valid* header via
+//  2. cut — when the bytes run past the payload length their header
+//     declares (a snapshot stored as whole bytes carries up to 7 padding
+//     bits), the same wire cut to that length, so a real snapshot reaches
+//     the checksum and the payload parser;
+//  3. framed — the same bytes wrapped in a *valid* header via
 //     frame_checkpoint_payload(), driving the payload field parser that the
 //     checksum otherwise shields from anything a fuzzer can produce. This is
 //     where hostile element counts and truncated length-prefixed fields live.
@@ -23,6 +27,17 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
   try {
     mpch::fault::deserialize(bits);
   } catch (const mpch::fault::CheckpointError&) {
+  }
+  // Magic, version, then the declared payload bit count at bit 128 of the
+  // 256-bit header.
+  if (bits.size() >= 256) {
+    const std::uint64_t payload_bits = bits.get_uint(128, 64);
+    if (payload_bits < bits.size() - 256) {
+      try {
+        mpch::fault::deserialize(bits.slice(0, 256 + payload_bits));
+      } catch (const mpch::fault::CheckpointError&) {
+      }
+    }
   }
   try {
     mpch::fault::deserialize(mpch::fault::frame_checkpoint_payload(bits));

@@ -1,7 +1,5 @@
 #include "fault/checkpoint.hpp"
 
-#include <span>
-
 #include "util/serialize.hpp"
 
 namespace mpch::fault {
@@ -13,15 +11,12 @@ constexpr std::uint8_t kMagic[8] = {'M', 'P', 'C', 'H', 'K', 'P', 'T', 0x01};
 // Magic, version, payload bit count and checksum: four 64-bit words.
 constexpr std::size_t kHeaderBits = 4 * 64;
 
-std::uint64_t payload_checksum(std::uint64_t payload_bits, std::span<const std::uint8_t> payload) {
+std::uint64_t payload_checksum(std::uint64_t payload_bits, const std::uint8_t* payload) {
   // SHA-256-derived 64-bit digest over (bit length, packed bytes); domain
   // separated from every other sha256_expand use in the tree.
   std::uint8_t header[4 + 8] = {'C', 'K', 'P', 'T'};
   hash::store_le64(header + 4, payload_bits);
-  hash::Sha256 h;
-  h.update(header, sizeof header);
-  h.update(payload);
-  return hash::sha256_expand_u64(h);
+  return hash::sha256_expand_u64(header, payload, payload_bits);
 }
 
 /// A writer holding the header, its length and checksum still zero, for
@@ -41,7 +36,7 @@ util::BitString seal_frame(util::BitWriter& w) {
   util::BitString wire = w.take();
   const std::uint64_t payload_bits = wire.size() - kHeaderBits;
   wire.set_uint(128, 64, payload_bits);
-  wire.set_uint(192, 64, payload_checksum(payload_bits, wire.bytes().subspan(kHeaderBits / 8)));
+  wire.set_uint(192, 64, payload_checksum(payload_bits, wire.bytes().data() + kHeaderBits / 8));
   return wire;
 }
 
@@ -289,7 +284,7 @@ Checkpoint deserialize(const util::BitString& bits) {
     // The header is a whole number of bytes, so the payload's packed bytes
     // are the wire's from there on: checksum them in place, then parse on.
     std::uint64_t computed =
-        payload_checksum(payload_bits, bits.bytes().subspan(kHeaderBits / 8));
+        payload_checksum(payload_bits, bits.bytes().data() + kHeaderBits / 8);
     if (computed != stored_checksum) {
       throw CheckpointError("checkpoint corrupted: checksum mismatch (stored " +
                             std::to_string(stored_checksum) + ", computed " +

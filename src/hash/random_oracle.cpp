@@ -57,6 +57,50 @@ std::uint64_t sha256_expand_u64(const Sha256& prefix) {
   return v;
 }
 
+std::uint64_t sha256_expand_u64(std::span<const std::uint8_t> head, const std::uint8_t* body,
+                                std::size_t body_bits) {
+  const std::size_t whole = body_bits / 8;
+  const std::size_t partial = body_bits % 8 == 0 ? 0 : 1;
+  // The padded tail (body bytes not yet hashed, the partial byte, 4 counter
+  // bytes, 0x80 and the 8-byte length) always fits two blocks: it is the
+  // whole message when that fits, else it starts after the head block and
+  // the whole middle blocks, with under 64 body bytes left.
+  std::uint8_t buf[128] = {};
+  std::size_t fill = head.size();
+  if (fill >= 64) throw std::invalid_argument("sha256_expand_u64: head fills a whole block");
+  std::memcpy(buf, head.data(), fill);
+  std::array<std::uint32_t, 8> state = Sha256::kInitState;
+  std::size_t pos = 0;
+  if (fill + whole + partial + 13 > sizeof buf) {
+    // Finish the head block from the body, then hash whole blocks in place.
+    pos = 64 - fill;
+    std::memcpy(buf + fill, body, pos);
+    detail::compress(state.data(), buf, 1);
+    if (const std::size_t middle = (whole - pos) / 64; middle > 0) {
+      detail::compress(state.data(), body + pos, middle);
+      pos += middle * 64;
+    }
+    std::memset(buf, 0, 64);
+    fill = 0;
+  }
+  if (whole > pos) {
+    std::memcpy(buf + fill, body + pos, whole - pos);
+    fill += whole - pos;
+  }
+  if (partial != 0) {
+    buf[fill++] = static_cast<std::uint8_t>(body[whole] & (0xFFU << (8 - body_bits % 8)));
+  }
+  fill += 4;  // counter 0
+  buf[fill++] = 0x80;
+  const std::size_t nblocks = fill + 8 <= 64 ? 1 : 2;
+  const std::uint64_t message_bits = (std::uint64_t{head.size()} + whole + partial + 4) * 8;
+  for (int i = 0; i < 8; ++i) {
+    buf[64 * nblocks - 8 + i] = static_cast<std::uint8_t>(message_bits >> (56 - 8 * i));
+  }
+  detail::compress(state.data(), buf, nblocks);
+  return (std::uint64_t{state[0]} << 32) | state[1];
+}
+
 namespace {
 
 // sha256_expand over header || input bytes || le64(input bit length), the

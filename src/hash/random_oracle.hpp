@@ -33,6 +33,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -285,6 +286,17 @@ util::BitString sha256_expand(const Sha256& prefix, std::size_t out_bits);
 
 /// The first 64 bits of sha256_expand(prefix, 64), MSB-first, as an integer.
 std::uint64_t sha256_expand_u64(const Sha256& prefix);
+
+/// sha256_expand_u64 over head || the first `body_bits` bits of `body`
+/// (packed MSB-first; when they end mid-byte, the rest of that byte is
+/// hashed as zeros): the first 8 bytes of SHA-256(head || body bytes ||
+/// 4 zero counter bytes). The head block and the padded tail are built on
+/// the stack and whole blocks in between are compressed straight from
+/// `body`; a message of up to two padded blocks is one compress call.
+/// Throws std::invalid_argument unless head.size() < 64. `body` may be
+/// null when body_bits is 0.
+std::uint64_t sha256_expand_u64(std::span<const std::uint8_t> head, const std::uint8_t* body,
+                                std::size_t body_bits);
 
 /// Write `v` as 8 little-endian bytes, the layout of every integer field in
 /// the tree's domain-separated hash prefixes.

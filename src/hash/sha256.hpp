@@ -24,8 +24,8 @@ class Sha256 {
   static constexpr std::size_t kDigestBytes = 32;
   using Digest = std::array<std::uint8_t, kDigestBytes>;
   /// H0..H7 of FIPS 180-4 §5.3.3: the state every message starts from, for
-  /// callers that pad a one-block message themselves and hand it straight
-  /// to detail::compress.
+  /// callers that pad a message themselves and hand its blocks straight to
+  /// detail::compress.
   static constexpr std::array<std::uint32_t, 8> kInitState = {
       0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
       0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19};

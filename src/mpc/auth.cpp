@@ -4,34 +4,26 @@
 
 namespace mpch::mpc {
 
-namespace {
-
-// The MAC's hash state after "MMAC" || seed || round || from || to ||
-// body_bits (integer fields little-endian): the caller feeds the body's
-// packed bytes next.
-hash::Sha256 mac_state(std::uint64_t tape_seed, std::uint64_t round, std::uint64_t from,
-                       std::uint64_t to, std::uint64_t body_bits) {
-  std::uint8_t header[4 + 8 * 5] = {'M', 'M', 'A', 'C'};
-  hash::store_le64(header + 4, tape_seed);
-  hash::store_le64(header + 12, round);
-  hash::store_le64(header + 20, from);
-  hash::store_le64(header + 28, to);
-  hash::store_le64(header + 36, body_bits);
-  hash::Sha256 h;
-  h.update(header, sizeof header);
-  return h;
+std::uint64_t message_tag_u64(std::uint64_t tape_seed, std::uint64_t round, std::uint64_t from,
+                              std::uint64_t to, const util::BitString& payload,
+                              std::size_t body_bits) {
+  // PRF(seed, round || from || to || body), domain-separated by "MMAC"
+  // from every other sha256_expand use (tape "TAPE", oracle "LRO",
+  // checkpoint checksum "CKPT", attestation "ATST"). Integer fields are
+  // little-endian; the body's packed bytes follow them.
+  std::uint8_t head[4 + 8 * 5] = {'M', 'M', 'A', 'C'};
+  hash::store_le64(head + 4, tape_seed);
+  hash::store_le64(head + 12, round);
+  hash::store_le64(head + 20, from);
+  hash::store_le64(head + 28, to);
+  hash::store_le64(head + 36, body_bits);
+  return hash::sha256_expand_u64(head, payload.bytes().data(), body_bits);
 }
-
-}  // namespace
 
 util::BitString message_tag(std::uint64_t tape_seed, std::uint64_t round, std::uint64_t from,
                             std::uint64_t to, const util::BitString& payload) {
-  // PRF(seed, round || from || to || payload), domain-separated by "MMAC"
-  // from every other sha256_expand use (tape "TAPE", oracle "LRO",
-  // checkpoint checksum "CKPT", attestation "ATST").
-  hash::Sha256 h = mac_state(tape_seed, round, from, to, payload.size());
-  h.update(payload.bytes());
-  return util::BitString::from_uint(hash::sha256_expand_u64(h), kMessageTagBits);
+  return util::BitString::from_uint(
+      message_tag_u64(tape_seed, round, from, to, payload, payload.size()), kMessageTagBits);
 }
 
 std::uint64_t attestation_digest(std::uint64_t tape_seed, std::uint64_t round,
@@ -80,18 +72,11 @@ void verify_inbox_tags(std::uint64_t tape_seed, std::uint64_t round, std::uint64
                                 std::to_string(msg.payload.size()) +
                                 " bits, too short to carry a tag");
     }
-    // The tag over the payload's first body_bits, hashed in place: the
-    // whole body bytes, then — when the body ends mid-byte — its last byte
-    // with the tag bits that share it masked out.
+    // The tag over the payload's first body_bits, hashed in place: the tag
+    // bits sharing the body's last byte are hashed as the zeros they were.
     const std::size_t body_bits = msg.payload.size() - kMessageTagBits;
-    const std::uint8_t* bytes = msg.payload.bytes().data();
-    hash::Sha256 h = mac_state(tape_seed, round, msg.from, msg.to, body_bits);
-    h.update(bytes, body_bits / 8);
-    if (const std::size_t rem = body_bits % 8; rem != 0) {
-      const auto last = static_cast<std::uint8_t>(bytes[body_bits / 8] & (0xFFU << (8 - rem)));
-      h.update(&last, 1);
-    }
-    if (msg.payload.get_uint(body_bits, kMessageTagBits) != hash::sha256_expand_u64(h)) {
+    if (msg.payload.get_uint(body_bits, kMessageTagBits) !=
+        message_tag_u64(tape_seed, round, msg.from, msg.to, msg.payload, body_bits)) {
       throw TamperViolation(machine, round, idx, byte_offset,
                             "authentication failed: message " + std::to_string(idx) +
                                 " delivered to machine " + std::to_string(machine) +

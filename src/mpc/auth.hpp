@@ -26,9 +26,13 @@
 //
 // Both derivations are domain-separated uses of the same SHA-256 expander
 // that implements the oracle and the shared tape, so the security argument
-// inherits the RO-model assumption the whole repository already makes.
+// inherits the RO-model assumption the whole repository already makes. A
+// tag hashes one short message, so it is one hash::sha256_expand_u64 call
+// (usually a single two-block compression); attestation hashes a whole
+// inbox and streams it through hash::Sha256.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -47,6 +51,15 @@ inline constexpr std::uint64_t kMessageTagBits = 64;
 /// by recovery policies from checkpointed state.
 util::BitString message_tag(std::uint64_t tape_seed, std::uint64_t round, std::uint64_t from,
                             std::uint64_t to, const util::BitString& payload);
+
+/// The same tag as an integer, over the first `body_bits` of `payload`
+/// (body_bits <= payload.size()), so a tagged payload is verified and an
+/// untagged one tagged without slicing or a temporary: one
+/// hash::sha256_expand_u64 call over the stack-built "MMAC" head and the
+/// body's bytes in place.
+std::uint64_t message_tag_u64(std::uint64_t tape_seed, std::uint64_t round, std::uint64_t from,
+                              std::uint64_t to, const util::BitString& payload,
+                              std::size_t body_bits);
 
 /// 64-bit digest of machine `machine`'s end-of-round state (the inbox it
 /// will start the next round with), bound to the tape seed and the round.

@@ -17,13 +17,12 @@ class SharedTape {
 
   /// 64 random bits at word-granular position `word_index`.
   std::uint64_t word(std::uint64_t word_index) const {
-    // "TAPE" || seed || word_index, integer fields little-endian.
+    // "TAPE" || seed || word_index, integer fields little-endian: with the
+    // counter and padding, one block built on the stack and compressed once.
     std::uint8_t prefix[4 + 8 + 8] = {'T', 'A', 'P', 'E'};
     hash::store_le64(prefix + 4, seed_);
     hash::store_le64(prefix + 12, word_index);
-    hash::Sha256 h;
-    h.update(prefix, sizeof prefix);
-    return hash::sha256_expand_u64(h);
+    return hash::sha256_expand_u64(prefix, nullptr, 0);
   }
 
   std::uint64_t seed() const { return seed_; }

@@ -123,7 +123,10 @@ struct MachineIo {
     if (authenticate) {
       // Tag over the plain payload; the tag travels inside the message, so
       // every meter (s, sent/recv bits, message size peaks) sees it.
-      payload += message_tag(tape_seed, round, machine, to, payload);
+      const std::size_t body_bits = payload.size();
+      const std::uint64_t tag = message_tag_u64(tape_seed, round, machine, to, payload, body_bits);
+      payload.pad_zeros(kMessageTagBits);
+      payload.set_uint(body_bits, kMessageTagBits, tag);
     }
     outbox.push_back({machine, to, std::move(payload)});
   }

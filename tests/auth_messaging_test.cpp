@@ -139,11 +139,17 @@ BitString pattern(std::size_t n, unsigned k) {
 }
 
 TEST(MessageTag, MatchesPrefixBuildingReferenceForEveryBodyLength) {
-  // Bodies of 0..300 bits cover every offset of the body's end inside a
-  // byte, so verify's mid-byte masking runs for seven in every eight.
+  // Bodies of 0..1,600 bits, then a few of several KB: every offset of the
+  // body's end inside a byte (verify hashes the tag bits sharing the last
+  // byte as zeros for seven in every eight), one- and two-block messages,
+  // the head block filled from the body, and 0..3 whole middle blocks
+  // hashed in place before one- or two-block tails.
   util::SplitMix64 rng(300);
   const auto paths = hash::reference::compress_paths();
-  for (std::size_t body_bits = 0; body_bits <= 300; ++body_bits) {
+  std::vector<std::size_t> lengths;
+  for (std::size_t body_bits = 0; body_bits <= 1600; ++body_bits) lengths.push_back(body_bits);
+  for (std::size_t body_bits : {8191u, 8192u, 8200u, 20001u, 40000u}) lengths.push_back(body_bits);
+  for (std::size_t body_bits : lengths) {
     SCOPED_TRACE("body_bits=" + std::to_string(body_bits));
     const BitString body = BitString::random(body_bits, [&] { return rng.next(); });
     const BitString tag = message_tag(9, 5, 2, 0, body);
@@ -155,6 +161,55 @@ TEST(MessageTag, MatchesPrefixBuildingReferenceForEveryBodyLength) {
     ASSERT_NO_THROW(verify_inbox_tags(9, 5, 0, inbox));
     strip_tags(inbox);
     ASSERT_EQ(inbox[0].payload, body);
+  }
+}
+
+TEST(MessageTag, SendAppendsTheTagToTheBody) {
+  // MachineIo::send writes the tag past the body in place; the result must
+  // be body + message_tag at every end offset inside a byte.
+  for (std::size_t body_bits = 0; body_bits <= 80; ++body_bits) {
+    const BitString body = pattern(body_bits, 5);
+    MachineIo io;
+    io.round = 4;
+    io.machine = 3;
+    io.authenticate = true;
+    io.tape_seed = 11;
+    io.send(1, body);
+    ASSERT_EQ(io.outbox.size(), 1u);
+    EXPECT_EQ(io.outbox[0].payload, body + message_tag(11, 4, 3, 1, body)) << body_bits;
+  }
+}
+
+TEST(MessageTag, EverySingleBitFlipIsCaughtAtEachEndOffset) {
+  // Bodies ending at each of the 8 bit offsets inside a byte. Flipping any
+  // one body or tag bit of either message must fail verification of that
+  // message, with its inbox index and byte offset; untouched, the inbox
+  // verifies and strips back to the bodies.
+  for (std::size_t end = 0; end < 8; ++end) {
+    SCOPED_TRACE("end offset " + std::to_string(end));
+    const BitString a = pattern(40 + end, 3);
+    const BitString b = pattern(17 + end, 7);
+    const std::vector<Message> inbox = {{0, 1, a + message_tag(9, 2, 0, 1, a)},
+                                        {2, 1, b + message_tag(9, 2, 2, 1, b)}};
+    for (std::size_t idx = 0; idx < inbox.size(); ++idx) {
+      const std::uint64_t byte_offset = idx == 0 ? 0 : inbox[0].payload.size() / 8;
+      for (std::size_t bit = 0; bit < inbox[idx].payload.size(); ++bit) {
+        std::vector<Message> tampered = inbox;
+        tampered[idx].payload.set(bit, !tampered[idx].payload.get(bit));
+        try {
+          verify_inbox_tags(9, 2, 1, tampered);
+          ADD_FAILURE() << "flip of bit " << bit << " in message " << idx << " verified";
+        } catch (const TamperViolation& tv) {
+          EXPECT_EQ(tv.message_index(), idx) << "bit " << bit;
+          EXPECT_EQ(tv.byte_offset(), byte_offset) << "bit " << bit;
+        }
+      }
+    }
+    std::vector<Message> clean = inbox;
+    ASSERT_NO_THROW(verify_inbox_tags(9, 2, 1, clean));
+    strip_tags(clean);
+    EXPECT_EQ(clean[0].payload, a);
+    EXPECT_EQ(clean[1].payload, b);
   }
 }
 

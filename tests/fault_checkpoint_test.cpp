@@ -23,6 +23,7 @@
 #include "hash_reference.hpp"
 #include "mpc/simulation.hpp"
 #include "serve/scenario.hpp"
+#include "util/rng.hpp"
 #include "util/serialize.hpp"
 
 namespace mpch {
@@ -140,6 +141,22 @@ TEST(Checkpoint, PayloadChecksumGoldenValues) {
         << bits << " payload bits";
     for (const auto& path : hash::reference::compress_paths()) {
       EXPECT_EQ(hash::reference::reference_payload_checksum(payload, path.fn), value)
+          << path.name << ", " << bits << " payload bits";
+    }
+  }
+}
+
+TEST(Checkpoint, PayloadChecksumMatchesReferenceAtEveryLength) {
+  // Every payload length in 0..1,100 bits: each end offset inside a byte,
+  // one- and two-block messages, and a head block filled from the payload
+  // before whole blocks are hashed in place.
+  util::SplitMix64 rng(1100);
+  const auto paths = hash::reference::compress_paths();
+  for (std::size_t bits = 0; bits <= 1100; ++bits) {
+    const BitString payload = BitString::random(bits, [&] { return rng.next(); });
+    const std::uint64_t stored = fault::frame_checkpoint_payload(payload).get_uint(192, 64);
+    for (const auto& path : paths) {
+      ASSERT_EQ(stored, hash::reference::reference_payload_checksum(payload, path.fn))
           << path.name << ", " << bits << " payload bits";
     }
   }

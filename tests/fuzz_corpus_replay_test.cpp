@@ -76,17 +76,36 @@ TEST(FuzzCorpusReplay, Sha256CorpusMatchesScalarReference) {
   EXPECT_GE(replayed, 8u) << "sha256 corpus went missing — check fuzz/corpus/sha256";
 }
 
+/// A corpus seed's wire cut to the payload length its header declares, or
+/// nothing when the seed is too short for a header or not padded past it.
+/// Seeds are stored as whole bytes, so a real snapshot carries up to 7
+/// padding bits that the raw path rejects as "truncated or padded".
+std::optional<BitString> cut_to_declared_length(const BitString& bits) {
+  constexpr std::size_t kHeaderBits = 256;  // magic, version, length, checksum
+  if (bits.size() < kHeaderBits) return std::nullopt;
+  const std::uint64_t payload_bits = bits.get_uint(128, 64);
+  if (payload_bits >= bits.size() - kHeaderBits) return std::nullopt;
+  return bits.slice(0, kHeaderBits + payload_bits);
+}
+
 TEST(FuzzCorpusReplay, CheckpointCorpusRejectsOrParsesTyped) {
   std::size_t replayed = 0;
   for (const auto& entry : std::filesystem::directory_iterator(corpus_root() / "checkpoint")) {
     SCOPED_TRACE(entry.path().string());
     BitString bits = BitString::from_bytes(read_file(entry.path()));
-    // Raw header path and checksummed-framed payload path, exactly as in
+    // Raw header path, the wire cut to its declared length, and the
+    // checksummed-framed payload path, exactly as in
     // fuzz/fuzz_checkpoint_load.cpp. CheckpointError is the only acceptable
     // rejection; any other escape fails the test.
     try {
       (void)mpch::fault::deserialize(bits);
     } catch (const CheckpointError&) {
+    }
+    if (const std::optional<BitString> cut = cut_to_declared_length(bits)) {
+      try {
+        (void)mpch::fault::deserialize(*cut);
+      } catch (const CheckpointError&) {
+      }
     }
     try {
       (void)mpch::fault::deserialize(mpch::fault::frame_checkpoint_payload(bits));
@@ -95,6 +114,21 @@ TEST(FuzzCorpusReplay, CheckpointCorpusRejectsOrParsesTyped) {
     ++replayed;
   }
   EXPECT_GE(replayed, 5u) << "checkpoint corpus went missing — check fuzz/corpus/checkpoint";
+}
+
+TEST(FuzzCorpusReplay, ValidFullSeedParsesAndReserializes) {
+  // valid_full.bin is a real snapshot stored as 264 bytes: cut to the
+  // 2,105 bits its header declares, it passes the checksum end to end and
+  // re-encodes to the same bits.
+  const BitString bits =
+      BitString::from_bytes(read_file(corpus_root() / "checkpoint" / "valid_full.bin"));
+  ASSERT_EQ(bits.size(), 2112u);
+  const std::optional<BitString> cut = cut_to_declared_length(bits);
+  ASSERT_TRUE(cut.has_value());
+  ASSERT_EQ(cut->size(), 2105u);
+  const Checkpoint cp = mpch::fault::deserialize(*cut);
+  EXPECT_EQ(cp.next_round, 1u);
+  EXPECT_EQ(mpch::fault::serialize(cp), *cut);
 }
 
 TEST(FuzzCorpusReplay, FaultPlanCorpusRejectsOrParsesTyped) {

@@ -3,10 +3,12 @@
 //
 // reference::sha256 pads the whole message into one buffer and hands every
 // block to one compression function in a single call, so it shares neither
-// Sha256's incremental buffering nor its CPU dispatch. The MAC, attestation
-// and checkpoint-checksum references build the full hash prefix in a heap
-// vector exactly as those functions did before they hashed in place; the
-// library versions must agree with them on every input.
+// Sha256's incremental buffering nor its CPU dispatch. The MAC, attestation,
+// checkpoint-checksum and shared-tape references build the full hash prefix
+// in a heap vector exactly as those functions did before they hashed in
+// place, so they share nothing with hash::sha256_expand_u64's stack-built
+// head and tail blocks either; the library versions must agree with them on
+// every input.
 #pragma once
 
 #include <cstddef>
@@ -86,6 +88,15 @@ inline util::BitString reference_message_tag(std::uint64_t tape_seed, std::uint6
   const auto& bytes = payload.bytes();
   prefix.insert(prefix.end(), bytes.begin(), bytes.end());
   return util::BitString::from_uint(expand_u64(fn, std::move(prefix)), 64);
+}
+
+/// mpc::SharedTape::word as a prefix-building function.
+inline std::uint64_t reference_tape_word(std::uint64_t seed, std::uint64_t word_index,
+                                         detail::CompressFn fn = detail::compress_scalar) {
+  std::vector<std::uint8_t> prefix = {'T', 'A', 'P', 'E'};
+  append_u64(prefix, seed);
+  append_u64(prefix, word_index);
+  return expand_u64(fn, std::move(prefix));
 }
 
 /// mpc::attestation_digest as a prefix-building function.

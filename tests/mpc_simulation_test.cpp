@@ -9,6 +9,8 @@
 #include <vector>
 
 #include "hash/random_oracle.hpp"
+#include "hash_reference.hpp"
+#include "util/rng.hpp"
 #include "util/serialize.hpp"
 
 namespace mpch::mpc {
@@ -213,6 +215,19 @@ TEST(MpcSimulation, SharedTapeIsCommonAndDeterministic) {
   // Golden values, recorded before word() hashed in place.
   EXPECT_EQ(t1.word(0), 0x3ba622dbd8455778ULL);
   EXPECT_EQ(t1.word(12345), 0x164dfab488f9143cULL);
+}
+
+TEST(MpcSimulation, SharedTapeWordMatchesPrefixBuildingReference) {
+  util::SplitMix64 rng(77);
+  for (int i = 0; i < 200; ++i) {
+    const std::uint64_t seed = rng.next();
+    const std::uint64_t index = i < 100 ? static_cast<std::uint64_t>(i) : rng.next();
+    const std::uint64_t word = SharedTape(seed).word(index);
+    for (const auto& path : hash::reference::compress_paths()) {
+      ASSERT_EQ(word, hash::reference::reference_tape_word(seed, index, path.fn))
+          << path.name << ", seed " << seed << ", word " << index;
+    }
+  }
 }
 
 TEST(MpcSimulation, ConfigValidation) {
