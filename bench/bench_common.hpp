@@ -1,9 +1,11 @@
 // bench_common.hpp — shared helpers for the experiment binaries.
 #pragma once
 
+#include <algorithm>
 #include <iostream>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "core/input.hpp"
 #include "core/params.hpp"
@@ -19,6 +21,15 @@ inline void header(const std::string& id, const std::string& paper_object,
             << id << " — " << paper_object << "\n"
             << "claim: " << claim << "\n"
             << "==================================================================\n";
+}
+
+/// The sample at quantile `q` in [0, 1] (the element at index
+/// floor(q * size) of the sorted samples, clamped); `samples` is non-empty.
+inline double percentile(std::vector<double> samples, double q) {
+  std::sort(samples.begin(), samples.end());
+  const std::size_t idx = std::min(
+      samples.size() - 1, static_cast<std::size_t>(q * static_cast<double>(samples.size())));
+  return samples[idx];
 }
 
 /// Run one MPC strategy to completion and return the result; wires up the

@@ -5,7 +5,6 @@
 // batches k instances of Line over the same machines and shows rounds stay
 // ~flat in k while the sequential baseline grows k-fold — MPC parallelism
 // survives as a throughput tool exactly where the paper leaves room for it.
-#include <algorithm>
 #include <chrono>
 #include <fstream>
 #include <thread>
@@ -21,14 +20,6 @@
 using namespace mpch;
 
 namespace {
-
-/// Order statistic over a (small) latency sample; q in [0, 1].
-double percentile(std::vector<double> samples, double q) {
-  std::sort(samples.begin(), samples.end());
-  const std::size_t idx = std::min(
-      samples.size() - 1, static_cast<std::size_t>(q * static_cast<double>(samples.size())));
-  return samples[idx];
-}
 
 int bench_main(const util::CliArgs& args) {
   const std::string transport_name = args.get_string("transport", "in-process");
@@ -142,8 +133,8 @@ int bench_main(const util::CliArgs& args) {
     double total_ms = 0.0;
     for (double ms : latencies_ms) total_ms += ms;
     const double runs_per_sec = 1000.0 * static_cast<double>(repeats) / total_ms;
-    const double p50 = percentile(latencies_ms, 0.50);
-    const double p99 = percentile(latencies_ms, 0.99);
+    const double p50 = bench::percentile(latencies_ms, 0.50);
+    const double p99 = bench::percentile(latencies_ms, 0.99);
     if (threads == 1) {
       serial_output = output;
       serial_p50 = p50;

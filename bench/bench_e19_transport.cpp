@@ -11,7 +11,6 @@
 // round is computation vs moving the bytes": Definition 2.1 charges rounds,
 // not transport, so the backends differ in wall clock only — rounds, stats,
 // and outputs are pinned equal below.
-#include <algorithm>
 #include <chrono>
 #include <fstream>
 #include <memory>
@@ -31,13 +30,6 @@
 using namespace mpch;
 
 namespace {
-
-double percentile(std::vector<double> samples, double q) {
-  std::sort(samples.begin(), samples.end());
-  const std::size_t idx = std::min(
-      samples.size() - 1, static_cast<std::size_t>(q * static_cast<double>(samples.size())));
-  return samples[idx];
-}
 
 struct Measurement {
   std::string workload;
@@ -143,8 +135,8 @@ int bench_main(const util::CliArgs& args) {
       m.transport = transport::to_string(kind);
       m.rounds = last.rounds;
       m.runs_per_sec = 1000.0 * static_cast<double>(repeats) / total_ms;
-      m.p50_ms = percentile(latencies, 0.50);
-      m.p99_ms = percentile(latencies, 0.99);
+      m.p50_ms = bench::percentile(latencies, 0.50);
+      m.p99_ms = bench::percentile(latencies, 0.99);
       m.identical = last.output == reference_output;
       measurements.push_back(m);
       t.add(m.workload, m.transport, m.rounds, util::format_double(m.runs_per_sec, 2),

@@ -1,75 +1,30 @@
 #include "stats/trials.hpp"
 
-#include <mutex>
+#include <algorithm>
+#include <atomic>
 #include <vector>
+
+#include "util/rng.hpp"
 
 namespace mpch::stats {
 
-namespace {
-
-/// Chunk seed derivation: independent substream per (seed, chunk).
-util::Rng chunk_rng(std::uint64_t seed, std::size_t chunk) {
-  util::SplitMix64 sm(seed ^ (0xC2B2AE3D27D4EB4FULL * (chunk + 1)));
-  return util::Rng(sm.next());
-}
-
-// Fixed chunk count so the (seed, chunk)->substream mapping — and therefore
-// every aggregate result — is independent of the pool's thread count.
-constexpr std::size_t kChunks = 64;
-
-}  // namespace
-
 Proportion run_boolean_trials(std::uint64_t trials, std::uint64_t seed,
-                              const std::function<bool(util::Rng&)>& trial,
+                              const std::function<bool(std::uint64_t)>& trial,
                               util::ThreadPool* pool) {
   if (pool == nullptr) pool = &util::global_pool();
-  std::mutex mu;
-  Proportion total;
-  total.trials = trials;
-  pool->parallel_chunks(trials, [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-    util::Rng rng = chunk_rng(seed, chunk);
-    std::uint64_t hits = 0;
-    for (std::size_t t = begin; t < end; ++t) {
-      if (trial(rng)) ++hits;
-    }
-    std::lock_guard<std::mutex> lock(mu);
-    total.successes += hits;
-  }, kChunks);
-  return total;
-}
-
-RunningStats run_numeric_trials(std::uint64_t trials, std::uint64_t seed,
-                                const std::function<double(util::Rng&)>& trial,
-                                util::ThreadPool* pool) {
-  if (pool == nullptr) pool = &util::global_pool();
-  std::mutex mu;
-  RunningStats total;
-  pool->parallel_chunks(trials, [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-    util::Rng rng = chunk_rng(seed, chunk);
-    std::vector<double> local;
-    local.reserve(end - begin);
-    for (std::size_t t = begin; t < end; ++t) local.push_back(trial(rng));
-    std::lock_guard<std::mutex> lock(mu);
-    for (double x : local) total.add(x);
-  }, kChunks);
-  return total;
-}
-
-Histogram run_histogram_trials(std::uint64_t trials, std::uint64_t seed, std::size_t bins,
-                               const std::function<std::uint64_t(util::Rng&)>& trial,
-                               util::ThreadPool* pool) {
-  if (pool == nullptr) pool = &util::global_pool();
-  std::mutex mu;
-  Histogram total(bins);
-  pool->parallel_chunks(trials, [&](std::size_t chunk, std::size_t begin, std::size_t end) {
-    util::Rng rng = chunk_rng(seed, chunk);
-    std::vector<std::uint64_t> local;
-    local.reserve(end - begin);
-    for (std::size_t t = begin; t < end; ++t) local.push_back(trial(rng));
-    std::lock_guard<std::mutex> lock(mu);
-    for (std::uint64_t x : local) total.add(x);
-  }, kChunks);
-  return total;
+  util::Rng rng(seed);
+  std::vector<std::uint64_t> seeds(std::min(trials, kTrialBatch));
+  std::atomic<std::uint64_t> successes{0};
+  for (std::uint64_t done = 0; done < trials; done += seeds.size()) {
+    seeds.resize(std::min(trials - done, kTrialBatch));
+    for (auto& s : seeds) s = rng.next_u64();
+    pool->parallel_chunks(seeds.size(), [&](std::size_t, std::size_t begin, std::size_t end) {
+      std::uint64_t hits = 0;
+      for (std::size_t t = begin; t < end; ++t) hits += trial(seeds[t]) ? 1 : 0;
+      successes.fetch_add(hits);
+    });
+  }
+  return {successes.load(), trials};
 }
 
 }  // namespace mpch::stats

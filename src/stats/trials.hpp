@@ -1,34 +1,28 @@
-// trials.hpp — deterministic, thread-parallel Monte-Carlo driver.
+// trials.hpp — deterministic, thread-parallel Monte-Carlo trials.
 //
-// Trials are partitioned into ordered chunks, each chunk derives its Rng
-// substream from (seed, chunk index), so the aggregate result is independent
-// of thread count and scheduling — the benches' numbers are reproducible.
+// Trial t gets the t-th next_u64() of Rng(seed) as its seed. The seeds are
+// drawn serially, kTrialBatch at a time, and each batch is one
+// ThreadPool::parallel_chunks call, so the hit count equals a serial loop's
+// at any thread count.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 
 #include "stats/estimator.hpp"
-#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 namespace mpch::stats {
 
-/// Run `trials` independent boolean trials of `trial(rng)` in parallel and
-/// count successes. `trial` must be thread-safe with respect to captured
-/// state (best: capture only immutable config).
+/// Seeds drawn (and trials run) per parallel_chunks call.
+inline constexpr std::uint64_t kTrialBatch = 1 << 16;
+
+/// Count the trials t in [0, trials) for which `trial(seed_t)` is true.
+/// `trial` runs concurrently, so it must not write shared state. A throwing
+/// trial ends the run with the exception of its batch's lowest chunk.
+/// `pool == nullptr` means util::global_pool().
 Proportion run_boolean_trials(std::uint64_t trials, std::uint64_t seed,
-                              const std::function<bool(util::Rng&)>& trial,
+                              const std::function<bool(std::uint64_t)>& trial,
                               util::ThreadPool* pool = nullptr);
-
-/// Run `trials` independent numeric trials and return aggregate stats.
-RunningStats run_numeric_trials(std::uint64_t trials, std::uint64_t seed,
-                                const std::function<double(util::Rng&)>& trial,
-                                util::ThreadPool* pool = nullptr);
-
-/// Run `trials` independent integer trials and histogram the outcomes.
-Histogram run_histogram_trials(std::uint64_t trials, std::uint64_t seed, std::size_t bins,
-                               const std::function<std::uint64_t(util::Rng&)>& trial,
-                               util::ThreadPool* pool = nullptr);
 
 }  // namespace mpch::stats

@@ -7,6 +7,7 @@
 #include "core/codec.hpp"
 #include "core/input.hpp"
 #include "hash/random_oracle.hpp"
+#include "stats/trials.hpp"
 
 namespace mpch::strategies {
 
@@ -15,12 +16,8 @@ GuessAheadOutcome run_guess_ahead_trials(const GuessAheadConfig& config, std::ui
   const core::LineParams& p = config.params;
   if (p.w < 2) throw std::invalid_argument("guess_ahead: need w >= 2");
 
-  GuessAheadOutcome outcome;
-  outcome.trials = trials;
-  util::Rng rng(seed);
-
-  for (std::uint64_t t = 0; t < trials; ++t) {
-    std::uint64_t trial_seed = rng.next_u64();
+  // One trial: a fresh oracle and input seeded from `trial_seed`.
+  auto trial = [&](std::uint64_t trial_seed) {
     util::Rng trial_rng(trial_seed);
     hash::LazyRandomOracle oracle(p.n, p.n, trial_seed);
     core::LineInput input = core::LineInput::random(p, trial_rng);
@@ -69,9 +66,9 @@ GuessAheadOutcome run_guess_ahead_trials(const GuessAheadConfig& config, std::ui
                                     : line_codec.encode_query(target, known_x, r_guess);
       if (attempt == correct_entry) hit = true;
     }
-    if (hit) ++outcome.hits;
-  }
-  return outcome;
+    return hit;
+  };
+  return {trials, stats::run_boolean_trials(trials, seed, trial).successes};
 }
 
 double guess_ahead_predicted_rate(const core::LineParams& params, std::uint64_t guesses) {

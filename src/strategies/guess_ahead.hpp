@@ -34,8 +34,9 @@ struct GuessAheadOutcome {
   double hit_rate() const { return trials == 0 ? 0.0 : static_cast<double>(hits) / trials; }
 };
 
-/// Run `trials` independent trials; each uses a fresh oracle and input seeded
-/// from `seed`. Deterministic given (config, seed, trials).
+/// Run `trials` independent trials through stats::run_boolean_trials; each
+/// uses a fresh oracle and input seeded from its trial seed. Deterministic
+/// given (config, seed, trials), whatever the thread count.
 GuessAheadOutcome run_guess_ahead_trials(const GuessAheadConfig& config, std::uint64_t seed,
                                          std::uint64_t trials);
 

@@ -1,6 +1,8 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <exception>
 
 namespace mpch::util {
 
@@ -9,6 +11,36 @@ thread_local bool t_pool_worker = false;
 }  // namespace
 
 bool ThreadPool::in_worker() { return t_pool_worker; }
+
+struct ThreadPool::Call {
+  Call(ChunkBody b, std::size_t n, std::size_t c) : body(b), total(n), chunks(c) {}
+
+  const ChunkBody body;
+  const std::size_t total;
+  const std::size_t chunks;
+  std::atomic<std::size_t> next{0};
+  std::mutex error_mutex;
+  std::size_t error_chunk = SIZE_MAX;
+  std::exception_ptr error;
+
+  /// Claim and run chunks until none is left; keep the lowest-index error.
+  void run_claimed() {
+    const std::size_t per = total / chunks;
+    const std::size_t extra = total % chunks;
+    for (std::size_t c; (c = next.fetch_add(1)) < chunks;) {
+      const std::size_t begin = c * per + std::min(c, extra);
+      try {
+        body.call(body.fn, c, begin, begin + per + (c < extra ? 1 : 0));
+      } catch (...) {
+        std::lock_guard<std::mutex> lock(error_mutex);
+        if (c < error_chunk) {
+          error_chunk = c;
+          error = std::current_exception();
+        }
+      }
+    }
+  }
+};
 
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) {
@@ -25,45 +57,52 @@ ThreadPool::~ThreadPool() {
     std::lock_guard<std::mutex> lock(mutex_);
     stopping_ = true;
   }
-  cv_.notify_all();
-  for (auto& w : workers_) {
-    if (w.joinable()) w.join();
-  }
+  work_cv_.notify_all();
+  for (auto& w : workers_) w.join();
 }
 
 void ThreadPool::worker_loop() {
   t_pool_worker = true;
+  std::uint64_t seen = 0;
+  std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-      if (stopping_ && queue_.empty()) return;
-      task = std::move(queue_.front());
-      queue_.pop();
-    }
-    task();
+    work_cv_.wait(lock, [&] { return stopping_ || generation_ != seen; });
+    if (stopping_) return;
+    seen = generation_;
+    Call* call = call_;
+    if (call == nullptr) continue;  // its caller already ran every chunk
+    ++active_;
+    lock.unlock();
+    call->run_claimed();
+    lock.lock();
+    if (--active_ == 0) done_cv_.notify_one();
   }
 }
 
-void ThreadPool::parallel_chunks(
-    std::size_t total, const std::function<void(std::size_t, std::size_t, std::size_t)>& body,
-    std::size_t chunks) {
+void ThreadPool::run(std::size_t total, ChunkBody body) {
   if (total == 0) return;
-  if (chunks == 0) chunks = thread_count() * 4;
-  chunks = std::min(chunks, total);
-  std::size_t per = total / chunks;
-  std::size_t extra = total % chunks;
-  std::vector<std::future<void>> futures;
-  futures.reserve(chunks);
-  std::size_t begin = 0;
-  for (std::size_t c = 0; c < chunks; ++c) {
-    std::size_t len = per + (c < extra ? 1 : 0);
-    std::size_t end = begin + len;
-    futures.push_back(submit([&body, c, begin, end] { body(c, begin, end); }));
-    begin = end;
+  Call call(body, total, std::min(total, 4 * thread_count()));
+  if (in_worker()) {
+    // Nested in a chunk: waiting on workers could deadlock, so run inline.
+    call.run_claimed();
+  } else {
+    std::lock_guard<std::mutex> turn(call_mutex_);
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      call_ = &call;
+      ++generation_;
+    }
+    work_cv_.notify_all();
+    t_pool_worker = true;
+    call.run_claimed();
+    t_pool_worker = false;
+    // Every chunk is claimed; close the call and wait out the workers
+    // still running one, so `call` and `body` outlive every use.
+    std::unique_lock<std::mutex> lock(mutex_);
+    call_ = nullptr;
+    done_cv_.wait(lock, [this] { return active_ == 0; });
   }
-  for (auto& f : futures) f.get();
+  if (call.error) std::rethrow_exception(call.error);
 }
 
 ThreadPool& global_pool() {

@@ -1,19 +1,23 @@
-// thread_pool.hpp — a small fixed-size worker pool for Monte-Carlo trials.
+// thread_pool.hpp — a fixed-size fork-join pool with one operation.
 //
-// The statistics layer needs to run millions of independent trials (e.g. the
-// 2^-u guessing experiments of Lemma 3.3/A.7); the pool gives near-linear
-// speedup while keeping determinism: work is partitioned into ordered chunks
-// and each chunk derives its own Rng substream, so results are independent of
-// thread scheduling.
+// `parallel_chunks` splits [0, total) into contiguous chunks and runs one
+// body over them on the pool's workers and the calling thread, returning
+// once every chunk has finished. The parallel round loop (one call per
+// round) and stats::run_boolean_trials (one call per seed batch) use it.
+// A call allocates nothing: the body is passed as a two-word view of the
+// caller's callable, and the workers claim chunk indices from a shared
+// counter. Chunk boundaries depend only on `total` and the pool
+// size, not on which thread runs a chunk, so callers that write per-index
+// results or add up counts get the same answer under any schedule.
 #pragma once
 
 #include <condition_variable>
 #include <cstddef>
-#include <functional>
-#include <future>
+#include <cstdint>
+#include <memory>
 #include <mutex>
-#include <queue>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 namespace mpch::util {
@@ -29,42 +33,50 @@ class ThreadPool {
 
   std::size_t thread_count() const { return workers_.size(); }
 
-  /// True when the calling thread is a worker of *any* ThreadPool. Callers
-  /// that block on futures of the pool they run in would deadlock; nested
-  /// parallel code uses this to degrade to serial execution instead.
+  /// True inside every chunk of a `parallel_chunks` call of *any* pool, on
+  /// a worker or on the calling thread. A `parallel_chunks` call made there
+  /// runs all its chunks inline; the simulation checks it to run nested
+  /// rounds serially.
   static bool in_worker();
 
-  /// Enqueue a nullary task; returns a future for its completion.
-  template <typename Fn>
-  std::future<void> submit(Fn&& fn) {
-    auto task = std::make_shared<std::packaged_task<void()>>(std::forward<Fn>(fn));
-    std::future<void> fut = task->get_future();
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      queue_.emplace([task] { (*task)(); });
-    }
-    cv_.notify_one();
-    return fut;
+  /// Run `body(chunk_index, begin, end)` over [0, total) split into
+  /// min(4 x thread_count(), total) contiguous chunks of near-equal size,
+  /// and return once every chunk has finished. If chunks throw, every
+  /// chunk still runs, and the lowest-index chunk's exception is rethrown.
+  /// Calls from different threads take turns.
+  template <typename Body>
+  void parallel_chunks(std::size_t total, Body&& body) {
+    using Fn = std::remove_reference_t<Body>;
+    run(total, ChunkBody{const_cast<void*>(static_cast<const void*>(std::addressof(body))),
+                         [](void* fn, std::size_t chunk, std::size_t begin, std::size_t end) {
+                           (*static_cast<Fn*>(fn))(chunk, begin, end);
+                         }});
   }
 
-  /// Run `body(chunk_index, begin, end)` over [0, total) split into
-  /// roughly-equal contiguous chunks, one task per chunk, and wait for all.
-  /// `chunks == 0` defaults to 4x the thread count for load balance.
-  void parallel_chunks(std::size_t total,
-                       const std::function<void(std::size_t, std::size_t, std::size_t)>& body,
-                       std::size_t chunks = 0);
-
  private:
+  /// Non-owning view of the caller's body: valid for one `run`.
+  struct ChunkBody {
+    void* fn;
+    void (*call)(void*, std::size_t, std::size_t, std::size_t);
+  };
+  struct Call;  // one parallel_chunks call, on its caller's stack
+
+  void run(std::size_t total, ChunkBody body);
   void worker_loop();
 
-  std::vector<std::thread> workers_;
-  std::queue<std::function<void()>> queue_;
-  std::mutex mutex_;
-  std::condition_variable cv_;
+  std::mutex call_mutex_;  ///< one published call at a time
+  std::condition_variable work_cv_;  ///< a call was published, or stopping_
+  std::condition_variable done_cv_;  ///< active_ fell to 0
+  std::mutex mutex_;                 ///< guards the four fields below
   bool stopping_ = false;
+  std::uint64_t generation_ = 0;  ///< bumped by each published call
+  Call* call_ = nullptr;          ///< the call workers may still join
+  std::size_t active_ = 0;        ///< workers inside `call_`
+  std::vector<std::thread> workers_;  ///< last: they use every member above
 };
 
-/// Process-wide pool for benches/tests that don't want to manage lifetime.
+/// Process-wide pool (hardware_concurrency threads) for callers that don't
+/// want to manage a pool's lifetime.
 ThreadPool& global_pool();
 
 }  // namespace mpch::util

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "stats/estimator.hpp"
 
 namespace mpch::strategies {
@@ -91,6 +93,38 @@ TEST(GuessAhead, RejectsDegenerateChain) {
   GuessAheadConfig c = config(4, 1, false);
   c.params.w = 1;
   EXPECT_THROW(run_guess_ahead_trials(c, 1, 1), std::invalid_argument);
+}
+
+TEST(GuessAhead, RejectsTargetBeyondTheChain) {
+  // Every trial throws inside run_boolean_trials' pool; the first one's
+  // exception reaches the caller.
+  GuessAheadConfig c = config(4, 1, false);
+  c.target_node = c.params.w + 1;
+  EXPECT_THROW(run_guess_ahead_trials(c, 1, 1000), std::invalid_argument);
+  c.simline = true;
+  EXPECT_THROW(run_guess_ahead_trials(c, 1, 1000), std::invalid_argument);
+}
+
+TEST(GuessAhead, HitsArePinnedToTheSerialLoop) {
+  // Recorded from the one-thread trial loop that preceded
+  // run_boolean_trials: trial t is seeded by the t-th next_u64() of
+  // Rng(seed), so the counts do not depend on the pool. The first row
+  // crosses a seed batch boundary.
+  struct Row {
+    bool simline;
+    std::uint64_t target_node, guesses, seed, trials, hits;
+  };
+  const Row rows[] = {{false, 0, 1, 101, 65636, 1025},
+                      {false, 5, 16, 102, 3000, 755},
+                      {true, 0, 16, 103, 3000, 713},
+                      {true, 7, 1, 104, 3000, 45}};
+  for (const Row& r : rows) {
+    GuessAheadConfig c = config(6, r.guesses, r.simline);
+    c.target_node = r.target_node;
+    auto outcome = run_guess_ahead_trials(c, r.seed, r.trials);
+    EXPECT_EQ(outcome.trials, r.trials);
+    EXPECT_EQ(outcome.hits, r.hits) << "seed " << r.seed;
+  }
 }
 
 }  // namespace

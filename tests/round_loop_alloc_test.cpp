@@ -11,7 +11,8 @@
 // a few reallocations each. The oracle leg swaps the annotation for two
 // oracle queries per machine-round (one repeated input, one fresh), so the
 // amortised growth is the RoundStats vector, the transcript, and the
-// memo's entry vector and index; a query itself allocates nothing.
+// memo's entry vector and index; a query itself allocates nothing. The
+// threaded leg runs the plain ring on a 4-thread pool under the same bound.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -98,9 +99,11 @@ class AllocationProbe final : public RoundObserver {
   std::uint64_t second_ = 0;
 };
 
-void expect_steady_rounds_allocate_nothing(bool authenticate, bool with_oracle) {
+void expect_steady_rounds_allocate_nothing(bool authenticate, bool with_oracle,
+                                           std::uint64_t threads = 1) {
   MpcConfig c;
   c.machines = kMachines;
+  c.threads = threads;
   c.local_memory_bits = 256;
   c.max_rounds = kRounds;
   c.tape_seed = 1;
@@ -139,6 +142,12 @@ TEST(RoundLoopAllocations, SerialAuthenticatedRingAllocatesOnlyForTraceGrowth) {
 
 TEST(RoundLoopAllocations, SerialOracleRingAllocatesOnlyForAmortisedGrowth) {
   expect_steady_rounds_allocate_nothing(false, true);
+}
+
+TEST(RoundLoopAllocations, ThreadedPlainRingAllocatesOnlyForTraceGrowth) {
+  // Each threaded round is one ThreadPool::parallel_chunks call over the four
+  // machines; the call itself allocates nothing.
+  expect_steady_rounds_allocate_nothing(false, false, 4);
 }
 
 }  // namespace

@@ -3,7 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <string>
+
+#include "util/rng.hpp"
 
 namespace mpch::stats {
 namespace {
@@ -102,7 +106,7 @@ TEST(Histogram, TailProbability) {
 }
 
 TEST(Trials, BooleanDeterministicAcrossThreadCounts) {
-  auto trial = [](util::Rng& rng) { return rng.next_below(10) == 0; };
+  auto trial = [](std::uint64_t seed) { return util::Rng(seed).next_below(10) == 0; };
   util::ThreadPool pool1(1), pool4(4);
   Proportion a = run_boolean_trials(50000, 11, trial, &pool1);
   Proportion b = run_boolean_trials(50000, 11, trial, &pool4);
@@ -111,27 +115,47 @@ TEST(Trials, BooleanDeterministicAcrossThreadCounts) {
   EXPECT_TRUE(a.contains(0.1));
 }
 
-TEST(Trials, NumericAggregates) {
-  auto trial = [](util::Rng& rng) { return rng.next_double(); };
-  RunningStats s = run_numeric_trials(20000, 5, trial);
-  EXPECT_EQ(s.count(), 20000u);
-  EXPECT_NEAR(s.mean(), 0.5, 0.02);
-  EXPECT_NEAR(s.variance(), 1.0 / 12.0, 0.01);
-}
-
-TEST(Trials, HistogramCollects) {
-  auto trial = [](util::Rng& rng) { return rng.next_below(4); };
-  Histogram h = run_histogram_trials(40000, 3, 4, trial);
-  EXPECT_EQ(h.total(), 40000u);
-  for (std::size_t b = 0; b < 4; ++b) {
-    EXPECT_GT(h.count(b), 9000u);
-    EXPECT_LT(h.count(b), 11000u);
+TEST(Trials, EqualsSerialLoopAtEveryPoolSizeAndBatchEdge) {
+  // Trial t's seed is the t-th next_u64() of Rng(seed): run_boolean_trials
+  // must see exactly the serial loop's seeds, once each, on any pool and
+  // across every batch boundary. The seed multiset is compared by count, sum and sum of
+  // squares (mod 2^64).
+  auto trial = [](std::uint64_t s) { return util::Rng(s).next_below(7) < 2; };
+  const std::uint64_t seed = 2024;
+  for (std::size_t threads : {1, 2, 4, 8}) {
+    util::ThreadPool pool(threads);
+    for (std::uint64_t trials : {std::uint64_t{0}, std::uint64_t{1}, kTrialBatch - 1, kTrialBatch,
+                                 kTrialBatch + 1, 3 * kTrialBatch + 7}) {
+      util::Rng rng(seed);
+      std::uint64_t serial_hits = 0, serial_sum = 0, serial_sq = 0;
+      for (std::uint64_t t = 0; t < trials; ++t) {
+        const std::uint64_t s = rng.next_u64();
+        if (trial(s)) ++serial_hits;
+        serial_sum += s;
+        serial_sq += s * s;
+      }
+      std::atomic<std::uint64_t> count{0}, sum{0}, sq{0};
+      Proportion p = run_boolean_trials(
+          trials, seed,
+          [&](std::uint64_t s) {
+            count.fetch_add(1);
+            sum.fetch_add(s);
+            sq.fetch_add(s * s);
+            return trial(s);
+          },
+          &pool);
+      SCOPED_TRACE(std::to_string(threads) + " threads, " + std::to_string(trials) + " trials");
+      EXPECT_EQ(p.trials, trials);
+      EXPECT_EQ(p.successes, serial_hits);
+      EXPECT_EQ(count.load(), trials);
+      EXPECT_EQ(sum.load(), serial_sum);
+      EXPECT_EQ(sq.load(), serial_sq);
+    }
   }
-  EXPECT_EQ(h.overflow(), 0u);
 }
 
 TEST(Trials, DifferentSeedsDiffer) {
-  auto trial = [](util::Rng& rng) { return rng.next_below(2) == 0; };
+  auto trial = [](std::uint64_t seed) { return seed % 2 == 0; };
   Proportion a = run_boolean_trials(10000, 1, trial);
   Proportion b = run_boolean_trials(10000, 2, trial);
   EXPECT_NE(a.successes, b.successes);

@@ -2,23 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
-#include <numeric>
+#include <chrono>
+#include <mutex>
+#include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 namespace mpch::util {
 namespace {
-
-TEST(ThreadPool, RunsSubmittedTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 100; ++i) {
-    futures.push_back(pool.submit([&counter] { counter.fetch_add(1); }));
-  }
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(counter.load(), 100);
-}
 
 TEST(ThreadPool, ParallelChunksCoverExactlyOnce) {
   ThreadPool pool(4);
@@ -36,16 +30,13 @@ TEST(ThreadPool, ParallelChunksChunkIndicesAreDistinct) {
   ThreadPool pool(2);
   std::mutex mu;
   std::vector<std::size_t> seen;
-  pool.parallel_chunks(
-      100,
-      [&](std::size_t chunk, std::size_t, std::size_t) {
-        std::lock_guard<std::mutex> lock(mu);
-        seen.push_back(chunk);
-      },
-      10);
+  pool.parallel_chunks(100, [&](std::size_t chunk, std::size_t, std::size_t) {
+    std::lock_guard<std::mutex> lock(mu);
+    seen.push_back(chunk);
+  });
   std::sort(seen.begin(), seen.end());
-  ASSERT_EQ(seen.size(), 10u);
-  for (std::size_t i = 0; i < 10; ++i) EXPECT_EQ(seen[i], i);
+  ASSERT_EQ(seen.size(), 8u);  // 4 x thread_count()
+  for (std::size_t i = 0; i < 8; ++i) EXPECT_EQ(seen[i], i);
 }
 
 TEST(ThreadPool, ZeroTotalIsNoop) {
@@ -58,12 +49,10 @@ TEST(ThreadPool, ZeroTotalIsNoop) {
 TEST(ThreadPool, MoreChunksThanItemsClamped) {
   ThreadPool pool(2);
   std::atomic<int> calls{0};
-  pool.parallel_chunks(
-      3, [&](std::size_t, std::size_t begin, std::size_t end) {
-        EXPECT_EQ(end - begin, 1u);
-        calls.fetch_add(1);
-      },
-      50);
+  pool.parallel_chunks(3, [&](std::size_t, std::size_t begin, std::size_t end) {
+    EXPECT_EQ(end - begin, 1u);
+    calls.fetch_add(1);
+  });
   EXPECT_EQ(calls.load(), 3);
 }
 
@@ -84,15 +73,50 @@ TEST(ThreadPool, InWorkerReflectsCallingThread) {
   EXPECT_FALSE(ThreadPool::in_worker());
   ThreadPool pool(2);
   std::atomic<int> inside{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 8; ++i) {
-    futures.push_back(pool.submit([&inside] {
-      if (ThreadPool::in_worker()) inside.fetch_add(1);
-    }));
-  }
-  for (auto& f : futures) f.get();
+  pool.parallel_chunks(8, [&](std::size_t, std::size_t, std::size_t) {
+    if (ThreadPool::in_worker()) inside.fetch_add(1);
+  });
   EXPECT_EQ(inside.load(), 8);
   EXPECT_FALSE(ThreadPool::in_worker());  // main thread is still not a worker
+}
+
+TEST(ThreadPool, NestedCallRunsInlineOnTheChunksThread) {
+  ThreadPool pool(2);
+  std::atomic<int> inner{0};
+  pool.parallel_chunks(8, [&](std::size_t, std::size_t, std::size_t) {
+    const std::thread::id outer = std::this_thread::get_id();
+    pool.parallel_chunks(5, [&](std::size_t, std::size_t begin, std::size_t end) {
+      EXPECT_EQ(std::this_thread::get_id(), outer);
+      inner.fetch_add(static_cast<int>(end - begin));
+    });
+  });
+  EXPECT_EQ(inner.load(), 8 * 5);
+}
+
+TEST(ThreadPool, ThrowingChunkWaitsForTheRestThenRethrowsTheLowest) {
+  // Chunk 5 throws at once, chunk 0 only after the others have started; the
+  // call must not return before all 8 chunks are done, and must report
+  // chunk 0's exception.
+  ThreadPool pool(2);
+  std::atomic<int> finished{0};
+  auto body = [&](std::size_t chunk, std::size_t, std::size_t) {
+    if (chunk != 5) std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    finished.fetch_add(1);
+    if (chunk == 0 || chunk == 5) throw std::runtime_error("chunk " + std::to_string(chunk));
+  };
+  try {
+    pool.parallel_chunks(8, body);
+    ADD_FAILURE() << "no exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(finished.load(), 8);
+    EXPECT_STREQ(e.what(), "chunk 0");
+  }
+  // The pool stays usable after a throwing call.
+  std::atomic<int> n{0};
+  pool.parallel_chunks(10, [&](std::size_t, std::size_t b, std::size_t e) {
+    n.fetch_add(static_cast<int>(e - b));
+  });
+  EXPECT_EQ(n.load(), 10);
 }
 
 }  // namespace
