@@ -21,6 +21,7 @@
 
 #include "bench_common.hpp"
 #include "core/line.hpp"
+#include "mpc/auth.hpp"
 #include "ram/machine.hpp"
 #include "ram/programs.hpp"
 #include "strategies/pointer_chasing.hpp"
@@ -56,7 +57,7 @@ struct RunSetup {
 Measurement measure(const std::function<RunSetup()>& setup, mpc::MpcConfig config,
                     bool authenticate) {
   config.authenticate_messages = authenticate;
-  if (authenticate) config.local_memory_bits += 1 << 16;  // headroom for the tags
+  if (authenticate) config.local_memory_bits += mpc::kTagMemoryHeadroomBits;
   Measurement m;
   std::vector<double> wall_ms;
   for (int run = 0; run < kRuns; ++run) {

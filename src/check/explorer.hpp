@@ -36,10 +36,10 @@ namespace mpch::check {
 /// A stored schedule does not replay against the model it claims to drive:
 /// an action key that is not enabled at its position. Distinct from
 /// TraceError (trace.hpp), which is "the file is malformed" — this is "the
-/// file is well-formed but lies about the protocol".
-class ReplayError : public std::runtime_error {
+/// file is well-formed but lies about the protocol". Both are bad input.
+class ReplayError : public std::invalid_argument {
  public:
-  explicit ReplayError(const std::string& what) : std::runtime_error(what) {}
+  explicit ReplayError(const std::string& what) : std::invalid_argument(what) {}
 };
 
 struct ExplorerOptions {

@@ -31,6 +31,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace mpch::check {
@@ -55,6 +56,14 @@ struct ModelBounds {
   std::uint64_t depth = 64;     ///< schedule length ceiling
   std::uint64_t states = 100000;  ///< explored-state ceiling
 };
+
+/// Parse `--bound`'s "machines=2,rounds=3,..." over the defaults. Values are
+/// unsigned decimals (util/parse.hpp) and each key appears at most once;
+/// throws std::invalid_argument naming the offending item.
+ModelBounds parse_bounds(std::string_view text);
+
+/// Every bound as "machines=M,rounds=R,...,states=S"; parse_bounds reads it back.
+std::string bounds_summary(const ModelBounds& bounds);
 
 /// A protocol model the explorer can drive. Implementations live in
 /// src/check/*_model.cpp and are built by make_model() (models.hpp).

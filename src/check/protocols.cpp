@@ -1,9 +1,51 @@
-// protocols.cpp — name-to-model dispatch and the seeded-mutation registry.
+// protocols.cpp — name-to-model dispatch, the mutation registry, --bound.
+#include <iterator>
 #include <stdexcept>
+#include <utility>
 
 #include "check/models.hpp"
+#include "util/parse.hpp"
 
 namespace mpch::check {
+
+constexpr std::pair<std::string_view, std::uint64_t ModelBounds::*> kBoundKeys[] = {
+    {"machines", &ModelBounds::machines}, {"rounds", &ModelBounds::rounds},
+    {"messages", &ModelBounds::messages}, {"faults", &ModelBounds::faults},
+    {"depth", &ModelBounds::depth},       {"states", &ModelBounds::states},
+};
+
+ModelBounds parse_bounds(std::string_view text) {
+  const auto fail = [](const std::string& why) { throw std::invalid_argument("--bound " + why); };
+  ModelBounds bounds;
+  util::KeyValueList items(text, ",");
+  util::KeyValue item;
+  while (items.next(item)) {
+    const std::string key(item.key);
+    const util::Decimal value = util::parse_decimal(item.value);
+    const auto* bound = std::begin(kBoundKeys);
+    while (bound != std::end(kBoundKeys) && bound->first != key) ++bound;
+    if (item.error == util::KeyValueError::kRepeatedKey) fail("key '" + key + "' appears twice");
+    if (item.error != util::KeyValueError::kNone) {
+      fail("item '" + std::string(item.field) + "' is not key=value");
+    }
+    if (value.error != util::DecimalError::kNone) {
+      fail(key + "='" + std::string(item.value) + "' is not a number");
+    }
+    if (bound == std::end(kBoundKeys)) {
+      fail("key '" + key + "' is not machines/rounds/messages/faults/depth/states");
+    }
+    bounds.*bound->second = value.value;
+  }
+  return bounds;
+}
+
+std::string bounds_summary(const ModelBounds& bounds) {
+  std::string out;
+  for (const auto& [name, field] : kBoundKeys) {
+    out += (out.empty() ? "" : ",") + std::string(name) + "=" + std::to_string(bounds.*field);
+  }
+  return out;
+}
 
 const std::vector<std::string>& protocol_names() {
   static const std::vector<std::string> kNames = {"inbox", "broadcast", "recovery",

@@ -3,34 +3,26 @@
 #include <fstream>
 #include <sstream>
 
+#include "util/parse.hpp"
+
 namespace mpch::check {
 
 namespace {
 
 constexpr const char* kHeader = "mpch-model-trace v1";
 
-/// One-line fields must stay one line and within the line cap.
-void require_field(const std::string& value, const char* name, bool allow_empty) {
-  if (!allow_empty && value.empty()) {
-    throw std::invalid_argument(std::string("trace encode: field '") + name + "' is empty");
-  }
-  if (value.size() > kMaxTraceLineBytes / 2) {
-    throw std::invalid_argument(std::string("trace encode: field '") + name + "' is overlong");
-  }
-  if (value.find('\n') != std::string::npos || value.find('\r') != std::string::npos) {
-    throw std::invalid_argument(std::string("trace encode: field '") + name +
-                                "' contains a line break");
-  }
-}
-
-/// Tokens (protocol/mutation names) additionally reject spaces so the
-/// key-value line grammar stays unambiguous.
-void require_token(const std::string& value, const char* name) {
-  require_field(value, name, /*allow_empty=*/false);
-  if (value.find(' ') != std::string::npos) {
-    throw std::invalid_argument(std::string("trace encode: field '") + name +
-                                "' contains a space");
-  }
+/// One-line fields must stay one line and within the line cap. Tokens
+/// (protocol/mutation names) also reject spaces so the key-value line grammar
+/// stays unambiguous.
+void require_field(const std::string& value, const char* name, bool allow_empty,
+                   bool token = false) {
+  const auto fail = [name](const char* why) {
+    throw std::invalid_argument(std::string("trace encode: field '") + name + "' " + why);
+  };
+  if (!allow_empty && value.empty()) fail("is empty");
+  if (value.size() > kMaxTraceLineBytes / 2) fail("is overlong");
+  if (value.find_first_of("\n\r") != std::string::npos) fail("contains a line break");
+  if (token && value.find(' ') != std::string::npos) fail("contains a space");
 }
 
 /// Field values share encode_trace's length ceiling, so anything the parser
@@ -42,9 +34,9 @@ void require_parsed_field(const std::string& value, const char* name, std::size_
 }
 
 /// Split "prefix rest-of-line"; throws TraceError when `line` does not start
-/// with `prefix` + space.
+/// with `prefix` + space, or when a `token` value contains a space.
 std::string expect_prefixed(const std::string& line, const std::string& prefix,
-                            std::size_t line_no) {
+                            std::size_t line_no, bool token = false) {
   if (line.size() <= prefix.size() + 1 || line.compare(0, prefix.size(), prefix) != 0 ||
       line[prefix.size()] != ' ') {
     throw TraceError("trace: line " + std::to_string(line_no) + " must be '" + prefix +
@@ -52,28 +44,19 @@ std::string expect_prefixed(const std::string& line, const std::string& prefix,
   }
   std::string value = line.substr(prefix.size() + 1);
   require_parsed_field(value, prefix.c_str(), line_no);
+  if (token && value.find(' ') != std::string::npos) {
+    throw TraceError("trace: line " + std::to_string(line_no) + ": " + prefix +
+                     " contains a space");
+  }
   return value;
 }
 
-std::uint64_t parse_u64(const std::string& text, const char* what, std::size_t line_no) {
-  if (text.empty() || text.size() > 20) {
-    throw TraceError("trace: line " + std::to_string(line_no) + ": " + what +
-                     " is not a decimal number");
-  }
-  std::uint64_t value = 0;
-  for (char c : text) {
-    if (c < '0' || c > '9') {
-      throw TraceError("trace: line " + std::to_string(line_no) + ": " + what +
-                       " is not a decimal number");
-    }
-    const std::uint64_t digit = static_cast<std::uint64_t>(c - '0');
-    if (value > (UINT64_MAX - digit) / 10) {
-      throw TraceError("trace: line " + std::to_string(line_no) + ": " + what +
-                       " overflows u64");
-    }
-    value = value * 10 + digit;
-  }
-  return value;
+std::uint64_t parse_u64(std::string_view text, const char* what, std::size_t line_no) {
+  const util::Decimal n = util::parse_decimal(text);
+  if (n.error == util::DecimalError::kNone) return n.value;
+  throw TraceError("trace: line " + std::to_string(line_no) + ": " + what +
+                   (n.error == util::DecimalError::kOverflow ? " overflows u64"
+                                                             : " is not a decimal number"));
 }
 
 /// Pull the next '\n'-terminated line; enforces the line cap and rejects
@@ -105,8 +88,8 @@ std::string next_line(const std::string& text, std::size_t& pos, std::size_t& li
 }  // namespace
 
 std::string encode_trace(const TraceFile& trace) {
-  require_token(trace.protocol, "protocol");
-  require_token(trace.mutation, "mutation");
+  require_field(trace.protocol, "protocol", /*allow_empty=*/false, /*token=*/true);
+  require_field(trace.mutation, "mutation", /*allow_empty=*/false, /*token=*/true);
   require_field(trace.bound, "bound", /*allow_empty=*/true);
   require_field(trace.violation, "violation", /*allow_empty=*/false);
   if (trace.schedule.size() > kMaxTraceActions) {
@@ -141,15 +124,9 @@ TraceFile parse_trace(const std::string& text) {
   // next_line must run (and bump line_no) before expect_prefixed reads it —
   // keep the calls on separate statements, never nested in an argument list.
   std::string field = next_line(text, pos, line_no);
-  out.protocol = expect_prefixed(field, "protocol", line_no);
-  if (out.protocol.find(' ') != std::string::npos) {
-    throw TraceError("trace: line " + std::to_string(line_no) + ": protocol contains a space");
-  }
+  out.protocol = expect_prefixed(field, "protocol", line_no, /*token=*/true);
   field = next_line(text, pos, line_no);
-  out.mutation = expect_prefixed(field, "mutation", line_no);
-  if (out.mutation.find(' ') != std::string::npos) {
-    throw TraceError("trace: line " + std::to_string(line_no) + ": mutation contains a space");
-  }
+  out.mutation = expect_prefixed(field, "mutation", line_no, /*token=*/true);
 
   std::string line = next_line(text, pos, line_no);
   if (line.compare(0, 6, "bound ") == 0) {
@@ -176,7 +153,7 @@ TraceFile parse_trace(const std::string& text) {
                        " must be '<key> <label>' for schedule step " + std::to_string(i + 1));
     }
     Action a;
-    a.key = parse_u64(line.substr(0, sp), "action key", line_no);
+    a.key = parse_u64(std::string_view(line).substr(0, sp), "action key", line_no);
     a.label = line.substr(sp + 1);
     require_parsed_field(a.label, "action label", line_no);
     out.schedule.push_back(std::move(a));

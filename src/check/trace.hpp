@@ -40,9 +40,9 @@ namespace mpch::check {
 
 /// A trace file failed to parse. The what() string names the failing gate
 /// and the line it fired on.
-class TraceError : public std::runtime_error {
+class TraceError : public std::invalid_argument {
  public:
-  explicit TraceError(const std::string& what) : std::runtime_error(what) {}
+  explicit TraceError(const std::string& what) : std::invalid_argument(what) {}
 };
 
 /// Ceiling on schedule length in a stored trace. Bounded exploration never

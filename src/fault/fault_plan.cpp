@@ -1,9 +1,12 @@
 #include "fault/fault_plan.hpp"
 
-#include <map>
-#include <sstream>
+#include <algorithm>
+#include <array>
+#include <iterator>
 #include <stdexcept>
+#include <utility>
 
+#include "util/parse.hpp"
 #include "util/rng.hpp"
 
 namespace mpch::fault {
@@ -53,103 +56,92 @@ std::string FaultEvent::describe() const {
 
 namespace {
 
-/// Parse one `kind:key=value,...` token into an event (or a random:...
-/// sub-plan). Throws with the token quoted on any malformed piece.
-void parse_event(const std::string& token, FaultPlan& plan) {
-  auto fail = [&token](const std::string& why) {
-    throw std::invalid_argument("FaultPlan::parse: " + why + " in '" + token + "'");
-  };
-  std::size_t colon = token.find(':');
-  std::string kind_str = colon == std::string::npos ? token : token.substr(0, colon);
+[[noreturn]] void fail(std::string_view token, const std::string& why) {
+  throw std::invalid_argument("FaultPlan::parse: " + why + " in '" + std::string(token) + "'");
+}
 
-  std::map<std::string, std::uint64_t> kv;
-  if (colon != std::string::npos) {
-    std::stringstream rest(token.substr(colon + 1));
-    std::string pair;
-    while (std::getline(rest, pair, ',')) {
-      std::size_t eq = pair.find('=');
-      if (eq == std::string::npos || eq == 0) fail("expected key=value, got '" + pair + "'");
-      std::string key = pair.substr(0, eq);
-      std::string value = pair.substr(eq + 1);
-      try {
-        std::size_t used = 0;
-        std::uint64_t parsed = std::stoull(value, &used);
-        if (used != value.size()) throw std::invalid_argument(value);
-        kv[key] = parsed;
-      } catch (const std::exception&) {
-        fail("value of '" + key + "' is not a number");
-      }
+using Keys = std::array<std::string_view, 4>;
+
+/// Each kind's keys for FaultEvent's round, machine, index and aux ("" =
+/// unused), which is also the order a missing key is reported in.
+constexpr std::pair<FaultKind, Keys> kEventKeys[] = {
+    {FaultKind::CrashMachine, {"round", "machine"}},
+    {FaultKind::DropMessage, {"round", "to", "index"}},
+    {FaultKind::DuplicateMessage, {"round", "to", "index"}},
+    {FaultKind::KillSimulation, {"round"}},
+    {FaultKind::FlipBit, {"round", "machine", "bit"}},
+    {FaultKind::ForgeMessage, {"round", "to", "index", "from"}},
+    {FaultKind::GarbleOracle, {"round", "", "entry"}},
+    {FaultKind::TamperCheckpoint, {"round", "", "bit"}},
+};
+
+/// Read the `key=value,...` list `fields` of `token`: one value per name of
+/// `keys`, 0 for an unused one. Throws on a malformed, unknown, repeated or
+/// missing key and on a value that is not an unsigned decimal.
+std::array<std::uint64_t, 4> read_values(std::string_view token, std::string_view fields,
+                                         const Keys& keys) {
+  std::array<std::uint64_t, 4> values{};
+  std::array<bool, 4> seen{};
+  util::KeyValueList list(fields, ",");
+  util::KeyValue kv;
+  while (list.next(kv)) {
+    const std::string key(kv.key);
+    if (kv.error == util::KeyValueError::kRepeatedKey) fail(token, "repeated key '" + key + "'");
+    if (kv.error != util::KeyValueError::kNone) {
+      fail(token, "expected key=value, got '" + std::string(kv.field) + "'");
     }
+    const std::size_t slot = std::find(keys.begin(), keys.end(), kv.key) - keys.begin();
+    if (slot == keys.size()) fail(token, "unknown key '" + key + "'");
+    const util::Decimal n = util::parse_decimal(kv.value);
+    if (n.error != util::DecimalError::kNone) fail(token, "value of '" + key + "' is not a number");
+    values[slot] = n.value;
+    seen[slot] = true;
   }
-  auto need = [&](const char* key) {
-    auto it = kv.find(key);
-    if (it == kv.end()) fail(std::string("missing '") + key + "='");
-    std::uint64_t v = it->second;
-    kv.erase(it);
-    return v;
-  };
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    if (!keys[i].empty() && !seen[i]) fail(token, "missing '" + std::string(keys[i]) + "='");
+  }
+  return values;
+}
 
-  FaultEvent ev;
-  if (kind_str == "crash") {
-    ev.kind = FaultKind::CrashMachine;
-    ev.machine = need("machine");
-    ev.round = need("round");
-  } else if (kind_str == "drop" || kind_str == "dup") {
-    ev.kind = kind_str == "drop" ? FaultKind::DropMessage : FaultKind::DuplicateMessage;
-    ev.round = need("round");
-    ev.machine = need("to");
-    ev.index = need("index");
-  } else if (kind_str == "kill") {
-    ev.kind = FaultKind::KillSimulation;
-    ev.round = need("round");
-  } else if (kind_str == "flip") {
-    ev.kind = FaultKind::FlipBit;
-    ev.machine = need("machine");
-    ev.round = need("round");
-    ev.index = need("bit");
-  } else if (kind_str == "forge") {
-    ev.kind = FaultKind::ForgeMessage;
-    ev.round = need("round");
-    ev.machine = need("to");
-    ev.index = need("index");
-    ev.aux = need("from");
-  } else if (kind_str == "garble-oracle") {
-    ev.kind = FaultKind::GarbleOracle;
-    ev.round = need("round");
-    ev.index = need("entry");
-  } else if (kind_str == "tamper-ckpt") {
-    ev.kind = FaultKind::TamperCheckpoint;
-    ev.round = need("round");
-    ev.index = need("bit");
-  } else if (kind_str == "random") {
-    std::uint64_t seed = need("seed");
-    std::uint64_t events = need("events");
-    std::uint64_t rounds = need("rounds");
-    std::uint64_t machines = need("machines");
-    if (!kv.empty()) fail("unknown key '" + kv.begin()->first + "'");
-    FaultPlan sub = FaultPlan::random(seed, events, rounds, machines);
+/// Parse one `kind:key=value,...` token, appending its events to `plan`.
+void parse_event(std::string_view token, FaultPlan& plan) {
+  const std::size_t colon = token.find(':');
+  const std::string_view kind = token.substr(0, colon);
+  const std::string_view fields =
+      colon == std::string_view::npos ? std::string_view() : token.substr(colon + 1);
+  const auto check_room = [&](std::uint64_t adding) {
+    if (adding > kMaxPlanEvents - plan.events.size()) {
+      fail(token, "a plan holds at most " + std::to_string(kMaxPlanEvents) + " events");
+    }
+  };
+  if (kind == "random") {
+    const auto [seed, events, rounds, machines] =
+        read_values(token, fields, {"seed", "events", "rounds", "machines"});
+    check_room(events);
+    const FaultPlan sub = FaultPlan::random(seed, events, rounds, machines);
     plan.events.insert(plan.events.end(), sub.events.begin(), sub.events.end());
     return;
-  } else {
-    fail("unknown fault kind '" + kind_str +
-         "' (want crash|drop|dup|kill|flip|forge|garble-oracle|tamper-ckpt|random)");
   }
-  if (!kv.empty()) fail("unknown key '" + kv.begin()->first + "'");
-  plan.events.push_back(ev);
+  const auto* grammar = std::begin(kEventKeys);
+  while (grammar != std::end(kEventKeys) && to_string(grammar->first) != kind) ++grammar;
+  if (grammar == std::end(kEventKeys)) {
+    fail(token, "unknown fault kind '" + std::string(kind) +
+                    "' (want crash|drop|dup|kill|flip|forge|garble-oracle|tamper-ckpt|random)");
+  }
+  const auto [round, machine, index, aux] = read_values(token, fields, grammar->second);
+  check_room(1);
+  plan.events.push_back({grammar->first, round, machine, index, aux});
 }
 
 }  // namespace
 
-FaultPlan FaultPlan::parse(const std::string& spec) {
+FaultPlan FaultPlan::parse(std::string_view spec) {
   FaultPlan plan;
-  std::stringstream ss(spec);
-  std::string token;
-  while (std::getline(ss, token, ';')) {
-    if (token.empty()) continue;
-    parse_event(token, plan);
-  }
+  std::string_view rest = spec;
+  std::string_view token;
+  while (util::next_field(rest, ";", token)) parse_event(token, plan);
   if (plan.events.empty()) {
-    throw std::invalid_argument("FaultPlan::parse: no events in '" + spec + "'");
+    throw std::invalid_argument("FaultPlan::parse: no events in '" + std::string(spec) + "'");
   }
   return plan;
 }
@@ -158,6 +150,11 @@ FaultPlan FaultPlan::random(std::uint64_t seed, std::uint64_t events, std::uint6
                             std::uint64_t machines) {
   if (max_round == 0 || machines == 0) {
     throw std::invalid_argument("FaultPlan::random: rounds and machines must be nonzero");
+  }
+  if (events > kMaxPlanEvents) {
+    throw std::invalid_argument("FaultPlan::random: a plan holds at most " +
+                                std::to_string(kMaxPlanEvents) + " events, not " +
+                                std::to_string(events));
   }
   util::Rng rng(seed ^ 0xFA17'FA17'FA17'FA17ULL);
   FaultPlan plan;

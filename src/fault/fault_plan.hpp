@@ -7,11 +7,14 @@
 // chaos suite assert bit-identical recovery. Plans come from three places:
 // explicit construction, the CLI grammar parsed by parse(), or the seeded
 // generator random() (a util::Rng stream, so a seed fully determines the
-// schedule).
+// schedule). The grammar is a hostile-input boundary: values are unsigned
+// decimals (util/parse.hpp), each key appears at most once per event, and a
+// plan holds at most kMaxPlanEvents events, checked before any allocation.
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace mpch::fault {
@@ -54,6 +57,10 @@ struct FaultEvent {
   bool operator==(const FaultEvent&) const = default;
 };
 
+/// The most events one plan holds, random:events=N included (the scale of
+/// the jobfile's per-line repeat cap).
+inline constexpr std::uint64_t kMaxPlanEvents = 1ULL << 12;
+
 struct FaultPlan {
   std::vector<FaultEvent> events;
 
@@ -69,10 +76,11 @@ struct FaultPlan {
   ///   tamper-ckpt:round=3,bit=100
   ///   random:seed=7,events=3,rounds=10,machines=4
   /// Throws std::invalid_argument naming the offending token.
-  static FaultPlan parse(const std::string& spec);
+  static FaultPlan parse(std::string_view spec);
 
   /// A seeded schedule of `events` faults over rounds [0, max_round) and
-  /// machines [0, machines): same seed, same plan, every time.
+  /// machines [0, machines): same seed, same plan, every time. Throws
+  /// std::invalid_argument when `events` exceeds kMaxPlanEvents.
   static FaultPlan random(std::uint64_t seed, std::uint64_t events, std::uint64_t max_round,
                           std::uint64_t machines);
 

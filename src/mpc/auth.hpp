@@ -46,6 +46,9 @@ namespace mpch::mpc {
 /// Width of the MAC tag MachineIo::send appends under authenticate_messages.
 inline constexpr std::uint64_t kMessageTagBits = 64;
 
+/// Local memory added to each machine's budget to hold its messages' tags.
+inline constexpr std::uint64_t kTagMemoryHeadroomBits = 1 << 16;
+
 /// MAC over (tape seed, round, from, to, payload): the tag appended to a
 /// message sent in `round`. Pure function — recomputable by the verifier and
 /// by recovery policies from checkpointed state.

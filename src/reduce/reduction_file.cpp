@@ -3,6 +3,7 @@
 #include <cctype>
 
 #include "mpc/auth.hpp"
+#include "util/parse.hpp"
 
 namespace mpch::reduce {
 
@@ -67,36 +68,26 @@ class Cursor {
   /// Consume a name token ([A-Za-z0-9_+./-]+, length-capped).
   std::string expect_name(const char* what) {
     skip_space_and_comments();
-    if (pos_ >= text_.size() || !is_name_char(text_[pos_])) {
-      fail(std::string("expected ") + what + found_here());
-    }
-    std::string out;
-    while (pos_ < text_.size() && is_name_char(text_[pos_])) {
-      if (out.size() >= kMaxNameBytes) {
+    const std::size_t start = pos_;
+    for (; pos_ < text_.size() && is_name_char(text_[pos_]); advance()) {
+      if (pos_ - start >= kMaxNameBytes) {
         fail(std::string(what) + " exceeds " + std::to_string(kMaxNameBytes) + " bytes");
       }
-      out += text_[pos_];
-      advance();
     }
-    return out;
+    if (pos_ == start) fail(std::string("expected ") + what + found_here());
+    return text_.substr(start, pos_ - start);
   }
 
-  /// Consume a decimal u64; rejects overflow explicitly.
+  /// Consume a decimal u64 (util::parse_decimal); overflow is reported at its start.
   std::uint64_t expect_u64(const char* what) {
     skip_space_and_comments();
-    if (pos_ >= text_.size() || std::isdigit(static_cast<unsigned char>(text_[pos_])) == 0) {
-      fail(std::string("expected a decimal number for ") + what + found_here());
-    }
-    std::uint64_t value = 0;
-    while (pos_ < text_.size() && std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0) {
-      const std::uint64_t digit = static_cast<std::uint64_t>(text_[pos_] - '0');
-      if (value > (UINT64_MAX - digit) / 10) {
-        fail(std::string(what) + " overflows u64");
-      }
-      value = value * 10 + digit;
-      advance();
-    }
-    return value;
+    std::size_t end = pos_;
+    while (end < text_.size() && std::isdigit(static_cast<unsigned char>(text_[end])) != 0) ++end;
+    if (end == pos_) fail(std::string("expected a decimal number for ") + what + found_here());
+    const util::Decimal n = util::parse_decimal(std::string_view(text_).substr(pos_, end - pos_));
+    if (n.error != util::DecimalError::kNone) fail(std::string(what) + " overflows u64");
+    while (pos_ < end) advance();
+    return n.value;
   }
 
   bool consume_if(char c) {

@@ -39,10 +39,10 @@ namespace mpch::reduce {
 
 /// Typed rejection of a malformed reduction file; line and column are
 /// 1-based.
-class ReductionError : public std::runtime_error {
+class ReductionError : public std::invalid_argument {
  public:
   ReductionError(std::uint64_t line, std::uint64_t column, const std::string& what)
-      : std::runtime_error("reduction file line " + std::to_string(line) + ", column " +
+      : std::invalid_argument("reduction file line " + std::to_string(line) + ", column " +
                            std::to_string(column) + ": " + what),
         line_(line),
         column_(column) {}

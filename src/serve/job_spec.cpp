@@ -1,43 +1,36 @@
 #include "serve/job_spec.hpp"
 
-#include <set>
+#include <algorithm>
 #include <sstream>
 
 #include "fault/fault_plan.hpp"
 #include "fault/recovery.hpp"
+#include "util/parse.hpp"
 
 namespace mpch::serve {
 
 namespace {
 
-/// Strict u64: all digits, no sign, no overflow. The CLI layer is lenient;
-/// this boundary is not.
-std::uint64_t parse_u64(const std::string& value, const std::string& key,
-                        std::uint64_t line_number) {
-  if (value.empty()) {
-    throw JobSpecError(line_number, "empty value for key '" + key + "'");
-  }
-  std::uint64_t out = 0;
-  for (char c : value) {
-    if (c < '0' || c > '9') {
-      throw JobSpecError(line_number,
-                         "value '" + value + "' for key '" + key + "' is not a number");
-    }
-    const std::uint64_t digit = static_cast<std::uint64_t>(c - '0');
-    if (out > (UINT64_MAX - digit) / 10) {
-      throw JobSpecError(line_number,
-                         "value '" + value + "' for key '" + key + "' overflows 64 bits");
-    }
-    out = out * 10 + digit;
-  }
-  return out;
+/// What the jobfile splits on: the C locale's whitespace.
+constexpr std::string_view kSpace = " \t\n\v\f\r";
+
+[[noreturn]] void bad_value(std::string_view value, std::string_view key,
+                            std::uint64_t line_number, const char* is_not) {
+  throw JobSpecError(line_number, "value '" + std::string(value) + "' for key '" +
+                                      std::string(key) + "' " + is_not);
 }
 
-bool parse_bool(const std::string& value, const std::string& key, std::uint64_t line_number) {
+std::uint64_t parse_u64(std::string_view value, std::string_view key, std::uint64_t line_number) {
+  const util::Decimal n = util::parse_decimal(value);
+  if (n.error == util::DecimalError::kNone) return n.value;
+  bad_value(value, key, line_number,
+            n.error == util::DecimalError::kOverflow ? "overflows 64 bits" : "is not a number");
+}
+
+bool parse_bool(std::string_view value, std::string_view key, std::uint64_t line_number) {
   if (value == "true" || value == "1") return true;
   if (value == "false" || value == "0") return false;
-  throw JobSpecError(line_number, "value '" + value + "' for key '" + key +
-                                      "' is not a boolean (true|false|1|0)");
+  bad_value(value, key, line_number, "is not a boolean (true|false|1|0)");
 }
 
 }  // namespace
@@ -69,12 +62,14 @@ std::string JobSpec::describe() const {
   return out.str();
 }
 
-JobSpec parse_job_line(const std::string& line, std::uint64_t line_number,
+namespace {
+
+/// Parse one job line (no comments/blank handling, no repeat expansion —
+/// repeat is returned via *repeat).
+JobSpec parse_job_line(std::string_view line, std::uint64_t line_number,
                        std::uint64_t* repeat) {
-  std::istringstream tokens(line);
-  std::string verb_token;
-  tokens >> verb_token;
-  if (verb_token.empty()) {
+  std::string_view verb_token;
+  if (!util::next_field(line, kSpace, verb_token)) {
     throw JobSpecError(line_number, "empty job line");
   }
 
@@ -87,25 +82,26 @@ JobSpec parse_job_line(const std::string& line, std::uint64_t line_number,
   } else if (verb_token == "verify") {
     spec.verb = JobVerb::kVerify;
   } else {
-    throw JobSpecError(line_number, "unknown verb '" + verb_token +
+    throw JobSpecError(line_number, "unknown verb '" + std::string(verb_token) +
                                         "' (want simulate|chaos|verify)");
   }
 
   std::uint64_t repeat_count = 1;
-  std::set<std::string> seen;
-  std::string token;
-  bool has_plan = false;
-  while (tokens >> token) {
-    const std::size_t eq = token.find('=');
-    if (eq == std::string::npos || eq == 0) {
-      throw JobSpecError(line_number, "malformed token '" + token + "' (want key=value)");
+  util::KeyValueList fields(line, kSpace);
+  util::KeyValue field;
+  while (fields.next(field)) {
+    const auto [token, key, value, error] = field;
+    if (error == util::KeyValueError::kRepeatedKey) {
+      throw JobSpecError(line_number, "duplicate key '" + std::string(key) + "'");
     }
-    const std::string key = token.substr(0, eq);
-    const std::string value = token.substr(eq + 1);
-    if (!seen.insert(key).second) {
-      throw JobSpecError(line_number, "duplicate key '" + key + "'");
+    if (error != util::KeyValueError::kNone) {
+      throw JobSpecError(line_number,
+                         "malformed token '" + std::string(token) + "' (want key=value)");
     }
 
+    if ((key == "plan" || key == "policy" || key == "every") && spec.verb != JobVerb::kChaos) {
+      throw JobSpecError(line_number, "key '" + std::string(key) + "' is only valid on chaos jobs");
+    }
     if (key == "strategy") {
       if (value.empty()) throw JobSpecError(line_number, "empty value for key 'strategy'");
       spec.strategy = value;
@@ -119,12 +115,13 @@ JobSpec parse_job_line(const std::string& line, std::uint64_t line_number,
         throw JobSpecError(line_number, "repeat=0 describes no jobs");
       }
       if (repeat_count > kMaxRepeat) {
-        throw JobSpecError(line_number, "repeat=" + value + " exceeds the per-line cap of " +
+        throw JobSpecError(line_number, "repeat=" + std::string(value) +
+                                            " exceeds the per-line cap of " +
                                             std::to_string(kMaxRepeat));
       }
     } else if (key == "transport") {
       try {
-        spec.transport = transport::parse_transport_kind(value);
+        spec.transport = transport::parse_transport_kind(std::string(value));
       } catch (const std::invalid_argument& e) {
         throw JobSpecError(line_number, e.what());
       }
@@ -135,58 +132,47 @@ JobSpec parse_job_line(const std::string& line, std::uint64_t line_number,
     } else if (key == "budget-bits") {
       spec.budget_bits = parse_u64(value, key, line_number);
     } else if (key == "plan") {
-      if (spec.verb != JobVerb::kChaos) {
-        throw JobSpecError(line_number, "key 'plan' is only valid on chaos jobs");
-      }
       try {
         (void)fault::FaultPlan::parse(value);
       } catch (const std::invalid_argument& e) {
         throw JobSpecError(line_number, std::string("bad fault plan: ") + e.what());
       }
-      spec.plan = value;
-      has_plan = true;
+      spec.plan = value;  // non-empty: an empty plan has no events
     } else if (key == "policy") {
-      if (spec.verb != JobVerb::kChaos) {
-        throw JobSpecError(line_number, "key 'policy' is only valid on chaos jobs");
-      }
       if (!fault::parse_policy(value).has_value()) {
         throw JobSpecError(line_number, fault::unknown_policy_message(value));
       }
       spec.policy = value;
     } else if (key == "every") {
-      if (spec.verb != JobVerb::kChaos) {
-        throw JobSpecError(line_number, "key 'every' is only valid on chaos jobs");
-      }
       spec.every = parse_u64(value, key, line_number);
       if (spec.every == 0) {
         throw JobSpecError(line_number, "every=0 would never checkpoint");
       }
     } else {
-      throw JobSpecError(line_number, "unknown key '" + key + "'");
+      throw JobSpecError(line_number, "unknown key '" + std::string(key) + "'");
     }
   }
 
   if (spec.strategy.empty()) {
     throw JobSpecError(line_number, "missing required key 'strategy'");
   }
-  if (spec.verb == JobVerb::kChaos && !has_plan) {
+  if (spec.verb == JobVerb::kChaos && spec.plan.empty()) {
     throw JobSpecError(line_number, "chaos jobs require a plan=... key");
   }
   *repeat = repeat_count;
   return spec;
 }
 
+}  // namespace
+
 std::vector<JobSpec> parse_jobfile(const std::string& text) {
   std::vector<JobSpec> jobs;
-  std::istringstream lines(text);
-  std::string line;
-  std::uint64_t line_number = 0;
-  while (std::getline(lines, line)) {
-    ++line_number;
-    const std::size_t comment = line.find('#');
-    if (comment != std::string::npos) line.resize(comment);
-    const std::size_t content = line.find_first_not_of(" \t\r");
-    if (content == std::string::npos) continue;
+  std::string_view rest = text;
+  for (std::uint64_t line_number = 1; !rest.empty(); ++line_number) {
+    std::string_view line = rest.substr(0, rest.find('\n'));
+    rest.remove_prefix(std::min(line.size() + 1, rest.size()));
+    line = line.substr(0, line.find('#'));
+    if (line.find_first_not_of(" \t\r") == std::string_view::npos) continue;
 
     std::uint64_t repeat = 1;
     JobSpec spec = parse_job_line(line, line_number, &repeat);

@@ -18,6 +18,9 @@
 //              authenticate=true|false  budget-bits=N
 //   chaos    : plan=<FaultPlan spec>  policy=restart|replicate|quarantine
 //              every=N
+// Every N, and every value in a plan, is an unsigned decimal (util/parse.hpp);
+// each key appears at most once per line and per plan event; a plan holds at
+// most fault::kMaxPlanEvents events.
 //
 // `repeat=N` expands to N jobs with seeds seed, seed+1, ..., seed+N-1 — the
 // sweep primitive. Expansion is capped (kMaxRepeat per line, kMaxJobs per
@@ -35,10 +38,10 @@
 namespace mpch::serve {
 
 /// Typed rejection of a malformed jobfile; `line()` is 1-based.
-class JobSpecError : public std::runtime_error {
+class JobSpecError : public std::invalid_argument {
  public:
   JobSpecError(std::uint64_t line, const std::string& what)
-      : std::runtime_error("jobfile line " + std::to_string(line) + ": " + what), line_(line) {}
+      : std::invalid_argument("jobfile line " + std::to_string(line) + ": " + what), line_(line) {}
 
   std::uint64_t line() const { return line_; }
 
@@ -86,10 +89,5 @@ inline constexpr std::uint64_t kMaxJobs = 1ULL << 16;
 /// blank lines are skipped), expanding repeat=N into N seeded jobs. Throws
 /// JobSpecError with line provenance on the first malformed line.
 std::vector<JobSpec> parse_jobfile(const std::string& text);
-
-/// Parse one job line (no comments/blank handling, no repeat expansion —
-/// repeat is returned via *repeat). Exposed for the fuzz harness and tests.
-JobSpec parse_job_line(const std::string& line, std::uint64_t line_number,
-                       std::uint64_t* repeat);
 
 }  // namespace mpch::serve

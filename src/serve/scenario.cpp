@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "mpc/auth.hpp"
 #include "ram/machine.hpp"
 #include "ram/programs.hpp"
 #include "strategies/batch_pointer_chasing.hpp"
@@ -157,7 +158,7 @@ void apply_run_options(Scenario* sc, transport::TransportKind transport,
   sc->config.transport_processes = transport_processes;
   if (authenticate) {
     sc->config.authenticate_messages = true;
-    sc->config.local_memory_bits += 1 << 16;
+    sc->config.local_memory_bits += mpc::kTagMemoryHeadroomBits;
   }
 }
 

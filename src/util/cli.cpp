@@ -3,7 +3,11 @@
 #include <cctype>
 #include <cerrno>
 #include <cstdlib>
+#include <fstream>
 #include <iostream>
+#include <sstream>
+
+#include "util/parse.hpp"
 
 namespace mpch::util {
 
@@ -50,15 +54,10 @@ std::string CliArgs::get_string(const std::string& name, const std::string& fall
 std::uint64_t CliArgs::get_u64(const std::string& name, std::uint64_t fallback) const {
   const std::string* v = value_of(name);
   if (v == nullptr) return fallback;
-  if (v->empty()) bad_value(name, *v, "an unsigned decimal integer");
-  std::uint64_t out = 0;
-  for (char c : *v) {
-    if (c < '0' || c > '9') bad_value(name, *v, "an unsigned decimal integer");
-    const std::uint64_t digit = static_cast<std::uint64_t>(c - '0');
-    if (out > (UINT64_MAX - digit) / 10) bad_value(name, *v, "an integer below 2^64");
-    out = out * 10 + digit;
-  }
-  return out;
+  const Decimal n = parse_decimal(*v);
+  if (n.error == DecimalError::kOverflow) bad_value(name, *v, "an integer below 2^64");
+  if (n.error != DecimalError::kNone) bad_value(name, *v, "an unsigned decimal integer");
+  return n.value;
 }
 
 double CliArgs::get_double(const std::string& name, double fallback) const {
@@ -111,10 +110,21 @@ int run_tool(const char* tool, int argc, const char* const* argv,
              int (*body)(const CliArgs& args)) {
   try {
     return body(CliArgs(argc, argv));
-  } catch (const CliError& e) {
+  } catch (const std::invalid_argument& e) {
     std::cerr << tool << ": " << e.what() << "\n";
     return 2;
   }
+}
+
+std::string read_input(const std::string& path) {
+  std::ifstream file;
+  if (path != "-") {
+    file.open(path, std::ios::binary);
+    if (!file) throw CliError("cannot open '" + path + "'");
+  }
+  std::ostringstream text;
+  text << (path == "-" ? std::cin.rdbuf() : file.rdbuf());
+  return text.str();
 }
 
 }  // namespace mpch::util

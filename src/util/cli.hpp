@@ -31,8 +31,8 @@ class CliArgs {
   bool has(const std::string& name) const { return values_.count(name) != 0; }
 
   /// Typed getters: `fallback` when the flag is absent, CliError when its
-  /// value does not parse. get_u64 takes unsigned decimal digits only and
-  /// rejects overflow; get_double must consume the whole value.
+  /// value does not parse. get_u64 reads util::parse_decimal's unsigned
+  /// decimals (util/parse.hpp); get_double must consume the whole value.
   std::string get_string(const std::string& name, const std::string& fallback) const;
   std::uint64_t get_u64(const std::string& name, std::uint64_t fallback) const;
   double get_double(const std::string& name, double fallback) const;
@@ -61,9 +61,15 @@ class CliArgs {
   std::vector<std::string> positional_;
 };
 
-/// The shared main() of the command-line tools: parse argv and run `body`;
-/// a CliError becomes "<tool>: <message>" on stderr and exit status 2.
+/// The shared main() of the command-line tools: parse argv and run `body`.
+/// A std::invalid_argument — a CliError, or any text grammar's typed error
+/// (JobSpecError, TraceError, ReplayError, ReductionError, fault plans,
+/// --bound) — becomes "<tool>: <message>" on stderr and exit status 2.
 int run_tool(const char* tool, int argc, const char* const* argv,
              int (*body)(const CliArgs& args));
+
+/// The whole text of the file a flag names, or of stdin for "-"; CliError
+/// when the file cannot be opened.
+std::string read_input(const std::string& path);
 
 }  // namespace mpch::util

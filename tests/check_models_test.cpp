@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <set>
+#include <stdexcept>
 
 #include "check/explorer.hpp"
 #include "check/models.hpp"
@@ -167,6 +168,32 @@ TEST(CheckModels, FingerprintsAreResetStable) {
     model->reset();
     EXPECT_EQ(model->fingerprint(), first) << protocol;
   }
+}
+
+TEST(CheckModels, ParseBoundsReadsUnsignedDecimalsOnce) {
+  const ModelBounds bounds = parse_bounds("machines=3,,faults=0");
+  EXPECT_EQ(bounds.machines, 3u);
+  EXPECT_EQ(bounds.faults, 0u);
+  EXPECT_EQ(bounds.rounds, ModelBounds{}.rounds);
+  for (const char* bad : {"machines=2x", "machines=-1", "machines= 2", "machines=1,machines=2",
+                          "machines", "=2", "widgets=2"}) {
+    EXPECT_THROW((void)parse_bounds(bad), std::invalid_argument) << bad;
+  }
+}
+
+TEST(CheckModels, BoundsSummaryRoundTrips) {
+  ModelBounds bounds;
+  bounds.machines = 4;
+  bounds.rounds = 3;
+  bounds.messages = 1;
+  bounds.faults = 2;
+  bounds.depth = 99;
+  bounds.states = 12345;
+  const std::string summary = bounds_summary(bounds);
+  EXPECT_EQ(summary, "machines=4,rounds=3,messages=1,faults=2,depth=99,states=12345");
+  const ModelBounds parsed = parse_bounds(summary);
+  EXPECT_EQ(bounds_summary(parsed), summary);
+  EXPECT_EQ(parsed.states, 12345u);
 }
 
 }  // namespace

@@ -68,6 +68,26 @@ TEST(FaultPlan, MalformedSpecsAreRejectedWithTheOffendingToken) {
   expect_parse_error("kill:round=1;crash:machine=0", "'crash:machine=0'");
 }
 
+TEST(FaultPlan, ValuesAreUnsignedDecimalsAndKeysAppearOnce) {
+  expect_parse_error("crash:machine=-1,round=3", "value of 'machine' is not a number");
+  expect_parse_error("crash:machine=1,round=+3", "value of 'round' is not a number");
+  expect_parse_error("crash:machine=1,round= 3", "value of 'round' is not a number");
+  expect_parse_error("crash:machine=1,machine=2,round=3", "repeated key 'machine'");
+}
+
+TEST(FaultPlan, EventCountPastTheCapIsRejectedBeforeAllocation) {
+  expect_parse_error("random:seed=1,events=18446744073709551615,rounds=5,machines=4", "at most");
+  expect_parse_error(
+      "random:seed=1,events=" + std::to_string(fault::kMaxPlanEvents + 1) + ",rounds=5,machines=4",
+      "at most");
+  // The cap counts the whole plan: explicit events plus random ones.
+  expect_parse_error("kill:round=1;random:seed=1,events=" + std::to_string(fault::kMaxPlanEvents) +
+                         ",rounds=5,machines=4",
+                     "at most");
+  EXPECT_THROW(FaultPlan::random(1, fault::kMaxPlanEvents + 1, 5, 4), std::invalid_argument);
+  EXPECT_EQ(FaultPlan::random(1, fault::kMaxPlanEvents, 5, 4).events.size(), fault::kMaxPlanEvents);
+}
+
 TEST(FaultPlan, RandomPlansAreSeedDeterministic) {
   FaultPlan a = FaultPlan::random(42, 16, 10, 4);
   FaultPlan b = FaultPlan::random(42, 16, 10, 4);

@@ -131,6 +131,14 @@ TEST(JobSpec, ChaosRequiresPlanAndValidPolicy) {
   expect_rejected("chaos strategy=x plan=explode:now\n", 1);  // FaultPlan grammar, wrapped
 }
 
+TEST(JobSpec, PlanValuesAreUnsignedDecimalsAndEventsCapped) {
+  expect_rejected("simulate strategy=x\nchaos strategy=x plan=crash:machine=-1,round=3\n", 2);
+  expect_rejected(
+      "chaos strategy=pointer-chasing "
+      "plan=random:seed=1,events=18446744073709551615,rounds=5,machines=4\n",
+      1);
+}
+
 // The pre-allocation guards: hostile counts are a comparison, not an
 // allocation.
 TEST(JobSpec, HostileRepeatIsTypedRejection) {

@@ -105,13 +105,7 @@ int tool_main(const util::CliArgs& args) {
   const std::optional<std::uint64_t> rounds_override = override_of("rounds");
   const std::optional<std::uint64_t> m_cap = override_of("m-cap");
   args.reject_unknown();
-  transport::TransportKind transport_kind = transport::TransportKind::kInProcess;
-  try {
-    transport_kind = transport::parse_transport_kind(transport_name);
-  } catch (const std::invalid_argument& e) {
-    std::cerr << "mpch-analyze: " << e.what() << "\n";
-    return 2;
-  }
+  const transport::TransportKind transport_kind = transport::parse_transport_kind(transport_name);
 
   core::LineParams p = core::LineParams::make(n, u, v, w);
 
@@ -263,10 +257,7 @@ int tool_main(const util::CliArgs& args) {
   out.end_object();
   if (json && any_checked) std::cout << out.str() << "\n";
 
-  if (!any_checked) {
-    std::cerr << "unknown strategy '" << which << "' (try --list)\n";
-    return 2;
-  }
+  if (!any_checked) throw util::CliError("unknown strategy '" + which + "' (try --list)");
   return any_violation ? 1 : 0;
 }
 

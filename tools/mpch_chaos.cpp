@@ -200,6 +200,8 @@ int tool_main(const util::CliArgs& args) {
                  "                 | forge:round=R,to=M,index=I,from=F\n"
                  "                 | garble-oracle:round=R,entry=E | tamper-ckpt:round=R,bit=B\n"
                  "                 | random:seed=S,events=E,rounds=R,machines=M\n"
+                 "                 values are unsigned decimals, each key at most once per\n"
+                 "                 event, and a plan holds at most 4096 events\n"
                  "  --policy     : restart    = RestartFromCheckpoint (snapshot every --every rounds)\n"
                  "                 replicate  = ReplicateRound (dual re-execution + equality check)\n"
                  "                 quarantine = Byzantine: silent faults, per-round replica\n"
@@ -239,22 +241,10 @@ int tool_main(const util::CliArgs& args) {
   const bool json = args.get_choice("format", "text", {"text", "json"}) == "json";
   args.reject_unknown();
 
-  if (plan_spec.empty()) {
-    std::cerr << "mpch-chaos: --plan is required (try --help)\n";
-    return 2;
-  }
-
-  fault::FaultPlan plan;
-  serve::Scenario reference;
-  transport::TransportKind transport_kind = transport::TransportKind::kInProcess;
-  try {
-    plan = fault::FaultPlan::parse(plan_spec);
-    transport_kind = transport::parse_transport_kind(transport_name);
-    reference = serve::make_scenario(strategy, seed, threads);
-  } catch (const std::invalid_argument& e) {
-    std::cerr << "mpch-chaos: " << e.what() << "\n";
-    return 2;
-  }
+  if (plan_spec.empty()) throw util::CliError("--plan is required (try --help)");
+  const fault::FaultPlan plan = fault::FaultPlan::parse(plan_spec);
+  const transport::TransportKind transport_kind = transport::parse_transport_kind(transport_name);
+  serve::Scenario reference = serve::make_scenario(strategy, seed, threads);
   // Under --policy none, flip/forge would otherwise corrupt silently: MACs
   // are the detector, so turn them on (affects reference and chaos alike).
   const bool needs_mac =

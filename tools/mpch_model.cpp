@@ -38,46 +38,6 @@ using namespace mpch;
 
 namespace {
 
-/// Parse "machines=2,rounds=3,..." into ModelBounds; throws
-/// std::invalid_argument naming the offending key.
-check::ModelBounds parse_bounds(const std::string& text) {
-  check::ModelBounds bounds;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    std::size_t comma = text.find(',', pos);
-    if (comma == std::string::npos) comma = text.size();
-    const std::string item = text.substr(pos, comma - pos);
-    pos = comma + 1;
-    if (item.empty()) continue;
-    const std::size_t eq = item.find('=');
-    if (eq == std::string::npos) {
-      throw std::invalid_argument("--bound item '" + item + "' is not key=value");
-    }
-    const std::string key = item.substr(0, eq);
-    const std::string value_text = item.substr(eq + 1);
-    std::uint64_t value = 0;
-    try {
-      value = std::stoull(value_text);
-    } catch (const std::exception&) {
-      throw std::invalid_argument("--bound " + key + "='" + value_text + "' is not a number");
-    }
-    if (key == "machines") bounds.machines = value;
-    else if (key == "rounds") bounds.rounds = value;
-    else if (key == "messages") bounds.messages = value;
-    else if (key == "faults") bounds.faults = value;
-    else if (key == "depth") bounds.depth = value;
-    else if (key == "states") bounds.states = value;
-    else throw std::invalid_argument("--bound key '" + key + "' is not machines/rounds/messages/faults/depth/states");
-  }
-  return bounds;
-}
-
-std::string bounds_summary(const check::ModelBounds& b) {
-  return "machines=" + std::to_string(b.machines) + ",rounds=" + std::to_string(b.rounds) +
-         ",messages=" + std::to_string(b.messages) + ",faults=" + std::to_string(b.faults) +
-         ",depth=" + std::to_string(b.depth) + ",states=" + std::to_string(b.states);
-}
-
 check::Explorer make_explorer(const check::ModelBounds& bounds) {
   check::ExplorerOptions options;
   options.max_depth = bounds.depth;
@@ -159,14 +119,14 @@ void save_counterexample(const std::string& path, const ProtocolRun& run,
   check::TraceFile trace;
   trace.protocol = run.protocol;
   trace.mutation = run.mutation;
-  trace.bound = bounds_summary(bounds);
+  trace.bound = check::bounds_summary(bounds);
   trace.violation = run.result.counterexample->violation;
   trace.schedule = run.result.counterexample->schedule;
   check::save_trace(path, trace);
 }
 
 int run_replay(const std::string& path, const check::ModelBounds& bounds, bool json) {
-  check::TraceFile trace = check::load_trace(path);  // TraceError → caller's exit 2
+  check::TraceFile trace = check::load_trace(path);  // Trace/ReplayError: run_tool's exit 2
   std::unique_ptr<check::Model> model = check::make_model(trace.protocol, bounds, trace.mutation);
   const check::ReplayOutcome outcome = make_explorer(bounds).replay(*model, trace.schedule);
   const bool reproduced = outcome.violation.has_value();
@@ -251,94 +211,80 @@ int run_matrix(const check::ModelBounds& bounds, bool json, const std::string& t
 }
 
 int tool_main(const util::CliArgs& args) {
-  try {
-    if (args.get_bool("help", false)) {
-      std::cout
-          << "usage: mpch-model [--protocol all|inbox|broadcast|recovery|quarantine]\n"
-             "                  [--bound machines=2,rounds=2,messages=2,faults=1,depth=64,states=100000]\n"
-             "                  [--mutate <name>] [--mutation-matrix] [--trace-out <file>]\n"
-             "                  [--trace-dir <dir>] [--replay <file>] [--list-mutations]\n"
-             "                  [--format text|json]\n"
-             "  --mutate          : explore with one seeded protocol bug enabled\n"
-             "  --mutation-matrix : explore every seeded bug; each must be killed\n"
-             "  --trace-out       : write the counterexample as a replayable trace\n"
-             "  --trace-dir       : (matrix) write every mutant's counterexample there\n"
-             "  --replay          : re-run a stored trace against the current tree\n"
-             "exit: 0 clean, 1 violation/survivor/reproduced, 2 usage or bad trace\n";
-      return 0;
-    }
-
-    const bool json = args.get_choice("format", "text", {"text", "json"}) == "json";
-    const std::string bound_spec = args.get_string("bound", "");
-    const bool list_mutations = args.get_bool("list-mutations", false);
-    const std::string replay_path = args.get_string("replay", "");
-    const bool mutation_matrix = args.get_bool("mutation-matrix", false);
-    const std::string trace_dir = args.get_string("trace-dir", "");
-    const std::string mutation = args.get_string("mutate", "none");
-    std::string protocol = args.get_string("protocol", "all");
-    const std::string trace_out = args.get_string("trace-out", "");
-    args.reject_unknown();
-    const check::ModelBounds bounds = parse_bounds(bound_spec);
-
-    if (list_mutations) {
-      for (const check::MutationSpec& spec : check::mutation_registry()) {
-        std::cout << spec.name << " (" << spec.protocol << "): " << spec.description << "\n";
-      }
-      return 0;
-    }
-    if (args.has("replay")) {
-      try {
-        return run_replay(replay_path, bounds, json);
-      } catch (const check::TraceError& e) {
-        std::cerr << "mpch-model: " << e.what() << "\n";
-        return 2;
-      } catch (const check::ReplayError& e) {
-        std::cerr << "mpch-model: " << e.what() << "\n";
-        return 2;
-      }
-    }
-    if (mutation_matrix) return run_matrix(bounds, json, trace_dir);
-
-    if (mutation != "none") {
-      // A mutation names its protocol; --protocol may confirm but not conflict.
-      for (const check::MutationSpec& spec : check::mutation_registry()) {
-        if (spec.name == mutation && protocol == "all") protocol = spec.protocol;
-      }
-    }
-
-    std::vector<std::string> protocols;
-    if (protocol == "all") {
-      protocols = check::protocol_names();
-    } else {
-      protocols.push_back(protocol);
-    }
-
-    bool violated = false;
-    util::JsonWriter w;
-    w.begin_object();
-    w.key("protocols").begin_array();
-    for (const std::string& p : protocols) {
-      const ProtocolRun run = explore_one(p, bounds, mutation);
-      violated = violated || !run.result.ok();
-      if (!run.result.ok() && args.has("trace-out")) {
-        save_counterexample(trace_out, run, bounds);
-      }
-      if (json) {
-        to_json(run, w);
-      } else {
-        print_text(run);
-      }
-    }
-    w.end_array();
-    w.member("ok", !violated);
-    w.end_object();
-    if (json) std::cout << w.str() << "\n";
-
-    return violated ? 1 : 0;
-  } catch (const std::invalid_argument& e) {
-    std::cerr << "mpch-model: " << e.what() << "\n";
-    return 2;
+  if (args.get_bool("help", false)) {
+    std::cout
+        << "usage: mpch-model [--protocol all|inbox|broadcast|recovery|quarantine]\n"
+           "                  [--bound machines=2,rounds=2,messages=2,faults=1,depth=64,states=100000]\n"
+           "                  [--mutate <name>] [--mutation-matrix] [--trace-out <file>]\n"
+           "                  [--trace-dir <dir>] [--replay <file>] [--list-mutations]\n"
+           "                  [--format text|json]\n"
+           "  --bound           : unsigned decimal values, each key at most once\n"
+           "  --mutate          : explore with one seeded protocol bug enabled\n"
+           "  --mutation-matrix : explore every seeded bug; each must be killed\n"
+           "  --trace-out       : write the counterexample as a replayable trace\n"
+           "  --trace-dir       : (matrix) write every mutant's counterexample there\n"
+           "  --replay          : re-run a stored trace against the current tree\n"
+           "exit: 0 clean, 1 violation/survivor/reproduced, 2 usage or bad trace\n";
+    return 0;
   }
+
+  const bool json = args.get_choice("format", "text", {"text", "json"}) == "json";
+  const std::string bound_spec = args.get_string("bound", "");
+  const bool list_mutations = args.get_bool("list-mutations", false);
+  const std::string replay_path = args.get_string("replay", "");
+  const bool mutation_matrix = args.get_bool("mutation-matrix", false);
+  const std::string trace_dir = args.get_string("trace-dir", "");
+  const std::string mutation = args.get_string("mutate", "none");
+  std::string protocol = args.get_string("protocol", "all");
+  const std::string trace_out = args.get_string("trace-out", "");
+  args.reject_unknown();
+  const check::ModelBounds bounds = check::parse_bounds(bound_spec);
+
+  if (list_mutations) {
+    for (const check::MutationSpec& spec : check::mutation_registry()) {
+      std::cout << spec.name << " (" << spec.protocol << "): " << spec.description << "\n";
+    }
+    return 0;
+  }
+  if (args.has("replay")) return run_replay(replay_path, bounds, json);
+  if (mutation_matrix) return run_matrix(bounds, json, trace_dir);
+
+  if (mutation != "none") {
+    // A mutation names its protocol; --protocol may confirm but not conflict.
+    for (const check::MutationSpec& spec : check::mutation_registry()) {
+      if (spec.name == mutation && protocol == "all") protocol = spec.protocol;
+    }
+  }
+
+  std::vector<std::string> protocols;
+  if (protocol == "all") {
+    protocols = check::protocol_names();
+  } else {
+    protocols.push_back(protocol);
+  }
+
+  bool violated = false;
+  util::JsonWriter w;
+  w.begin_object();
+  w.key("protocols").begin_array();
+  for (const std::string& p : protocols) {
+    const ProtocolRun run = explore_one(p, bounds, mutation);
+    violated = violated || !run.result.ok();
+    if (!run.result.ok() && args.has("trace-out")) {
+      save_counterexample(trace_out, run, bounds);
+    }
+    if (json) {
+      to_json(run, w);
+    } else {
+      print_text(run);
+    }
+  }
+  w.end_array();
+  w.member("ok", !violated);
+  w.end_object();
+  if (json) std::cout << w.str() << "\n";
+
+  return violated ? 1 : 0;
 }
 
 }  // namespace

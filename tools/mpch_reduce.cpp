@@ -17,9 +17,7 @@
 // broken claim is refuted with the expected diagnostic), 1 any claim is
 // refuted (or a broken one survives), 2 usage / malformed file / unknown
 // spec name.
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -145,46 +143,24 @@ int tool_main(const util::CliArgs& args) {
   jw.begin_object();
   jw.key("reductions").begin_array();
 
-  try {
-    if (catalog) {
-      for (const reduce::CatalogEntry& entry : lib.entries) {
-        reduce::ReductionReport report =
-            reduce::check_reduction(entry.reduction, lib.specs, entry.floor_rounds);
-        run_one(report, entry.run_target, cross, entry.rationale, json, jw, outcome);
-      }
+  if (catalog) {
+    for (const reduce::CatalogEntry& entry : lib.entries) {
+      reduce::ReductionReport report =
+          reduce::check_reduction(entry.reduction, lib.specs, entry.floor_rounds);
+      run_one(report, entry.run_target, cross, entry.rationale, json, jw, outcome);
     }
+  }
 
-    if (!check_file.empty()) {
-      std::string text;
-      if (check_file == "-") {
-        std::ostringstream buf;
-        buf << std::cin.rdbuf();
-        text = buf.str();
-      } else {
-        std::ifstream in(check_file, std::ios::binary);
-        if (!in) {
-          std::cerr << "mpch-reduce: cannot open '" << check_file << "'\n";
-          return 2;
-        }
-        std::ostringstream buf;
-        buf << in.rdbuf();
-        text = buf.str();
-      }
-      std::vector<reduce::Reduction> reductions = reduce::parse_reduction_file(text);
-      for (const reduce::Reduction& r : reductions) {
-        reduce::ReductionReport report = reduce::check_reduction(r, lib.specs);
-        run_one(report, resolve_runner(r.target, seed), cross, "", json, jw, outcome);
-      }
-      if (reductions.empty() && !json) {
-        std::cout << "(no reductions declared in " << check_file << ")\n";
-      }
+  if (!check_file.empty()) {
+    const std::vector<reduce::Reduction> reductions =
+        reduce::parse_reduction_file(util::read_input(check_file));
+    for (const reduce::Reduction& r : reductions) {
+      reduce::ReductionReport report = reduce::check_reduction(r, lib.specs);
+      run_one(report, resolve_runner(r.target, seed), cross, "", json, jw, outcome);
     }
-  } catch (const reduce::ReductionError& e) {
-    std::cerr << "mpch-reduce: " << e.what() << "\n";
-    return 2;
-  } catch (const std::invalid_argument& e) {
-    std::cerr << "mpch-reduce: " << e.what() << "\n";
-    return 2;
+    if (reductions.empty() && !json) {
+      std::cout << "(no reductions declared in " << check_file << ")\n";
+    }
   }
   jw.end_array();
 

@@ -23,9 +23,7 @@
 // rejected at admission (and none failed) — distinct so sweep scripts can
 // tell "your budget is too small" from "the run broke".
 #include <algorithm>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -198,38 +196,10 @@ int tool_main(const util::CliArgs& args) {
   options.queue_depth = args.get_u64("queue-depth", 64);
   const bool json = args.get_choice("format", "text", {"text", "json"}) == "json";
   args.reject_unknown();
-  if (jobs_path.empty()) {
-    std::cerr << "mpch-serve: --jobs FILE|- is required (try --help)\n";
-    return 2;
-  }
+  if (jobs_path.empty()) throw util::CliError("--jobs FILE|- is required (try --help)");
 
-  std::string text;
-  if (jobs_path == "-") {
-    std::ostringstream buffer;
-    buffer << std::cin.rdbuf();
-    text = buffer.str();
-  } else {
-    std::ifstream in(jobs_path, std::ios::binary);
-    if (!in) {
-      std::cerr << "mpch-serve: cannot open jobfile '" << jobs_path << "'\n";
-      return 2;
-    }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    text = buffer.str();
-  }
-
-  std::vector<serve::JobSpec> jobs;
-  try {
-    jobs = serve::parse_jobfile(text);
-  } catch (const serve::JobSpecError& e) {
-    std::cerr << "mpch-serve: " << e.what() << "\n";
-    return 2;
-  }
-  if (jobs.empty()) {
-    std::cerr << "mpch-serve: jobfile contains no jobs\n";
-    return 2;
-  }
+  const std::vector<serve::JobSpec> jobs = serve::parse_jobfile(util::read_input(jobs_path));
+  if (jobs.empty()) throw util::CliError("jobfile contains no jobs");
 
   serve::ServeService service(options);
   std::vector<serve::JobResult> results = service.run_jobs(jobs);

@@ -141,10 +141,7 @@ int tool_main(const util::CliArgs& args) {
   const bool hostile = args.get_bool("hostile", false);
   const bool list = args.get_bool("list", false);
   args.reject_unknown();
-  if (machines < 2) {
-    std::cerr << "--machines must be >= 2 (one CPU + at least one server)\n";
-    return 2;
-  }
+  if (machines < 2) throw util::CliError("--machines must be >= 2 (one CPU + at least one server)");
 
   const auto corpus = ram::programs::corpus();
   if (list) {
@@ -208,10 +205,7 @@ int tool_main(const util::CliArgs& args) {
   w.end_object();
   if (json) std::cout << w.str() << "\n";
 
-  if (!any_checked) {
-    std::cerr << "unknown program '" << which << "' (try --list)\n";
-    return 2;
-  }
+  if (!any_checked) throw util::CliError("unknown program '" + which + "' (try --list)");
   return failed ? 1 : 0;
 }
 
