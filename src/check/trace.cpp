@@ -3,6 +3,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "util/cli.hpp"
 #include "util/parse.hpp"
 
 namespace mpch::check {
@@ -171,15 +172,11 @@ TraceFile parse_trace(const std::string& text) {
 }
 
 TraceFile load_trace(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw TraceError("trace: cannot open '" + path + "'");
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  if (in.bad()) throw TraceError("trace: read error on '" + path + "'");
-  std::string text = buf.str();
-  if (text.size() > kMaxTraceFileBytes) {
-    throw TraceError("trace: '" + path + "' exceeds " + std::to_string(kMaxTraceFileBytes) +
-                     " bytes");
+  std::string text;
+  try {
+    text = util::read_input(path, kMaxTraceFileBytes);
+  } catch (const util::CliError& e) {
+    throw TraceError(std::string("trace: ") + e.what());
   }
   return parse_trace(text);
 }

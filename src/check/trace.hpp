@@ -75,9 +75,10 @@ std::string encode_trace(const TraceFile& trace);
 /// gate and line.
 TraceFile parse_trace(const std::string& text);
 
-/// Read and parse a trace file. Propagates TraceError for malformed content
-/// and throws TraceError for unreadable or oversized files too — callers at
-/// the CLI boundary handle exactly one error type.
+/// Read and parse a trace file, reading at most one byte past
+/// kMaxTraceFileBytes. Propagates TraceError for malformed content and
+/// throws TraceError for unreadable or oversized files too — callers at the
+/// CLI boundary handle exactly one error type.
 TraceFile load_trace(const std::string& path);
 
 /// Write the canonical text form to `path` (throws std::runtime_error on

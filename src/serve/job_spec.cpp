@@ -166,6 +166,9 @@ JobSpec parse_job_line(std::string_view line, std::uint64_t line_number,
 }  // namespace
 
 std::vector<JobSpec> parse_jobfile(const std::string& text) {
+  if (text.size() > kMaxJobfileBytes) {
+    throw JobSpecError(1, "file exceeds " + std::to_string(kMaxJobfileBytes) + " bytes");
+  }
   std::vector<JobSpec> jobs;
   std::string_view rest = text;
   for (std::uint64_t line_number = 1; !rest.empty(); ++line_number) {

@@ -25,7 +25,8 @@
 // `repeat=N` expands to N jobs with seeds seed, seed+1, ..., seed+N-1 — the
 // sweep primitive. Expansion is capped (kMaxRepeat per line, kMaxJobs per
 // file) *before* any allocation, so a hostile "repeat=18446744073709551615"
-// costs one comparison, not the address space.
+// costs one comparison, not the address space; the file itself is capped at
+// kMaxJobfileBytes.
 #pragma once
 
 #include <cstdint>
@@ -81,9 +82,11 @@ struct JobSpec {
   std::string describe() const;
 };
 
-/// Pre-allocation guards: per-line repeat cap and whole-file job cap.
+/// Pre-allocation guards: per-line repeat cap, whole-file job cap, and a
+/// whole-file byte cap of 256 bytes for each of kMaxJobs lines.
 inline constexpr std::uint64_t kMaxRepeat = 1ULL << 12;
 inline constexpr std::uint64_t kMaxJobs = 1ULL << 16;
+inline constexpr std::uint64_t kMaxJobfileBytes = 1ULL << 24;
 
 /// Parse a whole jobfile (text, one job per line; '#' starts a comment;
 /// blank lines are skipped), expanding repeat=N into N seeded jobs. Throws

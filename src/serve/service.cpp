@@ -1,5 +1,6 @@
 #include "serve/service.hpp"
 
+#include <atomic>
 #include <chrono>
 #include <thread>
 
@@ -7,7 +8,6 @@
 #include "fault/fault_plan.hpp"
 #include "mpc/auth.hpp"
 #include "reduce/term.hpp"
-#include "serve/queue.hpp"
 
 namespace mpch::serve {
 
@@ -34,7 +34,6 @@ const char* job_status_name(JobStatus status) {
 
 ServeService::ServeService(ServeOptions options) : options_(options) {
   if (options_.workers == 0) options_.workers = 1;
-  if (options_.queue_depth == 0) options_.queue_depth = 1;
 }
 
 JobResult ServeService::execute(const JobSpec& spec, std::uint64_t job_id,
@@ -144,8 +143,11 @@ JobResult ServeService::execute(const JobSpec& spec, std::uint64_t job_id,
 std::vector<JobResult> ServeService::run_jobs(const std::vector<JobSpec>& jobs) {
   stats_ = ServeStats{};
   std::vector<JobResult> results(jobs.size());
-  BoundedQueue<std::uint64_t> queue(options_.queue_depth);
   std::vector<mpc::RoundArena> arenas(options_.workers);
+  // Every job is already in `jobs`, so handing them out is claiming the
+  // next index: each worker takes ids from one counter until it passes the
+  // end, and writes each result into that job's own pre-sized slot.
+  std::atomic<std::uint64_t> next{0};
 
   const auto start = std::chrono::steady_clock::now();
   // Plain std::thread workers on purpose: util::ThreadPool would mark them
@@ -154,18 +156,14 @@ std::vector<JobResult> ServeService::run_jobs(const std::vector<JobSpec>& jobs) 
   std::vector<std::thread> pool;
   pool.reserve(options_.workers);
   for (std::uint64_t w = 0; w < options_.workers; ++w) {
-    pool.emplace_back([this, w, &queue, &jobs, &results, &arenas] {
-      std::uint64_t id = 0;
-      while (queue.pop(&id)) {
-        // Each slot is written by exactly one worker; no lock needed.
+    pool.emplace_back([this, w, &next, &jobs, &results, &arenas] {
+      for (std::uint64_t id = next.fetch_add(1); id < jobs.size(); id = next.fetch_add(1)) {
         JobResult r = execute(jobs[id], id, &arenas[w]);
         r.worker = w;
         results[id] = std::move(r);
       }
     });
   }
-  for (std::uint64_t id = 0; id < jobs.size(); ++id) queue.push(id);
-  queue.close();
   for (auto& t : pool) t.join();
   stats_.wall_ms = elapsed_ms(start);
 
@@ -188,13 +186,11 @@ std::vector<JobResult> ServeService::run_jobs(const std::vector<JobSpec>& jobs) 
     stats_.arena_reuses += arena.reuses();
     stats_.arena_allocations += arena.allocations();
   }
-  stats_.backpressure_waits = queue.backpressure_waits();
-  stats_.queue_high_watermark = queue.high_watermark();
   return results;
 }
 
 JobResult ServeService::run_standalone(const JobSpec& spec, std::uint64_t job_id) {
-  ServeService service(ServeOptions{/*workers=*/1, /*queue_depth=*/1});
+  ServeService service(ServeOptions{1});
   return service.execute(spec, job_id, nullptr);
 }
 

@@ -1,11 +1,12 @@
 // service.hpp — mpch-serve's job execution engine.
 //
 // A ServeService takes a batch of parsed JobSpecs and executes them on a
-// fixed-size pool of worker threads fed by a bounded queue (backpressure:
-// submission blocks when workers fall behind). Every job builds its own
-// oracle through Scenario::make_oracle: the lazily assigned RO of Lemma 3.3
-// is a pure function plus the set of inputs the job queried, and each
-// job's LazyRandomOracle already holds both, so no oracle state is shared
+// fixed-size pool of worker threads that claim job indices from one atomic
+// counter; each result lands in its job's pre-sized slot, so results come
+// back in jobfile order. Every job builds its own oracle through
+// Scenario::make_oracle: the lazily assigned RO of Lemma 3.3 is a pure
+// function plus the set of inputs the job queried, and each job's
+// LazyRandomOracle already holds both, so no oracle state is shared
 // between jobs. Two things keep the hot path cheap without touching the
 // cornerstone bit-determinism guarantee:
 //
@@ -74,7 +75,6 @@ struct JobResult {
 
 struct ServeOptions {
   std::uint64_t workers = 1;
-  std::size_t queue_depth = 64;
 };
 
 /// Campaign-level accounting, filled by run_jobs.
@@ -84,15 +84,16 @@ struct ServeStats {
   std::uint64_t ok = 0;
   std::uint64_t rejected = 0;
   std::uint64_t failed = 0;
-  // Always zero: serve shares no oracle memo between jobs. The fields stay
-  // only because the benchmark under perfbench/ still reads them; they go
-  // in the same change that moves the benchmark off SharedOracleMemo.
+  std::uint64_t arena_reuses = 0;
+  std::uint64_t arena_allocations = 0;
+  // Always zero: serve shares no oracle memo between jobs and has no job
+  // queue (workers claim indices from a counter). The fields stay only
+  // because the benchmark under perfbench/ still reads them; they go in the
+  // same change that moves the benchmark off SharedOracleMemo.
   std::uint64_t memo_families = 0;
   std::uint64_t memo_entries = 0;
   std::uint64_t memo_hits = 0;
   std::uint64_t memo_misses = 0;
-  std::uint64_t arena_reuses = 0;
-  std::uint64_t arena_allocations = 0;
   std::uint64_t backpressure_waits = 0;
   std::uint64_t queue_high_watermark = 0;
 };
@@ -102,8 +103,8 @@ class ServeService {
   explicit ServeService(ServeOptions options = {});
 
   /// Execute every job on the worker pool. Returns one JobResult per job, in
-  /// jobfile order; result *content* is independent of workers and
-  /// queue_depth (only wall_ms and the worker index vary).
+  /// jobfile order; result *content* is independent of the worker count
+  /// (only wall_ms and the worker index vary).
   std::vector<JobResult> run_jobs(const std::vector<JobSpec>& jobs);
 
   const ServeStats& stats() const { return stats_; }

@@ -91,34 +91,41 @@ struct Channel {
 /// Deadlock-free bidirectional exchange over non-blocking channels: poll
 /// moves bytes in whichever direction is ready, so two routers writing to
 /// each other past the socket buffer size make progress instead of
-/// deadlocking on blocking send()s. `on_frame` handles each decoded frame
-/// and returns true when it was the channel's end token. Frames buffered
-/// beyond the token are left in the decoder for the next protocol phase.
-void exchange_frames(std::vector<Channel>& channels, const std::function<bool(WireFrame&)>& on_frame) {
-  auto pump = [&](Channel& c) {
+/// deadlocking on blocking send()s. `on_frame(i, frame)` handles each frame
+/// decoded off channel i and returns true when it was that channel's end
+/// token. Frames buffered beyond the token are left in the decoder for the
+/// next protocol phase. A hang-up counts as readable, so a peer that exits
+/// before its token surfaces as EOF, a TransportError. A channel with
+/// nothing to send may be blocking (the parent's router channels): it is
+/// only read after poll reports it readable.
+void exchange_frames(std::vector<Channel>& channels,
+                     const std::function<bool(std::size_t, WireFrame&)>& on_frame) {
+  auto pump = [&](std::size_t i) {
+    Channel& c = channels[i];
     while (!c.done) {
       auto frame = c.decoder->next();
       if (!frame) break;
-      if (on_frame(*frame)) c.done = true;
+      if (on_frame(i, *frame)) c.done = true;
     }
   };
-  for (auto& c : channels) {
-    if (c.expect_token) {
-      pump(c);
+  for (std::size_t i = 0; i < channels.size(); ++i) {
+    if (channels[i].expect_token) {
+      pump(i);
     } else {
-      c.done = true;
+      channels[i].done = true;
     }
   }
   while (true) {
     std::vector<pollfd> fds;
-    std::vector<Channel*> owner;
-    for (auto& c : channels) {
+    std::vector<std::size_t> owner;
+    for (std::size_t i = 0; i < channels.size(); ++i) {
+      const Channel& c = channels[i];
       short events = 0;
       if (c.out_pos < c.out.size()) events |= POLLOUT;
       if (!c.done) events |= POLLIN;
       if (events != 0) {
         fds.push_back({c.fd, events, 0});
-        owner.push_back(&c);
+        owner.push_back(i);
       }
     }
     if (fds.empty()) return;
@@ -127,9 +134,10 @@ void exchange_frames(std::vector<Channel>& channels, const std::function<bool(Wi
       if (errno == EINTR) continue;
       throw_errno("poll failed");
     }
-    for (std::size_t i = 0; i < fds.size(); ++i) {
-      Channel& c = *owner[i];
-      if (fds[i].revents & POLLOUT) {
+    for (std::size_t k = 0; k < fds.size(); ++k) {
+      const std::size_t i = owner[k];
+      Channel& c = channels[i];
+      if (fds[k].revents & POLLOUT) {
         const ssize_t w = ::send(c.fd, c.out.data() + c.out_pos, c.out.size() - c.out_pos,
                                  MSG_NOSIGNAL);
         if (w < 0) {
@@ -140,14 +148,16 @@ void exchange_frames(std::vector<Channel>& channels, const std::function<bool(Wi
           c.out_pos += static_cast<std::size_t>(w);
         }
       }
-      if (fds[i].revents & POLLIN) {
+      if (!c.done && (fds[k].revents & (POLLIN | POLLHUP)) != 0) {
         if (!recv_into(c.fd, *c.decoder)) {
-          throw TransportError("socket transport: peer router closed mid-exchange");
+          throw TransportError("socket transport: router channel " + std::to_string(i) +
+                               " closed mid-exchange");
         }
-        pump(c);
+        pump(i);
       }
-      if ((fds[i].revents & (POLLERR | POLLNVAL)) != 0) {
-        throw TransportError("socket transport: peer router channel error");
+      if ((fds[k].revents & (POLLERR | POLLNVAL)) != 0) {
+        throw TransportError("socket transport: router channel " + std::to_string(i) +
+                             " error");
       }
     }
   }
@@ -232,7 +242,7 @@ struct Router {
         append_frame(c.out, control_frame(FrameType::kFlush, round, g));
         channels.push_back(std::move(c));
       }
-      exchange_frames(channels, [&](WireFrame& frame) {
+      exchange_frames(channels, [&](std::size_t, WireFrame& frame) {
         if (frame.type == FrameType::kFlush) return true;
         if (frame.type != FrameType::kData || group_of(frame.to) != g ||
             core.accept_data(frame).has_value()) {
@@ -270,7 +280,7 @@ struct Router {
         c.decoder = &peer_decoder[in_peer];
         channels.push_back(std::move(c));
       }
-      exchange_frames(channels, [&](WireFrame& frame) {
+      exchange_frames(channels, [&](std::size_t, WireFrame& frame) {
         if (frame.type == FrameType::kStageDone) return true;
         if (frame.type != FrameType::kBroadcast) {
           throw TransportError("router: unexpected frame type in dissemination stage");
@@ -441,72 +451,40 @@ void SocketTransport::flush(std::uint64_t round) {
   assemblers_.clear();
   for (std::uint64_t m = 0; m < machines_; ++m) assemblers_.emplace_back(m, round);
   assembled_round_ = round;
-  flush_done_.assign(static_cast<std::size_t>(groups_), false);
+  std::vector<Channel> channels(static_cast<std::size_t>(groups_));
   for (std::uint64_t g = 0; g < groups_; ++g) {
     const std::vector<std::uint8_t> token =
         encode_frame(control_frame(FrameType::kFlush, round, g));
     write_all(router_fds_[g], token.data(), token.size());
+    channels[g].fd = router_fds_[g];
+    channels[g].decoder = &decoders_[g];
   }
-  drain_routers();
-}
-
-void SocketTransport::drain_routers() {
-  auto pump = [&](std::size_t g) {
-    while (!flush_done_[g]) {
-      auto frame = decoders_[g].next();
-      if (!frame) break;
-      if (frame->type == FrameType::kFlushDone) {
-        if (frame->round != assembled_round_) {
-          throw TransportError("socket transport: router " + std::to_string(g) +
-                               " flushed round " + std::to_string(frame->round) +
-                               " while assembling round " + std::to_string(assembled_round_));
-        }
-        flush_done_[g] = true;
-        break;
+  // Drain every router's deliveries for this round up to its kFlushDone.
+  // Channel g is router g, so each error names the router it came from.
+  exchange_frames(channels, [&](std::size_t g, WireFrame& frame) {
+    if (frame.type == FrameType::kFlushDone) {
+      if (frame.round != assembled_round_) {
+        throw TransportError("socket transport: router " + std::to_string(g) +
+                             " flushed round " + std::to_string(frame.round) +
+                             " while assembling round " + std::to_string(assembled_round_));
       }
-      if (frame->type != FrameType::kData) {
-        throw TransportError("socket transport: unexpected frame type " +
-                             std::to_string(static_cast<unsigned>(frame->type)) +
-                             " from router " + std::to_string(g));
-      }
-      if (frame->to >= machines_ || frame->round != assembled_round_) {
-        throw TransportError("socket transport: misrouted delivery from router " +
-                             std::to_string(g) + " (to " + std::to_string(frame->to) +
-                             ", round " + std::to_string(frame->round) + ")");
-      }
-      if (tamper_) tamper_(*frame);
-      assemblers_[static_cast<std::size_t>(frame->to)].add(frame->from, frame->seq,
-                                                           std::move(frame->payload));
+      return true;
     }
-  };
-  for (std::size_t g = 0; g < groups_; ++g) pump(g);
-  while (true) {
-    std::vector<pollfd> fds;
-    std::vector<std::size_t> owner;
-    for (std::size_t g = 0; g < groups_; ++g) {
-      if (!flush_done_[g]) {
-        fds.push_back({router_fds_[g], POLLIN, 0});
-        owner.push_back(g);
-      }
+    if (frame.type != FrameType::kData) {
+      throw TransportError("socket transport: unexpected frame type " +
+                           std::to_string(static_cast<unsigned>(frame.type)) + " from router " +
+                           std::to_string(g));
     }
-    if (fds.empty()) return;
-    const int rc = ::poll(fds.data(), fds.size(), -1);
-    if (rc < 0) {
-      if (errno == EINTR) continue;
-      throw_errno("poll on router channels failed");
+    if (frame.to >= machines_ || frame.round != assembled_round_) {
+      throw TransportError("socket transport: misrouted delivery from router " +
+                           std::to_string(g) + " (to " + std::to_string(frame.to) +
+                           ", round " + std::to_string(frame.round) + ")");
     }
-    for (std::size_t i = 0; i < fds.size(); ++i) {
-      if ((fds[i].revents & (POLLIN | POLLHUP)) != 0) {
-        if (!recv_into(router_fds_[owner[i]], decoders_[owner[i]])) {
-          throw TransportError("socket transport: router process " + std::to_string(owner[i]) +
-                               " terminated unexpectedly");
-        }
-        pump(owner[i]);
-      } else if ((fds[i].revents & (POLLERR | POLLNVAL)) != 0) {
-        throw TransportError("socket transport: router channel error");
-      }
-    }
-  }
+    if (tamper_) tamper_(frame);
+    assemblers_[static_cast<std::size_t>(frame.to)].add(frame.from, frame.seq,
+                                                         std::move(frame.payload));
+    return false;
+  });
 }
 
 std::vector<mpc::Message> SocketTransport::receive(std::uint64_t round, std::uint64_t to) {
@@ -533,7 +511,6 @@ void SocketTransport::shutdown() {
   router_fds_.clear();
   decoders_.clear();
   assemblers_.clear();
-  flush_done_.clear();
   // Routers exit on parent-channel EOF; reap them, escalating to SIGKILL if
   // one is wedged mid-exchange (only reachable after a protocol error).
   for (const pid_t pid : router_pids_) {

@@ -75,7 +75,6 @@ class SocketTransport final : public Transport {
 
  private:
   std::uint64_t group_of(std::uint64_t machine) const { return machine / group_size_; }
-  void drain_routers();
   void shutdown();
 
   std::uint64_t requested_processes_;
@@ -90,7 +89,6 @@ class SocketTransport final : public Transport {
   std::vector<pid_t> router_pids_;
   std::vector<FrameDecoder> decoders_;       ///< one per router channel (streams persist)
   std::vector<InboxAssembler> assemblers_;   ///< one per machine, rebuilt each round
-  std::vector<bool> flush_done_;             ///< per-router, within one flush
   std::uint64_t assembled_round_ = 0;
   bool started_ = false;
 };

@@ -1,11 +1,11 @@
 #include "util/cli.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 
 #include "util/parse.hpp"
 
@@ -116,15 +116,22 @@ int run_tool(const char* tool, int argc, const char* const* argv,
   }
 }
 
-std::string read_input(const std::string& path) {
+std::string read_input(const std::string& path, std::size_t max_bytes) {
   std::ifstream file;
   if (path != "-") {
     file.open(path, std::ios::binary);
     if (!file) throw CliError("cannot open '" + path + "'");
   }
-  std::ostringstream text;
-  text << (path == "-" ? std::cin.rdbuf() : file.rdbuf());
-  return text.str();
+  std::istream& in = path == "-" ? std::cin : file;
+  std::string text;
+  char buf[1 << 12];
+  while (text.size() <= max_bytes && in) {
+    in.read(buf, static_cast<std::streamsize>(
+                     std::min<std::size_t>(sizeof(buf), max_bytes + 1 - text.size())));
+    text.append(buf, static_cast<std::size_t>(in.gcount()));
+  }
+  if (in.bad()) throw CliError("cannot read '" + path + "'");
+  return text;
 }
 
 }  // namespace mpch::util

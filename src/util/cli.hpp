@@ -68,8 +68,10 @@ class CliArgs {
 int run_tool(const char* tool, int argc, const char* const* argv,
              int (*body)(const CliArgs& args));
 
-/// The whole text of the file a flag names, or of stdin for "-"; CliError
-/// when the file cannot be opened.
-std::string read_input(const std::string& path);
+/// The text of the file a flag names, or of stdin for "-", read up to
+/// `max_bytes + 1` bytes: a longer input comes back `max_bytes + 1` long, so
+/// the caller's grammar rejects it by its own size check without the rest
+/// ever being read. CliError when the file cannot be opened or read.
+std::string read_input(const std::string& path, std::size_t max_bytes);
 
 }  // namespace mpch::util

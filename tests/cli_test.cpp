@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -155,6 +157,28 @@ TEST(CliArgs, RunToolTurnsCliErrorsIntoExitTwo) {
   EXPECT_EQ(testing::internal::GetCapturedStderr(),
             "prog: --n: '5x' is not an unsigned decimal integer\n"
             "prog: unknown flag --typo\n");
+}
+
+// read_input reads at most one byte past its cap, across its internal
+// read chunks, so a grammar's own size check sees every oversized file as
+// exactly cap + 1 bytes.
+TEST(ReadInput, ReadsAtMostOneBytePastTheCap) {
+  const std::size_t cap = 5000;
+  const std::string path = ::testing::TempDir() + "cli_read_input.txt";
+  const auto read_sized = [&](std::size_t size) {
+    std::string text(size, 'x');
+    for (std::size_t i = 0; i < size; ++i) text[i] = static_cast<char>('a' + i % 26);
+    std::ofstream(path, std::ios::binary) << text;
+    const std::string got = read_input(path, cap);
+    EXPECT_EQ(got, text.substr(0, cap + 1)) << size << " bytes";
+    return got.size();
+  };
+  EXPECT_EQ(read_sized(0), 0u);
+  EXPECT_EQ(read_sized(cap), cap);
+  EXPECT_EQ(read_sized(cap + 1), cap + 1);
+  EXPECT_EQ(read_sized(3 * cap), cap + 1);
+  std::remove(path.c_str());
+  EXPECT_THROW((void)read_input(path, cap), CliError);
 }
 
 }  // namespace

@@ -13,6 +13,7 @@ namespace {
 using mpch::serve::JobSpec;
 using mpch::serve::JobSpecError;
 using mpch::serve::JobVerb;
+using mpch::serve::kMaxJobfileBytes;
 using mpch::serve::kMaxJobs;
 using mpch::serve::kMaxRepeat;
 using mpch::serve::parse_jobfile;
@@ -158,6 +159,21 @@ TEST(JobSpec, WholeFileJobCapHolds) {
     FAIL() << "file cap not enforced";
   } catch (const JobSpecError& e) {
     EXPECT_NE(std::string(e.what()).find("cap"), std::string::npos) << e.what();
+  }
+}
+
+TEST(JobSpec, WholeFileByteCapHolds) {
+  // One job, then a comment padding the file to exactly the cap: accepted.
+  // One byte more is a typed rejection before any line is parsed.
+  std::string text = "simulate strategy=x\n#";
+  text.resize(kMaxJobfileBytes, '#');
+  EXPECT_EQ(parse_jobfile(text).size(), 1u);
+  text.push_back('#');
+  try {
+    (void)parse_jobfile(text);
+    FAIL() << "byte cap not enforced";
+  } catch (const JobSpecError& e) {
+    EXPECT_NE(std::string(e.what()).find("exceeds"), std::string::npos) << e.what();
   }
 }
 

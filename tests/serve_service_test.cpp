@@ -1,8 +1,8 @@
 // Tests for the ServeService execution engine (serve/service.hpp): budget
-// admission rejects with static-checker provenance before running,
-// backpressure engages under a tiny queue, repeated seeds in one pool give
-// identical results, and every verb produces the result surfaces the CLI
-// reports.
+// admission rejects with static-checker provenance before running, every
+// job runs exactly once at any worker count, repeated seeds in one pool
+// give identical results, and every verb produces the result surfaces the
+// CLI reports.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -37,7 +37,7 @@ TEST(ServeService, BudgetRejectionCarriesProvenance) {
   JobSpec spec = simulate_spec("dictionary", 11);
   spec.budget_bits = 512;  // dictionary's declared gather is far larger
   spec.source_line = 7;
-  ServeService service(ServeOptions{1, 4});
+  ServeService service(ServeOptions{1});
   auto results = service.run_jobs({spec});
   ASSERT_EQ(results.size(), 1u);
   const JobResult& r = results[0];
@@ -56,7 +56,7 @@ TEST(ServeService, BudgetRejectionCarriesProvenance) {
 TEST(ServeService, GenerousBudgetAdmits) {
   JobSpec spec = simulate_spec("pointer-chasing", 11);
   spec.budget_bits = 1 << 20;
-  auto results = ServeService(ServeOptions{1, 4}).run_jobs({spec});
+  auto results = ServeService(ServeOptions{1}).run_jobs({spec});
   ASSERT_EQ(results.size(), 1u);
   EXPECT_EQ(results[0].status, JobStatus::kOk);
   EXPECT_TRUE(results[0].admission.ok());
@@ -86,14 +86,14 @@ TEST(ServeService, AuthenticatedAdmissionUsesTheSharedLift) {
 
   JobSpec plain = simulate_spec("pointer-chasing", 11);
   plain.budget_bits = budget;
-  auto admitted = ServeService(ServeOptions{1, 4}).run_jobs({plain});
+  auto admitted = ServeService(ServeOptions{1}).run_jobs({plain});
   ASSERT_EQ(admitted.size(), 1u);
   EXPECT_EQ(admitted[0].status, JobStatus::kOk);
 
   JobSpec authed = plain;
   authed.authenticate = true;
   authed.source_line = 5;
-  auto rejected = ServeService(ServeOptions{1, 4}).run_jobs({authed});
+  auto rejected = ServeService(ServeOptions{1}).run_jobs({authed});
   ASSERT_EQ(rejected.size(), 1u);
   EXPECT_EQ(rejected[0].status, JobStatus::kRejected);
   EXPECT_NE(rejected[0].error.find("line 5"), std::string::npos) << rejected[0].error;
@@ -121,20 +121,27 @@ TEST(ServeService, UnknownStrategyFailsTyped) {
   EXPECT_NE(results[0].error.find("unknown strategy"), std::string::npos) << results[0].error;
 }
 
-TEST(ServeService, BackpressureEngagesUnderTinyQueue) {
-  // queue_depth=1 with a single worker: the submitter can hold at most one
-  // queued job, so pushing 6 jobs must stall it at least once, and the
-  // high watermark can never exceed the capacity bound.
+TEST(ServeService, EveryJobRunsOnceWhateverTheWorkerCount) {
+  // Workers claim job indices from one counter: no job is skipped or run
+  // twice, results come back in jobfile order, and each names a real
+  // worker, whether workers outnumber jobs or not.
+  EXPECT_TRUE(ServeService(ServeOptions{4}).run_jobs({}).empty());
   std::vector<JobSpec> jobs;
-  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     jobs.push_back(simulate_spec("ram-emulation", seed));
   }
-  ServeService service(ServeOptions{1, 1});
-  auto results = service.run_jobs(jobs);
-  ASSERT_EQ(results.size(), jobs.size());
-  for (const auto& r : results) EXPECT_EQ(r.status, JobStatus::kOk) << r.error;
-  EXPECT_GE(service.stats().backpressure_waits, 1u);
-  EXPECT_LE(service.stats().queue_high_watermark, 1u);
+  for (const std::uint64_t workers : {1u, 2u, 8u}) {
+    ServeService service(ServeOptions{workers});
+    auto results = service.run_jobs(jobs);
+    ASSERT_EQ(results.size(), jobs.size()) << workers << " worker(s)";
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      EXPECT_EQ(results[i].job_id, i) << workers << " worker(s)";
+      EXPECT_EQ(results[i].spec.seed, jobs[i].seed) << workers << " worker(s)";
+      EXPECT_EQ(results[i].status, JobStatus::kOk) << results[i].error;
+      EXPECT_LT(results[i].worker, workers);
+    }
+    EXPECT_EQ(service.stats().ok, jobs.size()) << workers << " worker(s)";
+  }
 }
 
 TEST(ServeService, RepeatedSeedsInOnePoolMatchStandalone) {
@@ -143,7 +150,7 @@ TEST(ServeService, RepeatedSeedsInOnePoolMatchStandalone) {
   const JobSpec spec = simulate_spec("pointer-chasing", 11);
   const JobResult ref = ServeService::run_standalone(spec);
   ASSERT_EQ(ref.status, JobStatus::kOk) << ref.error;
-  ServeService service(ServeOptions{2, 4});
+  ServeService service(ServeOptions{2});
   auto results = service.run_jobs({spec, spec});
   ASSERT_EQ(results.size(), 2u);
   for (const JobResult& r : results) {
@@ -172,7 +179,7 @@ TEST(ServeService, TouchedTableKeysAreTheTranscriptInputs) {
     chaos.every = 2;
     jobs.push_back(chaos);
   }
-  for (const JobResult& r : ServeService(ServeOptions{2, 4}).run_jobs(jobs)) {
+  for (const JobResult& r : ServeService(ServeOptions{2}).run_jobs(jobs)) {
     ASSERT_EQ(r.status, JobStatus::kOk) << r.spec.describe() << ": " << r.error;
     EXPECT_TRUE(r.spec.verb != JobVerb::kChaos || r.cost.recoveries >= 1) << r.spec.describe();
     if (r.oracle == nullptr) continue;  // plain-model strategy
@@ -190,7 +197,7 @@ TEST(ServeService, BufferReuseRecyclesAcrossJobs) {
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     jobs.push_back(simulate_spec("pointer-chasing", seed));
   }
-  ServeService service(ServeOptions{1, 4});
+  ServeService service(ServeOptions{1});
   auto results = service.run_jobs(jobs);
   for (const auto& r : results) EXPECT_EQ(r.status, JobStatus::kOk) << r.error;
   // Rounds far outnumber jobs, so steady-state acquires must be reuses.
@@ -243,7 +250,7 @@ TEST(ServeService, ResultsKeepJobfileOrderAcrossWorkers) {
     jobs.push_back(simulate_spec("ram-emulation", seed));
     jobs.back().source_line = seed;
   }
-  auto results = ServeService(ServeOptions{4, 2}).run_jobs(jobs);
+  auto results = ServeService(ServeOptions{4}).run_jobs(jobs);
   ASSERT_EQ(results.size(), jobs.size());
   for (std::size_t i = 0; i < results.size(); ++i) {
     EXPECT_EQ(results[i].job_id, i);

@@ -153,7 +153,7 @@ int tool_main(const util::CliArgs& args) {
 
   if (!check_file.empty()) {
     const std::vector<reduce::Reduction> reductions =
-        reduce::parse_reduction_file(util::read_input(check_file));
+        reduce::parse_reduction_file(util::read_input(check_file, reduce::kMaxFileBytes));
     for (const reduce::Reduction& r : reductions) {
       reduce::ReductionReport report = reduce::check_reduction(r, lib.specs);
       run_one(report, resolve_runner(r.target, seed), cross, "", json, jw, outcome);

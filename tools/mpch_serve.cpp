@@ -1,4 +1,4 @@
-// mpch-serve — high-throughput job-queue front end for the MPC testbed.
+// mpch-serve — high-throughput batch job front end for the MPC testbed.
 //
 //   mpch-serve --jobs sweep.jobs --workers 8
 //   mpch-serve --jobs - --workers 4 --format json < sweep.jobs
@@ -6,10 +6,10 @@
 //   mpch-serve --list
 //
 // Reads a jobfile (one job per line — see src/serve/job_spec.hpp for the
-// grammar), executes every job on a fixed-size worker pool fed by a bounded
-// queue, and emits one machine-readable JobResult per job plus an aggregate
-// throughput report (runs/sec, per-strategy p50/p99 latency, arena/queue
-// counters).
+// grammar), executes every job on a fixed-size worker pool whose workers
+// claim jobs from one counter, and emits one machine-readable JobResult per
+// job plus an aggregate throughput report (runs/sec, per-strategy p50/p99
+// latency, arena counters).
 //
 // Each job derives its own oracle answers; the hot path recycles round
 // buffers per worker, which changes no output bit — every JobResult is
@@ -76,7 +76,6 @@ void emit_json(const std::vector<serve::JobResult>& results, const serve::ServeS
   w.begin_object();
   w.key("options").begin_object();
   w.member("workers", options.workers);
-  w.member("queue_depth", static_cast<std::uint64_t>(options.queue_depth));
   w.end_object();
 
   w.key("jobs").begin_array();
@@ -130,8 +129,6 @@ void emit_json(const std::vector<serve::JobResult>& results, const serve::ServeS
   w.end_array();
   w.member("arena_reuses", stats.arena_reuses);
   w.member("arena_allocations", stats.arena_allocations);
-  w.member("backpressure_waits", stats.backpressure_waits);
-  w.member("queue_high_watermark", stats.queue_high_watermark);
   w.end_object();
   w.end_object();
   std::cout << w.str() << "\n";
@@ -164,15 +161,12 @@ void emit_text(const std::vector<serve::JobResult>& results, const serve::ServeS
             << util::format_double(stats.wall_ms, 1) << " ms ("
             << util::format_double(stats.runs_per_sec, 1) << " runs/sec)\n"
             << "buffers: " << stats.arena_reuses << " reuse(s), " << stats.arena_allocations
-            << " allocation(s)\n"
-            << "queue: " << stats.backpressure_waits << " backpressure wait(s), high watermark "
-            << stats.queue_high_watermark << "\n";
+            << " allocation(s)\n";
 }
 
 int tool_main(const util::CliArgs& args) {
   if (args.get_bool("help", false)) {
-    std::cout << "usage: mpch-serve --jobs FILE|- [--workers N] [--queue-depth N]\n"
-                 "                  [--format text|json] [--list]\n"
+    std::cout << "usage: mpch-serve --jobs FILE|- [--workers N] [--format text|json] [--list]\n"
                  "  jobfile grammar (one job per line, '#' comments):\n"
                  "    <verb> strategy=NAME [seed=N] [repeat=N] [threads=N]\n"
                  "           [transport=in-process|socket] [transport-procs=N]\n"
@@ -193,12 +187,12 @@ int tool_main(const util::CliArgs& args) {
   const std::string jobs_path = args.get_string("jobs", "");
   serve::ServeOptions options;
   options.workers = args.get_u64("workers", 4);
-  options.queue_depth = args.get_u64("queue-depth", 64);
   const bool json = args.get_choice("format", "text", {"text", "json"}) == "json";
   args.reject_unknown();
   if (jobs_path.empty()) throw util::CliError("--jobs FILE|- is required (try --help)");
 
-  const std::vector<serve::JobSpec> jobs = serve::parse_jobfile(util::read_input(jobs_path));
+  const std::vector<serve::JobSpec> jobs =
+      serve::parse_jobfile(util::read_input(jobs_path, serve::kMaxJobfileBytes));
   if (jobs.empty()) throw util::CliError("jobfile contains no jobs");
 
   serve::ServeService service(options);
