@@ -24,9 +24,11 @@
 // results: per-machine outputs/outboxes/annotations land in per-machine
 // slots and merge in machine index order, and each machine's oracle records
 // join the transcript at the barrier in machine order, so the log is in the
-// stable (round, machine, per-machine seq) order by construction. The differential suite
-// in tests/parallel_simulation_test.cpp pins this equivalence down for every
-// strategy in the tree.
+// stable (round, machine, per-machine seq) order by construction. The
+// determinism matrix in tests/transport_conformance_test.cpp pins this
+// equivalence down for every catalog strategy, and the same exception when a
+// bound breaks; tests/parallel_simulation_test.cpp adds the cases the catalog
+// cannot express.
 #pragma once
 
 #include <cstdint>
@@ -75,7 +77,8 @@ struct MpcConfig {
   /// round barrier, trace counters reduce deterministically, and the oracle
   /// transcript is appended in (round, machine, seq) order there. Requires
   /// the algorithm's run_machine to be safe to call concurrently for
-  /// *different* machines (all in-tree strategies are).
+  /// *different* machines (all in-tree strategies are). Pinned by the
+  /// in-process cells of tests/transport_conformance_test.cpp.
   std::uint64_t threads = 0;
   /// Authenticated messaging (off by default — zero behavior change when
   /// off). When on, MachineIo::send appends a kMessageTagBits MAC derived
@@ -95,8 +98,8 @@ struct MpcConfig {
   /// barrier. The default moves messages in-process with zero copies;
   /// kSocket forks router processes and moves every message over AF_UNIX
   /// sockets with binomial-tree broadcast dissemination.
-  /// tests/transport_conformance_test.cpp pins the equivalence for every
-  /// strategy in the tree.
+  /// The socket cells of tests/transport_conformance_test.cpp pin the
+  /// equivalence for every catalog strategy, plain and MAC-tagged.
   transport::TransportKind transport = transport::TransportKind::kInProcess;
   /// Socket backend: shard-group router process count. 0 = auto (2 for
   /// m > 1); clamped to [1, machines]. Ignored by the other backends.

@@ -1,5 +1,6 @@
 #include "serve/scenario.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "mpc/auth.hpp"
@@ -30,6 +31,13 @@ mpc::MpcConfig base_config(std::uint64_t m, std::uint64_t s, std::uint64_t q,
   c.tape_seed = 5;
   c.threads = threads;
   return c;
+}
+
+/// Index of the first element where `a` and `b` differ, as text; called only
+/// once the whole vectors are known to differ.
+template <typename T>
+std::string first_difference(const std::vector<T>& a, const std::vector<T>& b) {
+  return std::to_string(std::mismatch(a.begin(), a.end(), b.begin(), b.end()).first - a.begin());
 }
 
 }  // namespace
@@ -173,11 +181,18 @@ std::vector<std::string> artifact_mismatches(const mpc::MpcRunResult& ref,
                   std::to_string(got.rounds_used));
   }
   if (ref.output != got.output) bad.push_back("output bits differ");
-  if (ref.trace.rounds() != got.trace.rounds()) bad.push_back("per-round stats differ");
+  if (ref.trace.rounds() != got.trace.rounds()) {
+    bad.push_back("per-round stats differ from round index " +
+                  first_difference(ref.trace.rounds(), got.trace.rounds()));
+  }
   if (ref.trace.annotations() != got.trace.annotations()) bad.push_back("annotations differ");
-  if (ref.transcript->records() != got.transcript->records()) {
-    bad.push_back("oracle transcript differs (" + std::to_string(ref.transcript->records().size()) +
-                  " vs " + std::to_string(got.transcript->records().size()) + " records)");
+  const auto& ref_records = ref.transcript->records();
+  const auto& got_records = got.transcript->records();
+  if (ref_records != got_records) {
+    bad.push_back("oracle transcript differs at record " +
+                  first_difference(ref_records, got_records) + " (" +
+                  std::to_string(ref_records.size()) + " vs " +
+                  std::to_string(got_records.size()) + " records)");
   }
   if ((ref_oracle == nullptr) != (got_oracle == nullptr)) {
     bad.push_back("oracle presence differs");

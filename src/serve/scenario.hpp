@@ -74,8 +74,10 @@ void apply_run_options(Scenario* sc, transport::TransportKind transport,
 /// Compare one run against another across every observable surface (output,
 /// round stats, annotations, oracle transcript, materialised oracle table,
 /// query counts); returns human-readable mismatch descriptions, empty when
-/// bit-identical. Shared by mpch-chaos recovery verification and serve's
-/// chaos verb so "verified" means the same thing everywhere.
+/// bit-identical. A RoundStats or transcript mismatch names the first
+/// differing round or record index. Shared by mpch-chaos recovery
+/// verification, serve's chaos verb and the test suites, so "verified" means
+/// the same thing everywhere.
 std::vector<std::string> artifact_mismatches(const mpc::MpcRunResult& ref,
                                              const hash::LazyRandomOracle* ref_oracle,
                                              const mpc::MpcRunResult& got,

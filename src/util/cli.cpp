@@ -4,6 +4,7 @@
 #include <cctype>
 #include <cerrno>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 
@@ -118,12 +119,16 @@ int run_tool(const char* tool, int argc, const char* const* argv,
 
 std::string read_input(const std::string& path, std::size_t max_bytes) {
   std::ifstream file;
+  std::string text;
   if (path != "-") {
     file.open(path, std::ios::binary);
     if (!file) throw CliError("cannot open '" + path + "'");
+    // Where the size is known, hold exactly what the loop below will read.
+    std::error_code error;
+    const std::uintmax_t size = std::filesystem::file_size(path, error);
+    if (!error) text.reserve(std::min<std::uintmax_t>(size, max_bytes + 1));
   }
   std::istream& in = path == "-" ? std::cin : file;
-  std::string text;
   char buf[1 << 12];
   while (text.size() <= max_bytes && in) {
     in.read(buf, static_cast<std::streamsize>(

@@ -3,7 +3,7 @@
 // fault_recovery_test.cpp pins the fail-stop story: faults announce
 // themselves and recovery replays checkpoints. This suite pins the Byzantine
 // story: flip/forge/garble-oracle/tamper-ckpt apply *silently*, and the
-// quarantine policy (ChaosHarness::run_quarantine) must detect them by
+// quarantine policy (ChaosHarness::run("quarantine", ...)) must detect them by
 // cross-checking every round against a clean replica, localise the offender
 // via attestation digests (or a typed TamperViolation when authenticated
 // messaging is on), and still finish bit-identical to a fault-free run.
@@ -14,26 +14,21 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <map>
 #include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "core/line.hpp"
 #include "fault/checkpoint.hpp"
 #include "fault/fault_plan.hpp"
 #include "fault/injector.hpp"
 #include "hash/random_oracle.hpp"
 #include "mpc/auth.hpp"
 #include "mpc/simulation.hpp"
-#include "ram/machine.hpp"
-#include "ram/programs.hpp"
-#include "strategies/pointer_chasing.hpp"
-#include "strategies/ram_emulation.hpp"
+#include "scenario_runs.hpp"
+#include "serve/scenario.hpp"
 #include "transport/socket.hpp"
-#include "util/rng.hpp"
 
 namespace mpch {
 namespace {
@@ -41,101 +36,7 @@ namespace {
 using util::BitString;
 
 constexpr std::uint64_t kSeed = 11;
-
-struct Scenario {
-  mpc::MpcConfig config;
-  std::shared_ptr<mpc::MpcAlgorithm> algo;
-  std::vector<BitString> initial;
-  fault::ChaosHarness::OracleFactory oracle_factory;
-};
-
-/// One oracle-model and one plain-model scenario, built fresh per run (same
-/// shapes as fault_recovery_test.cpp). `authenticate` turns tagged messaging
-/// on and widens s for the tag bits, mirroring what mpch-chaos does.
-Scenario make_scenario(const std::string& name, std::uint64_t threads, bool authenticate) {
-  Scenario s;
-  if (name == "pointer-chasing") {
-    core::LineParams p = core::LineParams::make(64, 16, 8, 96);
-    util::Rng rng(kSeed + 1);
-    core::LineInput input = core::LineInput::random(p, rng);
-    auto strat = std::make_shared<strategies::PointerChasingStrategy>(
-        p, strategies::OwnershipPlan::round_robin(p, 4));
-    s.config.machines = 4;
-    s.config.local_memory_bits = strat->required_local_memory();
-    s.config.query_budget = 1 << 20;
-    s.initial = strat->make_initial_memory(input);
-    s.algo = strat;
-    s.oracle_factory = [n = p.n] { return std::make_shared<hash::LazyRandomOracle>(n, n, kSeed); };
-  } else if (name == "ram-emulation") {
-    const std::uint64_t n = 8;
-    std::vector<std::uint64_t> memory(n);
-    for (std::uint64_t i = 0; i < n; ++i) memory[i] = (kSeed * 7 + i * 3) % 97;
-    std::vector<ram::Instruction> prog = ram::programs::sum(n);
-    auto strat = std::make_shared<strategies::RamEmulationStrategy>(prog, 4, 1);
-    s.config.machines = 4;
-    s.config.local_memory_bits = strat->required_local_memory(memory.size());
-    s.config.query_budget = 1;
-    s.initial = strat->make_initial_memory(memory);
-    s.algo = strat;
-    s.oracle_factory = [] { return std::shared_ptr<hash::LazyRandomOracle>(); };
-  } else {
-    throw std::invalid_argument("unknown scenario " + name);
-  }
-  s.config.max_rounds = 20000;
-  s.config.tape_seed = 5;
-  s.config.threads = threads;
-  if (authenticate) {
-    s.config.authenticate_messages = true;
-    s.config.local_memory_bits += 1 << 16;  // headroom for the per-message tags
-  }
-  return s;
-}
-
-struct Artifacts {
-  bool completed = false;
-  std::uint64_t rounds_used = 0;
-  BitString output;
-  std::vector<mpc::RoundStats> rounds;
-  std::map<std::string, std::vector<std::uint64_t>> annotations;
-  std::vector<hash::QueryRecord> records;
-  std::vector<std::pair<BitString, BitString>> touched;
-  std::uint64_t oracle_total = 0;
-};
-
-Artifacts extract(const mpc::MpcRunResult& result, const hash::LazyRandomOracle* oracle) {
-  Artifacts a;
-  a.completed = result.completed;
-  a.rounds_used = result.rounds_used;
-  a.output = result.output;
-  a.rounds = result.trace.rounds();
-  a.annotations = result.trace.annotations();
-  a.records = result.transcript->records();
-  if (oracle != nullptr) {
-    a.touched = oracle->touched_table();
-    a.oracle_total = oracle->total_queries();
-  }
-  return a;
-}
-
-void expect_identical(const Artifacts& clean, const Artifacts& recovered) {
-  EXPECT_EQ(clean.completed, recovered.completed);
-  EXPECT_EQ(clean.rounds_used, recovered.rounds_used);
-  EXPECT_EQ(clean.output, recovered.output);
-  EXPECT_EQ(clean.rounds, recovered.rounds);
-  EXPECT_EQ(clean.annotations, recovered.annotations);
-  EXPECT_EQ(clean.records, recovered.records);
-  EXPECT_EQ(clean.oracle_total, recovered.oracle_total);
-  EXPECT_EQ(clean.touched, recovered.touched);
-}
-
-Artifacts run_clean(const std::string& name, std::uint64_t threads, bool authenticate) {
-  Scenario s = make_scenario(name, threads, authenticate);
-  auto oracle = s.oracle_factory();
-  mpc::MpcSimulation sim(s.config, oracle);
-  mpc::MpcRunResult result = sim.run(*s.algo, s.initial);
-  EXPECT_TRUE(result.completed) << name;
-  return extract(result, oracle.get());
-}
+constexpr const char* kFlip = "flip:machine=1,round=3,bit=2";
 
 bool log_contains(const std::vector<std::string>& log, const std::string& needle) {
   for (const auto& line : log) {
@@ -189,28 +90,22 @@ TEST(Quarantine, RecoversEveryByzantineVerbBitIdentical) {
   };
   for (const auto& [name, spec] : kCases) {
     SCOPED_TRACE(std::string(name) + " " + spec);
-    Artifacts clean = run_clean(name, 1, false);
-    Scenario s = make_scenario(name, 1, false);
-    fault::ChaosHarness harness(s.config, s.oracle_factory);
-    fault::ChaosResult chaos =
-        harness.run_quarantine(*s.algo, s.initial, fault::FaultPlan::parse(spec));
+    const fault::ChaosResult chaos =
+        run_chaos(catalog(name, kSeed, 1), "quarantine", spec, kQuarantineEvery);
     EXPECT_EQ(chaos.cost.faults_injected, 1u);
     EXPECT_GE(chaos.cost.recoveries, 1u);
     EXPECT_GT(chaos.cost.attestation_checks, 0u);
     EXPECT_TRUE(log_contains(chaos.fault_log, "detected")) << spec;
-    expect_identical(clean, extract(chaos.run, chaos.oracle.get()));
+    expect_identical(run_clean(catalog(name, kSeed, 1)), chaos);
   }
 }
 
 TEST(Quarantine, IsThreadInvariant) {
   for (std::uint64_t threads : {std::uint64_t{1}, std::uint64_t{8}}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
-    Artifacts clean = run_clean("pointer-chasing", threads, false);
-    Scenario s = make_scenario("pointer-chasing", threads, false);
-    fault::ChaosHarness harness(s.config, s.oracle_factory);
-    fault::ChaosResult chaos = harness.run_quarantine(
-        *s.algo, s.initial, fault::FaultPlan::parse("flip:machine=1,round=3,bit=2"));
-    expect_identical(clean, extract(chaos.run, chaos.oracle.get()));
+    const fault::ChaosResult chaos = run_chaos(catalog("pointer-chasing", kSeed, threads),
+                                               "quarantine", kFlip, kQuarantineEvery);
+    expect_identical(run_clean(catalog("pointer-chasing", kSeed, threads)), chaos);
   }
 }
 
@@ -219,58 +114,44 @@ TEST(Quarantine, AuthenticatedFlipIsTypedAndStrikesTheReceiver) {
   // verification at the faulted round's own barrier: detection is a typed
   // TamperViolation naming the machine, and quarantine strikes it directly
   // instead of needing the attestation cross-check to localise.
-  Artifacts clean = run_clean("pointer-chasing", 1, true);
-  Scenario s = make_scenario("pointer-chasing", 1, true);
-  fault::ChaosHarness harness(s.config, s.oracle_factory);
-  fault::ChaosResult chaos = harness.run_quarantine(
-      *s.algo, s.initial, fault::FaultPlan::parse("flip:machine=1,round=3,bit=2"));
+  const fault::ChaosResult chaos = run_chaos(catalog("pointer-chasing", kSeed, 1, true),
+                                             "quarantine", kFlip, kQuarantineEvery);
   EXPECT_GE(chaos.cost.quarantine_strikes, 1u);
   EXPECT_TRUE(log_contains(chaos.fault_log, "machine 1 struck"));
   EXPECT_TRUE(log_contains(chaos.fault_log, "detected"));
-  expect_identical(clean, extract(chaos.run, chaos.oracle.get()));
+  expect_identical(run_clean(catalog("pointer-chasing", kSeed, 1, true)), chaos);
 }
 
 TEST(Quarantine, SilentFlipIsLocalisedByAttestationDigests) {
   // No authentication: the flip corrupts machine 1's round-start memory
   // silently, the clean-replica cross-check sees the divergence, and the
   // per-machine attestation digests name machine 1 as the one that differs.
-  Scenario s = make_scenario("pointer-chasing", 1, false);
-  fault::ChaosHarness harness(s.config, s.oracle_factory);
-  fault::ChaosResult chaos = harness.run_quarantine(
-      *s.algo, s.initial, fault::FaultPlan::parse("flip:machine=1,round=3,bit=2"));
+  const fault::ChaosResult chaos =
+      run_chaos(catalog("pointer-chasing", kSeed, 1), "quarantine", kFlip, kQuarantineEvery);
   EXPECT_TRUE(log_contains(chaos.fault_log, "attestation mismatch at machine 1"));
   EXPECT_TRUE(log_contains(chaos.fault_log, "machine 1 struck"));
 }
 
 TEST(Quarantine, EscalatesToPeriodicCheckpointWhenRetriesExhausted) {
-  Artifacts clean = run_clean("pointer-chasing", 1, false);
-  Scenario s = make_scenario("pointer-chasing", 1, false);
-  fault::ChaosHarness harness(s.config, s.oracle_factory);
   fault::QuarantineConfig qc;
   qc.max_round_retries = 0;  // any detection escalates immediately
-  qc.checkpoint_every = 2;
-  fault::ChaosResult chaos = harness.run_quarantine(
-      *s.algo, s.initial, fault::FaultPlan::parse("flip:machine=1,round=3,bit=2"), qc);
+  const fault::ChaosResult chaos =
+      run_chaos(catalog("pointer-chasing", kSeed, 1), "quarantine", kFlip, 2, qc);
   EXPECT_GE(chaos.cost.escalations, 1u);
   EXPECT_TRUE(log_contains(chaos.fault_log, "escalation:"));
   EXPECT_TRUE(log_contains(chaos.fault_log, "periodic checkpoint"));
-  expect_identical(clean, extract(chaos.run, chaos.oracle.get()));
+  expect_identical(run_clean(catalog("pointer-chasing", kSeed, 1)), chaos);
 }
 
 TEST(Quarantine, RejectsZeroCheckpointCadence) {
-  Scenario s = make_scenario("ram-emulation", 1, false);
-  fault::ChaosHarness harness(s.config, s.oracle_factory);
-  fault::QuarantineConfig qc;
-  qc.checkpoint_every = 0;
-  EXPECT_THROW(
-      harness.run_quarantine(*s.algo, s.initial, fault::FaultPlan::parse("kill:round=1"), qc),
-      std::invalid_argument);
+  EXPECT_THROW(run_chaos(catalog("ram-emulation", kSeed, 1), "quarantine", "kill:round=1", 0),
+               std::invalid_argument);
 }
 
 TEST(TamperCheckpoint, CorruptedSnapshotFailsIntegrityCheckAtRestore) {
   // Unit level: a post-save bit flip in the encoded snapshot must be caught
   // by the wire format's checksum, never resumed from.
-  Scenario s = make_scenario("ram-emulation", 1, false);
+  const serve::Scenario s = catalog("ram-emulation", kSeed, 1);
   fault::Checkpointer ckpt(s.config, nullptr, 1, "", true);
   mpc::MpcSimulation sim(s.config, nullptr);
   sim.run(*s.algo, s.initial, &ckpt);
@@ -287,11 +168,8 @@ TEST(TamperCheckpoint, RestartPolicyRefusesToResumeFromTamperedSnapshot) {
   // End to end: tamper the round-1 snapshot, then kill at round 2 so the
   // restart policy has to restore exactly the tampered image. CheckpointError
   // (not a silent resume of corrupted state) is the required outcome.
-  Scenario s = make_scenario("ram-emulation", 1, false);
-  fault::ChaosHarness harness(s.config, s.oracle_factory);
-  EXPECT_THROW(harness.run_restart(*s.algo, s.initial,
-                                   fault::FaultPlan::parse("tamper-ckpt:round=1,bit=9;kill:round=2"),
-                                   /*checkpoint_every=*/1),
+  EXPECT_THROW(run_chaos(catalog("ram-emulation", kSeed, 1), "restart",
+                         "tamper-ckpt:round=1,bit=9;kill:round=2", /*every=*/1),
                fault::CheckpointError);
 }
 
@@ -370,15 +248,12 @@ TEST(ObserverChain, FirstThrowerWinsWhenSeveralThrow) {
 // ---- satellite: dup under ReplicateRound, drop aimed at an empty inbox ----
 
 TEST(MessageFaults, DuplicateRecoversUnderReplicateRound) {
-  Artifacts clean = run_clean("ram-emulation", 1, false);
-  Scenario s = make_scenario("ram-emulation", 1, false);
-  fault::ChaosHarness harness(s.config, s.oracle_factory);
-  fault::ChaosResult chaos =
-      harness.run_replicate(*s.algo, s.initial, fault::FaultPlan::parse("dup:round=2,to=0,index=0"));
+  const fault::ChaosResult chaos =
+      run_chaos(catalog("ram-emulation", kSeed, 1), "replicate", "dup:round=2,to=0,index=0", 1);
   EXPECT_EQ(chaos.cost.faults_injected, 1u);
   EXPECT_EQ(chaos.cost.replica_verifications, 1u);
   EXPECT_EQ(chaos.cost.rounds_reexecuted, 2u);  // two replicas of the one round
-  expect_identical(clean, extract(chaos.run, chaos.oracle.get()));
+  expect_identical(run_clean(catalog("ram-emulation", kSeed, 1)), chaos);
 }
 
 /// Nobody ever sends; machine 0 outputs in round 1. Every inbox past round 0
@@ -414,8 +289,9 @@ TEST(MessageFaults, DropOnEmptyInboxFiresAsNoOpAndNeedsNoRecovery) {
   // policies count *caught* faults), so nothing is recovered or re-executed.
   SilentAlgorithm algo2;
   fault::ChaosHarness harness(c, [] { return std::shared_ptr<hash::LazyRandomOracle>(); });
-  fault::ChaosResult chaos = harness.run_replicate(
-      algo2, {BitString(), BitString()}, fault::FaultPlan::parse("drop:round=0,to=1,index=0"));
+  fault::ChaosResult chaos = harness.run(
+      "replicate", algo2, {BitString(), BitString()},
+      fault::FaultPlan::parse("drop:round=0,to=1,index=0"), /*every=*/1);
   EXPECT_TRUE(chaos.run.completed);
   EXPECT_EQ(chaos.cost.faults_injected, 0u);
   EXPECT_EQ(chaos.cost.recoveries, 0u);
@@ -445,17 +321,13 @@ TEST(Quarantine, FlipAndForgeOverSocketTransportRecoverBitIdentical) {
   const char* kSpecs[] = {"flip:machine=1,round=3,bit=2", "forge:round=3,to=1,index=0,from=99"};
   for (const char* spec : kSpecs) {
     SCOPED_TRACE(spec);
-    Artifacts clean = run_clean("pointer-chasing", 1, false);
-    Scenario s = make_scenario("pointer-chasing", 1, false);
-    s.config.transport = transport::TransportKind::kSocket;
-    s.config.transport_processes = 2;
-    fault::ChaosHarness harness(s.config, s.oracle_factory);
-    fault::ChaosResult chaos =
-        harness.run_quarantine(*s.algo, s.initial, fault::FaultPlan::parse(spec));
+    const fault::ChaosResult chaos =
+        run_chaos(catalog("pointer-chasing", kSeed, 1, false, transport::TransportKind::kSocket, 2),
+                  "quarantine", spec, kQuarantineEvery);
     EXPECT_EQ(chaos.cost.faults_injected, 1u);
     EXPECT_GE(chaos.cost.recoveries, 1u);
     EXPECT_TRUE(log_contains(chaos.fault_log, "detected")) << spec;
-    expect_identical(clean, extract(chaos.run, chaos.oracle.get()));
+    expect_identical(run_clean(catalog("pointer-chasing", kSeed, 1)), chaos);
   }
 }
 
@@ -475,8 +347,8 @@ TEST(ByzantineWire, SocketWireFlipIsTypedWithInProcessProvenance) {
 
   std::optional<mpc::TamperViolation> in_process;
   {
-    Scenario s = make_scenario("pointer-chasing", 1, true);
-    mpc::MpcSimulation sim(s.config, s.oracle_factory());
+    const serve::Scenario s = catalog("pointer-chasing", kSeed, 1, true);
+    mpc::MpcSimulation sim(s.config, s.make_oracle());
     InboxFlip flip;
     try {
       sim.run(*s.algo, s.initial, &flip);
@@ -488,8 +360,8 @@ TEST(ByzantineWire, SocketWireFlipIsTypedWithInProcessProvenance) {
 
   std::optional<mpc::TamperViolation> wire;
   {
-    Scenario s = make_scenario("pointer-chasing", 1, true);
-    mpc::MpcSimulation sim(s.config, s.oracle_factory());
+    const serve::Scenario s = catalog("pointer-chasing", kSeed, 1, true);
+    mpc::MpcSimulation sim(s.config, s.make_oracle());
     sim.set_transport_factory([] {
       transport::TransportOptions options;
       options.processes = 2;

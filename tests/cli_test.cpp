@@ -161,7 +161,7 @@ TEST(CliArgs, RunToolTurnsCliErrorsIntoExitTwo) {
 
 // read_input reads at most one byte past its cap, across its internal
 // read chunks, so a grammar's own size check sees every oversized file as
-// exactly cap + 1 bytes.
+// exactly cap + 1 bytes, and holds no more than that in memory.
 TEST(ReadInput, ReadsAtMostOneBytePastTheCap) {
   const std::size_t cap = 5000;
   const std::string path = ::testing::TempDir() + "cli_read_input.txt";
@@ -169,14 +169,16 @@ TEST(ReadInput, ReadsAtMostOneBytePastTheCap) {
     std::string text(size, 'x');
     for (std::size_t i = 0; i < size; ++i) text[i] = static_cast<char>('a' + i % 26);
     std::ofstream(path, std::ios::binary) << text;
-    const std::string got = read_input(path, cap);
+    std::string got = read_input(path, cap);
     EXPECT_EQ(got, text.substr(0, cap + 1)) << size << " bytes";
-    return got.size();
+    return got;
   };
-  EXPECT_EQ(read_sized(0), 0u);
-  EXPECT_EQ(read_sized(cap), cap);
-  EXPECT_EQ(read_sized(cap + 1), cap + 1);
-  EXPECT_EQ(read_sized(3 * cap), cap + 1);
+  EXPECT_EQ(read_sized(0).size(), 0u);
+  EXPECT_EQ(read_sized(cap).size(), cap);
+  EXPECT_EQ(read_sized(cap + 1).size(), cap + 1);
+  const std::string oversized = read_sized(3 * cap);
+  EXPECT_EQ(oversized.size(), cap + 1);
+  EXPECT_LE(oversized.capacity(), cap + 1);
   std::remove(path.c_str());
   EXPECT_THROW((void)read_input(path, cap), CliError);
 }

@@ -1,13 +1,14 @@
 // fault_recovery_test.cpp — the chaos differential suite.
 //
-// The determinism the simulator guarantees (parallel_simulation_test.cpp)
-// makes recovery *verifiable*: a run that is killed mid-flight, restored from
-// a checkpoint, and resumed must be bit-identical to one that never faulted —
-// same output, same per-round RoundStats (peak witnesses included), same
-// annotations, same canonical oracle transcript, same materialised oracle
-// table and lifetime query count. This suite pins that for every strategy in
-// the tree at thread counts {1, 8}, plus crash/drop/dup faults, the
-// ReplicateRound policy, and the unrecoverable-fault path.
+// The determinism the simulator guarantees (the matrix in
+// transport_conformance_test.cpp) makes recovery *verifiable*: a run that is
+// killed mid-flight, restored from a checkpoint, and resumed must be
+// bit-identical to one that never faulted — same output, same per-round
+// RoundStats (peak witnesses included), same annotations, same canonical
+// oracle transcript, same materialised oracle table and lifetime query
+// count. This suite pins that for every catalog strategy at thread counts
+// {1, 8}, plus crash/drop/dup faults, the ReplicateRound policy, the
+// unrecoverable-fault path, and a recorded report for every policy and verb.
 #include "fault/recovery.hpp"
 
 #include <gtest/gtest.h>
@@ -15,234 +16,38 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
-#include <map>
-#include <memory>
 #include <sstream>
 #include <string>
-#include <vector>
 
-#include "core/line.hpp"
 #include "fault/checkpoint.hpp"
 #include "fault/fault_plan.hpp"
 #include "fault/injector.hpp"
-#include "hash/random_oracle.hpp"
 #include "hash/sha256.hpp"
 #include "mpc/auth.hpp"
 #include "mpc/simulation.hpp"
-#include "ram/machine.hpp"
-#include "ram/programs.hpp"
-#include "strategies/batch_pointer_chasing.hpp"
-#include "strategies/colluding.hpp"
-#include "strategies/dictionary.hpp"
-#include "strategies/full_memory.hpp"
-#include "strategies/pipelined_simline.hpp"
-#include "strategies/pointer_chasing.hpp"
-#include "strategies/ram_emulation.hpp"
-#include "strategies/speculative.hpp"
-#include "util/rng.hpp"
+#include "scenario_runs.hpp"
+#include "serve/scenario.hpp"
 
 namespace mpch {
 namespace {
 
-using util::BitString;
-
 constexpr std::uint64_t kSeed = 11;
 
-struct Scenario {
-  mpc::MpcConfig config;
-  std::shared_ptr<mpc::MpcAlgorithm> algo;
-  std::vector<BitString> initial;
-  fault::ChaosHarness::OracleFactory oracle_factory;
-  std::shared_ptr<const core::LineInput> truth;  ///< outlives algo (speculative holds a pointer)
-  std::uint64_t fault_round = 3;                 ///< late enough for a checkpoint to exist
-  std::uint64_t checkpoint_every = 2;
-};
-
-mpc::MpcConfig cfg(std::uint64_t m, std::uint64_t s, std::uint64_t q, std::uint64_t threads,
-                   std::uint64_t max_rounds = 20000) {
-  mpc::MpcConfig c;
-  c.machines = m;
-  c.local_memory_bits = s;
-  c.query_budget = q;
-  c.max_rounds = max_rounds;
-  c.tape_seed = 5;
-  c.threads = threads;
-  return c;
-}
-
-/// Built fresh per run so strategy-internal counters (e.g. the speculative
-/// strategy's lucky_escapes) never leak between the reference and chaos runs.
-Scenario make_scenario(const std::string& name, std::uint64_t threads) {
-  Scenario s;
-  auto oracle_for = [](std::uint64_t n) -> fault::ChaosHarness::OracleFactory {
-    return [n] { return std::make_shared<hash::LazyRandomOracle>(n, n, kSeed); };
-  };
-
-  if (name == "pointer-chasing") {
-    core::LineParams p = core::LineParams::make(64, 16, 8, 96);
-    util::Rng rng(kSeed + 1);
-    core::LineInput input = core::LineInput::random(p, rng);
-    auto strat = std::make_shared<strategies::PointerChasingStrategy>(
-        p, strategies::OwnershipPlan::round_robin(p, 4));
-    s.config = cfg(4, strat->required_local_memory(), 1 << 20, threads);
-    s.initial = strat->make_initial_memory(input);
-    s.algo = strat;
-    s.oracle_factory = oracle_for(p.n);
-  } else if (name == "batch-pointer-chasing") {
-    core::LineParams p = core::LineParams::make(64, 16, 8, 128);
-    std::vector<core::LineInput> inputs;
-    for (std::uint64_t i = 0; i < 4; ++i) {
-      util::Rng rng(kSeed * 100 + i);
-      inputs.push_back(core::LineInput::random(p, rng));
-    }
-    auto strat = std::make_shared<strategies::BatchPointerChasingStrategy>(
-        p, strategies::OwnershipPlan::round_robin(p, 4), 4);
-    s.config = cfg(4, strat->required_local_memory(), 1 << 20, threads);
-    s.initial = strat->make_initial_memory(inputs);
-    s.algo = strat;
-    s.oracle_factory = oracle_for(p.n);
-  } else if (name == "speculative") {
-    // u = 16 with a small guess budget: stalls essentially never escape, so
-    // the run lasts many rounds and the kill/restore window actually exists
-    // (the exhaustive u = 4 variant finishes in one round).
-    core::LineParams p = core::LineParams::make(64, 16, 8, 96);
-    util::Rng rng(kSeed * 3 + 7);
-    auto input = std::make_shared<core::LineInput>(core::LineInput::random(p, rng));
-    s.truth = input;
-    auto strat = std::make_shared<strategies::SpeculativeStrategy>(
-        p, strategies::OwnershipPlan::round_robin(p, 4), strategies::SpeculativeConfig{4, true},
-        *input);
-    s.config = cfg(4, strat->required_local_memory(), 1 << 20, threads);
-    s.initial = strat->make_initial_memory(*input);
-    s.algo = strat;
-    s.oracle_factory = oracle_for(p.n);
-  } else if (name == "pipelined-simline") {
-    core::LineParams p = core::LineParams::make(64, 16, 16, 256);
-    util::Rng rng(kSeed + 2);
-    core::LineInput input = core::LineInput::random(p, rng);
-    auto strat = std::make_shared<strategies::PipelinedSimLineStrategy>(
-        p, strategies::OwnershipPlan::windows(p, 4, 4));
-    s.config = cfg(4, strat->required_local_memory(), 1 << 20, threads);
-    s.initial = strat->make_initial_memory(input);
-    s.algo = strat;
-    s.oracle_factory = oracle_for(p.n);
-  } else if (name == "colluding") {
-    core::LineParams p = core::LineParams::make(64, 16, 8, 96);
-    util::Rng rng(kSeed + 3);
-    core::LineInput input = core::LineInput::random(p, rng);
-    auto strat = std::make_shared<strategies::ColludingStrategy>(
-        p, strategies::OwnershipPlan::round_robin(p, 4));
-    s.config = cfg(4, strat->required_local_memory(), 1 << 20, threads);
-    s.initial = strat->make_initial_memory(input);
-    s.algo = strat;
-    s.oracle_factory = oracle_for(p.n);
-  } else if (name == "dictionary") {
-    core::LineParams p = core::LineParams::make(64, 16, 32, 128);
-    util::Rng rng(kSeed + 4);
-    core::LineInput input = strategies::make_low_entropy_input(p, 2, rng);
-    auto strat = std::make_shared<strategies::DictionaryStrategy>(p, 4);
-    s.config = cfg(4, strat->gathered_bits(2), p.w + 1, threads, 10);
-    s.initial = strat->make_initial_memory(input);
-    s.algo = strat;
-    s.oracle_factory = oracle_for(p.n);
-    s.fault_round = 1;
-    s.checkpoint_every = 1;
-  } else if (name == "full-memory") {
-    core::LineParams p = core::LineParams::make(64, 16, 8, 256);
-    util::Rng rng(kSeed + 5);
-    core::LineInput input = core::LineInput::random(p, rng);
-    auto strat = std::make_shared<strategies::FullMemoryStrategy>(
-        p, strategies::OwnershipPlan::round_robin(p, 4));
-    s.config = cfg(4, strat->required_local_memory(), p.w + 1, threads, 10);
-    s.initial = strat->make_initial_memory(input);
-    s.algo = strat;
-    s.oracle_factory = oracle_for(p.n);
-    s.fault_round = 1;
-    s.checkpoint_every = 1;
-  } else if (name == "ram-emulation") {
-    const std::uint64_t n = 8;
-    std::vector<std::uint64_t> memory(n);
-    for (std::uint64_t i = 0; i < n; ++i) memory[i] = (kSeed * 7 + i * 3) % 97;
-    std::vector<ram::Instruction> prog = ram::programs::sum(n);
-    auto strat = std::make_shared<strategies::RamEmulationStrategy>(prog, 4, 1);
-    s.config = cfg(4, strat->required_local_memory(memory.size()), 1, threads, 1 << 20);
-    s.initial = strat->make_initial_memory(memory);
-    s.algo = strat;
-    s.oracle_factory = [] { return std::shared_ptr<hash::LazyRandomOracle>(); };
-  } else {
-    throw std::invalid_argument("unknown scenario " + name);
-  }
-  return s;
-}
-
-const char* const kAllScenarios[] = {
-    "pointer-chasing", "batch-pointer-chasing", "speculative", "pipelined-simline",
-    "colluding",       "dictionary",            "full-memory", "ram-emulation",
-};
-
-struct Artifacts {
-  bool completed = false;
-  std::uint64_t rounds_used = 0;
-  BitString output;
-  std::vector<mpc::RoundStats> rounds;
-  std::map<std::string, std::vector<std::uint64_t>> annotations;
-  std::vector<hash::QueryRecord> records;
-  std::vector<std::pair<BitString, BitString>> touched;
-  std::uint64_t oracle_total = 0;
-};
-
-Artifacts extract(const mpc::MpcRunResult& result, const hash::LazyRandomOracle* oracle) {
-  Artifacts a;
-  a.completed = result.completed;
-  a.rounds_used = result.rounds_used;
-  a.output = result.output;
-  a.rounds = result.trace.rounds();
-  a.annotations = result.trace.annotations();
-  a.records = result.transcript->records();
-  if (oracle != nullptr) {
-    a.touched = oracle->touched_table();
-    a.oracle_total = oracle->total_queries();
-  }
-  return a;
-}
-
-void expect_identical(const Artifacts& clean, const Artifacts& recovered) {
-  EXPECT_EQ(clean.completed, recovered.completed);
-  EXPECT_EQ(clean.rounds_used, recovered.rounds_used);
-  EXPECT_EQ(clean.output, recovered.output);
-  EXPECT_EQ(clean.rounds, recovered.rounds);  // RoundStats ==: peaks included
-  EXPECT_EQ(clean.annotations, recovered.annotations);
-  EXPECT_EQ(clean.records, recovered.records);
-  EXPECT_EQ(clean.oracle_total, recovered.oracle_total);
-  EXPECT_EQ(clean.touched, recovered.touched);
-}
-
-/// The uninterrupted reference: same scenario, no observer.
-Artifacts run_clean(const std::string& name, std::uint64_t threads) {
-  Scenario s = make_scenario(name, threads);
-  auto oracle = s.oracle_factory();
-  mpc::MpcSimulation sim(s.config, oracle);
-  mpc::MpcRunResult result = sim.run(*s.algo, s.initial);
-  EXPECT_TRUE(result.completed) << name;
-  return extract(result, oracle.get());
-}
-
 TEST(ChaosRecovery, KillRestoreResumeIsBitIdenticalForEveryStrategy) {
-  for (const char* name : kAllScenarios) {
+  for (const std::string& name : serve::strategy_names()) {
+    // Kill at round 3 after a save every 2 rounds (late enough for a
+    // checkpoint to exist), or at round 1 after a save every round for the
+    // two strategies that finish in two rounds.
+    const bool two_rounds = name == "dictionary" || name == "full-memory";
+    const std::string plan = two_rounds ? "kill:round=1" : "kill:round=3";
+    const std::uint64_t every = two_rounds ? 1 : 2;
     for (std::uint64_t threads : {std::uint64_t{1}, std::uint64_t{8}}) {
-      SCOPED_TRACE(std::string(name) + " threads=" + std::to_string(threads));
-      Artifacts clean = run_clean(name, threads);
-
-      Scenario s = make_scenario(name, threads);
-      fault::ChaosHarness harness(s.config, s.oracle_factory);
-      fault::FaultPlan plan =
-          fault::FaultPlan::parse("kill:round=" + std::to_string(s.fault_round));
-      fault::ChaosResult chaos =
-          harness.run_restart(*s.algo, s.initial, plan, s.checkpoint_every);
-
+      SCOPED_TRACE(name + " threads=" + std::to_string(threads));
+      const fault::ChaosResult chaos =
+          run_chaos(catalog(name, kSeed, threads), "restart", plan, every);
       EXPECT_EQ(chaos.cost.faults_injected, 1u);
       EXPECT_EQ(chaos.cost.recoveries, 1u);
-      expect_identical(clean, extract(chaos.run, chaos.oracle.get()));
+      expect_identical(run_clean(catalog(name, kSeed, threads)), chaos);
     }
   }
 }
@@ -251,19 +56,12 @@ TEST(ChaosRecovery, CrashRestoreResumeIsBitIdentical) {
   for (const std::string name : {"pointer-chasing", "ram-emulation"}) {
     for (std::uint64_t threads : {std::uint64_t{1}, std::uint64_t{8}}) {
       SCOPED_TRACE(name + " threads=" + std::to_string(threads));
-      Artifacts clean = run_clean(name, threads);
-
-      Scenario s = make_scenario(name, threads);
-      fault::ChaosHarness harness(s.config, s.oracle_factory);
-      fault::FaultPlan plan = fault::FaultPlan::parse(
-          "crash:machine=2,round=" + std::to_string(s.fault_round));
-      fault::ChaosResult chaos =
-          harness.run_restart(*s.algo, s.initial, plan, s.checkpoint_every);
-
+      const fault::ChaosResult chaos =
+          run_chaos(catalog(name, kSeed, threads), "restart", "crash:machine=2,round=3", 2);
       EXPECT_EQ(chaos.cost.faults_injected, 1u);
       // The crashed round itself re-executes, so at least one round is redone.
       EXPECT_GE(chaos.cost.rounds_reexecuted, 1u);
-      expect_identical(clean, extract(chaos.run, chaos.oracle.get()));
+      expect_identical(run_clean(catalog(name, kSeed, threads)), chaos);
     }
   }
 }
@@ -271,61 +69,46 @@ TEST(ChaosRecovery, CrashRestoreResumeIsBitIdentical) {
 TEST(ChaosRecovery, DropAndDuplicateRecoverUnderRestart) {
   for (const std::string spec : {"drop:round=2,to=0,index=0", "dup:round=2,to=0,index=0"}) {
     SCOPED_TRACE(spec);
-    Artifacts clean = run_clean("ram-emulation", 1);
-    Scenario s = make_scenario("ram-emulation", 1);
-    fault::ChaosHarness harness(s.config, s.oracle_factory);
-    fault::ChaosResult chaos =
-        harness.run_restart(*s.algo, s.initial, fault::FaultPlan::parse(spec), 1);
+    const fault::ChaosResult chaos =
+        run_chaos(catalog("ram-emulation", kSeed, 1), "restart", spec, 1);
     EXPECT_EQ(chaos.cost.faults_injected, 1u);
-    expect_identical(clean, extract(chaos.run, chaos.oracle.get()));
+    expect_identical(run_clean(catalog("ram-emulation", kSeed, 1)), chaos);
   }
 }
 
 TEST(ChaosRecovery, ReplicateRoundVerifiesAndMatchesCleanRun) {
   for (const std::string name : {"pointer-chasing", "ram-emulation"}) {
     SCOPED_TRACE(name);
-    Artifacts clean = run_clean(name, 1);
-    Scenario s = make_scenario(name, 1);
-    fault::ChaosHarness harness(s.config, s.oracle_factory);
-    fault::FaultPlan plan = fault::FaultPlan::parse(
-        "crash:machine=1,round=" + std::to_string(s.fault_round));
-    fault::ChaosResult chaos = harness.run_replicate(*s.algo, s.initial, plan);
+    const fault::ChaosResult chaos =
+        run_chaos(catalog(name, kSeed, 1), "replicate", "crash:machine=1,round=3", 1);
     EXPECT_EQ(chaos.cost.faults_injected, 1u);
     EXPECT_EQ(chaos.cost.replica_verifications, 1u);
     EXPECT_EQ(chaos.cost.rounds_reexecuted, 2u);  // two replicas of one round
-    expect_identical(clean, extract(chaos.run, chaos.oracle.get()));
+    expect_identical(run_clean(catalog(name, kSeed, 1)), chaos);
   }
 }
 
 TEST(ChaosRecovery, ReplicateHandlesRoundZeroFaults) {
   // ReplicateRound seeds itself with the initial checkpoint, so even a
   // round-0 crash (before any periodic snapshot could exist) is recoverable.
-  Artifacts clean = run_clean("pointer-chasing", 1);
-  Scenario s = make_scenario("pointer-chasing", 1);
-  fault::ChaosHarness harness(s.config, s.oracle_factory);
-  fault::ChaosResult chaos =
-      harness.run_replicate(*s.algo, s.initial, fault::FaultPlan::parse("crash:machine=0,round=0"));
+  const fault::ChaosResult chaos =
+      run_chaos(catalog("pointer-chasing", kSeed, 1), "replicate", "crash:machine=0,round=0", 1);
   EXPECT_EQ(chaos.cost.faults_injected, 1u);
-  expect_identical(clean, extract(chaos.run, chaos.oracle.get()));
+  expect_identical(run_clean(catalog("pointer-chasing", kSeed, 1)), chaos);
 }
 
 TEST(ChaosRecovery, MultiFaultPlanRecoversEveryEvent) {
-  Artifacts clean = run_clean("colluding", 8);
-  Scenario s = make_scenario("colluding", 8);
-  fault::ChaosHarness harness(s.config, s.oracle_factory);
-  fault::FaultPlan plan =
-      fault::FaultPlan::parse("crash:machine=1,round=2;kill:round=5;dup:round=7,to=2,index=0");
-  fault::ChaosResult chaos = harness.run_restart(*s.algo, s.initial, plan, 2);
+  const fault::ChaosResult chaos =
+      run_chaos(catalog("colluding", kSeed, 8), "restart",
+                "crash:machine=1,round=2;kill:round=5;dup:round=7,to=2,index=0", 2);
   EXPECT_EQ(chaos.cost.faults_injected, 3u);
   EXPECT_EQ(chaos.cost.recoveries, 3u);
-  expect_identical(clean, extract(chaos.run, chaos.oracle.get()));
+  expect_identical(run_clean(catalog("colluding", kSeed, 8)), chaos);
 }
 
 TEST(ChaosRecovery, FaultBeforeFirstCheckpointIsUnrecoverableWithProvenance) {
-  Scenario s = make_scenario("pointer-chasing", 1);
-  fault::ChaosHarness harness(s.config, s.oracle_factory);
   try {
-    harness.run_restart(*s.algo, s.initial, fault::FaultPlan::parse("kill:round=0"), 2);
+    run_chaos(catalog("pointer-chasing", kSeed, 1), "restart", "kill:round=0", 2);
     FAIL() << "expected UnrecoverableFault";
   } catch (const fault::UnrecoverableFault& e) {
     std::string what = e.what();
@@ -336,10 +119,8 @@ TEST(ChaosRecovery, FaultBeforeFirstCheckpointIsUnrecoverableWithProvenance) {
 
 TEST(ChaosRecovery, CheckpointFileMirrorIsLoadable) {
   const std::string path = "chaos_recovery_mirror.ckpt";
-  Scenario s = make_scenario("pointer-chasing", 1);
-  fault::ChaosHarness harness(s.config, s.oracle_factory);
-  fault::ChaosResult chaos = harness.run_restart(
-      *s.algo, s.initial, fault::FaultPlan::parse("kill:round=3"), 2, path);
+  const serve::Scenario s = catalog("pointer-chasing", kSeed, 1);
+  const fault::ChaosResult chaos = run_chaos(s, "restart", "kill:round=3", 2, {}, path);
   EXPECT_TRUE(chaos.run.completed);
   fault::Checkpoint cp = fault::load_checkpoint_file(path);
   EXPECT_EQ(cp.machines, s.config.machines);
@@ -360,20 +141,18 @@ TEST(ChaosRecovery, SilentFaultsCorruptTheRun) {
   // The contrapositive: with detection off (no recovery), a dropped delivery
   // must actually change the execution — otherwise the suite above would be
   // vacuous.
-  Artifacts clean = run_clean("ram-emulation", 1);
-  Scenario s = make_scenario("ram-emulation", 1);
+  const Execution clean = run_clean(catalog("ram-emulation", kSeed, 1));
+  serve::Scenario s = catalog("ram-emulation", kSeed, 1);
   // The dropped delivery stalls the emulation forever; cap the corrupted run
   // well above the clean round count so the divergence is cheap to observe.
   s.config.max_rounds = 200;
   fault::FaultInjector injector(fault::FaultPlan::parse("drop:round=2,to=0,index=0"),
                                 /*fail_stop=*/false);
-  auto oracle = s.oracle_factory();
-  mpc::MpcSimulation sim(s.config, oracle);
-  mpc::MpcRunResult run = sim.run(*s.algo, s.initial, &injector);
+  mpc::MpcSimulation sim(s.config, s.make_oracle());
+  const mpc::MpcRunResult run = sim.run(*s.algo, s.initial, &injector);
   EXPECT_EQ(injector.faults_fired(), 1u);
-  Artifacts corrupted = extract(run, oracle.get());
-  EXPECT_FALSE(corrupted.completed == clean.completed && corrupted.output == clean.output &&
-               corrupted.rounds == clean.rounds)
+  EXPECT_FALSE(run.completed == clean.run.completed && run.output == clean.run.output &&
+               run.trace.rounds() == clean.run.trace.rounds())
       << "silently dropping a delivery did not perturb the execution";
 }
 
@@ -383,25 +162,12 @@ TEST(ChaosRecovery, SilentFaultsCorruptTheRun) {
 // of the recovery code must leave every line of these reports in place.
 std::string pinned_report(const std::string& policy, const std::string& plan_spec,
                           bool authenticate) {
-  Scenario s = make_scenario("pointer-chasing", 1);
-  if (authenticate) {  // MAC tags ride in the payload: room for them, as serve grants
-    s.config.authenticate_messages = true;
-    s.config.local_memory_bits += 1 << 16;
-  }
-  fault::ChaosHarness harness(s.config, s.oracle_factory);
-  const fault::FaultPlan plan = fault::FaultPlan::parse(plan_spec);
   std::ostringstream out;
   try {
-    fault::ChaosResult r;
-    if (policy == "restart") {
-      r = harness.run_restart(*s.algo, s.initial, plan, 2);
-    } else if (policy == "replicate") {
-      r = harness.run_replicate(*s.algo, s.initial, plan);
-    } else {
-      fault::QuarantineConfig qc;
-      qc.checkpoint_every = 2;
-      r = harness.run_quarantine(*s.algo, s.initial, plan, qc);
-    }
+    // MAC tags ride in the payload: apply_run_options grants room for them.
+    // Restart and quarantine save every 2 rounds; replicate saves every round.
+    const fault::ChaosResult r =
+        run_chaos(catalog("pointer-chasing", kSeed, 1, authenticate), policy, plan_spec, 2);
     const fault::RecoveryCost& c = r.cost;
     out << "completed=" << r.run.completed << " rounds_used=" << r.run.rounds_used << "\n"
         << "faults_injected=" << c.faults_injected << " recoveries=" << c.recoveries

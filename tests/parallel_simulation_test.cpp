@@ -1,40 +1,28 @@
-// parallel_simulation_test.cpp — the serial-vs-parallel differential suite.
+// parallel_simulation_test.cpp — threaded round-loop cases outside the
+// determinism matrix.
 //
-// MpcConfig::threads promises bit-identical results at any thread count. This
-// suite pins that promise down for every strategy in the tree: each scenario
-// builds a fresh (oracle, input, strategy) triple from a seed, runs it at
-// threads ∈ {0 (serial baseline), 1, 2, 8}, and compares the *entire*
-// observable result — output bits, rounds_used, every per-round RoundStats
-// field, every trace annotation sequence, the canonically-sorted transcript
-// (including per-machine seq numbers), the oracle's materialised sub-function
-// (touched_table) and exact query count. Failure semantics are differential
-// too: budget overruns and memory violations must surface as the same
-// exception with the same message in both modes.
+// MpcConfig::threads promises bit-identical results at any thread count.
+// transport_conformance_test.cpp pins that for every catalog strategy
+// against the serial reference. This suite keeps what the catalog cannot
+// express: a parallel run checked against the line function itself, the
+// lowest-index failure winning with the same message in both modes, sparse
+// annotations merged from reused scratch traces, a thread count above m, and
+// concurrent BlockSet decoding.
 #include "mpc/simulation.hpp"
 
 #include <gtest/gtest.h>
 
-#include <functional>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "core/line.hpp"
 #include "hash/random_oracle.hpp"
-#include "mpclib/primitives.hpp"
-#include "ram/machine.hpp"
-#include "ram/programs.hpp"
-#include "strategies/batch_pointer_chasing.hpp"
-#include "strategies/colluding.hpp"
-#include "strategies/dictionary.hpp"
-#include "strategies/full_memory.hpp"
+#include "scenario_runs.hpp"
+#include "strategies/block_store.hpp"
 #include "strategies/guess_ahead.hpp"
-#include "strategies/pipelined_simline.hpp"
 #include "strategies/pointer_chasing.hpp"
-#include "strategies/ram_emulation.hpp"
-#include "strategies/speculative.hpp"
 #include "util/rng.hpp"
-#include "util/serialize.hpp"
 #include "util/thread_pool.hpp"
 
 namespace mpch {
@@ -43,257 +31,19 @@ namespace {
 using util::BitString;
 
 constexpr std::uint64_t kSeeds[] = {11, 22, 33};
-constexpr std::uint64_t kThreadCounts[] = {1, 2, 8};
-
-/// Everything observable about one run, flattened for comparison.
-struct Artifacts {
-  bool completed = false;
-  std::uint64_t rounds_used = 0;
-  BitString output;
-  std::vector<mpc::RoundStats> rounds;
-  std::map<std::string, std::vector<std::uint64_t>> annotations;
-  std::vector<hash::QueryRecord> records;
-  std::vector<std::pair<BitString, BitString>> touched;
-  std::uint64_t oracle_total = 0;
-  std::uint64_t extra = 0;  ///< strategy-specific counter (e.g. lucky_escapes)
-};
-
-Artifacts extract(const mpc::MpcRunResult& result, const hash::LazyRandomOracle* oracle) {
-  Artifacts a;
-  a.completed = result.completed;
-  a.rounds_used = result.rounds_used;
-  a.output = result.output;
-  a.rounds = result.trace.rounds();
-  a.annotations = result.trace.annotations();
-  a.records = result.transcript->records();
-  if (oracle != nullptr) {
-    a.touched = oracle->touched_table();
-    a.oracle_total = oracle->total_queries();
-  }
-  return a;
-}
-
-void expect_identical(const Artifacts& serial, const Artifacts& parallel) {
-  EXPECT_EQ(serial.completed, parallel.completed);
-  EXPECT_EQ(serial.rounds_used, parallel.rounds_used);
-  EXPECT_EQ(serial.output, parallel.output);
-  EXPECT_EQ(serial.extra, parallel.extra);
-
-  ASSERT_EQ(serial.rounds.size(), parallel.rounds.size());
-  for (std::size_t r = 0; r < serial.rounds.size(); ++r) {
-    const auto& s = serial.rounds[r];
-    const auto& p = parallel.rounds[r];
-    EXPECT_EQ(s.round, p.round) << "round " << r;
-    EXPECT_EQ(s.messages, p.messages) << "round " << r;
-    EXPECT_EQ(s.communicated_bits, p.communicated_bits) << "round " << r;
-    EXPECT_EQ(s.oracle_queries, p.oracle_queries) << "round " << r;
-    EXPECT_EQ(s.max_inbox_bits, p.max_inbox_bits) << "round " << r;
-  }
-
-  EXPECT_EQ(serial.annotations, parallel.annotations);
-
-  ASSERT_EQ(serial.records.size(), parallel.records.size());
-  for (std::size_t i = 0; i < serial.records.size(); ++i) {
-    const auto& s = serial.records[i];
-    const auto& p = parallel.records[i];
-    EXPECT_EQ(s.round, p.round) << "record " << i;
-    EXPECT_EQ(s.machine, p.machine) << "record " << i;
-    EXPECT_EQ(s.seq, p.seq) << "record " << i;
-    EXPECT_EQ(s.input, p.input) << "record " << i;
-    EXPECT_EQ(s.output, p.output) << "record " << i;
-  }
-
-  EXPECT_EQ(serial.oracle_total, parallel.oracle_total);
-  ASSERT_EQ(serial.touched.size(), parallel.touched.size());
-  for (std::size_t i = 0; i < serial.touched.size(); ++i) {
-    EXPECT_EQ(serial.touched[i].first, parallel.touched[i].first) << "entry " << i;
-    EXPECT_EQ(serial.touched[i].second, parallel.touched[i].second) << "entry " << i;
-  }
-}
-
-using Scenario = std::function<Artifacts(std::uint64_t seed, std::uint64_t threads)>;
-
-void run_differential(const Scenario& scenario) {
-  for (std::uint64_t seed : kSeeds) {
-    Artifacts baseline = scenario(seed, 0);  // the serial reference
-    for (std::uint64_t threads : kThreadCounts) {
-      SCOPED_TRACE("seed=" + std::to_string(seed) + " threads=" + std::to_string(threads));
-      expect_identical(baseline, scenario(seed, threads));
-    }
-  }
-}
-
-mpc::MpcConfig cfg(std::uint64_t m, std::uint64_t s, std::uint64_t q, std::uint64_t threads,
-                   std::uint64_t max_rounds = 20000) {
-  mpc::MpcConfig c;
-  c.machines = m;
-  c.local_memory_bits = s;
-  c.query_budget = q;
-  c.max_rounds = max_rounds;
-  c.tape_seed = 5;
-  c.threads = threads;
-  return c;
-}
-
-TEST(ParallelDifferential, PointerChasing) {
-  run_differential([](std::uint64_t seed, std::uint64_t threads) {
-    core::LineParams p = core::LineParams::make(64, 16, 8, 96);
-    auto oracle = std::make_shared<hash::LazyRandomOracle>(p.n, p.n, seed);
-    util::Rng rng(seed + 1);
-    core::LineInput input = core::LineInput::random(p, rng);
-    strategies::PointerChasingStrategy strat(p, strategies::OwnershipPlan::round_robin(p, 4));
-    mpc::MpcSimulation sim(cfg(4, strat.required_local_memory(), 1 << 20, threads), oracle);
-    auto result = sim.run(strat, strat.make_initial_memory(input));
-    EXPECT_TRUE(result.completed);
-    return extract(result, oracle.get());
-  });
-}
 
 TEST(ParallelDifferential, ParallelOutputMatchesRamEvaluation) {
-  // Not just serial == parallel: the parallel run also computes the right
-  // function (guards against both paths being identically wrong).
+  // Not just serial == parallel: the catalog's pointer-chasing at seed 11 on
+  // eight threads also computes the right function (guards against both
+  // paths being identically wrong). Its parameters and input are rebuilt
+  // here exactly as serve::make_scenario draws them.
   core::LineParams p = core::LineParams::make(64, 16, 8, 96);
-  auto ref_oracle = std::make_shared<hash::LazyRandomOracle>(p.n, p.n, 11);
   util::Rng rng(12);
   core::LineInput input = core::LineInput::random(p, rng);
-  BitString expected = core::LineFunction(p).evaluate(*ref_oracle, input);
-
-  auto oracle = std::make_shared<hash::LazyRandomOracle>(p.n, p.n, 11);
-  strategies::PointerChasingStrategy strat(p, strategies::OwnershipPlan::round_robin(p, 4));
-  mpc::MpcSimulation sim(cfg(4, strat.required_local_memory(), 1 << 20, 8), oracle);
-  auto result = sim.run(strat, strat.make_initial_memory(input));
-  ASSERT_TRUE(result.completed);
-  EXPECT_EQ(result.output, expected);
-}
-
-TEST(ParallelDifferential, BatchPointerChasing) {
-  run_differential([](std::uint64_t seed, std::uint64_t threads) {
-    core::LineParams p = core::LineParams::make(64, 16, 8, 128);
-    auto oracle = std::make_shared<hash::LazyRandomOracle>(p.n, p.n, seed);
-    const std::uint64_t k = 4, m = 4;
-    std::vector<core::LineInput> inputs;
-    for (std::uint64_t i = 0; i < k; ++i) {
-      util::Rng rng(seed * 100 + i);
-      inputs.push_back(core::LineInput::random(p, rng));
-    }
-    strategies::BatchPointerChasingStrategy strat(
-        p, strategies::OwnershipPlan::round_robin(p, m), k);
-    mpc::MpcSimulation sim(cfg(m, strat.required_local_memory(), 1 << 20, threads), oracle);
-    auto result = sim.run(strat, strat.make_initial_memory(inputs));
-    EXPECT_TRUE(result.completed);
-    return extract(result, oracle.get());
-  });
-}
-
-TEST(ParallelDifferential, SpeculativeEnumeration) {
-  // u = 4 with exhaustive enumeration: every stall escapes by guessing, so
-  // the run exercises the tape-indexed guessing path and the lucky_escapes
-  // counter under concurrency.
-  run_differential([](std::uint64_t seed, std::uint64_t threads) {
-    core::LineParams p = core::LineParams::make(3 * 4 + 16, 4, 8, 64);
-    auto oracle = std::make_shared<hash::LazyRandomOracle>(p.n, p.n, seed);
-    util::Rng rng(seed * 3 + 7);
-    core::LineInput input = core::LineInput::random(p, rng);
-    strategies::SpeculativeStrategy strat(p, strategies::OwnershipPlan::round_robin(p, 4),
-                                          {16, true}, input);
-    mpc::MpcSimulation sim(cfg(4, strat.required_local_memory(), 1 << 20, threads), oracle);
-    auto result = sim.run(strat, strat.make_initial_memory(input));
-    EXPECT_TRUE(result.completed);
-    Artifacts a = extract(result, oracle.get());
-    a.extra = strat.lucky_escapes();
-    return a;
-  });
-}
-
-TEST(ParallelDifferential, PipelinedSimLine) {
-  run_differential([](std::uint64_t seed, std::uint64_t threads) {
-    core::LineParams p = core::LineParams::make(64, 16, 16, 256);
-    auto oracle = std::make_shared<hash::LazyRandomOracle>(p.n, p.n, seed);
-    util::Rng rng(seed + 2);
-    core::LineInput input = core::LineInput::random(p, rng);
-    strategies::PipelinedSimLineStrategy strat(p, strategies::OwnershipPlan::windows(p, 4, 4));
-    mpc::MpcSimulation sim(cfg(4, strat.required_local_memory(), 1 << 20, threads), oracle);
-    auto result = sim.run(strat, strat.make_initial_memory(input));
-    EXPECT_TRUE(result.completed);
-    return extract(result, oracle.get());
-  });
-}
-
-TEST(ParallelDifferential, ColludingBroadcast) {
-  // The broadcast ablation is the sharpest concurrency test: *every* machine
-  // owning the needed block advances in parallel, issuing duplicate oracle
-  // queries from multiple threads in the same round.
-  run_differential([](std::uint64_t seed, std::uint64_t threads) {
-    core::LineParams p = core::LineParams::make(64, 16, 8, 96);
-    auto oracle = std::make_shared<hash::LazyRandomOracle>(p.n, p.n, seed);
-    util::Rng rng(seed + 3);
-    core::LineInput input = core::LineInput::random(p, rng);
-    strategies::ColludingStrategy strat(p, strategies::OwnershipPlan::round_robin(p, 4));
-    mpc::MpcSimulation sim(cfg(4, strat.required_local_memory(), 1 << 20, threads), oracle);
-    auto result = sim.run(strat, strat.make_initial_memory(input));
-    EXPECT_TRUE(result.completed);
-    return extract(result, oracle.get());
-  });
-}
-
-TEST(ParallelDifferential, Dictionary) {
-  run_differential([](std::uint64_t seed, std::uint64_t threads) {
-    core::LineParams p = core::LineParams::make(64, 16, 32, 128);
-    auto oracle = std::make_shared<hash::LazyRandomOracle>(p.n, p.n, seed);
-    util::Rng rng(seed + 4);
-    core::LineInput input = strategies::make_low_entropy_input(p, 2, rng);
-    strategies::DictionaryStrategy strat(p, 4);
-    mpc::MpcSimulation sim(cfg(4, strat.gathered_bits(2), p.w + 1, threads, 10), oracle);
-    auto result = sim.run(strat, strat.make_initial_memory(input));
-    EXPECT_TRUE(result.completed);
-    return extract(result, oracle.get());
-  });
-}
-
-TEST(ParallelDifferential, FullMemory) {
-  run_differential([](std::uint64_t seed, std::uint64_t threads) {
-    core::LineParams p = core::LineParams::make(64, 16, 8, 256);
-    auto oracle = std::make_shared<hash::LazyRandomOracle>(p.n, p.n, seed);
-    util::Rng rng(seed + 5);
-    core::LineInput input = core::LineInput::random(p, rng);
-    strategies::FullMemoryStrategy strat(p, strategies::OwnershipPlan::round_robin(p, 4));
-    mpc::MpcSimulation sim(cfg(4, strat.required_local_memory(), p.w + 1, threads, 10), oracle);
-    auto result = sim.run(strat, strat.make_initial_memory(input));
-    EXPECT_TRUE(result.completed);
-    return extract(result, oracle.get());
-  });
-}
-
-TEST(ParallelDifferential, RamEmulation) {
-  // Plain model (no oracle): the CPU/server message choreography must still
-  // merge identically. Memory contents vary with the seed.
-  run_differential([](std::uint64_t seed, std::uint64_t threads) {
-    const std::uint64_t n = 8;
-    std::vector<std::uint64_t> memory(n);
-    for (std::uint64_t i = 0; i < n; ++i) memory[i] = (seed * 7 + i * 3) % 97;
-    std::vector<ram::Instruction> prog = ram::programs::sum(n);
-    strategies::RamEmulationStrategy strat(prog, 4, 1);
-    mpc::MpcConfig c = cfg(4, strat.required_local_memory(memory.size()), 1, threads, 1 << 20);
-    mpc::MpcSimulation sim(c, nullptr);
-    auto result = sim.run(strat, strat.make_initial_memory(memory));
-    EXPECT_TRUE(result.completed);
-    return extract(result, nullptr);
-  });
-}
-
-TEST(ParallelDifferential, MpclibBroadcast) {
-  // Plain-model substrate algorithm at a machine count well above the thread
-  // cap, so chunks carry several machines each.
-  run_differential([](std::uint64_t seed, std::uint64_t threads) {
-    const std::uint64_t m = 16;
-    mpclib::BroadcastAlgorithm algo(m, 2);
-    mpc::MpcConfig c = cfg(m, 1 << 16, 1, threads, 200);
-    c.tape_seed = seed;
-    mpc::MpcSimulation sim(c, nullptr);
-    auto result = sim.run(algo, {BitString::from_uint(0xBEEF ^ seed, 16)});
-    EXPECT_TRUE(result.completed);
-    return extract(result, nullptr);
-  });
+  hash::LazyRandomOracle ref_oracle(p.n, p.n, 11);
+  const Execution parallel = run_once(catalog("pointer-chasing", 11, 8));
+  ASSERT_TRUE(parallel.run.completed);
+  EXPECT_EQ(parallel.run.output, core::LineFunction(p).evaluate(ref_oracle, input));
 }
 
 TEST(ParallelDifferential, GuessAheadTrialsAreSeedDeterministic) {
@@ -353,7 +103,9 @@ TEST(ParallelDifferential, BudgetOverrunThrowsDeterministically) {
   std::string serial_what;
   for (std::uint64_t threads : {std::uint64_t{0}, std::uint64_t{2}, std::uint64_t{8}}) {
     auto oracle = std::make_shared<hash::LazyRandomOracle>(16, 16, 5);
-    mpc::MpcSimulation sim(cfg(4, 128, 10, threads), oracle);
+    mpc::MpcSimulation sim({.machines = 4, .local_memory_bits = 128, .query_budget = 10,
+                            .threads = threads},
+                           oracle);
     DoubleOverrunAlgorithm algo;
     std::string what;
     try {
@@ -381,7 +133,7 @@ TEST(ParallelDifferential, MemoryViolationThrowsInParallelToo) {
     std::string name() const override { return "flood"; }
   } algo;
   for (std::uint64_t threads : {std::uint64_t{0}, std::uint64_t{8}}) {
-    mpc::MpcSimulation sim(cfg(4, 64, 1, threads), nullptr);
+    mpc::MpcSimulation sim({.machines = 4, .local_memory_bits = 64, .threads = threads}, nullptr);
     EXPECT_THROW(sim.run(algo, {BitString(1)}), mpc::MemoryViolation) << threads;
   }
 }
@@ -404,13 +156,15 @@ TEST(ParallelDifferential, SparseAnnotationsMergeIdentically) {
   const std::map<std::string, std::vector<std::uint64_t>> expected = {
       {"a", {0, 1, 2, 3, 20, 21, 22, 23, 40, 41, 42, 43}}, {"b", {7}}};
   SparseAnnotations algo;
-  mpc::MpcSimulation serial(cfg(4, 64, 1, 0), nullptr);
-  const Artifacts baseline = extract(serial.run(algo, {}), nullptr);
-  EXPECT_EQ(baseline.annotations, expected);
+  const auto run = [&](std::uint64_t threads) {
+    mpc::MpcSimulation sim({.machines = 4, .local_memory_bits = 64, .threads = threads}, nullptr);
+    return Execution{sim.run(algo, {}), nullptr};
+  };
+  const Execution baseline = run(0);
+  EXPECT_EQ(baseline.run.trace.annotations(), expected);
   for (std::uint64_t threads : {std::uint64_t{2}, std::uint64_t{8}}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
-    mpc::MpcSimulation parallel(cfg(4, 64, 1, threads), nullptr);
-    expect_identical(baseline, extract(parallel.run(algo, {}), nullptr));
+    expect_identical(baseline, run(threads));
   }
 }
 
@@ -423,8 +177,14 @@ TEST(ParallelDifferential, ThreadCountAboveMachinesIsSafe) {
   core::LineInput input = core::LineInput::random(p, rng);
   strategies::PointerChasingStrategy s1(p, strategies::OwnershipPlan::round_robin(p, 2));
   strategies::PointerChasingStrategy s2(p, strategies::OwnershipPlan::round_robin(p, 2));
-  mpc::MpcSimulation serial(cfg(2, s1.required_local_memory(), 1 << 20, 0), o1);
-  mpc::MpcSimulation parallel(cfg(2, s2.required_local_memory(), 1 << 20, 64), o2);
+  const auto config = [&](std::uint64_t threads) {
+    return mpc::MpcConfig{.machines = 2,
+                          .local_memory_bits = s1.required_local_memory(),
+                          .query_budget = 1 << 20,
+                          .threads = threads};
+  };
+  mpc::MpcSimulation serial(config(0), o1);
+  mpc::MpcSimulation parallel(config(64), o2);
   auto r1 = serial.run(s1, s1.make_initial_memory(input));
   auto r2 = parallel.run(s2, s2.make_initial_memory(input));
   ASSERT_TRUE(r1.completed);

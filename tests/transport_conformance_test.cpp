@@ -1,44 +1,41 @@
-// transport_conformance_test.cpp — the cross-backend conformance matrix.
+// transport_conformance_test.cpp — the determinism matrix.
 //
-// MpcConfig::transport promises that how bytes move is invisible to the
-// model: every backend must produce bit-identical results. This suite is the
-// headline correctness artifact of the transport layer — each scenario
-// builds a fresh (oracle, input, strategy) triple per seed, runs it once on
-// the serial in-process reference, then across every backend × thread-count
-// cell of the matrix (in-process, socket × threads {1, 2, 8}, socket with
-// 2/3/4 router processes to cover even, odd, and power-of-two binomial
-// dissemination), and compares the *entire* observable result:
-// output bits, rounds_used, every RoundStats field including the per-round
-// peak stats, every trace annotation, the canonically-sorted oracle
-// transcript, the touched table, and exact query counts. Authenticated runs
-// and the chaos/recovery harness (checkpoint restart, Byzantine quarantine)
-// ride the same matrix: RO-MAC tags cross a real wire on the socket backend
-// and quarantine must still converge to the fault-free execution.
+// Definitions 2.1/2.2 make a round a pure function of its inboxes, the
+// shared tape and the oracle, so how a round is executed must be invisible.
+// Every strategy of the catalog (serve::strategy_names(), built by
+// serve::make_scenario) runs at seeds {11, 22, 33}, plain and MAC-tagged, on
+// the serial in-process reference and then in every cell of the matrix:
+// in-process at threads {1, 2, 8}, and socket at threads 1/2/8 with 2/3/4
+// router processes (even, odd and power-of-two binomial dissemination). Each
+// cell must equal its reference on everything serve::artifact_mismatches
+// compares: output bits, rounds_used, every RoundStats field, every
+// annotation, the canonical oracle transcript, the touched table and exact
+// query counts. The violation leg sets s (and q, for oracle strategies) one
+// below the seed-11 reference's peak, and every cell must then throw the
+// same exception with the same message. Three hand-built cases cover what the
+// catalog does not (exhaustive speculative guessing, m = 16 broadcast
+// coalescing, the canonical delivery order), and the chaos legs require
+// checkpoint restart and quarantine recovery on the threaded and socket
+// backends to reproduce the fault-free reference.
 #include "transport/transport.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <functional>
 #include <map>
 #include <string>
-#include <vector>
+#include <typeinfo>
 
+#include "analysis/protocol_spec.hpp"
 #include "core/line.hpp"
-#include "fault/fault_plan.hpp"
 #include "fault/recovery.hpp"
 #include "hash/random_oracle.hpp"
 #include "mpc/simulation.hpp"
 #include "mpclib/primitives.hpp"
-#include "ram/machine.hpp"
-#include "ram/programs.hpp"
-#include "strategies/batch_pointer_chasing.hpp"
-#include "strategies/colluding.hpp"
-#include "strategies/dictionary.hpp"
-#include "strategies/full_memory.hpp"
-#include "strategies/pipelined_simline.hpp"
-#include "strategies/pointer_chasing.hpp"
-#include "strategies/ram_emulation.hpp"
+#include "scenario_runs.hpp"
+#include "serve/scenario.hpp"
 #include "strategies/speculative.hpp"
 #include "transport/socket.hpp"
 #include "util/rng.hpp"
@@ -60,15 +57,23 @@ bool skip_socket_backend() {
   return v != nullptr && v[0] != '\0' && v[0] != '0';
 }
 
-/// One cell of the conformance matrix.
+/// One cell of the matrix.
 struct Backend {
   TransportKind kind = TransportKind::kInProcess;
   std::uint64_t threads = 0;
   std::uint64_t processes = 0;  ///< socket: router process count (0 = auto)
 
+  bool skipped() const { return kind == TransportKind::kSocket && skip_socket_backend(); }
   std::string label() const {
     return transport::to_string(kind) + " threads=" + std::to_string(threads) +
            (processes != 0 ? " procs=" + std::to_string(processes) : "");
+  }
+  /// `c` as this cell runs it.
+  mpc::MpcConfig on(mpc::MpcConfig c) const {
+    c.threads = threads;
+    c.transport = kind;
+    c.transport_processes = processes;
+    return c;
   }
 };
 
@@ -81,194 +86,130 @@ const Backend kMatrix[] = {
     {TransportKind::kSocket, 2, 3},    {TransportKind::kSocket, 8, 4},
 };
 
-struct Artifacts {
-  bool completed = false;
-  std::uint64_t rounds_used = 0;
-  BitString output;
-  std::vector<mpc::RoundStats> rounds;
-  std::map<std::string, std::vector<std::uint64_t>> annotations;
-  std::vector<hash::QueryRecord> records;
-  std::vector<std::pair<BitString, BitString>> touched;
-  std::uint64_t oracle_total = 0;
-  std::uint64_t extra = 0;  ///< strategy-specific counter (e.g. lucky_escapes)
+/// Runs `build(seed, cell)` on the reference and then on every cell, at
+/// every seed, and compares each cell's run with its seed's reference.
+void run_matrix(const std::function<Execution(std::uint64_t seed, const Backend& cell)>& build) {
+  for (std::uint64_t seed : kSeeds) {
+    const Execution reference = build(seed, kReference);
+    for (const Backend& cell : kMatrix) {
+      if (cell.skipped()) continue;
+      SCOPED_TRACE("seed=" + std::to_string(seed) + " " + cell.label());
+      expect_identical(reference, build(seed, cell));
+    }
+  }
+}
+
+serve::Scenario catalog_cell(const std::string& name, std::uint64_t seed, const Backend& cell,
+                             bool authenticate) {
+  return catalog(name, seed, cell.threads, authenticate, cell.kind, cell.processes);
+}
+
+class DeterminismMatrix : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(DeterminismMatrix, EveryCellMatchesTheSerialReference) {
+  for (bool authenticate : {false, true}) {
+    SCOPED_TRACE(authenticate ? "MAC-tagged" : "plain");
+    run_matrix([&](std::uint64_t seed, const Backend& cell) {
+      Execution r = run_once(catalog_cell(GetParam(), seed, cell, authenticate));
+      EXPECT_TRUE(r.run.completed);
+      return r;
+    });
+  }
+}
+
+/// A run under a bound it may break: the execution, or the exception it
+/// ended in as "<type>: <what()>".
+struct Outcome {
+  Execution execution;
+  std::string violation;
 };
 
-Artifacts extract(const mpc::MpcRunResult& result, const hash::LazyRandomOracle* oracle) {
-  Artifacts a;
-  a.completed = result.completed;
-  a.rounds_used = result.rounds_used;
-  a.output = result.output;
-  a.rounds = result.trace.rounds();
-  a.annotations = result.trace.annotations();
-  a.records = result.transcript->records();
-  if (oracle != nullptr) {
-    a.touched = oracle->touched_table();
-    a.oracle_total = oracle->total_queries();
+Outcome attempt(const serve::Scenario& sc) {
+  try {
+    return {run_once(sc), ""};
+  } catch (const std::exception& e) {
+    return {{}, std::string(typeid(e).name()) + ": " + e.what()};
   }
-  return a;
 }
 
-void expect_identical(const Artifacts& reference, const Artifacts& candidate) {
-  EXPECT_EQ(reference.completed, candidate.completed);
-  EXPECT_EQ(reference.rounds_used, candidate.rounds_used);
-  EXPECT_EQ(reference.output, candidate.output);
-  EXPECT_EQ(reference.extra, candidate.extra);
-  // RoundStats::operator== covers every field, including all per-round peak
-  // stats (fan-in/out, message/sent/recv bits, memory, queries) with their
-  // argmax machine indices — a transport that merged in a different order
-  // or dropped/duplicated a byte shows up here.
-  EXPECT_EQ(reference.rounds, candidate.rounds);
-  EXPECT_EQ(reference.annotations, candidate.annotations);
-  EXPECT_EQ(reference.records, candidate.records);
-  EXPECT_EQ(reference.oracle_total, candidate.oracle_total);
-  EXPECT_EQ(reference.touched, candidate.touched);
-}
-
-using Scenario = std::function<Artifacts(std::uint64_t seed, const Backend& backend)>;
-
-void run_conformance(const Scenario& scenario) {
-  for (std::uint64_t seed : kSeeds) {
-    Artifacts reference = scenario(seed, kReference);
-    for (const Backend& backend : kMatrix) {
-      if (backend.kind == TransportKind::kSocket && skip_socket_backend()) continue;
-      SCOPED_TRACE("seed=" + std::to_string(seed) + " " + backend.label());
-      expect_identical(reference, scenario(seed, backend));
+TEST_P(DeterminismMatrix, TightenedBoundsEndIdenticallyInEveryCell) {
+  // s one bit below the reference's largest delivery must throw
+  // MemoryViolation, and q one below its busiest machine-round must throw
+  // QueryBudgetExceeded — except in a strategy that clamps its queries to q
+  // (ProtocolSpec::clamps_queries_to_budget), which finishes a longer,
+  // budget-limited run instead. Every cell must end as the serial cell does:
+  // the same exception with the same message, or the same artifacts. One
+  // seed: the other two add run time, not failure paths.
+  struct Bound {
+    std::uint64_t mpc::MpcConfig::*field;
+    std::uint64_t peak;
+    const char* violation;  ///< "" when the run must complete
+  };
+  const std::uint64_t seed = kSeeds[0];
+  const serve::Scenario sc = catalog(GetParam(), seed, 0);
+  const bool clamps = dynamic_cast<const analysis::ProtocolSpecProvider&>(*sc.algo)
+                          .protocol_spec()
+                          .clamps_queries_to_budget;
+  Bound s{&mpc::MpcConfig::local_memory_bits, 0, "MemoryViolation"};
+  Bound q{&mpc::MpcConfig::query_budget, 0, clamps ? "" : "QueryBudgetExceeded"};
+  const Execution reference = run_once(sc);
+  for (const mpc::RoundStats& r : reference.run.trace.rounds()) {
+    s.peak = std::max(s.peak, r.max_inbox_bits);
+    q.peak = std::max(q.peak, r.peak_queries.value);
+  }
+  for (const Bound& bound : {s, q}) {
+    if (bound.peak == 0) continue;  // plain model: no queries to budget
+    const auto tightened = [&](const Backend& cell) {
+      serve::Scenario cell_sc = catalog_cell(GetParam(), seed, cell, false);
+      cell_sc.config.*bound.field = bound.peak - 1;
+      return attempt(cell_sc);
+    };
+    const Outcome expected = tightened(kReference);
+    SCOPED_TRACE(expected.violation);
+    EXPECT_EQ(expected.violation.empty(), *bound.violation == '\0');
+    EXPECT_NE(expected.violation.find(bound.violation), std::string::npos);
+    for (const Backend& cell : kMatrix) {
+      if (cell.skipped()) continue;
+      SCOPED_TRACE(cell.label());
+      const Outcome got = tightened(cell);
+      EXPECT_EQ(got.violation, expected.violation);
+      if (expected.violation.empty() && got.violation.empty()) {
+        expect_identical(expected.execution, got.execution);
+      }
     }
   }
 }
 
-mpc::MpcConfig cfg(std::uint64_t m, std::uint64_t s, std::uint64_t q, const Backend& backend,
-                   std::uint64_t max_rounds = 20000) {
-  mpc::MpcConfig c;
-  c.machines = m;
-  c.local_memory_bits = s;
-  c.query_budget = q;
-  c.max_rounds = max_rounds;
-  c.tape_seed = 5;
-  c.threads = backend.threads;
-  c.transport = backend.kind;
-  c.transport_processes = backend.processes;
-  return c;
-}
-
-TEST(TransportConformance, PointerChasing) {
-  run_conformance([](std::uint64_t seed, const Backend& backend) {
-    core::LineParams p = core::LineParams::make(64, 16, 8, 96);
-    auto oracle = std::make_shared<hash::LazyRandomOracle>(p.n, p.n, seed);
-    util::Rng rng(seed + 1);
-    core::LineInput input = core::LineInput::random(p, rng);
-    strategies::PointerChasingStrategy strat(p, strategies::OwnershipPlan::round_robin(p, 4));
-    mpc::MpcSimulation sim(cfg(4, strat.required_local_memory(), 1 << 20, backend), oracle);
-    auto result = sim.run(strat, strat.make_initial_memory(input));
-    EXPECT_TRUE(result.completed);
-    return extract(result, oracle.get());
-  });
-}
-
-TEST(TransportConformance, BatchPointerChasing) {
-  run_conformance([](std::uint64_t seed, const Backend& backend) {
-    core::LineParams p = core::LineParams::make(64, 16, 8, 128);
-    auto oracle = std::make_shared<hash::LazyRandomOracle>(p.n, p.n, seed);
-    const std::uint64_t k = 4, m = 4;
-    std::vector<core::LineInput> inputs;
-    for (std::uint64_t i = 0; i < k; ++i) {
-      util::Rng rng(seed * 100 + i);
-      inputs.push_back(core::LineInput::random(p, rng));
-    }
-    strategies::BatchPointerChasingStrategy strat(p, strategies::OwnershipPlan::round_robin(p, m),
-                                                  k);
-    mpc::MpcSimulation sim(cfg(m, strat.required_local_memory(), 1 << 20, backend), oracle);
-    auto result = sim.run(strat, strat.make_initial_memory(inputs));
-    EXPECT_TRUE(result.completed);
-    return extract(result, oracle.get());
-  });
-}
+INSTANTIATE_TEST_SUITE_P(Catalog, DeterminismMatrix, ::testing::ValuesIn(serve::strategy_names()),
+                         [](const ::testing::TestParamInfo<std::string>& info) {
+                           std::string id = info.param;
+                           std::replace(id.begin(), id.end(), '-', '_');
+                           return id;
+                         });
 
 TEST(TransportConformance, SpeculativeEnumeration) {
-  run_conformance([](std::uint64_t seed, const Backend& backend) {
+  // u = 4 with exhaustive enumeration (the catalog's speculative run has
+  // u = 16): every stall escapes by guessing, so the run exercises the
+  // tape-indexed guessing path, and lucky_escapes must agree in every cell.
+  std::map<std::uint64_t, std::uint64_t> escapes;  // per seed, from the reference
+  run_matrix([&](std::uint64_t seed, const Backend& cell) {
     core::LineParams p = core::LineParams::make(3 * 4 + 16, 4, 8, 64);
-    auto oracle = std::make_shared<hash::LazyRandomOracle>(p.n, p.n, seed);
     util::Rng rng(seed * 3 + 7);
     core::LineInput input = core::LineInput::random(p, rng);
     strategies::SpeculativeStrategy strat(p, strategies::OwnershipPlan::round_robin(p, 4),
                                           {16, true}, input);
-    mpc::MpcSimulation sim(cfg(4, strat.required_local_memory(), 1 << 20, backend), oracle);
-    auto result = sim.run(strat, strat.make_initial_memory(input));
-    EXPECT_TRUE(result.completed);
-    Artifacts a = extract(result, oracle.get());
-    a.extra = strat.lucky_escapes();
-    return a;
-  });
-}
-
-TEST(TransportConformance, PipelinedSimLine) {
-  run_conformance([](std::uint64_t seed, const Backend& backend) {
-    core::LineParams p = core::LineParams::make(64, 16, 16, 256);
-    auto oracle = std::make_shared<hash::LazyRandomOracle>(p.n, p.n, seed);
-    util::Rng rng(seed + 2);
-    core::LineInput input = core::LineInput::random(p, rng);
-    strategies::PipelinedSimLineStrategy strat(p, strategies::OwnershipPlan::windows(p, 4, 4));
-    mpc::MpcSimulation sim(cfg(4, strat.required_local_memory(), 1 << 20, backend), oracle);
-    auto result = sim.run(strat, strat.make_initial_memory(input));
-    EXPECT_TRUE(result.completed);
-    return extract(result, oracle.get());
-  });
-}
-
-TEST(TransportConformance, ColludingBroadcast) {
-  run_conformance([](std::uint64_t seed, const Backend& backend) {
-    core::LineParams p = core::LineParams::make(64, 16, 8, 96);
-    auto oracle = std::make_shared<hash::LazyRandomOracle>(p.n, p.n, seed);
-    util::Rng rng(seed + 3);
-    core::LineInput input = core::LineInput::random(p, rng);
-    strategies::ColludingStrategy strat(p, strategies::OwnershipPlan::round_robin(p, 4));
-    mpc::MpcSimulation sim(cfg(4, strat.required_local_memory(), 1 << 20, backend), oracle);
-    auto result = sim.run(strat, strat.make_initial_memory(input));
-    EXPECT_TRUE(result.completed);
-    return extract(result, oracle.get());
-  });
-}
-
-TEST(TransportConformance, Dictionary) {
-  run_conformance([](std::uint64_t seed, const Backend& backend) {
-    core::LineParams p = core::LineParams::make(64, 16, 32, 128);
-    auto oracle = std::make_shared<hash::LazyRandomOracle>(p.n, p.n, seed);
-    util::Rng rng(seed + 4);
-    core::LineInput input = strategies::make_low_entropy_input(p, 2, rng);
-    strategies::DictionaryStrategy strat(p, 4);
-    mpc::MpcSimulation sim(cfg(4, strat.gathered_bits(2), p.w + 1, backend, 10), oracle);
-    auto result = sim.run(strat, strat.make_initial_memory(input));
-    EXPECT_TRUE(result.completed);
-    return extract(result, oracle.get());
-  });
-}
-
-TEST(TransportConformance, FullMemory) {
-  run_conformance([](std::uint64_t seed, const Backend& backend) {
-    core::LineParams p = core::LineParams::make(64, 16, 8, 256);
-    auto oracle = std::make_shared<hash::LazyRandomOracle>(p.n, p.n, seed);
-    util::Rng rng(seed + 5);
-    core::LineInput input = core::LineInput::random(p, rng);
-    strategies::FullMemoryStrategy strat(p, strategies::OwnershipPlan::round_robin(p, 4));
-    mpc::MpcSimulation sim(cfg(4, strat.required_local_memory(), p.w + 1, backend, 10), oracle);
-    auto result = sim.run(strat, strat.make_initial_memory(input));
-    EXPECT_TRUE(result.completed);
-    return extract(result, oracle.get());
-  });
-}
-
-TEST(TransportConformance, RamEmulation) {
-  run_conformance([](std::uint64_t seed, const Backend& backend) {
-    const std::uint64_t n = 8;
-    std::vector<std::uint64_t> memory(n);
-    for (std::uint64_t i = 0; i < n; ++i) memory[i] = (seed * 7 + i * 3) % 97;
-    std::vector<ram::Instruction> prog = ram::programs::sum(n);
-    strategies::RamEmulationStrategy strat(prog, 4, 1);
-    mpc::MpcConfig c = cfg(4, strat.required_local_memory(memory.size()), 1, backend, 1 << 20);
-    mpc::MpcSimulation sim(c, nullptr);
-    auto result = sim.run(strat, strat.make_initial_memory(memory));
-    EXPECT_TRUE(result.completed);
-    return extract(result, nullptr);
+    Execution r;
+    r.oracle = std::make_shared<hash::LazyRandomOracle>(p.n, p.n, seed);
+    mpc::MpcSimulation sim(cell.on({.machines = 4,
+                                    .local_memory_bits = strat.required_local_memory(),
+                                    .query_budget = 1 << 20,
+                                    .tape_seed = 5}),
+                           r.oracle);
+    r.run = sim.run(strat, strat.make_initial_memory(input));
+    EXPECT_TRUE(r.run.completed);
+    const auto it = escapes.emplace(seed, strat.lucky_escapes()).first;
+    EXPECT_EQ(strat.lucky_escapes(), it->second);
+    return r;
   });
 }
 
@@ -277,73 +218,65 @@ TEST(TransportConformance, MpclibBroadcastCoalesces) {
   // round — on the socket backend this is the broadcast-coalescing path: the
   // parent ships one kBroadcast frame and the routers replicate it along the
   // binomial tree. m = 16 over 3 and 4 router processes exercises both an
-  // odd group count (dedup of dissemination duplicates) and a power of two.
-  run_conformance([](std::uint64_t seed, const Backend& backend) {
+  // odd group count (dedup of dissemination duplicates) and a power of two;
+  // in-process, chunks carry several machines each.
+  run_matrix([](std::uint64_t seed, const Backend& cell) {
     const std::uint64_t m = 16;
     mpclib::BroadcastAlgorithm algo(m, 2);
-    mpc::MpcConfig c = cfg(m, 1 << 16, 1, backend, 200);
-    c.tape_seed = seed;
-    mpc::MpcSimulation sim(c, nullptr);
-    auto result = sim.run(algo, {BitString::from_uint(0xBEEF ^ seed, 16)});
-    EXPECT_TRUE(result.completed);
-    return extract(result, nullptr);
+    mpc::MpcSimulation sim(
+        cell.on({.machines = m, .local_memory_bits = 1 << 16, .query_budget = 1,
+                 .max_rounds = 200, .tape_seed = seed}),
+        nullptr);
+    Execution r;
+    r.run = sim.run(algo, {BitString::from_uint(0xBEEF ^ seed, 16)});
+    EXPECT_TRUE(r.run.completed);
+    return r;
   });
 }
 
-TEST(TransportConformance, AuthenticatedMessagingOverEveryBackend) {
-  // RO-MAC tags ride inside the payloads; on the socket backend they cross a
-  // real process boundary and must still verify at every barrier.
-  run_conformance([](std::uint64_t seed, const Backend& backend) {
-    core::LineParams p = core::LineParams::make(64, 16, 8, 96);
-    auto oracle = std::make_shared<hash::LazyRandomOracle>(p.n, p.n, seed);
-    util::Rng rng(seed + 1);
-    core::LineInput input = core::LineInput::random(p, rng);
-    strategies::PointerChasingStrategy strat(p, strategies::OwnershipPlan::round_robin(p, 4));
-    mpc::MpcConfig c = cfg(4, strat.required_local_memory() + (1 << 16), 1 << 20, backend);
-    c.authenticate_messages = true;
-    mpc::MpcSimulation sim(c, oracle);
-    auto result = sim.run(strat, strat.make_initial_memory(input));
-    EXPECT_TRUE(result.completed);
-    return extract(result, oracle.get());
-  });
-}
-
-// ---- chaos/recovery over the wire backends ----
-
-struct ChaosScenario {
-  mpc::MpcConfig config;
-  std::shared_ptr<strategies::PointerChasingStrategy> strat;
-  std::vector<BitString> initial;
-  fault::ChaosHarness::OracleFactory oracle_factory;
+/// Every machine sends two numbered messages to every machine in rounds
+/// 0-2 and annotates each delivery's number in its inbox order, so the
+/// canonical (sender index, send order) delivery order is an artifact. The
+/// catalog's strategies read their inboxes as sets: without this case a
+/// backend that reordered deliveries would pass the matrix.
+class InboxOrder final : public mpc::MpcAlgorithm {
+ public:
+  void run_machine(mpc::MachineIo& io, hash::CountingOracle*, const mpc::SharedTape&,
+                   mpc::RoundTrace& trace) override {
+    for (const mpc::Message& msg : *io.inbox) trace.annotate("delivered", msg.payload.get_uint(0, 8));
+    if (io.round == 3) {
+      if (io.machine == 0) io.output = BitString(1);
+      return;
+    }
+    for (std::uint64_t to = 0; to < io.machines; ++to) {
+      for (std::uint64_t n = 0; n < 2; ++n) io.send(to, BitString::from_uint(2 * io.machine + n, 8));
+    }
+  }
+  std::string name() const override { return "inbox-order"; }
 };
 
-ChaosScenario make_chaos_scenario(const Backend& backend, bool authenticate) {
-  constexpr std::uint64_t kSeed = 11;
-  ChaosScenario s;
-  core::LineParams p = core::LineParams::make(64, 16, 8, 96);
-  util::Rng rng(kSeed + 1);
-  core::LineInput input = core::LineInput::random(p, rng);
-  s.strat = std::make_shared<strategies::PointerChasingStrategy>(
-      p, strategies::OwnershipPlan::round_robin(p, 4));
-  s.config = cfg(4, s.strat->required_local_memory(), 1 << 20, backend);
-  s.initial = s.strat->make_initial_memory(input);
-  s.oracle_factory = [n = p.n, seed = kSeed] {
-    return std::make_shared<hash::LazyRandomOracle>(n, n, seed);
-  };
-  if (authenticate) {
-    s.config.authenticate_messages = true;
-    s.config.local_memory_bits += 1 << 16;
-  }
-  return s;
+TEST(TransportConformance, DeliveryOrderIsCanonical) {
+  run_matrix([](std::uint64_t seed, const Backend& cell) {
+    InboxOrder algo;
+    mpc::MpcSimulation sim(cell.on({.machines = 5, .local_memory_bits = 1 << 10, .tape_seed = seed}),
+                           nullptr);
+    Execution r;
+    r.run = sim.run(algo, {});
+    EXPECT_TRUE(r.run.completed);
+    return r;
+  });
 }
 
-Artifacts run_chaos_clean(bool authenticate) {
-  ChaosScenario s = make_chaos_scenario(kReference, authenticate);
-  auto oracle = s.oracle_factory();
-  mpc::MpcSimulation sim(s.config, oracle);
-  auto result = sim.run(*s.strat, s.initial);
-  EXPECT_TRUE(result.completed);
-  return extract(result, oracle.get());
+// ---- chaos/recovery over the threaded and socket backends ----
+//
+// The catalog's pointer-chasing at seed 11, the scenario the fault suites use.
+
+constexpr std::uint64_t kChaosSeed = 11;
+
+fault::ChaosResult chaos_on(const Backend& cell, bool authenticate, const std::string& policy,
+                            const std::string& plan, std::uint64_t every) {
+  return run_chaos(catalog_cell("pointer-chasing", kChaosSeed, cell, authenticate), policy, plan,
+                   every);
 }
 
 TEST(TransportConformance, RestartFromCheckpointOverEveryBackend) {
@@ -351,49 +284,39 @@ TEST(TransportConformance, RestartFromCheckpointOverEveryBackend) {
   // the round-2 snapshot and resumes — bit-identical to the fault-free
   // serial reference. Transports are quiescent at every barrier, so the
   // snapshot needs no wire state and the checkpoint format is unchanged.
-  Artifacts clean = run_chaos_clean(false);
-  for (const Backend& backend : {Backend{TransportKind::kInProcess, 1, 0},
-                                 Backend{TransportKind::kInProcess, 2, 0},
-                                 Backend{TransportKind::kSocket, 1, 2}}) {
-    if (backend.kind == TransportKind::kSocket && skip_socket_backend()) continue;
-    SCOPED_TRACE(backend.label());
-    ChaosScenario s = make_chaos_scenario(backend, false);
-    fault::ChaosHarness harness(s.config, s.oracle_factory);
-    fault::ChaosResult chaos = harness.run_restart(*s.strat, s.initial,
-                                                   fault::FaultPlan::parse("kill:round=3"),
-                                                   /*checkpoint_every=*/2);
+  const Execution clean = run_clean(catalog("pointer-chasing", kChaosSeed, 0));
+  for (const Backend& cell : {Backend{TransportKind::kInProcess, 1, 0},
+                              Backend{TransportKind::kInProcess, 2, 0},
+                              Backend{TransportKind::kSocket, 1, 2}}) {
+    if (cell.skipped()) continue;
+    SCOPED_TRACE(cell.label());
+    const fault::ChaosResult chaos = chaos_on(cell, false, "restart", "kill:round=3", 2);
     EXPECT_EQ(chaos.cost.faults_injected, 1u);
     EXPECT_GE(chaos.cost.recoveries, 1u);
-    expect_identical(clean, extract(chaos.run, chaos.oracle.get()));
+    expect_identical(clean, chaos);
   }
 }
 
 TEST(TransportConformance, QuarantineRecoversOverSocketBackend) {
-  // The acceptance-criteria case: an authenticated Byzantine flip while the
-  // whole execution — including every quarantine replica and retry — runs
-  // over forked router processes. Detection must be the typed TamperViolation
-  // path and the recovered run must equal the fault-free serial reference.
+  // An authenticated Byzantine flip while the whole execution — including
+  // every quarantine replica and retry — runs over forked router processes.
+  // Detection must be the typed TamperViolation path and the recovered run
+  // must equal the fault-free serial reference.
   if (skip_socket_backend()) GTEST_SKIP() << "MPCH_SKIP_SOCKET_TRANSPORT set";
-  Artifacts clean = run_chaos_clean(true);
-  ChaosScenario s = make_chaos_scenario(Backend{TransportKind::kSocket, 1, 2}, true);
-  fault::ChaosHarness harness(s.config, s.oracle_factory);
-  fault::ChaosResult chaos = harness.run_quarantine(
-      *s.strat, s.initial, fault::FaultPlan::parse("flip:machine=1,round=3,bit=2"));
+  const fault::ChaosResult chaos = chaos_on({TransportKind::kSocket, 1, 2}, true, "quarantine",
+                                            "flip:machine=1,round=3,bit=2", kQuarantineEvery);
   EXPECT_EQ(chaos.cost.faults_injected, 1u);
   EXPECT_GE(chaos.cost.quarantine_strikes, 1u);
-  expect_identical(clean, extract(chaos.run, chaos.oracle.get()));
+  expect_identical(run_clean(catalog("pointer-chasing", kChaosSeed, 0, true)), chaos);
 }
 
 TEST(TransportConformance, QuarantineRecoversUnderParallelRounds) {
   // Quarantine replicas and retries with the round loop on eight threads —
   // the case the ThreadSanitizer job runs for this suite.
-  Artifacts clean = run_chaos_clean(false);
-  ChaosScenario s = make_chaos_scenario(Backend{TransportKind::kInProcess, 8, 0}, false);
-  fault::ChaosHarness harness(s.config, s.oracle_factory);
-  fault::ChaosResult chaos = harness.run_quarantine(
-      *s.strat, s.initial, fault::FaultPlan::parse("flip:machine=1,round=3,bit=2"));
+  const fault::ChaosResult chaos = chaos_on({TransportKind::kInProcess, 8, 0}, false, "quarantine",
+                                            "flip:machine=1,round=3,bit=2", kQuarantineEvery);
   EXPECT_GE(chaos.cost.recoveries, 1u);
-  expect_identical(clean, extract(chaos.run, chaos.oracle.get()));
+  expect_identical(run_clean(catalog("pointer-chasing", kChaosSeed, 0)), chaos);
 }
 
 // ---- transport selection plumbing ----
