@@ -1,8 +1,9 @@
 #include "strategies/batch_pointer_chasing.hpp"
 
 #include <algorithm>
-#include <map>
+#include <span>
 #include <stdexcept>
+#include <string>
 
 #include "util/serialize.hpp"
 
@@ -12,16 +13,24 @@ namespace {
 constexpr std::uint64_t kDoneTag = 2;       // (inst, answer) to the collector
 constexpr std::uint64_t kCollectedTag = 3;  // collector's running answer set
 constexpr std::uint64_t kInstBits = 16;
+
+std::uint64_t checked_instances(std::uint64_t instances) {
+  if (instances == 0 || instances >= (1ULL << kInstBits)) {
+    throw std::invalid_argument("BatchPointerChasingStrategy: instances out of range");
+  }
+  return instances;
+}
 }  // namespace
 
 BatchPointerChasingStrategy::BatchPointerChasingStrategy(const core::LineParams& params,
                                                          OwnershipPlan plan,
                                                          std::uint64_t instances)
-    : params_(params), codec_(params), plan_(std::move(plan)), instances_(instances) {
-  if (instances_ == 0 || instances_ >= (1ULL << kInstBits)) {
-    throw std::invalid_argument("BatchPointerChasingStrategy: instances out of range");
-  }
-}
+    : params_(params),
+      codec_(params),
+      plan_(std::move(plan)),
+      instances_(checked_instances(instances)),
+      block_cache_(plan_.machines(), instances_),
+      scratch_(plan_.machines() * instances_) {}
 
 std::vector<util::BitString> BatchPointerChasingStrategy::make_initial_memory(
     const std::vector<core::LineInput>& inputs) const {
@@ -105,80 +114,97 @@ void BatchPointerChasingStrategy::run_machine(mpc::MachineIo& io, hash::Counting
   if (oracle == nullptr) {
     throw std::invalid_argument("BatchPointerChasingStrategy requires an oracle");
   }
+  if (io.machine >= plan_.machines()) {
+    throw std::out_of_range("BatchPointerChasingStrategy: machine " + std::to_string(io.machine) +
+                            " is outside its " + std::to_string(plan_.machines()) +
+                            "-machine plan");
+  }
+  const std::span<InstanceView> row(scratch_.data() + io.machine * instances_, instances_);
+  for (InstanceView& view : row) {
+    view.blocks = nullptr;
+    view.has_frontier = false;
+    view.has_answer = false;
+  }
 
-  // Parse the inbox. Round-0 shares concatenate per-instance block payloads
-  // into one message; later rounds carry one message per payload. The block
-  // payload format is self-delimiting, so parse sequentially either way.
-  std::map<std::uint64_t, std::pair<util::BitString, std::shared_ptr<const BlockSet>>> blocks;
-  std::map<std::uint64_t, Frontier> frontiers;
-  std::map<std::uint64_t, util::BitString> collected;  // inst -> answer
+  // Every record names its instance; an id the batch does not have would be
+  // stored, walked or collected as if it were one of the k.
+  auto instance = [&](util::BitReader& r, const char* kind) {
+    const std::uint64_t inst = r.read_uint(kInstBits);
+    if (inst >= instances_) {
+      throw std::invalid_argument("BatchPointerChasingStrategy: " + std::string(kind) +
+                                  " record names instance " + std::to_string(inst) +
+                                  " >= k=" + std::to_string(instances_) + " in round " +
+                                  std::to_string(io.round));
+    }
+    return inst;
+  };
+  auto take_answer = [&](util::BitReader& r, const char* kind) {
+    InstanceView& view = row[instance(r, kind)];
+    view.answer = r.read_bits(params_.n);
+    view.has_answer = true;
+  };
+
+  // Parse the inbox. Round-0 shares concatenate per-instance block records
+  // into one message; later rounds carry one record per message. Records
+  // are self-delimiting, so one reader walks each message in place.
   for (const auto& msg : *io.inbox) {
-    // Messages may concatenate several records (round-0 shares do); `rest`
-    // always holds the unparsed suffix and every slice is relative to it.
-    util::BitString rest = msg.payload;
-    while (rest.size() > 0) {
-      util::BitReader r(rest);
-      auto tag = r.read_uint(kTagBits);
+    util::BitReader r(msg.payload);
+    while (!r.exhausted()) {
+      const std::size_t start = r.position();
+      const std::uint64_t tag = r.read_uint(kTagBits);
       if (tag == static_cast<std::uint64_t>(PayloadTag::kBlocks)) {
-        // The block count sizes the record, so the exact framed record (kept
-        // for cheap re-sending) is sliced before anything is decoded, and
-        // only a cache miss decodes it.
-        std::uint64_t inst = r.read_uint(kInstBits);
-        const std::uint64_t header_bits = kTagBits + kInstBits;
+        // The block count sizes the record, so a truncated one is refused
+        // before anything is decoded, and only a cache miss decodes it. A
+        // record that is its whole message is looked up in place; only the
+        // records of a round-0 share are sliced out.
+        const std::uint64_t inst = instance(r, "blocks");
         const std::uint64_t record_bits =
-            header_bits + BlockSet::encoded_bits(params_, r.read_uint(32));
-        if (record_bits > rest.size()) {
+            kTagBits + kInstBits + BlockSet::encoded_bits(params_, r.read_uint(32));
+        if (record_bits > msg.payload.size() - start) {
           throw std::out_of_range("BatchPointerChasingStrategy: truncated block record");
         }
-        util::BitString exact = rest.slice(0, record_bits);
-        std::shared_ptr<const BlockSet> parsed = block_cache_.find_or_decode(exact, [&] {
-          return BlockSet::decode(params_, exact.slice(header_bits, record_bits - header_bits));
+        const bool whole = start == 0 && record_bits == msg.payload.size();
+        const util::BitString sliced =
+            whole ? util::BitString() : msg.payload.slice(start, record_bits);
+        const util::BitString& record = whole ? msg.payload : sliced;
+        row[inst].blocks = &block_cache_.parse(io.machine, inst, record, [&] {
+          util::BitReader body(record);
+          body.skip(kTagBits + kInstBits);
+          return BlockSet::read(params_, body);
         });
-        blocks[inst] = {std::move(exact), std::move(parsed)};
-        rest = rest.slice(record_bits, rest.size() - record_bits);
-        continue;
+        r.skip(start + record_bits - r.position());
+      } else if (tag == static_cast<std::uint64_t>(PayloadTag::kFrontier)) {
+        InstanceView& view = row[instance(r, "frontier")];
+        view.frontier = Frontier::read(params_, r);
+        view.has_frontier = true;
+      } else if (tag == kDoneTag) {
+        take_answer(r, "done");
+      } else {  // kCollectedTag, the last of the four 2-bit tags
+        const std::uint64_t count = r.read_uint(16);
+        for (std::uint64_t i = 0; i < count; ++i) take_answer(r, "collected");
       }
-      if (tag == static_cast<std::uint64_t>(PayloadTag::kFrontier)) {
-        std::uint64_t inst = r.read_uint(kInstBits);
-        std::size_t consumed = 0;
-        util::BitString body = rest.slice(r.position(), rest.size() - r.position());
-        frontiers[inst] = Frontier::decode(params_, body, &consumed);
-        rest = body.slice(consumed, body.size() - consumed);
-        continue;
-      }
-      if (tag == kDoneTag) {
-        std::uint64_t inst = r.read_uint(kInstBits);
-        collected[inst] = r.read_bits(params_.n);
-        rest = rest.slice(r.position(), rest.size() - r.position());
-        continue;
-      }
-      if (tag == kCollectedTag) {
-        std::uint64_t count = r.read_uint(16);
-        for (std::uint64_t i = 0; i < count; ++i) {
-          std::uint64_t inst = r.read_uint(kInstBits);
-          collected[inst] = r.read_bits(params_.n);
-        }
-        rest = rest.slice(r.position(), rest.size() - r.position());
-        continue;
-      }
-      throw std::invalid_argument("BatchPointerChasingStrategy: unknown payload tag");
     }
   }
 
   // Bootstrap every instance whose first block we own.
   if (io.round == 0 && plan_.owner_of(1) == io.machine) {
-    for (std::uint64_t inst = 0; inst < instances_; ++inst) {
-      frontiers.emplace(inst, Frontier::start(params_));
+    for (InstanceView& view : row) {
+      if (view.has_frontier) continue;
+      view.frontier = Frontier::start(params_);
+      view.has_frontier = true;
     }
   }
 
-  // Advance every frontier we hold (instances interleave in one round).
+  // Advance every frontier we hold (instances interleave in one round). The
+  // sends below keep one order: frontiers and dones by instance, then the
+  // collector's set, then the block records by instance.
   std::uint64_t advanced = 0;
-  for (auto& [inst, f] : frontiers) {
-    auto bit = blocks.find(inst);
-    if (bit == blocks.end()) continue;
+  for (std::uint64_t inst = 0; inst < instances_; ++inst) {
+    InstanceView& view = row[inst];
+    if (!view.has_frontier || view.blocks == nullptr) continue;
+    Frontier& f = view.frontier;
     util::BitString last_answer;
-    const std::uint64_t walked = walk_owned(codec_, *bit->second.second, *oracle, f, last_answer);
+    const std::uint64_t walked = walk_owned(codec_, *view.blocks, *oracle, f, last_answer);
     advanced += walked;
     if (f.next_index > params_.w && walked > 0) {
       util::BitWriter w;
@@ -198,24 +224,31 @@ void BatchPointerChasingStrategy::run_machine(mpc::MachineIo& io, hash::Counting
 
   // Collector duty on machine 0.
   bool finished = false;
-  if (io.machine == 0 && !collected.empty()) {
-    util::BitWriter w;
-    w.write_uint(kCollectedTag, kTagBits);
-    w.write_uint(collected.size(), 16);
-    for (const auto& [inst, answer] : collected) {
-      w.write_uint(inst, kInstBits);
-      w.write_bits(answer);
-    }
-    if (collected.size() == instances_) {
-      io.output = w.take();
-      finished = true;
-    } else {
-      io.send(0, w.take());
+  if (io.machine == 0) {
+    const auto answers = static_cast<std::uint64_t>(
+        std::count_if(row.begin(), row.end(), [](const InstanceView& v) { return v.has_answer; }));
+    if (answers > 0) {
+      util::BitWriter w;
+      w.write_uint(kCollectedTag, kTagBits);
+      w.write_uint(answers, 16);
+      for (std::uint64_t inst = 0; inst < instances_; ++inst) {
+        if (!row[inst].has_answer) continue;
+        w.write_uint(inst, kInstBits);
+        w.write_bits(row[inst].answer);
+      }
+      if (answers == instances_) {
+        io.output = w.take();
+        finished = true;
+      } else {
+        io.send(0, w.take());
+      }
     }
   }
 
   if (!finished) {
-    for (const auto& [inst, payload] : blocks) io.send(io.machine, payload.first);
+    for (std::uint64_t inst = 0; inst < instances_; ++inst) {
+      if (row[inst].blocks != nullptr) io.send(io.machine, block_cache_.payload(io.machine, inst));
+    }
   }
 }
 

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "analysis/protocol_spec.hpp"
 #include "core/line.hpp"
@@ -56,11 +57,24 @@ class BatchPointerChasingStrategy final : public mpc::MpcAlgorithm,
                                                     std::uint64_t instances);
 
  private:
+  /// What machine j holds of one instance in the current round. Only
+  /// machine j's run_machine touches row j of `scratch_` (as with its
+  /// `block_cache_` slots); it clears the row's flags first, and the row
+  /// keeps its storage across rounds.
+  struct InstanceView {
+    const BlockSet* blocks = nullptr;  ///< its block record arrived this round
+    bool has_frontier = false;
+    Frontier frontier;
+    bool has_answer = false;  ///< a done or collected record named it
+    util::BitString answer;
+  };
+
   core::LineParams params_;
   core::LineCodec codec_;
   OwnershipPlan plan_;
   std::uint64_t instances_;
-  BlockSetCache block_cache_;
+  BlockCache block_cache_;             ///< one record per instance id
+  std::vector<InstanceView> scratch_;  ///< machines × instances, row-major
 };
 
 }  // namespace mpch::strategies

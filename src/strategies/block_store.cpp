@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "util/key_hash.hpp"
 #include "util/serialize.hpp"
 
 namespace mpch::strategies {
@@ -41,40 +40,27 @@ util::BitString BlockSet::encode() const {
   return w.take();
 }
 
-BlockSet BlockSet::decode(const core::LineParams& params, const util::BitString& bits,
-                          std::size_t* consumed_bits) {
+BlockSet BlockSet::decode(const core::LineParams& params, const util::BitString& bits) {
   util::BitReader r(bits);
-  std::uint64_t count = r.read_uint(32);
+  return read(params, r);
+}
+
+BlockSet BlockSet::read(const core::LineParams& params, util::BitReader& reader) {
+  std::uint64_t count = reader.read_uint(32);
   BlockSet out(params);
   for (std::uint64_t i = 0; i < count; ++i) {
-    std::uint64_t idx = r.read_uint(params.ell_bits);
-    out.add(idx, r.read_bits(params.u));
+    std::uint64_t idx = reader.read_uint(params.ell_bits);
+    out.add(idx, reader.read_bits(params.u));
   }
-  if (consumed_bits != nullptr) *consumed_bits = r.position();
   return out;
 }
 
-std::shared_ptr<const BlockSet> BlockSetCache::find(const util::BitString& payload) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return find_locked(util::key_hash(payload), payload);
-}
-
-std::shared_ptr<const BlockSet> BlockSetCache::insert(const util::BitString& payload,
-                                                      std::shared_ptr<const BlockSet> parsed) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const std::uint64_t key = util::key_hash(payload);
-  if (auto winner = find_locked(key, payload)) return winner;
-  entries_.emplace(key, std::make_pair(payload, parsed));
-  return parsed;
-}
-
-std::shared_ptr<const BlockSet> BlockSetCache::find_locked(std::uint64_t key,
-                                                           const util::BitString& payload) const {
-  auto [it, end] = entries_.equal_range(key);
-  for (; it != end; ++it) {
-    if (it->second.first == payload) return it->second.second;
+std::size_t BlockCache::slot_index(std::uint64_t machine, std::uint64_t record) const {
+  if (record >= records_ || machine >= slots_.size() / records_) {
+    throw std::out_of_range("BlockCache: no slot for machine " + std::to_string(machine) +
+                            ", record " + std::to_string(record));
   }
-  return nullptr;
+  return machine * records_ + record;
 }
 
 std::uint64_t BlockSet::encoded_bits(const core::LineParams& params, std::uint64_t count) {
@@ -94,14 +80,16 @@ util::BitString Frontier::encode(const core::LineParams& params) const {
   return w.take();
 }
 
-Frontier Frontier::decode(const core::LineParams& params, const util::BitString& bits,
-                          std::size_t* consumed_bits) {
-  util::BitReader reader(bits);
+Frontier Frontier::decode(const core::LineParams& params, const util::BitString& bits) {
+  util::BitReader r(bits);
+  return read(params, r);
+}
+
+Frontier Frontier::read(const core::LineParams& params, util::BitReader& reader) {
   Frontier f;
   f.next_index = reader.read_uint(params.index_bits);
   f.ell = reader.read_uint(params.ell_bits);
   f.r = reader.read_bits(params.u);
-  if (consumed_bits != nullptr) *consumed_bits = reader.position();
   return f;
 }
 
@@ -201,16 +189,12 @@ util::BitString tagged(PayloadTag tag, const util::BitString& body) {
   return w.take();
 }
 
-PayloadTag tag_of(const util::BitString& payload) {
-  const std::uint64_t tag = util::BitReader(payload).read_uint(kTagBits);
+PayloadTag read_tag(util::BitReader& reader) {
+  const std::uint64_t tag = reader.read_uint(kTagBits);
   if (tag > static_cast<std::uint64_t>(PayloadTag::kFrontier)) {
     throw std::invalid_argument("unknown Line payload tag " + std::to_string(tag));
   }
   return static_cast<PayloadTag>(tag);
-}
-
-util::BitString body_of(const util::BitString& payload) {
-  return payload.slice(kTagBits, payload.size() - kTagBits);
 }
 
 }  // namespace
@@ -232,22 +216,23 @@ util::BitString frontier_message(const core::LineParams& params, const Frontier&
 }
 
 BlockSet decode_blocks_message(const core::LineParams& params, const util::BitString& payload) {
-  if (tag_of(payload) != PayloadTag::kBlocks) {
+  util::BitReader r(payload);
+  if (read_tag(r) != PayloadTag::kBlocks) {
     throw std::invalid_argument("decode_blocks_message: not a blocks message");
   }
-  return BlockSet::decode(params, body_of(payload));
+  return BlockSet::read(params, r);
 }
 
-LineInbox parse_line_inbox(const core::LineParams& params, BlockSetCache& cache,
-                           const std::vector<mpc::Message>& inbox) {
+LineInbox parse_line_inbox(const core::LineParams& params, BlockCache& cache,
+                           std::uint64_t machine, const std::vector<mpc::Message>& inbox) {
   LineInbox out;
   for (const auto& msg : inbox) {
-    if (tag_of(msg.payload) == PayloadTag::kBlocks) {
+    util::BitReader r(msg.payload);
+    if (read_tag(r) == PayloadTag::kBlocks) {
       out.blocks_payload = &msg.payload;
-      out.blocks = cache.find_or_decode(
-          msg.payload, [&] { return BlockSet::decode(params, body_of(msg.payload)); });
+      out.blocks = &cache.parse(machine, 0, msg.payload, [&] { return BlockSet::read(params, r); });
     } else {
-      Frontier f = Frontier::decode(params, body_of(msg.payload));
+      Frontier f = Frontier::read(params, r);
       if (!out.frontier || f.next_index > out.frontier->next_index) out.frontier = std::move(f);
     }
   }

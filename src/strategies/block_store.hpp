@@ -12,7 +12,9 @@
 // [tag:2][BlockSet] or [tag:2][Frontier]; this file is the one place that
 // writes and reads those tags (block_shares, frontier_message,
 // parse_line_inbox). Batch pointer-chasing frames its records with an
-// instance id and parses them itself.
+// instance id and parses them itself. Both decode block payloads through a
+// per-machine BlockCache, since every machine re-reads its own unchanged
+// blocks each round.
 //
 // Bit accounting is intentional: a machine holding σ blocks pays
 // σ·(ell_bits + u) bits of its s-bit memory, which is the "a machine can
@@ -20,8 +22,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <optional>
 #include <unordered_map>
 #include <utility>
@@ -31,6 +31,7 @@
 #include "core/params.hpp"
 #include "mpc/message.hpp"
 #include "util/bitstring.hpp"
+#include "util/serialize.hpp"
 
 namespace mpch::strategies {
 
@@ -55,8 +56,9 @@ class BlockSet {
   util::BitString encode() const;
 
   /// Parse from the wire format. Throws on malformed input.
-  static BlockSet decode(const core::LineParams& params, const util::BitString& bits,
-                         std::size_t* consumed_bits = nullptr);
+  static BlockSet decode(const core::LineParams& params, const util::BitString& bits);
+  /// Parse one set at `reader`'s position and advance past it.
+  static BlockSet read(const core::LineParams& params, util::BitReader& reader);
 
   /// Wire size of a set holding `count` blocks.
   static std::uint64_t encoded_bits(const core::LineParams& params, std::uint64_t count);
@@ -66,35 +68,58 @@ class BlockSet {
   std::unordered_map<std::uint64_t, util::BitString> blocks_;
 };
 
-/// Memoised BlockSet parses of immutable block payloads, shared by the
-/// machines of a parallel round (mutex-guarded). A pure function of the
-/// payload, not cross-round state: it only keeps long simulations fast.
-/// Entries are found by util::key_hash(payload) (the in-process word-wise
-/// hash the oracle memo uses) and a hit is confirmed by comparing the full
-/// payload bits, so a hash collision decodes afresh instead of handing a
-/// machine another payload's blocks.
-class BlockSetCache {
+/// Per-machine memo of BlockSet parses. Definition 2.1 keeps no machine
+/// state across rounds, so a Line strategy re-reads its own unchanged block
+/// payload every round; this cache keeps one slot per (machine, record)
+/// holding the last payload that machine parsed for that record and its
+/// parse. A lookup is one full-payload equality compare; a miss decodes and
+/// overwrites the slot, so memory is bounded by machines × records. It is a
+/// pure function of the payload, not cross-round state: it only keeps long
+/// simulations fast.
+///
+/// Race-free by ownership, like CountingOracle: only machine j's run_machine
+/// touches machine j's slots, a machine runs on one thread per round, and
+/// the pool's join orders the rounds. The slot array is sized at
+/// construction and never resized, so no lookup takes a lock.
+class BlockCache {
  public:
-  /// The parse of `payload`: a cached one, or `decode()` (returning a
-  /// BlockSet) run outside the lock. If two machines race on the same
-  /// payload, the first insert wins and both get the winner's parse.
+  BlockCache(std::uint64_t machines, std::uint64_t records_per_machine)
+      : records_(records_per_machine), slots_(machines * records_per_machine) {}
+
+  /// The parse of `payload`, record `record` of machine `machine`: the
+  /// slot's own when it last held exactly these bits, else `decode()`'s
+  /// (returning a BlockSet), which replaces it. Throws std::out_of_range
+  /// for a machine or record outside the sizes given at construction.
   template <typename Decode>
-  std::shared_ptr<const BlockSet> find_or_decode(const util::BitString& payload, Decode&& decode) {
-    if (auto hit = find(payload)) return hit;
-    return insert(payload, std::make_shared<const BlockSet>(decode()));
+  const BlockSet& parse(std::uint64_t machine, std::uint64_t record,
+                        const util::BitString& payload, Decode&& decode) {
+    Slot& slot = slots_[slot_index(machine, record)];
+    if (!slot.blocks || slot.payload != payload) {
+      BlockSet fresh = decode();
+      slot.blocks.reset();  // a failed copy below must not leave a stale hit
+      slot.payload = payload;
+      slot.blocks.emplace(std::move(fresh));
+    }
+    return *slot.blocks;
   }
 
- private:
-  std::shared_ptr<const BlockSet> find(const util::BitString& payload);
-  std::shared_ptr<const BlockSet> insert(const util::BitString& payload,
-                                         std::shared_ptr<const BlockSet> parsed);
-  std::shared_ptr<const BlockSet> find_locked(std::uint64_t key,
-                                              const util::BitString& payload) const;
+  /// The payload the slot last parsed (empty before its first parse).
+  const util::BitString& payload(std::uint64_t machine, std::uint64_t record) const {
+    return slots_[slot_index(machine, record)].payload;
+  }
 
-  std::mutex mu_;
-  std::unordered_multimap<std::uint64_t,
-                          std::pair<util::BitString, std::shared_ptr<const BlockSet>>>
-      entries_;
+  std::size_t slots() const { return slots_.size(); }
+
+ private:
+  struct Slot {
+    util::BitString payload;
+    std::optional<BlockSet> blocks;
+  };
+
+  std::size_t slot_index(std::uint64_t machine, std::uint64_t record) const;
+
+  std::uint64_t records_;
+  std::vector<Slot> slots_;
 };
 
 /// The walk frontier: "we have evaluated the chain through node i-1 and the
@@ -109,8 +134,9 @@ struct Frontier {
   static Frontier start(const core::LineParams& params);
 
   util::BitString encode(const core::LineParams& params) const;
-  static Frontier decode(const core::LineParams& params, const util::BitString& bits,
-                         std::size_t* consumed_bits = nullptr);
+  static Frontier decode(const core::LineParams& params, const util::BitString& bits);
+  /// Parse one frontier at `reader`'s position and advance past it.
+  static Frontier read(const core::LineParams& params, util::BitReader& reader);
   static std::uint64_t encoded_bits(const core::LineParams& params);
 };
 
@@ -169,17 +195,18 @@ BlockSet decode_blocks_message(const core::LineParams& params, const util::BitSt
 
 /// One round's inbox of a Line/SimLine strategy.
 struct LineInbox {
-  std::shared_ptr<const BlockSet> blocks;           ///< null if no blocks arrived
+  const BlockSet* blocks = nullptr;                 ///< null if no blocks arrived
   const util::BitString* blocks_payload = nullptr;  ///< their message, re-sent to self
   std::optional<Frontier> frontier;                 ///< furthest copy; first on a tie
 };
 
-/// Parse an inbox of tagged messages; block payloads are decoded through
-/// `cache`, and `blocks_payload` points into `inbox`. Broadcast strategies
+/// Parse machine `machine`'s inbox of tagged messages; its block payload is
+/// decoded through record 0 of its `cache` slots (`blocks` points into the
+/// cache), and `blocks_payload` points into `inbox`. Broadcast strategies
 /// receive several frontier copies, which differ only if one machine
 /// advanced further, so the furthest is kept. Throws std::invalid_argument
 /// on an unknown tag.
-LineInbox parse_line_inbox(const core::LineParams& params, BlockSetCache& cache,
-                           const std::vector<mpc::Message>& inbox);
+LineInbox parse_line_inbox(const core::LineParams& params, BlockCache& cache,
+                           std::uint64_t machine, const std::vector<mpc::Message>& inbox);
 
 }  // namespace mpch::strategies

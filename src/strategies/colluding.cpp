@@ -7,7 +7,11 @@
 namespace mpch::strategies {
 
 ColludingStrategy::ColludingStrategy(const core::LineParams& params, OwnershipPlan plan)
-    : params_(params), codec_(params), plan_(std::move(plan)), machines_(plan_.machines()) {}
+    : params_(params),
+      codec_(params),
+      plan_(std::move(plan)),
+      machines_(plan_.machines()),
+      block_cache_(machines_, 1) {}
 
 std::uint64_t ColludingStrategy::required_local_memory() const {
   return kTagBits + BlockSet::encoded_bits(params_, plan_.max_owned()) +
@@ -42,7 +46,7 @@ analysis::ProtocolSpec ColludingStrategy::protocol_spec() const {
 void ColludingStrategy::run_machine(mpc::MachineIo& io, hash::CountingOracle* oracle,
                                     const mpc::SharedTape& /*tape*/, mpc::RoundTrace& trace) {
   if (oracle == nullptr) throw std::invalid_argument("ColludingStrategy requires an oracle");
-  LineInbox inbox = parse_line_inbox(params_, block_cache_, *io.inbox);
+  LineInbox inbox = parse_line_inbox(params_, block_cache_, io.machine, *io.inbox);
 
   // Public bootstrap: everyone knows ℓ_1 = 1, r_1 = 0^u.
   if (io.round == 0 && !inbox.frontier) inbox.frontier = Frontier::start(params_);

@@ -48,7 +48,7 @@ class ColludingStrategy final : public mpc::MpcAlgorithm,
   core::LineCodec codec_;
   OwnershipPlan plan_;
   std::uint64_t machines_;
-  BlockSetCache block_cache_;
+  BlockCache block_cache_;
 };
 
 }  // namespace mpch::strategies

@@ -9,7 +9,7 @@ namespace mpch::strategies {
 
 PipelinedSimLineStrategy::PipelinedSimLineStrategy(const core::LineParams& params,
                                                    OwnershipPlan plan)
-    : params_(params), codec_(params), plan_(std::move(plan)) {}
+    : params_(params), codec_(params), plan_(std::move(plan)), block_cache_(plan_.machines(), 1) {}
 
 namespace {
 
@@ -45,7 +45,7 @@ void PipelinedSimLineStrategy::run_machine(mpc::MachineIo& io, hash::CountingOra
   if (oracle == nullptr) {
     throw std::invalid_argument("PipelinedSimLineStrategy requires an oracle");
   }
-  LineInbox inbox = parse_line_inbox(params_, block_cache_, *io.inbox);
+  LineInbox inbox = parse_line_inbox(params_, block_cache_, io.machine, *io.inbox);
 
   // Bootstrap: node 1 consumes block 1; its owner starts with r_1 = 0^u.
   if (io.round == 0 && !inbox.frontier && inbox.blocks && plan_.owner_of(1) == io.machine) {

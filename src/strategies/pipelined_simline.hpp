@@ -57,7 +57,7 @@ class PipelinedSimLineStrategy final : public mpc::MpcAlgorithm,
   core::LineParams params_;
   core::SimLineCodec codec_;
   OwnershipPlan plan_;
-  BlockSetCache block_cache_;
+  BlockCache block_cache_;
 };
 
 }  // namespace mpch::strategies

@@ -68,7 +68,7 @@ analysis::ProtocolSpec carrier_spec(std::string protocol, const core::LineParams
 }
 
 PointerChasingStrategy::PointerChasingStrategy(const core::LineParams& params, OwnershipPlan plan)
-    : params_(params), codec_(params), plan_(std::move(plan)) {}
+    : params_(params), codec_(params), plan_(std::move(plan)), block_cache_(plan_.machines(), 1) {}
 
 void PointerChasingStrategy::run_machine(mpc::MachineIo& io, hash::CountingOracle* oracle,
                                          const mpc::SharedTape& /*tape*/,
@@ -76,7 +76,7 @@ void PointerChasingStrategy::run_machine(mpc::MachineIo& io, hash::CountingOracl
   if (oracle == nullptr) {
     throw std::invalid_argument("PointerChasingStrategy requires an oracle");
   }
-  LineInbox inbox = parse_line_inbox(params_, block_cache_, *io.inbox);
+  LineInbox inbox = parse_line_inbox(params_, block_cache_, io.machine, *io.inbox);
 
   // Round 0: the owner of block ℓ_1 = 1 bootstraps the frontier.
   if (io.round == 0 && !inbox.frontier && inbox.blocks && inbox.blocks->contains(1) &&

@@ -86,7 +86,7 @@ class PointerChasingStrategy final : public mpc::MpcAlgorithm,
   core::LineParams params_;
   core::LineCodec codec_;
   OwnershipPlan plan_;
-  BlockSetCache block_cache_;
+  BlockCache block_cache_;
 };
 
 }  // namespace mpch::strategies

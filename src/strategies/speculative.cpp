@@ -12,12 +12,13 @@ SpeculativeStrategy::SpeculativeStrategy(const core::LineParams& params, Ownersh
       codec_(params),
       plan_(std::move(plan)),
       config_(config),
-      truth_(&truth) {}
+      truth_(&truth),
+      block_cache_(plan_.machines(), 1) {}
 
 void SpeculativeStrategy::run_machine(mpc::MachineIo& io, hash::CountingOracle* oracle,
                                       const mpc::SharedTape& tape, mpc::RoundTrace& trace) {
   if (oracle == nullptr) throw std::invalid_argument("SpeculativeStrategy requires an oracle");
-  LineInbox inbox = parse_line_inbox(params_, block_cache_, *io.inbox);
+  LineInbox inbox = parse_line_inbox(params_, block_cache_, io.machine, *io.inbox);
 
   if (io.round == 0 && !inbox.frontier && inbox.blocks && plan_.owner_of(1) == io.machine) {
     inbox.frontier = Frontier::start(params_);

@@ -74,7 +74,7 @@ class SpeculativeStrategy final : public mpc::MpcAlgorithm,
   const core::LineInput* truth_;
   // Incremented by machines of a parallel round; relaxed is fine (counter).
   std::atomic<std::uint64_t> lucky_escapes_{0};
-  BlockSetCache block_cache_;
+  BlockCache block_cache_;
 };
 
 }  // namespace mpch::strategies

@@ -1,11 +1,11 @@
 // key_hash.hpp — the in-process hash of BitString keys.
 //
-// Internal header: the oracle memo and the strategies' block-parse cache
-// find their entries by it. It reads the packed bytes a native 64-bit word
-// at a time, so its value depends on the host's byte order. It is for point
-// lookups inside one process only: never serialised, never compared across
-// processes, never used as a seed. BitString::hash() (byte-wise FNV-1a) is
-// the stable hash that may be persisted or seeded from.
+// Internal header: the oracle memo finds its entries by it. It reads the
+// packed bytes a native 64-bit word at a time, so its value depends on the
+// host's byte order. It is for point lookups inside one process only: never
+// serialised, never compared across processes, never used as a seed.
+// BitString::hash() (byte-wise FNV-1a) is the stable hash that may be
+// persisted or seeded from.
 #pragma once
 
 #include <cstddef>

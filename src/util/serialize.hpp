@@ -129,6 +129,12 @@ class BitReader {
 
   bool read_bool() { return read_uint(1) != 0; }
 
+  /// Advance past `len` bits without reading them.
+  void skip(std::size_t len) {
+    if (len > remaining()) [[unlikely]] reject(len);
+    pos_ += len;
+  }
+
   std::size_t remaining() const { return bits_.size() - pos_; }
   std::size_t position() const { return pos_; }
   bool exhausted() const { return pos_ == bits_.size(); }

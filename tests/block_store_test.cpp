@@ -67,31 +67,90 @@ TEST(BlockSet, IndicesSorted) {
   EXPECT_EQ(set.indices(), (std::vector<std::uint64_t>{1, 4, 6}));
 }
 
-TEST(BlockSetCache, DecodesEachDistinctPayloadOnce) {
-  core::LineParams p = params();
-  BlockSet a(p);
-  a.add(1, BitString::from_uint(0x1111, 16));
-  BlockSet b(p);
-  b.add(2, BitString::from_uint(0x2222, 16));
-  const BitString wire_a = a.encode();
-  const BitString wire_b = b.encode();
-  BlockSetCache cache;
-  int decodes = 0;
-  auto decoder = [&](const BitString& wire) {
-    return [&decodes, &p, wire] {
-      ++decodes;
-      return BlockSet::decode(p, wire);
-    };
+/// A cache's decode callback for `wire` that counts its calls.
+auto counting_decoder(const core::LineParams& p, const BitString& wire, int& decodes) {
+  return [&p, &wire, &decodes] {
+    ++decodes;
+    return BlockSet::decode(p, wire);
   };
-  auto first = cache.find_or_decode(wire_a, decoder(wire_a));
-  auto again = cache.find_or_decode(BitString(wire_a), decoder(wire_a));
-  EXPECT_EQ(first, again);
+}
+
+BlockSet one_block(const core::LineParams& p, std::uint64_t index, std::uint64_t value) {
+  BlockSet set(p);
+  set.add(index, BitString::from_uint(value, p.u));
+  return set;
+}
+
+TEST(BlockCache, RepeatReturnsTheSameParse) {
+  core::LineParams p = params();
+  const BitString wire = one_block(p, 1, 0x1111).encode();
+  BlockCache cache(2, 1);
+  int decodes = 0;
+  const BlockSet& first = cache.parse(0, 0, wire, counting_decoder(p, wire, decodes));
+  const BitString copy = wire;  // equal bits in another buffer still hit
+  const BlockSet& again = cache.parse(0, 0, copy, counting_decoder(p, copy, decodes));
+  EXPECT_EQ(&first, &again);
   EXPECT_EQ(decodes, 1);
-  auto other = cache.find_or_decode(wire_b, decoder(wire_b));
-  EXPECT_NE(other, first);
+  EXPECT_EQ(cache.payload(0, 0), wire);
+}
+
+TEST(BlockCache, OneBitAwayDecodesAfresh) {
+  core::LineParams p = params();
+  const BitString wire = one_block(p, 1, 0x1111).encode();
+  BlockCache cache(1, 1);
+  int decodes = 0;
+  ASSERT_EQ(*cache.parse(0, 0, wire, counting_decoder(p, wire, decodes)).find(1),
+            BitString::from_uint(0x1111, p.u));
+  // Flip the last bit of the block value: same length, one bit apart.
+  BitString flipped = wire;
+  flipped.set(flipped.size() - 1, !flipped.get(flipped.size() - 1));
+  const BlockSet& parsed = cache.parse(0, 0, flipped, counting_decoder(p, flipped, decodes));
   EXPECT_EQ(decodes, 2);
-  EXPECT_TRUE(other->contains(2));
-  EXPECT_FALSE(other->contains(1));
+  EXPECT_EQ(*parsed.find(1), BitString::from_uint(0x1110, p.u));
+  EXPECT_EQ(cache.payload(0, 0), flipped);
+}
+
+TEST(BlockCache, MachineNeverGetsAnotherMachinesParse) {
+  core::LineParams p = params();
+  const BitString wire_a = one_block(p, 1, 0x1111).encode();
+  const BitString wire_b = one_block(p, 2, 0x2222).encode();
+  BlockCache cache(2, 1);
+  int decodes = 0;
+  const BlockSet& on_0 = cache.parse(0, 0, wire_a, counting_decoder(p, wire_a, decodes));
+  // Machine 1 parses the very same payload itself, into its own slot.
+  const BlockSet& on_1 = cache.parse(1, 0, wire_a, counting_decoder(p, wire_a, decodes));
+  EXPECT_NE(&on_0, &on_1);
+  EXPECT_EQ(decodes, 2);
+  // A new payload on machine 1 leaves machine 0's parse as it was.
+  EXPECT_TRUE(cache.parse(1, 0, wire_b, counting_decoder(p, wire_b, decodes)).contains(2));
+  EXPECT_EQ(&cache.parse(0, 0, wire_a, counting_decoder(p, wire_a, decodes)), &on_0);
+  EXPECT_EQ(decodes, 3);
+  EXPECT_TRUE(on_0.contains(1));
+  EXPECT_FALSE(on_0.contains(2));
+}
+
+TEST(BlockCache, SlotCountStaysFixedAcrossDistinctPayloads) {
+  core::LineParams p = params();
+  BlockCache cache(2, 3);
+  ASSERT_EQ(cache.slots(), 6u);
+  int decodes = 0;
+  for (std::uint64_t i = 0; i < 1000; ++i) {
+    const BitString wire = one_block(p, i % p.v + 1, i).encode();
+    const BlockSet& parsed = cache.parse(i % 2, i % 3, wire, counting_decoder(p, wire, decodes));
+    EXPECT_EQ(*parsed.find(i % p.v + 1), BitString::from_uint(i, p.u)) << i;
+  }
+  EXPECT_EQ(decodes, 1000);
+  EXPECT_EQ(cache.slots(), 6u);
+}
+
+TEST(BlockCache, NoSlotOutsideItsSizes) {
+  core::LineParams p = params();
+  const BitString wire = one_block(p, 1, 0x1111).encode();
+  BlockCache cache(2, 3);
+  int decodes = 0;
+  EXPECT_THROW(cache.parse(2, 0, wire, counting_decoder(p, wire, decodes)), std::out_of_range);
+  EXPECT_THROW(cache.parse(0, 3, wire, counting_decoder(p, wire, decodes)), std::out_of_range);
+  EXPECT_EQ(decodes, 0);
 }
 
 TEST(Frontier, EncodeDecodeRoundTrip) {
@@ -183,20 +242,21 @@ std::vector<mpc::Message> inbox_of(const std::vector<BitString>& payloads) {
 
 TEST(LineInbox, UnknownTagThrows) {
   core::LineParams p = params();
-  BlockSetCache cache;
+  BlockCache cache(1, 1);
   for (std::uint64_t tag : {2, 3}) {
     util::BitWriter w;
     w.write_uint(tag, kTagBits);
     w.write_bits(frontier_at(p, 1, 0).encode(p));
-    EXPECT_THROW(parse_line_inbox(p, cache, inbox_of({w.take()})), std::invalid_argument) << tag;
+    EXPECT_THROW(parse_line_inbox(p, cache, 0, inbox_of({w.take()})), std::invalid_argument)
+        << tag;
   }
 }
 
 TEST(LineInbox, KeepsFurthestFrontierAndFirstOnTie) {
   core::LineParams p = params();
-  BlockSetCache cache;
+  BlockCache cache(1, 1);
   LineInbox parsed = parse_line_inbox(
-      p, cache,
+      p, cache, 0,
       inbox_of({frontier_message(p, frontier_at(p, 5, 0xA)),
                 frontier_message(p, frontier_at(p, 9, 0xB)),
                 frontier_message(p, frontier_at(p, 9, 0xC)),
@@ -208,26 +268,31 @@ TEST(LineInbox, KeepsFurthestFrontierAndFirstOnTie) {
 
 TEST(LineInbox, EmptyInboxHoldsNothing) {
   core::LineParams p = params();
-  BlockSetCache cache;
-  LineInbox parsed = parse_line_inbox(p, cache, {});
+  BlockCache cache(1, 1);
+  LineInbox parsed = parse_line_inbox(p, cache, 0, {});
   EXPECT_EQ(parsed.blocks, nullptr);
   EXPECT_EQ(parsed.blocks_payload, nullptr);
   EXPECT_FALSE(parsed.frontier.has_value());
 }
 
-TEST(LineInbox, RepeatedBlocksPayloadIsDecodedOnce) {
+TEST(LineInbox, EachMachineParsesItsBlocksThroughItsOwnSlot) {
   core::LineParams p = params();
   util::Rng rng(3);
   core::LineInput input = core::LineInput::random(p, rng);
-  const std::vector<BitString> shares =
-      block_shares(p, OwnershipPlan::round_robin(p, 2), input);
-  BlockSetCache cache;
+  const OwnershipPlan plan = OwnershipPlan::round_robin(p, 2);
+  const std::vector<BitString> shares = block_shares(p, plan, input);
+  BlockCache cache(2, 1);
   const std::vector<mpc::Message> inbox = inbox_of({shares[0]});
-  LineInbox first = parse_line_inbox(p, cache, inbox);
-  LineInbox again = parse_line_inbox(p, cache, inbox_of({shares[0]}));
+  LineInbox first = parse_line_inbox(p, cache, 0, inbox);
+  LineInbox again = parse_line_inbox(p, cache, 0, inbox_of({shares[0]}));
   ASSERT_NE(first.blocks, nullptr);
   EXPECT_EQ(first.blocks, again.blocks);  // the cached parse, not a fresh decode
-  EXPECT_NE(parse_line_inbox(p, cache, inbox_of({shares[1]})).blocks, first.blocks);
+  LineInbox other = parse_line_inbox(p, cache, 1, inbox_of({shares[1]}));
+  ASSERT_NE(other.blocks, nullptr);
+  EXPECT_NE(other.blocks, first.blocks);
+  EXPECT_EQ(other.blocks->indices(), plan.owned_by(1));
+  EXPECT_EQ(first.blocks->indices(), plan.owned_by(0));
+  EXPECT_THROW(parse_line_inbox(p, cache, 2, inbox), std::out_of_range);
 }
 
 TEST(LineInbox, SharesAndFrontierMessagesRoundTrip) {
@@ -239,10 +304,10 @@ TEST(LineInbox, SharesAndFrontierMessagesRoundTrip) {
   ASSERT_EQ(shares.size(), 3u);
   const Frontier sent = frontier_at(p, 6, 0x5A);
   for (std::uint64_t j = 0; j < 3; ++j) {
-    BlockSetCache cache;
+    BlockCache cache(3, 1);
     const std::vector<mpc::Message> inbox =
         inbox_of({frontier_message(p, sent), shares[j]});
-    LineInbox parsed = parse_line_inbox(p, cache, inbox);
+    LineInbox parsed = parse_line_inbox(p, cache, j, inbox);
     EXPECT_EQ(parsed.blocks_payload, &inbox[1].payload);
     ASSERT_NE(parsed.blocks, nullptr);
     EXPECT_EQ(parsed.blocks->indices(), plan.owned_by(j));
