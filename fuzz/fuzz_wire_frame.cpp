@@ -2,11 +2,11 @@
 //
 // Two layers per input:
 //  1. decode — the bytes straight into decode_frames(), exercising every
-//     header gate (magic, frame type, oversized length prefix, oversized
-//     broadcast fanout, truncation). The payload cap is shrunk to 1 << 16 so
-//     the fuzzer can reach the post-cap parsing code with small inputs while
-//     the cap gate still fires on hostile prefixes.
-//  2. assemble — every decoded data/broadcast frame is pushed through an
+//     header gate (magic, frame type, oversized length prefix,
+//     truncation). The payload cap is shrunk to 1 << 16 so the fuzzer can
+//     reach the post-cap parsing code with small inputs while the cap gate
+//     still fires on hostile prefixes.
+//  2. assemble — every decoded data frame is pushed through an
 //     InboxAssembler, driving the duplicated/reordered-seq protocol gates
 //     and the canonical (sender, seq) sort with fuzzer-chosen addressing.
 //
@@ -28,10 +28,6 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size
     for (auto& frame : frames) {
       if (frame.type == mpch::transport::FrameType::kData) {
         assembler.add(frame.from, frame.seq, std::move(frame.payload));
-      } else if (frame.type == mpch::transport::FrameType::kBroadcast) {
-        for (const auto& [to, seq] : frame.fanout) {
-          if (to == 0) assembler.add(frame.from, seq, frame.payload);
-        }
       }
     }
     (void)assembler.take();

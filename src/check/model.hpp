@@ -2,10 +2,9 @@
 //
 // mpch-model is a Loom/CHESS-style systematic checker: a Model wraps one of
 // the repo's *real* protocol transition cores (transport/wire.hpp's
-// InboxAssembler, transport/router_core.hpp's RouterCore, fault/
-// recovery_core.hpp's restart and quarantine policies) behind a small
-// adversary-facing surface — "which deliveries/faults could happen next" and
-// "apply this one". The explorer (explorer.hpp) enumerates every schedule of
+// InboxAssembler, fault/recovery_core.hpp's restart and quarantine
+// policies) behind a small adversary-facing surface — "which
+// deliveries/faults could happen next" and "apply this one". The explorer (explorer.hpp) enumerates every schedule of
 // those actions within configured bounds, so the protocol code is executed
 // under *all* bounded interleavings, not the one the OS scheduler happened
 // to produce.
@@ -49,7 +48,7 @@ struct Action {
 /// Exploration bounds, parsed from the CLI's `--bound k=v,...`. Models read
 /// the fields they understand; the explorer enforces depth/states itself.
 struct ModelBounds {
-  std::uint64_t machines = 2;   ///< machines (senders, fanout width)
+  std::uint64_t machines = 2;   ///< machines (senders)
   std::uint64_t rounds = 2;     ///< protocol rounds to drive
   std::uint64_t messages = 2;   ///< per-sender messages per round
   std::uint64_t faults = 1;     ///< adversary budget (dups, faults, verdicts)
@@ -71,7 +70,7 @@ class Model {
  public:
   virtual ~Model() = default;
 
-  /// The protocol name ("inbox", "broadcast", "recovery", "quarantine").
+  /// The protocol name ("inbox", "recovery", "quarantine").
   virtual std::string name() const = 0;
 
   /// Return to the initial state. Called before every (re)exploration and

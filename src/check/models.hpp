@@ -1,4 +1,4 @@
-// models.hpp — the four protocol models and the seeded-mutation registry.
+// models.hpp — the three protocol models and the seeded-mutation registry.
 //
 // Each model wraps a *production* transition core behind the Model
 // interface (model.hpp):
@@ -7,12 +7,6 @@
 //               delivered in any interleaving, plus re-deliveries from the
 //               adversary's budget; the barrier invariant is the exactly-once
 //               canonical (sender, seq) inbox order every backend promises.
-//   broadcast   transport/router_core.hpp RouterCore — one broadcast
-//               disseminated to every router group under arbitrary order
-//               and duplication (the binomial tree re-delivers whenever the
-//               router count is not a power of two), interleaved with
-//               point-to-point data frames; the barrier invariant is one
-//               copy per destination in canonical (to, from, seq) order.
 //   recovery    fault/recovery_core.hpp snapshot_due + plan_restart — an
 //               abstract run interleaving commits with budgeted pre-/in-
 //               round faults; invariants are transcript equivalence (no
@@ -27,7 +21,7 @@
 //               termination.
 //
 // Mutations are seeded protocol bugs — each flips one options field on the
-// real core (wire.hpp / router_core.hpp / recovery_core.hpp) — used by
+// real core (wire.hpp / recovery_core.hpp) — used by
 // `mpch-model --mutation-matrix` to prove the checker can actually find the
 // bug class each gate exists to stop. Production code never sets these.
 #pragma once
@@ -47,7 +41,7 @@ struct MutationSpec {
   std::string description; ///< which real gate the mutation disables
 };
 
-/// The four protocol names, in CLI order.
+/// The three protocol names, in CLI order.
 const std::vector<std::string>& protocol_names();
 
 /// Every seeded mutation, grouped by protocol.
@@ -63,8 +57,6 @@ std::unique_ptr<Model> make_model(const std::string& protocol, const ModelBounds
 /// directly). Each throws std::invalid_argument for a mutation it does not
 /// own.
 std::unique_ptr<Model> make_inbox_model(const ModelBounds& bounds, const std::string& mutation);
-std::unique_ptr<Model> make_broadcast_model(const ModelBounds& bounds,
-                                            const std::string& mutation);
 std::unique_ptr<Model> make_recovery_model(const ModelBounds& bounds,
                                            const std::string& mutation);
 std::unique_ptr<Model> make_quarantine_model(const ModelBounds& bounds,

@@ -48,8 +48,7 @@ std::string bounds_summary(const ModelBounds& bounds) {
 }
 
 const std::vector<std::string>& protocol_names() {
-  static const std::vector<std::string> kNames = {"inbox", "broadcast", "recovery",
-                                                  "quarantine"};
+  static const std::vector<std::string> kNames = {"inbox", "recovery", "quarantine"};
   return kNames;
 }
 
@@ -60,9 +59,6 @@ const std::vector<MutationSpec>& mutation_registry() {
       {"drop-seq-check", "inbox",
        "InboxAssembler accepts an older seq and lowers its high-water mark "
        "(wire.hpp reject_reordered off)"},
-      {"skip-broadcast-dedup", "broadcast",
-       "RouterCore re-expands a re-delivered broadcast into duplicate inbox entries "
-       "(router_core.hpp dedup_broadcasts off)"},
       {"resume-past-fault", "recovery",
        "plan_restart resumes after the fault instead of the checkpoint, committing the "
        "poisoned round (recovery_core.hpp resume_from_checkpoint off)"},
@@ -95,11 +91,10 @@ std::unique_ptr<Model> make_model(const std::string& protocol, const ModelBounds
     if (!known) throw std::invalid_argument("unknown mutation '" + m + "'");
   }
   if (protocol == "inbox") return make_inbox_model(bounds, m);
-  if (protocol == "broadcast") return make_broadcast_model(bounds, m);
   if (protocol == "recovery") return make_recovery_model(bounds, m);
   if (protocol == "quarantine") return make_quarantine_model(bounds, m);
   throw std::invalid_argument("unknown protocol '" + protocol +
-                              "' — expected inbox, broadcast, recovery, or quarantine");
+                              "' — expected inbox, recovery, or quarantine");
 }
 
 }  // namespace mpch::check

@@ -97,7 +97,7 @@ struct MpcConfig {
   /// send order) merge order and every transport is quiescent at each round
   /// barrier. The default moves messages in-process with zero copies;
   /// kSocket forks router processes and moves every message over AF_UNIX
-  /// sockets with binomial-tree broadcast dissemination.
+  /// sockets as its own frame.
   /// The socket cells of tests/transport_conformance_test.cpp pin the
   /// equivalence for every catalog strategy, plain and MAC-tagged.
   transport::TransportKind transport = transport::TransportKind::kInProcess;

@@ -1,7 +1,5 @@
 #include "transport/socket.hpp"
 
-#include "transport/router_core.hpp"
-
 #include <fcntl.h>
 #include <poll.h>
 #include <sys/socket.h>
@@ -15,7 +13,6 @@
 #include <csignal>
 #include <cstring>
 #include <functional>
-#include <map>
 #include <thread>
 #include <utility>
 
@@ -67,13 +64,11 @@ void append_frame(std::vector<std::uint8_t>& out, const WireFrame& frame) {
   out.insert(out.end(), bytes.begin(), bytes.end());
 }
 
-WireFrame control_frame(FrameType type, std::uint64_t round, std::uint64_t from,
-                        std::uint64_t seq = 0) {
+WireFrame control_frame(FrameType type, std::uint64_t round, std::uint64_t from) {
   WireFrame f;
   f.type = type;
   f.round = round;
   f.from = from;
-  f.seq = seq;
   return f;
 }
 
@@ -84,7 +79,6 @@ struct Channel {
   FrameDecoder* decoder = nullptr;
   std::vector<std::uint8_t> out;
   std::size_t out_pos = 0;
-  bool expect_token = true;
   bool done = false;
 };
 
@@ -94,10 +88,10 @@ struct Channel {
 /// deadlocking on blocking send()s. `on_frame(i, frame)` handles each frame
 /// decoded off channel i and returns true when it was that channel's end
 /// token. Frames buffered beyond the token are left in the decoder for the
-/// next protocol phase. A hang-up counts as readable, so a peer that exits
-/// before its token surfaces as EOF, a TransportError. A channel with
-/// nothing to send may be blocking (the parent's router channels): it is
-/// only read after poll reports it readable.
+/// next round. A hang-up counts as readable, so a peer that exits before its
+/// token surfaces as EOF, a TransportError. A channel with nothing to send
+/// may be blocking (the parent's router channels): it is only read after
+/// poll reports it readable.
 void exchange_frames(std::vector<Channel>& channels,
                      const std::function<bool(std::size_t, WireFrame&)>& on_frame) {
   auto pump = [&](std::size_t i) {
@@ -108,13 +102,7 @@ void exchange_frames(std::vector<Channel>& channels,
       if (on_frame(i, *frame)) c.done = true;
     }
   };
-  for (std::size_t i = 0; i < channels.size(); ++i) {
-    if (channels[i].expect_token) {
-      pump(i);
-    } else {
-      channels[i].done = true;
-    }
-  }
+  for (std::size_t i = 0; i < channels.size(); ++i) pump(i);
   while (true) {
     std::vector<pollfd> fds;
     std::vector<std::size_t> owner;
@@ -163,12 +151,6 @@ void exchange_frames(std::vector<Channel>& channels,
   }
 }
 
-std::uint64_t ceil_log2(std::uint64_t n) {
-  std::uint64_t k = 0;
-  while ((1ULL << k) < n) ++k;
-  return k;
-}
-
 /// The router child process: routes one shard group's frames, round after
 /// round, until the parent closes its channel.
 struct Router {
@@ -183,7 +165,15 @@ struct Router {
   FrameDecoder parent_decoder{kDefaultMaxPayloadBits};
   std::vector<FrameDecoder> peer_decoder;
 
-  std::uint64_t group_of(std::uint64_t machine) const { return machine / group_size; }
+  /// The group that owns `frame`'s destination. Throws on an out-of-range
+  /// destination (hostile or corrupted addressing).
+  std::uint64_t owner(const WireFrame& frame) const {
+    if (frame.to >= machines) {
+      throw TransportError("router: data frame for machine " + std::to_string(frame.to) +
+                           " >= m=" + std::to_string(machines));
+    }
+    return frame.to / group_size;
+  }
 
   int run() {
     parent_decoder = FrameDecoder(max_payload_bits);
@@ -195,13 +185,9 @@ struct Router {
   }
 
   /// One round transaction. Returns false on parent EOF (orderly shutdown).
-  /// All protocol decisions — routing, broadcast dedup, fanout expansion,
-  /// canonical delivery order — live in RouterCore (router_core.hpp), which
-  /// mpch-model drives under exhaustive interleavings; this function only
-  /// moves the bytes.
   bool run_round() {
     std::uint64_t round = 0;
-    RouterCore core(g, groups, group_size, machines);
+    std::vector<WireFrame> local;  ///< data frames for this group's machines
     std::vector<std::vector<std::uint8_t>> forward(groups);  ///< encoded, per peer
 
     // Phase 1 — intake from the parent until the round's kFlush token.
@@ -213,16 +199,16 @@ struct Router {
           flushed = true;
           break;
         }
-        if (frame->type == FrameType::kData) {
-          if (auto peer = core.accept_data(*frame); peer.has_value()) {
-            append_frame(forward[*peer], *frame);
-          }
-        } else if (frame->type == FrameType::kBroadcast) {
-          core.accept_broadcast(std::move(*frame));
-        } else {
+        if (frame->type != FrameType::kData) {
           throw TransportError("router: unexpected frame type " +
                                std::to_string(static_cast<unsigned>(frame->type)) +
                                " from parent");
+        }
+        const std::uint64_t dest = owner(*frame);
+        if (dest == g) {
+          local.push_back(std::move(*frame));
+        } else {
+          append_frame(forward[dest], *frame);
         }
       }
       if (flushed) break;
@@ -244,58 +230,25 @@ struct Router {
       }
       exchange_frames(channels, [&](std::size_t, WireFrame& frame) {
         if (frame.type == FrameType::kFlush) return true;
-        if (frame.type != FrameType::kData || group_of(frame.to) != g ||
-            core.accept_data(frame).has_value()) {
+        if (frame.type != FrameType::kData || owner(frame) != g) {
           throw TransportError("router: misrouted frame in point-to-point exchange");
         }
+        local.push_back(std::move(frame));
         return false;
       });
     }
 
-    // Phase 3 — binomial-tree dissemination of broadcasts: at stage k this
-    // router sends everything it knows to (g + 2^k) mod G and reads from
-    // (g - 2^k) mod G until that peer's kStageDone token. After ceil(log2 G)
-    // stages every router has every broadcast; (from, seq) dedup in
-    // accept_broadcast absorbs the duplicates a non-power-of-two G produces.
-    const std::uint64_t stages = ceil_log2(groups);
-    for (std::uint64_t k = 0; k < stages; ++k) {
-      const std::uint64_t hop = 1ULL << k;
-      const std::uint64_t out_peer = (g + hop) % groups;
-      const std::uint64_t in_peer = (g + groups - (hop % groups)) % groups;
-      std::vector<std::uint8_t> out_bytes;
-      for (const WireFrame& b : core.known_broadcasts()) append_frame(out_bytes, b);
-      append_frame(out_bytes, control_frame(FrameType::kStageDone, round, g, k));
-      std::vector<Channel> channels;
-      {
-        Channel c;
-        c.fd = peer_fd[out_peer];
-        c.decoder = &peer_decoder[out_peer];
-        c.out = std::move(out_bytes);
-        c.expect_token = out_peer == in_peer;  // G == 2: one duplex channel
-        channels.push_back(std::move(c));
-      }
-      if (out_peer != in_peer) {
-        Channel c;
-        c.fd = peer_fd[in_peer];
-        c.decoder = &peer_decoder[in_peer];
-        channels.push_back(std::move(c));
-      }
-      exchange_frames(channels, [&](std::size_t, WireFrame& frame) {
-        if (frame.type == FrameType::kStageDone) return true;
-        if (frame.type != FrameType::kBroadcast) {
-          throw TransportError("router: unexpected frame type in dissemination stage");
-        }
-        core.accept_broadcast(std::move(frame));
-        return false;
-      });
-    }
-
-    // Phase 4 — deliver this group's inboxes to the parent in the canonical
-    // (to, from, seq) order RouterCore::take_local produces, so the
-    // parent-side assemblers see each sender's seqs strictly increasing (the
-    // protocol InboxAssembler enforces).
+    // Phase 3 — deliver this group's inboxes to the parent sorted by
+    // (to, from, seq): the delivery stream is then the same whichever peer's
+    // frames arrived first, and each sender's seqs reach the parent-side
+    // assemblers strictly increasing (the protocol InboxAssembler enforces).
+    std::sort(local.begin(), local.end(), [](const WireFrame& a, const WireFrame& b) {
+      if (a.to != b.to) return a.to < b.to;
+      if (a.from != b.from) return a.from < b.from;
+      return a.seq < b.seq;
+    });
     std::vector<std::uint8_t> delivery;
-    for (const WireFrame& frame : core.take_local()) append_frame(delivery, frame);
+    for (const WireFrame& frame : local) append_frame(delivery, frame);
     append_frame(delivery, control_frame(FrameType::kFlushDone, round, g));
     write_all(parent_fd, delivery.data(), delivery.size());
     return true;
@@ -307,8 +260,7 @@ struct Router {
 SocketTransport::SocketTransport(const TransportOptions& options)
     : requested_processes_(options.processes),
       max_payload_bits_(options.max_payload_bits ? options.max_payload_bits
-                                                 : kDefaultMaxPayloadBits),
-      broadcast_min_fanout_(options.broadcast_min_fanout ? options.broadcast_min_fanout : 4) {}
+                                                 : kDefaultMaxPayloadBits) {}
 
 SocketTransport::~SocketTransport() { shutdown(); }
 
@@ -328,8 +280,7 @@ void SocketTransport::start(std::uint64_t machines) {
       throw_errno("socketpair(parent) failed");
     }
   }
-  // Full mesh for point-to-point routing; the binomial stage edges
-  // (g, (g + 2^k) mod G) are pairs too, so they reuse these channels.
+  // Full mesh for point-to-point routing.
   std::vector<std::vector<std::array<int, 2>>> mesh(
       groups_, std::vector<std::array<int, 2>>(groups_, {-1, -1}));
   for (std::uint64_t a = 0; a < groups_; ++a) {
@@ -406,31 +357,8 @@ void SocketTransport::start(std::uint64_t machines) {
 void SocketTransport::send(std::uint64_t round, std::uint64_t from,
                            std::vector<mpc::Message> outbox) {
   if (!started_) throw TransportError("socket transport: send before start");
-  // Coalesce: identical payloads fanning out to >= broadcast_min_fanout_
-  // destinations become one kBroadcast frame (the routers replicate it along
-  // the binomial tree); everything else ships as per-message data frames.
-  std::map<util::BitString, std::vector<std::pair<std::uint64_t, std::uint64_t>>> by_payload;
-  for (std::size_t seq = 0; seq < outbox.size(); ++seq) {
-    by_payload[outbox[seq].payload].push_back({outbox[seq].to, seq});
-  }
-  std::vector<bool> coalesced(outbox.size(), false);
-  std::vector<WireFrame> broadcasts;
-  for (auto& [payload, fanout] : by_payload) {
-    if (fanout.size() < broadcast_min_fanout_) continue;
-    WireFrame frame;
-    frame.type = FrameType::kBroadcast;
-    frame.round = round;
-    frame.from = from;
-    frame.seq = fanout.front().second;  // unique per sender: seq of first entry
-    frame.to = fanout.size();
-    frame.fanout = fanout;
-    frame.payload = payload;
-    for (const auto& [to, seq] : fanout) coalesced[seq] = true;
-    broadcasts.push_back(std::move(frame));
-  }
   std::vector<std::uint8_t> bytes;
   for (std::size_t seq = 0; seq < outbox.size(); ++seq) {
-    if (coalesced[seq]) continue;
     WireFrame frame;
     frame.type = FrameType::kData;
     frame.round = round;
@@ -440,9 +368,6 @@ void SocketTransport::send(std::uint64_t round, std::uint64_t from,
     frame.payload = std::move(outbox[seq].payload);
     append_frame(bytes, frame);
   }
-  std::sort(broadcasts.begin(), broadcasts.end(),
-            [](const WireFrame& a, const WireFrame& b) { return a.seq < b.seq; });
-  for (const WireFrame& frame : broadcasts) append_frame(bytes, frame);
   write_all(router_fds_[static_cast<std::size_t>(group_of(from))], bytes.data(), bytes.size());
 }
 

@@ -11,18 +11,12 @@
 //   parent ◀──────────────── sorted deliveries ──────────┘
 //
 // Channels are AF_UNIX stream socketpairs: one parent↔router duplex channel
-// per router, plus a full mesh of router↔router channels. Point-to-point
-// frames take one hop through the mesh. Broadcasts (one payload addressed to
-// many destinations) are coalesced by the parent into a single kBroadcast
-// frame sent to the origin's router, then disseminated to all routers along
-// a binomial tree: ceil(log2 G) stages, at stage k router g sends everything
-// it knows to router (g + 2^k) mod G and reads from (g - 2^k) mod G until a
-// kStageDone token — the classic dissemination allgather, with (from, seq)
-// dedup so non-power-of-two G works. Each router expands the fanout entries
-// that land in its own group and delivers them to the parent as ordinary
-// data frames, *sorted by (from, seq)* so the parent-side InboxAssembler can
-// enforce the per-sender monotone-seq protocol and rebuild the canonical
-// inbox order.
+// per router, plus a full mesh of router↔router channels. Every message is
+// one kData frame and takes at most one hop through the mesh; a payload sent
+// to many machines is as many frames, the m messages Definition 2.1 charges
+// for it. Each router delivers its group's frames to the parent *sorted by
+// (to, from, seq)* so the parent-side InboxAssembler can enforce the
+// per-sender monotone-seq protocol and rebuild the canonical inbox order.
 //
 // The round protocol is strictly barrier-quiescent: the parent's flush()
 // sends a kFlush token to every router and then drains until every router
@@ -79,7 +73,6 @@ class SocketTransport final : public Transport {
 
   std::uint64_t requested_processes_;
   std::uint64_t max_payload_bits_;
-  std::uint64_t broadcast_min_fanout_;
   std::function<void(WireFrame&)> tamper_;
 
   std::uint64_t machines_ = 0;

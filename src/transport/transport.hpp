@@ -10,9 +10,9 @@
 //     behaviour the tree has always had, and the serial reference every
 //     other backend is conformance-tested against.
 //   * SocketTransport    — machines are partitioned into shard groups,
-//     one forked router OS process per group; frames travel over AF_UNIX
-//     stream sockets, broadcasts coalesce into single frames fanned out
-//     along a binomial tree of inter-router channels.
+//     one forked router OS process per group; every message travels as one
+//     frame over AF_UNIX stream sockets, through at most one router-to-router
+//     hop.
 //
 // The contract that makes backends interchangeable is *barrier quiescence*
 // and *canonical order*:
@@ -67,10 +67,6 @@ struct TransportOptions {
   /// Frame decoder payload cap (see wire.hpp). Tests shrink it to exercise
   /// the oversized-length-prefix gate without 8 MiB inputs.
   std::uint64_t max_payload_bits = 0;  ///< 0 = kDefaultMaxPayloadBits
-  /// Socket backend: coalesce >= this many identical payloads from one
-  /// sender into a single broadcast frame fanned out via the router tree.
-  /// 0 = default (4).
-  std::uint64_t broadcast_min_fanout = 0;
 };
 
 class Transport {

@@ -30,7 +30,7 @@ std::uint64_t get_u64(const std::uint8_t* p) {
 
 bool known_type(std::uint8_t t) {
   return t >= static_cast<std::uint8_t>(FrameType::kData) &&
-         t <= static_cast<std::uint8_t>(FrameType::kStageDone);
+         t <= static_cast<std::uint8_t>(FrameType::kFlushDone);
 }
 
 std::size_t payload_bytes_for(std::uint64_t payload_bits) {
@@ -42,22 +42,14 @@ std::size_t payload_bytes_for(std::uint64_t payload_bits) {
 std::vector<std::uint8_t> encode_frame(const WireFrame& frame) {
   std::vector<std::uint8_t> out;
   const std::size_t payload_len = payload_bytes_for(frame.payload.size());
-  out.reserve(kFrameHeaderBytes + payload_len + frame.fanout.size() * 16);
+  out.reserve(kFrameHeaderBytes + payload_len);
   put_u32(out, kWireMagic);
   out.push_back(static_cast<std::uint8_t>(frame.type));
   put_u64(out, frame.round);
   put_u64(out, frame.from);
   put_u64(out, frame.seq);
-  // For broadcast frames the `to` slot carries the fanout count; the
-  // (to, seq) entries follow the header, before the payload bytes.
-  put_u64(out, frame.type == FrameType::kBroadcast ? frame.fanout.size() : frame.to);
+  put_u64(out, frame.to);
   put_u64(out, frame.payload.size());
-  if (frame.type == FrameType::kBroadcast) {
-    for (const auto& [to, seq] : frame.fanout) {
-      put_u64(out, to);
-      put_u64(out, seq);
-    }
-  }
   const auto& bytes = frame.payload.bytes();
   out.insert(out.end(), bytes.begin(), bytes.end());
   return out;
@@ -89,42 +81,20 @@ std::optional<WireFrame> FrameDecoder::next() {
   frame.round = get_u64(p + 5);
   frame.from = get_u64(p + 13);
   frame.seq = get_u64(p + 21);
-  std::uint64_t to_or_count = get_u64(p + 29);
+  frame.to = get_u64(p + 29);
   const std::uint64_t payload_bits = get_u64(p + 37);
 
-  // Length-prefix gates fire before any buffering or allocation sized from
-  // the prefix — a hostile 2^60 here must cost nothing.
+  // The length-prefix gate fires before any buffering or allocation sized
+  // from the prefix — a hostile 2^60 here must cost nothing.
   if (payload_bits > max_payload_bits_) {
     throw WireError("wire frame: oversized length prefix (" + std::to_string(payload_bits) +
                     " payload bits > cap " + std::to_string(max_payload_bits_) + ") at byte " +
                     std::to_string(bytes_consumed_ + 37));
   }
-  std::uint64_t fanout_count = 0;
-  if (frame.type == FrameType::kBroadcast) {
-    fanout_count = to_or_count;
-    if (fanout_count > kMaxBroadcastFanout) {
-      throw WireError("wire frame: oversized length prefix (broadcast fanout " +
-                      std::to_string(fanout_count) + " > cap " +
-                      std::to_string(kMaxBroadcastFanout) + ") at byte " +
-                      std::to_string(bytes_consumed_ + 29));
-    }
-  } else {
-    frame.to = to_or_count;
-  }
-
-  const std::size_t total = kFrameHeaderBytes + static_cast<std::size_t>(fanout_count) * 16 +
-                            payload_bytes_for(payload_bits);
+  const std::size_t total = kFrameHeaderBytes + payload_bytes_for(payload_bits);
   if (buffer_.size() < total) return std::nullopt;
 
-  std::size_t pos = kFrameHeaderBytes;
-  frame.fanout.reserve(static_cast<std::size_t>(fanout_count));
-  for (std::uint64_t i = 0; i < fanout_count; ++i) {
-    std::uint64_t to = get_u64(p + pos);
-    std::uint64_t seq = get_u64(p + pos + 8);
-    frame.fanout.emplace_back(to, seq);
-    pos += 16;
-  }
-  frame.payload = util::BitString::from_bytes({p + pos, p + total});
+  frame.payload = util::BitString::from_bytes({p + kFrameHeaderBytes, p + total});
   frame.payload.truncate(static_cast<std::size_t>(payload_bits));
 
   buffer_.erase(buffer_.begin(), buffer_.begin() + static_cast<std::ptrdiff_t>(total));

@@ -3,7 +3,7 @@
 // The in-process backend hands Message objects across the round barrier by
 // move; the socket backend moves *bytes*, and this file is the single
 // definition of what those bytes look like. One frame carries one model
-// message (or one coalesced broadcast, or a control token), with enough
+// message or a control token, with enough
 // addressing — round, sender, per-sender sequence number, receiver —
 // for the receiving side to rebuild the exact inbox order the in-process
 // merge would have produced: messages sorted by (sender index, send order).
@@ -43,12 +43,12 @@ class WireError : public std::runtime_error {
 };
 
 /// Frame discriminator. Values are part of the wire format — append only.
+/// 4 and 5 (the retired kBroadcast and kStageDone) are never reused: the
+/// decoder rejects them as unknown types.
 enum class FrameType : std::uint8_t {
   kData = 1,       ///< one model message from one sender to one receiver
   kFlush = 2,      ///< round barrier: no more frames for this round
   kFlushDone = 3,  ///< router reply: the round's deliveries are all out
-  kBroadcast = 4,  ///< one payload fanned out to a destination list
-  kStageDone = 5,  ///< inter-router binomial-tree stage barrier token
 };
 
 /// First bytes of every frame; rejects cross-protocol and offset garbage.
@@ -59,20 +59,13 @@ inline constexpr std::uint32_t kWireMagic = 0x4643504D;  // "MPCF" little-endian
 /// bits (8 MiB) is orders of magnitude above any s used in the tree.
 inline constexpr std::uint64_t kDefaultMaxPayloadBits = 1ULL << 26;
 
-/// Ceiling on a broadcast frame's destination count (machines are u64 but a
-/// destination list longer than any plausible m is a hostile count).
-inline constexpr std::uint64_t kMaxBroadcastFanout = 1ULL << 20;
-
 /// Fixed-size part of the header: magic u32 | type u8 | round u64 | from u64
 /// | seq u64 | to u64 | payload_bits u64.
 inline constexpr std::size_t kFrameHeaderBytes = 4 + 1 + 8 * 5;
 
 /// One decoded frame. For kData: one message `from` -> `to`, where `seq` is
-/// the sender's per-round send counter (outbox order). For kBroadcast: the
-/// same payload delivered to every entry of `fanout`, each with the seq the
-/// matching per-destination kData frame would have carried. For control
-/// frames (kFlush/kFlushDone/kStageDone) the payload is empty and `seq`
-/// doubles as the stage index.
+/// the sender's per-round send counter (outbox order). For the control
+/// frames (kFlush/kFlushDone) the payload is empty.
 struct WireFrame {
   FrameType type = FrameType::kData;
   std::uint64_t round = 0;
@@ -80,7 +73,10 @@ struct WireFrame {
   std::uint64_t seq = 0;
   std::uint64_t to = 0;
   util::BitString payload;
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> fanout;  ///< (to, seq)
+  /// Never encoded and always 0. Kept only because perfbench's capture
+  /// (perfbench/src/replay.cpp) builds frames with seven-field aggregate
+  /// initialisers; it goes with the next benchmark change.
+  std::uint8_t unused = 0;
 
   bool operator==(const WireFrame&) const = default;
 };

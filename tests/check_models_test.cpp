@@ -1,4 +1,4 @@
-// check_models_test.cpp — the four protocol models: clean trees verify, the
+// check_models_test.cpp — the three protocol models: clean trees verify, the
 // mutation matrix kills every seeded bug, and counterexamples replay.
 #include <gtest/gtest.h>
 
@@ -21,13 +21,12 @@ ModelBounds small_bounds() {
   return bounds;
 }
 
-TEST(CheckModels, RegistryNamesFourProtocols) {
+TEST(CheckModels, RegistryNamesThreeProtocols) {
   const std::vector<std::string>& names = protocol_names();
-  ASSERT_EQ(names.size(), 4u);
+  ASSERT_EQ(names.size(), 3u);
   EXPECT_EQ(names[0], "inbox");
-  EXPECT_EQ(names[1], "broadcast");
-  EXPECT_EQ(names[2], "recovery");
-  EXPECT_EQ(names[3], "quarantine");
+  EXPECT_EQ(names[1], "recovery");
+  EXPECT_EQ(names[2], "quarantine");
 }
 
 TEST(CheckModels, EveryMutationBelongsToAKnownProtocol) {
@@ -39,7 +38,7 @@ TEST(CheckModels, EveryMutationBelongsToAKnownProtocol) {
     EXPECT_TRUE(seen.insert(spec.name).second) << "duplicate mutation " << spec.name;
     EXPECT_FALSE(spec.description.empty());
   }
-  EXPECT_GE(seen.size(), 7u);
+  EXPECT_GE(seen.size(), 6u);
 }
 
 TEST(CheckModels, MakeModelRejectsUnknownNames) {

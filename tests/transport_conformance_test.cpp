@@ -6,15 +6,15 @@
 // serve::make_scenario) runs at seeds {11, 22, 33}, plain and MAC-tagged, on
 // the serial in-process reference and then in every cell of the matrix:
 // in-process at threads {1, 2, 8}, and socket at threads 1/2/8 with 2/3/4
-// router processes (even, odd and power-of-two binomial dissemination). Each
+// router processes (an odd group count among them). Each
 // cell must equal its reference on everything serve::artifact_mismatches
 // compares: output bits, rounds_used, every RoundStats field, every
 // annotation, the canonical oracle transcript, the touched table and exact
 // query counts. The violation leg sets s (and q, for oracle strategies) one
 // below the seed-11 reference's peak, and every cell must then throw the
 // same exception with the same message. Three hand-built cases cover what the
-// catalog does not (exhaustive speculative guessing, m = 16 broadcast
-// coalescing, the canonical delivery order), and the chaos legs require
+// catalog does not (exhaustive speculative guessing, an m = 16 one-to-many
+// fan-out, the canonical delivery order), and the chaos legs require
 // checkpoint restart and quarantine recovery on the threaded and socket
 // backends to reproduce the fault-free reference.
 #include "transport/transport.hpp"
@@ -213,13 +213,11 @@ TEST(TransportConformance, SpeculativeEnumeration) {
   });
 }
 
-TEST(TransportConformance, MpclibBroadcastCoalesces) {
+TEST(TransportConformance, MpclibBroadcastMatchesReference) {
   // BroadcastAlgorithm fans one identical payload out to many machines per
-  // round — on the socket backend this is the broadcast-coalescing path: the
-  // parent ships one kBroadcast frame and the routers replicate it along the
-  // binomial tree. m = 16 over 3 and 4 router processes exercises both an
-  // odd group count (dedup of dissemination duplicates) and a power of two;
-  // in-process, chunks carry several machines each.
+  // round; on the socket backend each copy is its own data frame, routed
+  // across 2, 3 and 4 router groups. In-process, chunks carry several
+  // machines each.
   run_matrix([](std::uint64_t seed, const Backend& cell) {
     const std::uint64_t m = 16;
     mpclib::BroadcastAlgorithm algo(m, 2);

@@ -4,8 +4,8 @@
 // let an adversary write them. Every decode gate must fire as a typed
 // WireError with provenance naming *which* gate rejected the bytes and where:
 // bad magic, unknown frame type, oversized length prefix (rejected before any
-// allocation sized from it), oversized broadcast fanout, truncated frame,
-// duplicated frame, reordered frame. Alongside the hostile cases: codec
+// allocation sized from it), truncated frame, duplicated frame, reordered
+// frame. Alongside the hostile cases: codec
 // round-trips, the incremental decoder under pathological chunking, and
 // direct end-to-end exercises of both backends — the in-process reference's
 // canonical merge order and the socket backend, including the wire-tamper
@@ -81,31 +81,13 @@ TEST(WireCodec, NonByteAlignedPayloadRoundTrips) {
   EXPECT_EQ(frames[0], f);
 }
 
-TEST(WireCodec, BroadcastFrameRoundTrips) {
-  WireFrame f;
-  f.type = FrameType::kBroadcast;
-  f.round = 3;
-  f.from = 1;
-  f.seq = 4;
-  f.payload = BitString::from_uint(0xBEEF, 16);
-  f.fanout = {{0, 4}, {2, 9}, {5, 0}};
-  auto frames = transport::decode_frames(transport::encode_frame(f));
-  ASSERT_EQ(frames.size(), 1u);
-  // The `to` slot carried the fanout count on the wire; the decoded frame
-  // leaves `to` at its default and restores the full fanout list.
-  EXPECT_EQ(frames[0].fanout, f.fanout);
-  EXPECT_EQ(frames[0].payload, f.payload);
-  EXPECT_EQ(frames[0].round, f.round);
-  EXPECT_EQ(frames[0].from, f.from);
-}
-
 TEST(WireCodec, ControlFramesRoundTrip) {
-  for (FrameType type : {FrameType::kFlush, FrameType::kFlushDone, FrameType::kStageDone}) {
+  for (FrameType type : {FrameType::kFlush, FrameType::kFlushDone}) {
     WireFrame f;
     f.type = type;
     f.round = 12;
     f.from = 3;
-    f.seq = 2;  // stage index for kStageDone
+    f.seq = 2;
     auto frames = transport::decode_frames(transport::encode_frame(f));
     ASSERT_EQ(frames.size(), 1u);
     EXPECT_EQ(frames[0], f);
@@ -188,13 +170,17 @@ TEST(WireHostile, PayloadCapIsConfigurable) {
   EXPECT_EQ(transport::decode_frames(bytes, 16).size(), 1u);  // exactly at cap: fine
 }
 
-TEST(WireHostile, OversizedBroadcastFanoutRejected) {
-  WireFrame f;
-  f.type = FrameType::kBroadcast;
-  f.fanout = {{0, 0}};
-  auto bytes = transport::encode_frame(f);
-  patch_u64(bytes, 29, transport::kMaxBroadcastFanout + 1);  // fanout-count slot
-  expect_wire_error(bytes, "broadcast fanout");
+TEST(WireHostile, RetiredFrameTypesRejectedAsUnknown) {
+  // 4 and 5 once framed broadcasts and their dissemination stage tokens.
+  // They are never reused: the type gate rejects them before any other
+  // header field is read, so a huge count in the `to` slot changes nothing.
+  for (std::uint8_t type : {4, 5}) {
+    auto bytes = transport::encode_frame(data_frame(0, 0, 0, 1, BitString::from_uint(0x1, 4)));
+    bytes[4] = type;
+    expect_wire_error(bytes, "unknown frame type " + std::to_string(type) + " at byte 4");
+    patch_u64(bytes, 29, 1ULL << 40);
+    expect_wire_error(bytes, "unknown frame type " + std::to_string(type) + " at byte 4");
+  }
 }
 
 TEST(WireHostile, TruncatedFrameRejected) {
@@ -261,7 +247,7 @@ TEST(WireAssembler, TakeRestoresCanonicalInboxOrder) {
 }
 
 // ---- degenerate topologies: the boundary shapes mpch-model's bounded
-// exploration cannot reach (zero traffic, one machine, the fanout cap) ----
+// exploration cannot reach (zero traffic, one machine) ----
 
 TEST(WireAssembler, ZeroMessageRoundYieldsEmptyCanonicalInbox) {
   // A round in which nobody sends is legal at every layer: the barrier
@@ -293,47 +279,6 @@ TEST(WireAssembler, SingleMachineSelfDeliveryKeepsSeqOrder) {
   assembler.add(0, 4, BitString::from_uint(9, 8));
   EXPECT_THROW(assembler.add(0, 4, BitString::from_uint(9, 8)), WireError);
   EXPECT_THROW(assembler.add(0, 1, BitString::from_uint(9, 8)), WireError);
-}
-
-TEST(WireHostile, BroadcastFanoutAtExactCapRoundTrips) {
-  // The cap is a boundary, not a margin: a broadcast addressing exactly
-  // kMaxBroadcastFanout destinations (a 16 MiB fanout section on the wire)
-  // must decode, and every (to, seq) entry must survive.
-  WireFrame f;
-  f.type = FrameType::kBroadcast;
-  f.round = 1;
-  f.from = 0;
-  f.seq = 0;
-  f.payload = BitString::from_uint(0xA5, 8);
-  f.fanout.reserve(transport::kMaxBroadcastFanout);
-  for (std::uint64_t to = 0; to < transport::kMaxBroadcastFanout; ++to) {
-    f.fanout.emplace_back(to, to % 3);
-  }
-  auto frames = transport::decode_frames(transport::encode_frame(f));
-  ASSERT_EQ(frames.size(), 1u);
-  ASSERT_EQ(frames[0].fanout.size(), transport::kMaxBroadcastFanout);
-  EXPECT_EQ(frames[0].fanout.front(), (std::pair<std::uint64_t, std::uint64_t>{0, 0}));
-  EXPECT_EQ(frames[0].fanout.back(),
-            (std::pair<std::uint64_t, std::uint64_t>{transport::kMaxBroadcastFanout - 1,
-                                                     (transport::kMaxBroadcastFanout - 1) % 3}));
-}
-
-TEST(WireHostile, BroadcastFanoutCapIsStrictlyGreaterThan) {
-  // Header surgery on a 1-entry broadcast: a count of exactly the cap gets
-  // past the fanout gate (the decoder then waits for the 16 MiB body that
-  // never arrives — "truncated frame", not a cap rejection), while cap+1
-  // fires the fanout gate from the header alone. Together with the
-  // at-cap round-trip above this pins the gate to `count > cap`.
-  WireFrame f;
-  f.type = FrameType::kBroadcast;
-  f.fanout = {{0, 0}};
-  auto bytes = transport::encode_frame(f);
-  auto at_cap = bytes;
-  patch_u64(at_cap, 29, transport::kMaxBroadcastFanout);  // fanout-count slot
-  expect_wire_error(at_cap, "truncated frame");
-  auto over_cap = bytes;
-  patch_u64(over_cap, 29, transport::kMaxBroadcastFanout + 1);
-  expect_wire_error(over_cap, "broadcast fanout");
 }
 
 // ---- direct backend exercises ----
@@ -410,39 +355,37 @@ TEST(SocketTransportTest, DeliversAcrossRouterProcessesOverMultipleRounds) {
   EXPECT_TRUE(t.idle());
 }
 
-TEST(SocketTransportTest, CoalescedBroadcastReachesEveryDestination) {
-  // One payload to five destinations with broadcast_min_fanout = 2: the
-  // parent ships a single kBroadcast frame and the binomial dissemination
-  // replicates it across three router groups (odd G: the dedup path).
+TEST(SocketTransportTest, OnePayloadToFiveDestinationsArrivesInCanonicalOrder) {
+  // One payload to five destinations across three router groups: each copy
+  // is its own data frame, and every inbox comes back in (sender, seq) order.
   if (skip_socket_backend()) GTEST_SKIP() << "MPCH_SKIP_SOCKET_TRANSPORT set";
   transport::TransportOptions options;
   options.processes = 3;
-  options.broadcast_min_fanout = 2;
   transport::SocketTransport t(options);
   t.start(6);
   ASSERT_EQ(t.router_count(), 3u);
 
-  BitString bcast = BitString::from_uint(0x77, 8);
-  t.send(0, 1, {{1, 0, bcast},
-                {1, 2, BitString::from_uint(0x11, 8)},  // direct frame interleaved
-                {1, 2, bcast},
-                {1, 3, bcast},
-                {1, 4, bcast},
-                {1, 5, bcast}});
+  BitString shared = BitString::from_uint(0x77, 8);
+  t.send(0, 1, {{1, 0, shared},
+                {1, 2, BitString::from_uint(0x11, 8)},  // another payload between copies
+                {1, 2, shared},
+                {1, 3, shared},
+                {1, 4, shared},
+                {1, 5, shared}});
   for (std::uint64_t m : {0, 2, 3, 4, 5}) t.send(0, m, {});
   t.flush(0);
 
   auto inbox0 = t.receive(0, 0);
   ASSERT_EQ(inbox0.size(), 1u);
-  EXPECT_EQ(inbox0[0].payload, bcast);
+  EXPECT_EQ(inbox0[0].payload, shared);
   auto inbox2 = t.receive(0, 2);
-  ASSERT_EQ(inbox2.size(), 2u);  // canonical: seq 1 (direct) before seq 2 (bcast)
+  ASSERT_EQ(inbox2.size(), 2u);  // canonical: seq 1 before seq 2
   EXPECT_EQ(inbox2[0].payload, BitString::from_uint(0x11, 8));
-  EXPECT_EQ(inbox2[1].payload, bcast);
+  EXPECT_EQ(inbox2[1].payload, shared);
   for (std::uint64_t m : {3, 4, 5}) {
     auto inbox = t.receive(0, m);
     ASSERT_EQ(inbox.size(), 1u) << "machine " << m;
-    EXPECT_EQ(inbox[0].payload, bcast) << "machine " << m;
+    EXPECT_EQ(inbox[0].payload, shared) << "machine " << m;
     EXPECT_EQ(inbox[0].from, 1u) << "machine " << m;
   }
   EXPECT_TRUE(t.receive(0, 1).empty());

@@ -1,7 +1,7 @@
 // mpch-model — systematic state-space exploration of the transport and
 // recovery protocols.
 //
-//   mpch-model                                  # explore all four protocols
+//   mpch-model                                  # explore all three protocols
 //   mpch-model --protocol inbox --bound machines=2,messages=3,faults=1
 //   mpch-model --mutate drop-seq-check --trace-out bug.trace
 //   mpch-model --mutation-matrix                # checker self-check: every
@@ -11,12 +11,11 @@
 //   mpch-model --format json
 //
 // The explorer (src/check/) drives the *production* transition cores —
-// transport/wire.hpp's InboxAssembler, transport/router_core.hpp's
-// RouterCore, fault/recovery_core.hpp's restart and quarantine policies —
-// through every bounded interleaving of deliveries, duplications, faults,
-// and verdicts, checking exactly-once canonical inbox order, broadcast
-// dedup, transcript equivalence, policy-spec conformance, livelock freedom,
-// and outcome confluence. Violations are shrunk to minimal schedules and
+// transport/wire.hpp's InboxAssembler, fault/recovery_core.hpp's restart
+// and quarantine policies — through every bounded interleaving of
+// deliveries, duplications, faults, and verdicts, checking exactly-once
+// canonical inbox order, transcript equivalence, policy-spec conformance,
+// livelock freedom, and outcome confluence. Violations are shrunk to minimal schedules and
 // written as replayable trace files (see src/check/trace.hpp for the
 // format; fuzz/corpus/model_trace/ holds the regression corpus).
 //
@@ -213,7 +212,7 @@ int run_matrix(const check::ModelBounds& bounds, bool json, const std::string& t
 int tool_main(const util::CliArgs& args) {
   if (args.get_bool("help", false)) {
     std::cout
-        << "usage: mpch-model [--protocol all|inbox|broadcast|recovery|quarantine]\n"
+        << "usage: mpch-model [--protocol all|inbox|recovery|quarantine]\n"
            "                  [--bound machines=2,rounds=2,messages=2,faults=1,depth=64,states=100000]\n"
            "                  [--mutate <name>] [--mutation-matrix] [--trace-out <file>]\n"
            "                  [--trace-dir <dir>] [--replay <file>] [--list-mutations]\n"
